@@ -9,8 +9,6 @@ Three switches DESIGN.md calls out, each measured on/off:
    are bound and the tuple is known, the remaining subtree is witness
    search, not enumeration.
 3. **RQ algebraic simplification** before evaluation/containment.
-4. **Indexed bitset kernels** (A5 measures the containment paths; the
-   graph-evaluation kernel is ablated here).
 """
 
 import random
@@ -23,7 +21,6 @@ from repro.automata.regex import random_regex
 from repro.automata.shepherdson import LazyShepherdsonComplement
 from repro.automata.onthefly import find_accepted_word
 from repro.automata.alphabet import Alphabet
-from repro.automata.indexed import use_indexed_kernels
 from repro.cq.evaluation import bindings, evaluate_cq
 from repro.cq.syntax import cq_from_strings
 from repro.relational.generators import random_instance
@@ -31,7 +28,6 @@ from repro.rq.evaluation import evaluate_rq
 from repro.rq.generators import random_rq
 from repro.rq.optimize import simplify
 from repro.graphdb.generators import random_graph
-from repro.rpq.rpq import TwoRPQ, evaluate_nfa_on_graph
 
 
 def test_a1_nfa_reduction(benchmark, report, once_benchmark):
@@ -150,41 +146,3 @@ def test_a1_rq_simplifier(benchmark, report, once_benchmark):
     )
     assert float(rows[0][1]) <= float(rows[0][0])
 
-
-def test_a1_graph_eval_kernel(benchmark, report, once_benchmark):
-    """2RPQ graph evaluation: object-state product BFS vs bitset kernel."""
-    queries = [
-        TwoRPQ.parse(text) for text in ("a+ b", "(a b-)* a", "(a|b)+ (a-|b)")
-    ]
-    db = random_graph(60, 420, ("a", "b"), seed=11)
-    for query in queries:
-        _ = query.nfa  # compile outside the timed region
-
-    def run():
-        rows = []
-        answers = {}
-        for kernels in (False, True):
-            with use_indexed_kernels(kernels):
-                start = time.perf_counter()
-                answers[kernels] = [
-                    evaluate_nfa_on_graph(query.nfa, db) for query in queries
-                ]
-                elapsed = (time.perf_counter() - start) * 1000
-            rows.append(
-                [
-                    "bitset kernel" if kernels else "object-state BFS",
-                    sum(len(a) for a in answers[kernels]),
-                    f"{elapsed:.1f}",
-                ]
-            )
-        assert answers[False] == answers[True]  # identical answer sets
-        return rows
-
-    rows = once_benchmark(benchmark, run)
-    report(
-        "A1",
-        "2RPQ graph evaluation: indexed-kernel ablation (3 queries, 60-node graph)",
-        ["evaluation path", "total answers", "ms"],
-        rows,
-        note="same product BFS, states as big-int bitsets per node",
-    )

@@ -1,157 +1,21 @@
-"""A5 — indexed bitset kernels vs the object-state baselines.
+"""A5 — performance architecture: the containment cache.
 
-The measurements behind DESIGN.md's "Performance architecture" section:
+Repeated engine checks on the same pairs are served from the
+canonical-form-keyed containment cache, with hit/miss counters to prove
+it (DESIGN.md §5).
 
-1. **E1 workload** (Lemma 1 RPQ containment): random regex pairs at
-   growing depth, timed through :func:`containment_counterexample` with
-   the kernel switch off/on.  Verdicts must agree exactly and witnesses
-   must have equal (shortest) length and actually separate the
-   languages.
-2. **E5 workload** (Theorem 5 2RPQ containment, the paper-faithful
-   ``lemma4-onthefly`` method): a structured instance family of growing
-   fold/complement size ending at the paper's own ``p ⊑ p p- p``.
-   The Shepherdson method is reported too, for honesty: its step table
-   is memoized inside the lazy complement, so the bitset kernel's
-   once-per-configuration successor sharing buys little there (~1x).
-3. **Containment cache**: repeated engine checks on the same pairs are
-   served from the cache, with hit/miss counters to prove it.
-
-Query *compilation* is hoisted out of every timed region (both arms
-share ``reduce_nfa``; the kernels accelerate checks, not parsing) —
-this mirrors production use, where the regex-NFA cache amortizes
-compilation across calls.
+The bitset kernels have no in-tree baseline to time against: their
+agreement with the object-state reference implementations in
+``tests/oracles`` is property-tested in
+``tests/automata/test_indexed_properties.py``, and EXPERIMENTS.md keeps
+the last kernel-vs-baseline measurements.
 """
 
-import random
 import time
 
-from repro.automata.dfa import containment_counterexample
-from repro.automata.indexed import use_indexed_kernels
-from repro.automata.regex import random_regex
-from repro.cache import cache_stats, clear_caches, use_caching
+from repro.cache import cache_stats, clear_caches
 from repro.core.engine import check_containment
-from repro.rpq.containment import two_rpq_contained
 from repro.rpq.rpq import RPQ, TwoRPQ
-
-ALPHABET = ("a", "b")
-
-# Growing fold size; the last instance is the paper's divergence example
-# and dominates the sweep (hundreds of ms on the baseline).
-E5_INSTANCES = [("p", "p p-"), ("a a", "a a-"), ("p", "p p- p")]
-
-
-def test_a5_e01_kernels(benchmark, report, once_benchmark):
-    """E1 workload: Lemma 1 containment, indexed kernels off vs on."""
-    rng = random.Random(7)
-    suites = {
-        depth: [
-            (
-                RPQ(random_regex(rng, ALPHABET, depth)).nfa,
-                RPQ(random_regex(rng, ALPHABET, depth)).nfa,
-            )
-            for _ in range(20)
-        ]
-        for depth in (4, 6, 8, 10)
-    }
-
-    def run():
-        rows = []
-        for depth, pairs in suites.items():
-            timings: dict[bool, float] = {}
-            outcomes: dict[bool, list] = {}
-            for kernels in (False, True):
-                best = None
-                for _ in range(3):
-                    with use_caching(False), use_indexed_kernels(kernels):
-                        start = time.perf_counter()
-                        outcomes[kernels] = [
-                            containment_counterexample(n1, n2, ALPHABET)
-                            for n1, n2 in pairs
-                        ]
-                        elapsed = time.perf_counter() - start
-                    best = elapsed if best is None else min(best, elapsed)
-                timings[kernels] = best
-            for (n1, n2), old, new in zip(pairs, outcomes[False], outcomes[True]):
-                assert (old is None) == (new is None)  # identical verdicts
-                if old is not None:
-                    assert len(old) == len(new)  # both searches are shortest-word
-                    assert n1.accepts(new) and not n2.accepts(new)
-            speedup = timings[False] / timings[True]
-            rows.append(
-                [
-                    depth,
-                    f"{timings[False] / len(pairs) * 1000:.2f}",
-                    f"{timings[True] / len(pairs) * 1000:.2f}",
-                    f"{speedup:.2f}x",
-                ]
-            )
-        return rows
-
-    rows = once_benchmark(benchmark, run)
-    report(
-        "A5",
-        "E1 workload: Lemma 1 checks, baseline vs indexed kernels (20 pairs/depth)",
-        ["regex depth", "baseline ms/check", "indexed ms/check", "speedup"],
-        rows,
-        note="verdicts identical, witnesses equal-length and verified on both arms",
-    )
-    speedups = [float(row[3].rstrip("x")) for row in rows]
-    assert all(s > 1.0 for s in speedups)
-    assert speedups[-1] >= 2.0  # target on the largest sweep point
-
-
-def test_a5_e05_kernels(benchmark, report, once_benchmark):
-    """E5 workload: Theorem 5 checks, indexed kernels off vs on."""
-    queries = [(TwoRPQ.parse(l), TwoRPQ.parse(r)) for l, r in E5_INSTANCES]
-    for q1, q2 in queries:
-        _ = (q1.nfa, q2.nfa)  # warm the regex-NFA cache outside the timing
-
-    def run():
-        rows = []
-        for (left, right), (q1, q2) in zip(E5_INSTANCES, queries):
-            for method in ("lemma4-onthefly", "shepherdson"):
-                timings: dict[bool, float] = {}
-                results: dict[bool, object] = {}
-                for kernels in (False, True):
-                    best = None
-                    for _ in range(3):
-                        with use_indexed_kernels(kernels):
-                            start = time.perf_counter()
-                            results[kernels] = two_rpq_contained(
-                                q1, q2, method=method
-                            )
-                            elapsed = time.perf_counter() - start
-                        best = elapsed if best is None else min(best, elapsed)
-                    timings[kernels] = best
-                old, new = results[False], results[True]
-                assert old.verdict == new.verdict  # identical verdicts
-                if old.counterexample is not None:
-                    # Canonical witness databases are paths of witness-word
-                    # length; both searches are shortest-word BFS.
-                    assert old.counterexample.output == new.counterexample.output
-                rows.append(
-                    [
-                        f"{left} ⊑ {right}",
-                        method,
-                        new.verdict.value,
-                        f"{timings[False] * 1000:.2f}",
-                        f"{timings[True] * 1000:.2f}",
-                        f"{timings[False] / timings[True]:.2f}x",
-                    ]
-                )
-        return rows
-
-    rows = once_benchmark(benchmark, run)
-    report(
-        "A5",
-        "E5 workload: 2RPQ checks, baseline vs indexed kernels (best of 3)",
-        ["instance", "method", "verdict", "baseline ms", "indexed ms", "speedup"],
-        rows,
-        note="lemma4-onthefly gains from once-per-config successor sharing; "
-        "shepherdson's step table is already memoized, so it stays ~1x",
-    )
-    largest_onthefly = [row for row in rows if row[1] == "lemma4-onthefly"][-1]
-    assert float(largest_onthefly[5].rstrip("x")) >= 2.0  # target on p ⊑ p p- p
 
 
 def test_a5_containment_cache(benchmark, report, once_benchmark):

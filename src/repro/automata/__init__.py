@@ -12,9 +12,8 @@ Public surface:
   complementation) plus its lazy, on-the-fly variant.
 - :mod:`repro.automata.shepherdson` — the classical conversion baseline.
 - :mod:`repro.automata.onthefly` — generic on-the-fly product emptiness.
-- :mod:`repro.automata.indexed` — integer-indexed bitset kernels the hot
-  paths dispatch to (with :func:`set_indexed_kernels` as the ablation
-  switch back to the object-level baselines).
+- :mod:`repro.automata.indexed` — integer-indexed bitset kernels every
+  hot path above runs on.
 """
 
 from .alphabet import (
@@ -38,16 +37,9 @@ from .dfa import (
     nfa_equivalent,
 )
 from .fold import fold_two_nfa, folds_onto, fold_witness, lemma3_state_bound
-from .indexed import (
-    IndexedDFA,
-    IndexedNFA,
-    indexed_kernels_enabled,
-    set_indexed_kernels,
-    use_indexed_kernels,
-)
+from .indexed import IndexedDFA, IndexedNFA
 from .nfa import NFA, Word, from_epsilon_nfa
 from .onthefly import (
-    ExplicitNFA,
     SearchBudgetExceeded,
     SearchStats,
     find_accepted_word,
@@ -103,13 +95,9 @@ __all__ = [
     "lemma3_state_bound",
     "IndexedDFA",
     "IndexedNFA",
-    "indexed_kernels_enabled",
-    "set_indexed_kernels",
-    "use_indexed_kernels",
     "NFA",
     "Word",
     "from_epsilon_nfa",
-    "ExplicitNFA",
     "SearchBudgetExceeded",
     "SearchStats",
     "find_accepted_word",

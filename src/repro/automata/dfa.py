@@ -10,7 +10,6 @@ for the on-the-fly pipeline.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
 
@@ -70,80 +69,13 @@ class DFA:
     def minimize(self) -> "DFA":
         """Hopcroft partition refinement; returns the canonical minimal DFA.
 
-        States of the result are frozensets (the equivalence blocks).
-        Dispatches to the bitset kernel of :mod:`repro.automata.indexed`
-        unless the indexed kernels are disabled (ablation baseline).
+        States of the result are frozensets (the equivalence blocks); the
+        refinement runs on the bitset kernel
+        :func:`repro.automata.indexed.minimize_dfa`.
         """
-        from .indexed import indexed_kernels_enabled, minimize_dfa
+        from .indexed import minimize_dfa
 
-        if indexed_kernels_enabled():
-            return minimize_dfa(self)
-        reachable = self._reachable()
-        final = frozenset(s for s in reachable if s in self.final)
-        non_final = frozenset(reachable - final)
-        partition: set[frozenset] = {block for block in (final, non_final) if block}
-        worklist: deque[frozenset] = deque(partition)
-        # Precompute reverse transitions per symbol for splitting.
-        reverse: dict[str, dict[State, set]] = {symbol: {} for symbol in self.alphabet}
-        for (source, symbol), target in self.transitions.items():
-            if source in reachable:
-                reverse[symbol].setdefault(target, set()).add(source)
-        while worklist:
-            splitter = worklist.popleft()
-            for symbol in self.alphabet:
-                predecessors: set = set()
-                for state in splitter:
-                    predecessors |= reverse[symbol].get(state, set())
-                if not predecessors:
-                    continue
-                new_partition: set[frozenset] = set()
-                for block in partition:
-                    inside = block & predecessors
-                    outside = block - predecessors
-                    if inside and outside:
-                        new_partition.add(frozenset(inside))
-                        new_partition.add(frozenset(outside))
-                        if block in worklist:
-                            worklist.remove(block)
-                            worklist.append(frozenset(inside))
-                            worklist.append(frozenset(outside))
-                        else:
-                            smaller = min((inside, outside), key=len)
-                            worklist.append(frozenset(smaller))
-                    else:
-                        new_partition.add(block)
-                partition = new_partition
-        block_of = {
-            state: block for block in partition for state in block
-        }
-        transitions = {
-            (block, symbol): block_of[self.step(next(iter(block)), symbol)]
-            for block in partition
-            for symbol in self.alphabet
-        }
-        final_blocks = frozenset(block for block in partition if block & self.final)
-        return DFA(
-            self.alphabet,
-            frozenset(partition),
-            block_of[self.initial],
-            final_blocks,
-            transitions,
-        )
-
-    def _reachable(self) -> set:
-        seen = {self.initial}
-        queue = deque([self.initial])
-        while queue:
-            state = queue.popleft()
-            for symbol in self.alphabet:
-                nxt = self.step(state, symbol)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return seen
-
-
-_SINK = ("__sink__",)
+        return minimize_dfa(self)
 
 
 def determinize(
@@ -163,8 +95,7 @@ def determinize(
 
     Repeated determinizations of the same automaton are served from the
     canonical-form-keyed cache in :mod:`repro.cache`; the subset
-    construction itself runs on the bitset kernel unless the indexed
-    kernels are disabled (ablation baseline).
+    construction itself runs on the bitset kernel.
     """
     from ..cache import determinize_cache, nfa_cache_key
 
@@ -193,27 +124,9 @@ def determinize(
 
 
 def _determinize_uncached(nfa: NFA, alpha: tuple[str, ...]) -> DFA:
-    from .indexed import IndexedNFA, indexed_kernels_enabled
+    from .indexed import IndexedNFA
 
-    if indexed_kernels_enabled():
-        return IndexedNFA.from_nfa(nfa, alpha).determinize().to_dfa()
-    initial = frozenset(nfa.initial)
-    states: set[frozenset] = {initial}
-    transitions: dict[tuple[frozenset, str], frozenset] = {}
-    queue = deque([initial])
-    while queue:
-        subset = queue.popleft()
-        for symbol in alpha:
-            nxt: set = set()
-            for state in subset:
-                nxt |= nfa.successors(state, symbol)
-            target = frozenset(nxt)
-            transitions[(subset, symbol)] = target
-            if target not in states:
-                states.add(target)
-                queue.append(target)
-    final = frozenset(subset for subset in states if subset & nfa.final)
-    return DFA(alpha, frozenset(states), initial, final, transitions)
+    return IndexedNFA.from_nfa(nfa, alpha).determinize().to_dfa()
 
 
 def complement_nfa(
@@ -267,58 +180,27 @@ def containment_counterexample(
 ) -> Word | None:
     """A shortest word in L(left) - L(right), or None if contained.
 
-    With the indexed kernels enabled this never materializes the
-    complement automaton: the search runs over ``(left state, right
-    subset bitset)`` configurations, determinizing the right side
-    incrementally (see
+    The complement automaton is never materialized: the search runs over
+    ``(left state, right subset bitset)`` configurations, determinizing
+    the right side incrementally (see
     :func:`repro.automata.indexed.containment_counterexample_indexed`).
     *kernel* (``"subset" | "antichain" | "auto"``) selects between the
     plain visited-set search and the simulation-subsumption antichain
-    search; the materializing pipeline below stays as the ablation
-    baseline when the indexed kernels are switched off (and then runs
-    regardless of *kernel*, recorded honestly in *kernel_stats*).
+    search.
 
     An optional :class:`repro.budget.BudgetMeter` bounds the search
-    (configs budget + deadline on the indexed path; coarse deadline
-    checks between pipeline stages on the baseline path).  An optional
-    :class:`repro.obs.trace.Tracer` records one span per pipeline stage
-    (complement, product, emptiness search).
+    (configs budget + deadline).  An optional
+    :class:`repro.obs.trace.Tracer` records it as an
+    ``emptiness-search`` span.
     """
-    from .antichain import resolve_kernel
-    from .indexed import containment_counterexample_indexed, indexed_kernels_enabled
+    from .indexed import containment_counterexample_indexed
 
-    resolve_kernel(kernel)  # reject typos before any work
     if alphabet is None:
         alphabet = tuple(dict.fromkeys(left.alphabet + right.alphabet))
-    alpha = tuple(alphabet)
-    if indexed_kernels_enabled():
-        return containment_counterexample_indexed(
-            left, right, alpha, meter=meter, tracer=tracer,
-            kernel=kernel, kernel_stats=kernel_stats,
-        )
-    if kernel_stats is not None:
-        kernel_stats.update(selected="subset", pipeline="materialized")
-    if meter is not None:
-        meter.check_deadline()
-    if tracer is None:
-        complement = complement_nfa(right, alpha)
-        if meter is not None:
-            meter.check_deadline()
-        product = left.product(complement)
-        if meter is not None:
-            meter.charge("configs", product.num_states)
-        return product.shortest_word()
-    with tracer.span("complement", nfa_states=right.num_states):
-        complement = complement_nfa(right, alpha, tracer=tracer)
-    if meter is not None:
-        meter.check_deadline()
-    with tracer.span("product") as span:
-        product = left.product(complement)
-        span.count("configs", product.num_states)
-    if meter is not None:
-        meter.charge("configs", product.num_states)
-    with tracer.span("emptiness-search"):
-        return product.shortest_word()
+    return containment_counterexample_indexed(
+        left, right, tuple(alphabet), meter=meter, tracer=tracer,
+        kernel=kernel, kernel_stats=kernel_stats,
+    )
 
 
 def nfa_equivalent(left: NFA, right: NFA, alphabet: Iterable[str] | None = None) -> bool:

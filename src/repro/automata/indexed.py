@@ -2,25 +2,21 @@
 
 Every containment pipeline in the package bottoms out in the same few
 automaton operations — epsilon closure, subset construction, product
-reachability, emptiness with witness extraction — and the object-level
-implementations in :mod:`repro.automata.nfa` / :mod:`repro.automata.dfa`
-run them over dict-of-frozenset tables keyed by arbitrary hashable
-states.  This module provides *compiled* equivalents: states and symbols
-are interned to dense integers, transition tables are per-symbol
-adjacency arrays, and state *sets* are Python big-int bitsets, so the
-inner loops become integer OR/AND/shift operations instead of frozenset
-hashing and set unions.
+reachability, emptiness with witness extraction.  The object-level
+types of :mod:`repro.automata.nfa` / :mod:`repro.automata.dfa` keep
+dict-of-frozenset tables keyed by arbitrary hashable states, and their
+operations run here, *compiled*: states and symbols are interned to
+dense integers, transition tables are per-symbol adjacency arrays, and
+state *sets* are Python big-int bitsets, so the inner loops become
+integer OR/AND/shift operations instead of frozenset hashing and set
+unions.
 
 Design contract:
 
-- Every kernel is a drop-in semantic equivalent of the corresponding
-  object-level construction; the property tests in
-  ``tests/automata/test_indexed_properties.py`` cross-validate them on
-  random automata.
-- The object-level implementations remain available as ablation
-  baselines behind the :func:`set_indexed_kernels` switch (the A1
-  pattern in ``benchmarks/bench_a01_ablations.py``); benchmark A5
-  measures the gap.
+- Every kernel renders its result exactly as the textbook object-state
+  construction would; the tests in ``tests/automata/test_indexed*.py``
+  compare them against the reference implementations in
+  ``tests/oracles/automata.py`` on hand-built and random automata.
 - :class:`IndexedNFA` satisfies the
   :class:`repro.automata.onthefly.ImplicitNFA` protocol directly (its
   states are plain ints), so on-the-fly product searches can consume it
@@ -29,43 +25,10 @@ Design contract:
 
 from __future__ import annotations
 
-import contextlib
 from collections import deque
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from .nfa import NFA, Word
-
-# --- kernel switch (ablation baseline support) --------------------------------
-
-_INDEXED_KERNELS_ENABLED = True
-
-
-def indexed_kernels_enabled() -> bool:
-    """Whether the rewired hot paths dispatch to the indexed kernels."""
-    return _INDEXED_KERNELS_ENABLED
-
-
-def set_indexed_kernels(enabled: bool) -> bool:
-    """Enable/disable the indexed kernels globally; returns the old value.
-
-    Disabling falls back to the original object-state implementations,
-    which stay in place as ablation baselines (benchmarks A1/A5).
-    """
-    global _INDEXED_KERNELS_ENABLED
-    previous = _INDEXED_KERNELS_ENABLED
-    _INDEXED_KERNELS_ENABLED = bool(enabled)
-    return previous
-
-
-@contextlib.contextmanager
-def use_indexed_kernels(enabled: bool = True) -> Iterator[None]:
-    """Context manager form of :func:`set_indexed_kernels`."""
-    previous = set_indexed_kernels(enabled)
-    try:
-        yield
-    finally:
-        set_indexed_kernels(previous)
-
 
 # --- bitset helpers ------------------------------------------------------------
 
@@ -474,8 +437,7 @@ class IndexedDFA:
 
         When this DFA came from :meth:`IndexedNFA.determinize`, states
         are rendered as frozensets of the source NFA's state names —
-        exactly what the object-level subset construction produces, so
-        the two paths are interchangeable.
+        exactly what the textbook subset construction produces.
         """
         from .dfa import DFA
 
@@ -500,7 +462,7 @@ class IndexedDFA:
         )
 
 
-# --- drop-in replacements for the object-level hot paths ------------------------
+# --- kernels behind the object-level operations ---------------------------------
 
 
 def product_nfa(left: NFA, right: NFA) -> NFA:
@@ -649,9 +611,9 @@ def minimize_dfa(dfa: "DFA") -> "DFA":
     """Indexed Hopcroft refinement behind :meth:`DFA.minimize`.
 
     Blocks are bitsets over interned DFA states; the result renders each
-    block as a frozenset of original states, matching the object-level
-    implementation (partition refinement computes the unique coarsest
-    partition, so both paths produce the identical automaton).
+    block as a frozenset of original states, as textbook refinement over
+    frozenset blocks does (partition refinement computes the unique
+    coarsest partition, so the automaton is the same either way).
     """
     names = tuple(sorted(dfa.states, key=repr))
     index = {name: i for i, name in enumerate(names)}
@@ -734,50 +696,3 @@ def minimize_dfa(dfa: "DFA") -> "DFA":
         transitions,
     )
 
-
-def graph_product_targets(
-    nfa: IndexedNFA,
-    adjacency: Sequence[Sequence[Sequence[int]]],
-    num_nodes: int,
-    source: int,
-) -> int:
-    """RPQ product-BFS kernel: bitset of nodes reachable from *source*.
-
-    Args:
-        nfa: the compiled query automaton.
-        adjacency: ``adjacency[symbol_id][node]`` lists successor node
-            indices (the caller pre-resolves inverse letters).
-        num_nodes: graph size (node indices are ``0 .. num_nodes - 1``).
-        source: the start node index.
-
-    Returns:
-        A bitset over node indices: nodes ``y`` such that some semipath
-        from *source* to ``y`` spells a word of the language.
-
-    Each node carries the bitset of automaton states reachable alongside
-    it; the BFS propagates *newly added* state bits only, so each
-    (node, state) configuration is expanded at most once.
-    """
-    node_masks = [0] * num_nodes
-    node_masks[source] = nfa.initial
-    queue: deque[tuple[int, int]] = deque()
-    if nfa.initial:
-        queue.append((source, nfa.initial))
-    num_symbols = len(nfa.symbols)
-    while queue:
-        node, added = queue.popleft()
-        for row in range(num_symbols):
-            next_states = nfa.successor_mask(added, row)
-            if not next_states:
-                continue
-            for neighbor in adjacency[row][node]:
-                fresh = next_states & ~node_masks[neighbor]
-                if fresh:
-                    node_masks[neighbor] |= fresh
-                    queue.append((neighbor, fresh))
-    final = nfa.final
-    found = 0
-    for node in range(num_nodes):
-        if node_masks[node] & final:
-            found |= 1 << node
-    return found

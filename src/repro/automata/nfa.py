@@ -15,7 +15,6 @@ suite and benchmarks.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
@@ -117,31 +116,9 @@ class NFA:
         space is the reachable subset of pairs, so the quadratic blow-up
         is an upper bound, not a certainty.
         """
-        from .indexed import indexed_kernels_enabled, product_nfa
+        from .indexed import product_nfa
 
-        if indexed_kernels_enabled():
-            return product_nfa(self, other)
-        alphabet = tuple(sym for sym in self.alphabet if sym in set(other.alphabet))
-        initial = {
-            (p, q) for p in self.initial for q in other.initial
-        }
-        states: set = set(initial)
-        transitions: list[tuple[State, str, State]] = []
-        queue = deque(initial)
-        while queue:
-            p, q = queue.popleft()
-            for symbol in alphabet:
-                for p2 in self.successors(p, symbol):
-                    for q2 in other.successors(q, symbol):
-                        pair = (p2, q2)
-                        transitions.append(((p, q), symbol, pair))
-                        if pair not in states:
-                            states.add(pair)
-                            queue.append(pair)
-        final = {
-            (p, q) for (p, q) in states if p in self.final and q in other.final
-        }
-        return NFA.build(alphabet, states, initial, final, transitions)
+        return product_nfa(self, other)
 
     def union(self, other: "NFA") -> "NFA":
         """Disjoint union: L = L(self) | L(other)."""
@@ -164,16 +141,11 @@ class NFA:
 
     def trim(self) -> "NFA":
         """Restrict to states both reachable and co-reachable."""
-        from .indexed import IndexedNFA, bits, indexed_kernels_enabled
+        from .indexed import IndexedNFA, bits
 
-        if indexed_kernels_enabled():
-            compiled = IndexedNFA.from_nfa(self)
-            names = compiled.state_names
-            live: set = {names[i] for i in bits(compiled.live_mask())}
-        else:
-            reachable = self._closure(self.initial, forward=True)
-            co_reachable = self._closure(self.final, forward=False)
-            live = reachable & co_reachable
+        compiled = IndexedNFA.from_nfa(self)
+        names = compiled.state_names
+        live = {names[i] for i in bits(compiled.live_mask())}
         transitions = [
             (a, sym, b) for a, sym, b in self.edges() if a in live and b in live
         ]
@@ -185,23 +157,6 @@ class NFA:
             transitions,
         )
 
-    def _closure(self, seeds: Iterable[State], forward: bool) -> set:
-        successors: dict[State, set] = {}
-        for a, _sym, b in self.edges():
-            if forward:
-                successors.setdefault(a, set()).add(b)
-            else:
-                successors.setdefault(b, set()).add(a)
-        seen = set(seeds)
-        queue = deque(seen)
-        while queue:
-            state = queue.popleft()
-            for nxt in successors.get(state, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return seen
-
     def is_empty(self) -> bool:
         """True iff L(A) is empty (no accepting state is reachable)."""
         return self.shortest_word() is None
@@ -212,36 +167,9 @@ class NFA:
         BFS from the initial states; this is step 5 of the paper's
         containment algorithm and doubles as counterexample extraction.
         """
-        from .indexed import IndexedNFA, indexed_kernels_enabled
+        from .indexed import IndexedNFA
 
-        if indexed_kernels_enabled():
-            return IndexedNFA.from_nfa(self).shortest_word()
-        parents: dict[State, tuple[State, str] | None] = {
-            s: None for s in self.initial
-        }
-        queue = deque(self.initial)
-        hit = next((s for s in self.initial if s in self.final), None)
-        while queue and hit is None:
-            state = queue.popleft()
-            for symbol in self.alphabet:
-                for nxt in self.successors(state, symbol):
-                    if nxt in parents:
-                        continue
-                    parents[nxt] = (state, symbol)
-                    if nxt in self.final:
-                        hit = nxt
-                        break
-                    queue.append(nxt)
-                if hit is not None:
-                    break
-        if hit is None:
-            return None
-        word: list[str] = []
-        cursor: State = hit
-        while parents[cursor] is not None:
-            cursor, symbol = parents[cursor]  # type: ignore[misc]
-            word.append(symbol)
-        return tuple(reversed(word))
+        return IndexedNFA.from_nfa(self).shortest_word()
 
     def enumerate_words(self, max_length: int) -> Iterator[Word]:
         """Yield every word of L(A) of length <= max_length, shortest first.
@@ -365,37 +293,22 @@ def from_epsilon_nfa(
         else:
             labelled.append((source, symbol, target))
 
+    from .indexed import bits, epsilon_closures
+
+    # Bitset closure kernel: intern states, close over epsilon edges.
     states = list(states)
-    from .indexed import bits, epsilon_closures, indexed_kernels_enabled
-
-    if indexed_kernels_enabled():
-        # Bitset closure kernel: intern states, close over epsilon edges.
-        index = {state: i for i, state in enumerate(states)}
-        masks = epsilon_closures(
-            len(states),
-            (
-                (index[source], index[target])
-                for source, targets in eps.items()
-                for target in targets
-            ),
-        )
-        closures = {
-            state: {states[i] for i in bits(masks[index[state]])}
-            for state in states
-        }
-    else:
-        def closure(seed: State) -> set:
-            seen = {seed}
-            queue = deque([seed])
-            while queue:
-                state = queue.popleft()
-                for nxt in eps.get(state, ()):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
-            return seen
-
-        closures = {state: closure(state) for state in states}
+    index = {state: i for i, state in enumerate(states)}
+    masks = epsilon_closures(
+        len(states),
+        (
+            (index[source], index[target])
+            for source, targets in eps.items()
+            for target in targets
+        ),
+    )
+    closures = {
+        state: {states[i] for i in bits(masks[index[state]])} for state in states
+    }
     final_set = frozenset(final)
     new_final = {
         state for state, close in closures.items() if close & final_set

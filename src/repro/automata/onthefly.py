@@ -40,16 +40,6 @@ class ImplicitNFA(Protocol):
     def is_final(self, state) -> bool: ...
 
 
-def ExplicitNFA(nfa: NFA) -> NFA:  # noqa: N802 - kept for API compatibility
-    """Deprecated identity adapter: NFA implements :class:`ImplicitNFA` itself.
-
-    Earlier versions wrapped a materialized :class:`NFA` to expose the
-    implicit-automaton protocol; the protocol methods now live on
-    :class:`NFA` directly, so callers should pass the automaton as-is.
-    """
-    return nfa
-
-
 class SearchBudgetExceeded(BudgetExhausted):
     """Raised when the product search exceeds its configuration budget.
 
@@ -115,20 +105,14 @@ def find_accepted_word(
     tracks that machine's states as a big-int set per configuration of
     the remaining machines — successor computations of the (expensive,
     lazily complemented) other machines then run once per configuration
-    and symbol instead of once per product state.  The generic search
-    in :func:`_generic_find_accepted_word` remains the ablation
-    baseline.
+    and symbol instead of once per product state.  Every other input
+    (a first machine that is only implicit, or a *stats* object to
+    fill) runs the generic search in :func:`_generic_find_accepted_word`.
     """
     from .antichain import resolve_kernel
-    from .indexed import indexed_kernels_enabled
 
     resolved = resolve_kernel(kernel)
-    use_bitset = (
-        stats is None
-        and bool(machines)
-        and isinstance(machines[0], NFA)
-        and indexed_kernels_enabled()
-    )
+    use_bitset = stats is None and bool(machines) and isinstance(machines[0], NFA)
     if not use_bitset:
         # The generic object-tuple search has no macrostate to subsume
         # against; record the honest fallback.

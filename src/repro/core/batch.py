@@ -233,11 +233,6 @@ class BatchResult:
         busy = sum(max(0.0, item.wall_ms) for item in self.items)
         return min(1.0, max(0.0, busy / (self.workers * self.wall_ms)))
 
-    @property
-    def utilization(self) -> float:
-        """Alias for :attr:`worker_utilization` (historical name)."""
-        return self.worker_utilization
-
     def counts(self) -> dict[str, int]:
         """Verdict histogram, e.g. ``{"holds": 12, "refuted": 8}``."""
         out: dict[str, int] = {}

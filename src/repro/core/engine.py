@@ -53,7 +53,7 @@ from ..rpq.containment import rpq_contained, two_rpq_contained
 from ..rq.containment import rq_contained
 from ..rq.syntax import RQ
 from .classify import QueryClass, classify, least_common_class, promote
-from .report import ContainmentResult, Counterexample, EquivalenceResult, Verdict
+from ..report import ContainmentResult, Counterexample, EquivalenceResult, Verdict
 
 #: Every option name any dispatch target understands.  Anything else is
 #: a typo and raises TypeError at the engine boundary instead of being
@@ -128,7 +128,7 @@ def check_containment(
             are dropped and recorded in ``details["ignored_options"]``.
 
     Returns:
-        A :class:`repro.core.report.ContainmentResult`; see its module
+        A :class:`repro.report.ContainmentResult`; see its module
         for the exactness contract.  Its ``details`` always carry a
         ``"cache"`` key (outcome) and a ``"budget"`` key (spend
         accounting; ``{"spend": {}}`` for unmetered runs).
@@ -520,7 +520,7 @@ def check_equivalence(
 ) -> EquivalenceResult:
     """Equivalence via both containment directions.
 
-    Returns an :class:`repro.core.report.EquivalenceResult`, truthy
+    Returns an :class:`repro.report.EquivalenceResult`, truthy
     exactly when the old bool was (both directions non-refuted) — except
     with ``exact=True``, where a direction established only up to a
     bound does not count as holding; ``bounded_directions`` names any

@@ -14,7 +14,7 @@ from typing import Any
 
 from ..graphdb.database import GraphDatabase
 from ..relational.instance import Instance
-from .report import ContainmentResult, Counterexample, Verdict
+from ..report import ContainmentResult, Counterexample, Verdict
 from .witness import holds_on
 
 

@@ -23,7 +23,7 @@ from ..relational.instance import Instance, graph_to_instance, instance_to_graph
 from ..rpq.rpq import TwoRPQ
 from ..rq.evaluation import satisfies_rq
 from ..rq.syntax import RQ
-from .report import ContainmentResult, Verdict
+from ..report import ContainmentResult, Verdict
 
 
 def holds_on(query: Any, database: Any, output: tuple) -> bool:

@@ -18,7 +18,6 @@ relations per membership test dominated the pre-snapshot cost.
 
 from __future__ import annotations
 
-from ..automata.indexed import indexed_kernels_enabled
 from ..cache import instantiate_cache, query_cache_key
 from ..cq.evaluation import evaluate_cq, satisfies
 from ..cq.syntax import CQ, Atom
@@ -68,21 +67,20 @@ def _instantiate(
 ) -> tuple[CQ, Instance]:
     """The ``(CQ, Instance)`` pair for *query* over *db*, cached per snapshot.
 
-    With the indexed kernels enabled the artifact is keyed on
-    ``(query canonical form, snapshot fingerprint)``, so the expansion
-    loop's repeated membership tests against one canonical database hit
-    a single materialization.  Kernels off = the sequential baseline:
-    every call re-materializes (the ablation arm benchmark A9 measures).
+    The artifact is keyed on ``(query canonical form, snapshot
+    fingerprint)``, so the expansion loop's repeated membership tests
+    against one canonical database hit a single materialization.
+    Unhashable queries, and every call with caching disabled,
+    re-materialize.
     """
-    if indexed_kernels_enabled():
-        key = query_cache_key(query)
-        if key is not None:
-            fingerprint = db.snapshot(tracer=tracer).fingerprint
-            return instantiate_cache.get_or_compute(
-                (key, fingerprint),
-                lambda: _materialize(query, db, tracer=tracer, meter=meter),
-            )
-    return _materialize(query, db, tracer=tracer, meter=meter)
+    key = query_cache_key(query)
+    if key is None:
+        return _materialize(query, db, tracer=tracer, meter=meter)
+    fingerprint = db.snapshot(tracer=tracer).fingerprint
+    return instantiate_cache.get_or_compute(
+        (key, fingerprint),
+        lambda: _materialize(query, db, tracer=tracer, meter=meter),
+    )
 
 
 def evaluate_c2rpq(

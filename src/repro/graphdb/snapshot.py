@@ -201,7 +201,7 @@ def reach_all_sources(
         ``x -> target``, and ``configs`` counts frontier entries
         processed (the work measure the ``eval-bfs`` span reports).
 
-    Instead of one scalar BFS per source (the object-state baseline),
+    Instead of one BFS per source (:func:`reach_from_source`),
     every configuration ``(state, node)`` carries the bitset of sources
     that reach it; frontier entries propagate only *newly added* source
     bits, so each (state, node, source) triple is expanded at most once

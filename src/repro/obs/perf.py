@@ -44,9 +44,6 @@ import sys
 import time
 from typing import Any, Callable
 
-# Re-exported here for backwards compatibility: the fingerprint now
-# lives in repro.obs.env so the serving layer's health verb and the
-# bench harness report the identical shape.
 from .env import environment_fingerprint
 from .metrics import metrics_snapshot, reset_metrics
 from .profile import SpanProfile
@@ -58,7 +55,6 @@ __all__ = [
     "RunComparison",
     "experiments_for",
     "time_workload",
-    "environment_fingerprint",
     "run_suite",
     "write_run",
     "validate_run",
@@ -683,7 +679,6 @@ def _exp_antichain(suite: str) -> dict[str, Any]:
 def _exp_evaluation(suite: str) -> dict[str, Any]:
     import random
 
-    from ..automata.indexed import use_indexed_kernels
     from ..automata.regex import random_regex
     from ..cache import clear_caches
     from ..crpq.evaluation import evaluate_uc2rpq
@@ -700,17 +695,23 @@ def _exp_evaluation(suite: str) -> dict[str, Any]:
     ]
     db = random_graph(14, 40, alphabet, seed=23)
 
-    # Hard gate 1: differential answer agreement — the snapshot engine
-    # and the object-state baseline must produce identical answer sets
-    # on every seeded query (sizes recorded so drift is visible).
+    # Hard gate 1: differential answer agreement — the all-sources BFS
+    # (``query.evaluate``) and one single-source BFS per node
+    # (``reach_from_source`` via ``query.targets``, after clearing the
+    # caches so no all-pairs answer can be sliced) must produce identical
+    # answer sets on every seeded query (sizes recorded so drift is
+    # visible).
     agreements = disagreements = 0
     answer_sizes: list[int] = []
     for query in queries:
         clear_caches()
-        with use_indexed_kernels(True):
-            fast = query.evaluate(db)
-        with use_indexed_kernels(False):
-            slow = query.evaluate(db)
+        fast = query.evaluate(db)
+        clear_caches()
+        slow = frozenset(
+            (source, target)
+            for source in db.nodes_in_order()
+            for target in query.targets(db, source)
+        )
         if fast == slow:
             agreements += 1
         else:
@@ -722,16 +723,15 @@ def _exp_evaluation(suite: str) -> dict[str, Any]:
     mutable = random_graph(10, 20, alphabet, seed=29)
     probe = TwoRPQ.parse("a+")
     clear_caches()
-    with use_indexed_kernels(True):
-        before = probe.evaluate(mutable)
-        missing = next(
-            (source, target)
-            for source in mutable.nodes_in_order()
-            for target in mutable.nodes_in_order()
-            if (source, target) not in before
-        )
-        mutable.add_edge(missing[0], "a", missing[1])
-        after = probe.evaluate(mutable)
+    before = probe.evaluate(mutable)
+    missing = next(
+        (source, target)
+        for source in mutable.nodes_in_order()
+        for target in mutable.nodes_in_order()
+        if (source, target) not in before
+    )
+    mutable.add_edge(missing[0], "a", missing[1])
+    after = probe.evaluate(mutable)
     mutation_series = {
         "before_size": len(before),
         "after_size": len(after),
@@ -745,17 +745,15 @@ def _exp_evaluation(suite: str) -> dict[str, Any]:
     # cost structure (recompile adjacency + re-run BFS per call).
     def repeated_snapshot() -> None:
         clear_caches()
-        with use_indexed_kernels(True):
-            for _ in range(3):
-                for query in queries:
-                    query.evaluate(db)
+        for _ in range(3):
+            for query in queries:
+                query.evaluate(db)
 
     def repeated_sequential() -> None:
-        with use_indexed_kernels(True):
-            for _ in range(3):
-                for query in queries:
-                    clear_caches()
-                    query.evaluate(db)
+        for _ in range(3):
+            for query in queries:
+                clear_caches()
+                query.evaluate(db)
 
     # Timed: the multi-atom CRPQ workload — distinct regular atoms
     # anchored on the head, the shape benchmark A9 gates at >= 5x.
@@ -771,15 +769,13 @@ def _exp_evaluation(suite: str) -> dict[str, Any]:
 
     def multi_atom_snapshot() -> None:
         clear_caches()
-        with use_indexed_kernels(True):
-            for _ in range(5):
-                evaluate_uc2rpq(crpq, db)
+        for _ in range(5):
+            evaluate_uc2rpq(crpq, db)
 
     def multi_atom_sequential() -> None:
-        with use_indexed_kernels(True):
-            for _ in range(5):
-                clear_caches()
-                evaluate_uc2rpq(crpq, db)
+        for _ in range(5):
+            clear_caches()
+            evaluate_uc2rpq(crpq, db)
 
     return {
         "exact": {

@@ -7,24 +7,22 @@ letters ``r-`` and is evaluated over *semipaths* — navigations that may
 traverse edges backwards.
 
 Evaluation is a product construction over ``(node, automaton state)``
-configurations.  With the indexed kernels enabled it runs **set-at-a-
-time** against a compiled :class:`repro.graphdb.snapshot.GraphSnapshot`:
-the automaton and the per-symbol adjacency are compiled once per
-database revision (cached on ``(query canonical form, snapshot
-fingerprint)`` — see :mod:`repro.cache`), and a single multi-source
-frontier BFS answers the query for every source simultaneously.  The
-object-state per-source BFS remains below as the ablation baseline
-(benchmark A9 measures the gap).
+configurations, run **set-at-a-time** against a compiled
+:class:`repro.graphdb.snapshot.GraphSnapshot`: the automaton and the
+per-symbol adjacency are compiled once per database revision (cached on
+``(query canonical form, snapshot fingerprint)`` — see
+:mod:`repro.cache`), and a single multi-source frontier BFS answers the
+query for every source simultaneously.  Single-source queries and
+witness semipaths run on the same compiled context.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from ..automata.alphabet import base_symbol
 from ..automata.dfa import reduce_nfa
-from ..automata.indexed import IndexedNFA, bits, indexed_kernels_enabled
+from ..automata.indexed import IndexedNFA, bits
 from ..automata.nfa import NFA, Word
 from ..cache import (
     eval_context_cache,
@@ -88,36 +86,30 @@ def evaluate_nfa_on_graph(
 ) -> frozenset[tuple[Node, Node]]:
     """All pairs (x, y) connected by a semipath spelling a word of L(nfa)."""
     _EVAL_QUERIES.inc()
-    if indexed_kernels_enabled():
-        context = _graph_context(nfa, db, tracer=tracer)
-        key = ("pairs", nfa_cache_key(nfa), context.snapshot.fingerprint)
+    context = _graph_context(nfa, db, tracer=tracer)
+    key = ("pairs", nfa_cache_key(nfa), context.snapshot.fingerprint)
 
-        def compute() -> frozenset[tuple[Node, Node]]:
-            nodes = context.snapshot.nodes
-            with maybe_span(
-                tracer,
-                "eval-bfs",
-                mode="all-sources",
-                nodes=len(nodes),
-                states=context.compiled.num_states,
-            ) as span:
-                answers, configs = reach_all_sources(
-                    context.compiled, context.adjacency, len(nodes), meter=meter
-                )
-                span.count("configs", configs)
-            _EVAL_BFS_RUNS.inc()
-            return frozenset(
-                (nodes[source], nodes[target])
-                for target in range(len(nodes))
-                for source in bits(answers[target])
+    def compute() -> frozenset[tuple[Node, Node]]:
+        nodes = context.snapshot.nodes
+        with maybe_span(
+            tracer,
+            "eval-bfs",
+            mode="all-sources",
+            nodes=len(nodes),
+            states=context.compiled.num_states,
+        ) as span:
+            answers, configs = reach_all_sources(
+                context.compiled, context.adjacency, len(nodes), meter=meter
             )
+            span.count("configs", configs)
+        _EVAL_BFS_RUNS.inc()
+        return frozenset(
+            (nodes[source], nodes[target])
+            for target in range(len(nodes))
+            for source in bits(answers[target])
+        )
 
-        return evaluation_cache.get_or_compute(key, compute)
-    answers: set[tuple[Node, Node]] = set()
-    for source in db.nodes:
-        for target in targets_from(nfa, db, source):
-            answers.add((source, target))
-    return frozenset(answers)
+    return evaluation_cache.get_or_compute(key, compute)
 
 
 def targets_from(
@@ -126,47 +118,25 @@ def targets_from(
     """Nodes reachable from *source* along words of L(nfa) (product BFS)."""
     if source not in db.nodes:
         return frozenset()
-    if indexed_kernels_enabled():
-        context = _graph_context(nfa, db, tracer=tracer)
-        nodes = context.snapshot.nodes
-        cached = evaluation_cache.peek(
-            ("pairs", nfa_cache_key(nfa), context.snapshot.fingerprint)
+    context = _graph_context(nfa, db, tracer=tracer)
+    nodes = context.snapshot.nodes
+    cached = evaluation_cache.peek(
+        ("pairs", nfa_cache_key(nfa), context.snapshot.fingerprint)
+    )
+    if cached is not None:
+        # An all-pairs result is already materialized for this
+        # snapshot: slice it instead of re-running any BFS.
+        return frozenset(y for x, y in cached if x == source)
+    with maybe_span(tracer, "eval-bfs", mode="single-source", nodes=len(nodes)):
+        mask = reach_from_source(
+            context.compiled,
+            context.adjacency,
+            len(nodes),
+            context.snapshot.node_index[source],
+            meter=meter,
         )
-        if cached is not None:
-            # An all-pairs result is already materialized for this
-            # snapshot: slice it instead of re-running any BFS.
-            return frozenset(y for x, y in cached if x == source)
-        with maybe_span(
-            tracer, "eval-bfs", mode="single-source", nodes=len(nodes)
-        ):
-            mask = reach_from_source(
-                context.compiled,
-                context.adjacency,
-                len(nodes),
-                context.snapshot.node_index[source],
-                meter=meter,
-            )
-        _EVAL_BFS_RUNS.inc()
-        return frozenset(nodes[i] for i in bits(mask))
-    start = {(source, state) for state in nfa.initial}
-    seen = set(start)
-    queue = deque(start)
-    found: set[Node] = set()
-    while queue:
-        node, state = queue.popleft()
-        if state in nfa.final:
-            found.add(node)
-        for symbol in nfa.alphabet:
-            next_states = nfa.successors(state, symbol)
-            if not next_states:
-                continue
-            for neighbor in db.successors(node, symbol):
-                for next_state in next_states:
-                    config = (neighbor, next_state)
-                    if config not in seen:
-                        seen.add(config)
-                        queue.append(config)
-    return frozenset(found)
+    _EVAL_BFS_RUNS.inc()
+    return frozenset(nodes[i] for i in bits(mask))
 
 
 @dataclass(frozen=True)
@@ -216,75 +186,29 @@ class TwoRPQ:
         conforming semipaths — the explanation facility for query
         answers ("why is this pair in the result?").
 
-        With the indexed kernels enabled this runs against the same
-        compiled snapshot context as ``targets``/``matches`` (shortest
-        by BFS parent backtracking); the object-state search below is
-        the ablation baseline.
+        It runs against the same compiled snapshot context as
+        ``targets``/``matches`` (shortest by BFS parent backtracking).
         """
         if source not in db.nodes or target not in db.nodes:
             return None
-        if indexed_kernels_enabled():
-            context = _graph_context(self.nfa, db, tracer=tracer)
-            snapshot = context.snapshot
-            with maybe_span(
-                tracer, "eval-bfs", mode="witness", nodes=snapshot.num_nodes
-            ):
-                steps = witness_path(
-                    context.compiled,
-                    context.adjacency,
-                    snapshot.num_nodes,
-                    snapshot.node_index[source],
-                    snapshot.node_index[target],
-                    meter=meter,
-                )
-            if steps is None:
-                return None
-            symbols = context.compiled.symbols
-            path: list = [source]
-            for symbol_id, node_id in steps:
-                path.append(symbols[symbol_id])
-                path.append(snapshot.nodes[node_id])
-            return tuple(path)
-        nfa = self.nfa
-        start = [(source, state) for state in nfa.initial]
-        parents: dict[tuple, tuple | None] = {config: None for config in start}
-        queue = deque(start)
-        hit = next(
-            (config for config in start if config[1] in nfa.final and config[0] == target),
-            None,
-        )
-        while queue and hit is None:
-            node, state = queue.popleft()
-            for symbol in nfa.alphabet:
-                next_states = nfa.successors(state, symbol)
-                if not next_states:
-                    continue
-                for neighbor in db.successors(node, symbol):
-                    for next_state in next_states:
-                        config = (neighbor, next_state)
-                        if config in parents:
-                            continue
-                        parents[config] = ((node, state), symbol)
-                        if neighbor == target and next_state in nfa.final:
-                            hit = config
-                            break
-                        queue.append(config)
-                    if hit is not None:
-                        break
-                if hit is not None:
-                    break
-        if hit is None:
+        context = _graph_context(self.nfa, db, tracer=tracer)
+        snapshot = context.snapshot
+        with maybe_span(tracer, "eval-bfs", mode="witness", nodes=snapshot.num_nodes):
+            steps = witness_path(
+                context.compiled,
+                context.adjacency,
+                snapshot.num_nodes,
+                snapshot.node_index[source],
+                snapshot.node_index[target],
+                meter=meter,
+            )
+        if steps is None:
             return None
-        steps: list = []
-        cursor: tuple = hit
-        while parents[cursor] is not None:
-            previous, symbol = parents[cursor]  # type: ignore[misc]
-            steps.append((symbol, cursor[0]))
-            cursor = previous
-        path: list = [cursor[0]]
-        for symbol, node in reversed(steps):
-            path.append(symbol)
-            path.append(node)
+        symbols = context.compiled.symbols
+        path: list = [source]
+        for symbol_id, node_id in steps:
+            path.append(symbols[symbol_id])
+            path.append(snapshot.nodes[node_id])
         return tuple(path)
 
     def is_one_way(self) -> bool:

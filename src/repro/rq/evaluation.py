@@ -12,9 +12,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from ..automata.alphabet import base_symbol, is_inverse
-from ..automata.indexed import indexed_kernels_enabled
-from ..cq.syntax import Var
 from ..graphdb.database import GraphDatabase, Node
 from .syntax import (
     And,
@@ -37,13 +34,10 @@ def evaluate_rq(query: RQ, db: GraphDatabase) -> Rows:
 
 def _eval(node: RQ, db: GraphDatabase) -> Rows:
     if isinstance(node, EdgeAtom):
-        # With the indexed kernels on, leaf relations come off the
-        # compiled snapshot (materialized once per database revision and
-        # memoized there) instead of being rebuilt per EdgeAtom visit.
-        if indexed_kernels_enabled():
-            pairs = db.snapshot().relation(node.label)
-        else:
-            pairs = db.relation(node.label)
+        # Leaf relations come off the compiled snapshot (materialized
+        # once per database revision and memoized there) instead of
+        # being rebuilt per EdgeAtom visit.
+        pairs = db.snapshot().relation(node.label)
         if node.source == node.target:
             return frozenset((a,) for a, b in pairs if a == b)
         return frozenset(pairs)

@@ -1,9 +1,9 @@
 """Unit tests for the integer-indexed bitset kernels.
 
 Each kernel is checked against hand-built automata and, where the
-contract promises a *drop-in* structural equivalent (determinize,
-minimize, product), against the object-level baseline with the kernels
-switched off.  The random cross-validation lives in
+contract promises a structural equivalent (determinize, minimize,
+product), against the object-state oracle in
+``tests/oracles/automata.py``.  The random cross-validation lives in
 ``test_indexed_properties.py``.
 """
 
@@ -11,25 +11,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.automata.dfa import (
-    containment_counterexample,
-    determinize,
-)
+from repro.automata.dfa import determinize
 from repro.automata.indexed import (
     IndexedNFA,
     bits,
     containment_counterexample_indexed,
     epsilon_closures,
-    graph_product_targets,
-    indexed_kernels_enabled,
     minimize_dfa,
-    set_indexed_kernels,
-    use_indexed_kernels,
 )
 from repro.automata.nfa import NFA
 from repro.automata.onthefly import find_accepted_word
 from repro.automata.regex import parse_regex
 from repro.cache import use_caching
+from tests.oracles import automata as oracle
 
 
 def nfa_of(text: str) -> NFA:
@@ -48,17 +42,6 @@ def test_epsilon_closures_are_reflexive_transitive():
     assert closures[1] == 0b0110
     assert closures[2] == 0b0100
     assert closures[3] == 0b1000
-
-
-def test_switch_restores_previous_value():
-    assert indexed_kernels_enabled()
-    previous = set_indexed_kernels(False)
-    assert previous is True
-    assert not indexed_kernels_enabled()
-    set_indexed_kernels(True)
-    with use_indexed_kernels(False):
-        assert not indexed_kernels_enabled()
-    assert indexed_kernels_enabled()
 
 
 def test_from_nfa_to_nfa_roundtrip_preserves_structure():
@@ -117,10 +100,8 @@ def test_live_mask_drops_unreachable_and_dead_states():
 def test_determinize_matches_baseline_exactly():
     nfa = nfa_of("(a|b)*a(a|b)")
     with use_caching(False):
-        with use_indexed_kernels(True):
-            fast = determinize(nfa, ("a", "b"))
-        with use_indexed_kernels(False):
-            slow = determinize(nfa, ("a", "b"))
+        fast = determinize(nfa, ("a", "b"))
+    slow = oracle.determinize(nfa, ("a", "b"))
     assert fast == slow
 
 
@@ -134,10 +115,8 @@ def test_indexed_dfa_complement_flips_acceptance():
 def test_product_matches_baseline_exactly():
     left = nfa_of("a(a|b)*")
     right = nfa_of("(a|b)*b")
-    with use_indexed_kernels(True):
-        fast = left.product(right)
-    with use_indexed_kernels(False):
-        slow = left.product(right)
+    fast = left.product(right)
+    slow = oracle.product(left, right)
     assert fast == slow
 
 
@@ -151,8 +130,7 @@ def test_product_requires_shared_symbol_order():
 def test_minimize_matches_baseline_exactly():
     dfa = determinize(nfa_of("(a|b)*abb"), ("a", "b"))
     fast = minimize_dfa(dfa)
-    with use_indexed_kernels(False):
-        slow = dfa.minimize()
+    slow = oracle.minimize(dfa)
     assert fast == slow
 
 
@@ -167,20 +145,10 @@ def test_containment_counterexample_agrees_with_materializing_pipeline():
         left, right = nfa_of(left_text), nfa_of(right_text)
         alpha = ("a", "b", "c")
         fast = containment_counterexample_indexed(left, right, alpha)
-        with use_caching(False), use_indexed_kernels(False):
-            slow = containment_counterexample(left, right, alpha)
+        slow = oracle.containment_counterexample(left, right, alpha)
         assert (fast is None) == contained
         assert (slow is None) == contained
         if fast is not None:
             assert len(fast) == len(slow)
             assert left.accepts(fast) and not right.accepts(fast)
 
-
-def test_graph_product_targets_on_a_cycle():
-    # Triangle 0 -a-> 1 -a-> 2 -a-> 0; query a a reaches two hops away.
-    compiled = IndexedNFA.build(
-        ("a",), 3, [(0, "a", 1), (1, "a", 2)], [0], [2]
-    )
-    adjacency = [[[1], [2], [0]]]
-    assert set(bits(graph_product_targets(compiled, adjacency, 3, 0))) == {2}
-    assert set(bits(graph_product_targets(compiled, adjacency, 3, 1))) == {0}

@@ -1,10 +1,11 @@
 """Property-based cross-validation of the indexed kernels (hypothesis).
 
 The design contract of :mod:`repro.automata.indexed` is that every
-kernel is a drop-in semantic equivalent of the object-level baseline it
-replaces.  These tests hold both implementations to that claim on random
-regexes and random edge-list automata, with caching disabled so the two
-arms cannot contaminate each other through the determinize cache.
+kernel renders exactly what the textbook object-state construction
+would.  These tests hold production to the object-state oracles of
+``tests/oracles`` on random regexes, random edge-list automata and
+random graphs, with caching disabled where a cached result could stand
+in for a fresh kernel run.
 """
 
 from __future__ import annotations
@@ -13,17 +14,15 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.automata.dfa import containment_counterexample, determinize
-from repro.automata.indexed import (
-    IndexedNFA,
-    containment_counterexample_indexed,
-    use_indexed_kernels,
-)
-from repro.automata.nfa import NFA
+from repro.automata.dfa import determinize
+from repro.automata.indexed import IndexedNFA, containment_counterexample_indexed
+from repro.automata.nfa import NFA, from_epsilon_nfa
 from repro.automata.regex import Regex, random_regex
 from repro.cache import use_caching
 from repro.graphdb.generators import random_graph
 from repro.rpq.rpq import evaluate_nfa_on_graph, targets_from
+from tests.oracles import automata as oracle
+from tests.oracles import evaluation as evaluation_oracle
 
 ALPHABET = ("a", "b")
 
@@ -35,19 +34,27 @@ def regexes(draw, depth: int = 3) -> Regex:
 
 
 @st.composite
-def edge_list_nfas(draw) -> NFA:
-    """Random automata that need not come from a regex (odd shapes too)."""
+def edge_lists(draw, labels: tuple = ALPHABET) -> tuple:
+    """``(states, initial, final, edges)`` of a random automaton.
+
+    The automata need not come from a regex, so odd shapes turn up too;
+    a ``None`` in *labels* draws epsilon edges.
+    """
     num_states = draw(st.integers(min_value=1, max_value=6))
     state_ids = st.integers(min_value=0, max_value=num_states - 1)
     edges = draw(
         st.lists(
-            st.tuples(state_ids, st.sampled_from(ALPHABET), state_ids),
+            st.tuples(state_ids, st.sampled_from(labels), state_ids),
             max_size=14,
         )
     )
     initial = draw(st.lists(state_ids, min_size=1, max_size=2))
     final = draw(st.lists(state_ids, max_size=2))
-    return NFA.build(ALPHABET, range(num_states), initial, final, edges)
+    return range(num_states), initial, final, edges
+
+
+def edge_list_nfas():
+    return edge_lists().map(lambda spec: NFA.build(ALPHABET, *spec))
 
 
 @st.composite
@@ -59,20 +66,16 @@ def words(draw, max_len: int = 5):
 @given(edge_list_nfas())
 def test_determinize_is_a_structural_drop_in(nfa):
     with use_caching(False):
-        with use_indexed_kernels(True):
-            fast = determinize(nfa, ALPHABET)
-        with use_indexed_kernels(False):
-            slow = determinize(nfa, ALPHABET)
+        fast = determinize(nfa, ALPHABET)
+    slow = oracle.determinize(nfa, ALPHABET)
     assert fast == slow
 
 
 @settings(max_examples=50, deadline=None)
 @given(edge_list_nfas(), edge_list_nfas())
 def test_product_is_a_structural_drop_in(left, right):
-    with use_indexed_kernels(True):
-        fast = left.product(right)
-    with use_indexed_kernels(False):
-        slow = left.product(right)
+    fast = left.product(right)
+    slow = oracle.product(left, right)
     assert fast == slow
 
 
@@ -80,8 +83,7 @@ def test_product_is_a_structural_drop_in(left, right):
 @given(edge_list_nfas())
 def test_emptiness_and_shortest_word_agree_with_baseline(nfa):
     compiled = IndexedNFA.from_nfa(nfa)
-    with use_indexed_kernels(False):
-        baseline = nfa.shortest_word()
+    baseline = oracle.shortest_word(nfa)
     fast = compiled.shortest_word()
     assert compiled.is_empty() == (baseline is None)
     assert (fast is None) == (baseline is None)
@@ -93,10 +95,16 @@ def test_emptiness_and_shortest_word_agree_with_baseline(nfa):
 @settings(max_examples=50, deadline=None)
 @given(edge_list_nfas())
 def test_trim_agrees_with_baseline(nfa):
-    with use_indexed_kernels(True):
-        fast = nfa.trim()
-    with use_indexed_kernels(False):
-        slow = nfa.trim()
+    fast = nfa.trim()
+    slow = oracle.trim(nfa)
+    assert fast == slow
+
+
+@settings(max_examples=50, deadline=None)
+@given(edge_lists(ALPHABET + (None,)))
+def test_epsilon_elimination_agrees_with_baseline(spec):
+    fast = from_epsilon_nfa(ALPHABET, *spec)
+    slow = oracle.from_epsilon_nfa(ALPHABET, *spec)
     assert fast == slow
 
 
@@ -105,10 +113,8 @@ def test_trim_agrees_with_baseline(nfa):
 def test_minimize_produces_identical_canonical_dfa(r1, r2):
     with use_caching(False):
         dfa = determinize(r1.to_nfa().union(r2.to_nfa()), ALPHABET)
-    with use_indexed_kernels(True):
-        fast = dfa.minimize()
-    with use_indexed_kernels(False):
-        slow = dfa.minimize()
+    fast = dfa.minimize()
+    slow = oracle.minimize(dfa)
     assert fast == slow
 
 
@@ -117,8 +123,7 @@ def test_minimize_produces_identical_canonical_dfa(r1, r2):
 def test_containment_counterexamples_agree_with_baseline(r1, r2):
     left, right = r1.to_nfa().trim(), r2.to_nfa().trim()
     fast = containment_counterexample_indexed(left, right, ALPHABET)
-    with use_caching(False), use_indexed_kernels(False):
-        slow = containment_counterexample(left, right, ALPHABET)
+    slow = oracle.containment_counterexample(left, right, ALPHABET)
     assert (fast is None) == (slow is None)
     if fast is not None:
         assert len(fast) == len(slow)  # both searches are breadth-first
@@ -131,14 +136,10 @@ def test_containment_counterexamples_agree_with_baseline(r1, r2):
 def test_rpq_graph_evaluation_agrees_with_baseline(regex, graph_seed):
     nfa = regex.to_nfa().trim()
     db = random_graph(6, 12, ALPHABET, seed=graph_seed)
-    with use_indexed_kernels(True):
-        fast = evaluate_nfa_on_graph(nfa, db)
-    with use_indexed_kernels(False):
-        slow = evaluate_nfa_on_graph(nfa, db)
+    fast = evaluate_nfa_on_graph(nfa, db)
+    slow = evaluation_oracle.evaluate_nfa_on_graph(nfa, db)
     assert fast == slow
     source = sorted(db.nodes, key=repr)[0]
-    with use_indexed_kernels(True):
-        fast_targets = targets_from(nfa, db, source)
-    with use_indexed_kernels(False):
-        slow_targets = targets_from(nfa, db, source)
+    fast_targets = targets_from(nfa, db, source)
+    slow_targets = evaluation_oracle.targets_from(nfa, db, source)
     assert fast_targets == slow_targets

@@ -4,7 +4,6 @@ import pytest
 
 from repro.automata.nfa import NFA
 from repro.automata.onthefly import (
-    ExplicitNFA,
     SearchBudgetExceeded,
     SearchStats,
     find_accepted_word,
@@ -13,50 +12,50 @@ from repro.automata.onthefly import (
 from repro.automata.regex import parse_regex
 
 
-def wrap(text: str) -> ExplicitNFA:
-    return ExplicitNFA(parse_regex(text).to_nfa())
+def nfa_of(text: str) -> NFA:
+    return parse_regex(text).to_nfa()
 
 
 class TestFindAcceptedWord:
     def test_single_machine(self):
-        assert find_accepted_word([wrap("a b")], ("a", "b")) == ("a", "b")
+        assert find_accepted_word([nfa_of("a b")], ("a", "b")) == ("a", "b")
 
     def test_intersection_witness_is_shortest(self):
-        word = find_accepted_word([wrap("(a|b)* a"), wrap("a (a|b)*")], ("a", "b"))
+        word = find_accepted_word([nfa_of("(a|b)* a"), nfa_of("a (a|b)*")], ("a", "b"))
         assert word == ("a",)
 
     def test_empty_intersection(self):
-        assert find_accepted_word([wrap("a a"), wrap("b")], ("a", "b")) is None
+        assert find_accepted_word([nfa_of("a a"), nfa_of("b")], ("a", "b")) is None
 
     def test_epsilon_in_intersection(self):
-        assert find_accepted_word([wrap("a*"), wrap("b*")], ("a", "b")) == ()
+        assert find_accepted_word([nfa_of("a*"), nfa_of("b*")], ("a", "b")) == ()
 
     def test_three_way_intersection(self):
         word = find_accepted_word(
-            [wrap("(a|b)+"), wrap("(a|b)* b"), wrap("a (a|b)*")], ("a", "b")
+            [nfa_of("(a|b)+"), nfa_of("(a|b)* b"), nfa_of("a (a|b)*")], ("a", "b")
         )
         assert word is not None
         assert word[0] == "a" and word[-1] == "b"
 
     def test_machine_with_no_initial_states(self):
-        empty = ExplicitNFA(NFA.build(("a",), [0], [], [0], []))
-        assert find_accepted_word([empty, wrap("a")], ("a",)) is None
+        empty = NFA.build(("a",), [0], [], [0], [])
+        assert find_accepted_word([empty, nfa_of("a")], ("a",)) is None
 
     def test_budget_raises(self):
         with pytest.raises(SearchBudgetExceeded):
             find_accepted_word(
-                [wrap("(a|b)(a|b)(a|b)(a|b)"), wrap("b b b b")],
+                [nfa_of("(a|b)(a|b)(a|b)(a|b)"), nfa_of("b b b b")],
                 ("a", "b"),
                 max_configs=2,
             )
 
     def test_stats_populated(self):
         stats = SearchStats()
-        find_accepted_word([wrap("a a a"), wrap("a*")], ("a",), stats=stats)
+        find_accepted_word([nfa_of("a a a"), nfa_of("a*")], ("a",), stats=stats)
         assert stats.explored > 0
 
 
 class TestIntersectionIsEmpty:
     def test_yes_and_no(self):
-        assert intersection_is_empty([wrap("a"), wrap("b")], ("a", "b"))
-        assert not intersection_is_empty([wrap("a+"), wrap("a a")], ("a", "b"))
+        assert intersection_is_empty([nfa_of("a"), nfa_of("b")], ("a", "b"))
+        assert not intersection_is_empty([nfa_of("a+"), nfa_of("a a")], ("a", "b"))

@@ -403,7 +403,6 @@ class TestUtilizationAccounting:
         batch = self.make_batch(item_walls, wall_ms, workers)
         utilization = batch.worker_utilization
         assert 0.0 <= utilization <= 1.0
-        assert utilization == batch.utilization  # historical alias
         batch.describe()  # formats without raising for every shape
 
     def test_zero_item_batch_reports_zero(self):

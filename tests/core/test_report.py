@@ -53,8 +53,3 @@ class TestContainmentResult:
         ).describe()
         cex = Counterexample(GraphDatabase(), (0,))
         assert "REFUTED" in ContainmentResult(Verdict.REFUTED, "m", cex).describe()
-
-    def test_shim_module_still_exports(self):
-        from repro.core.report import ContainmentResult as Shimmed
-
-        assert Shimmed is ContainmentResult

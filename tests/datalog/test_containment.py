@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.report import Verdict
+from repro.report import Verdict
 from repro.cq.syntax import UCQ, cq_from_strings
 from repro.datalog.containment import (
     cq_in_datalog,

@@ -9,12 +9,12 @@ of the acceptance criteria).
 
 import pytest
 
-from repro.automata.indexed import use_indexed_kernels
 from repro.cache import clear_caches, use_caching
 from repro.graphdb import GraphSnapshot
 from repro.graphdb.database import GraphDatabase
 from repro.graphdb.generators import path_graph, random_graph
 from repro.rpq.rpq import RPQ, TwoRPQ
+from tests.oracles.evaluation import evaluate_nfa_on_graph, targets_from
 
 
 class _Opaque:
@@ -112,10 +112,8 @@ class TestEvaluationAgainstBaseline:
         db = random_graph(9, 22, ("a", "b"), seed=11)
         query = TwoRPQ.parse(regex)
         clear_caches()
-        with use_indexed_kernels(True):
-            fast = query.evaluate(db)
-        with use_indexed_kernels(False):
-            slow = query.evaluate(db)
+        fast = query.evaluate(db)
+        slow = evaluate_nfa_on_graph(query.nfa, db)
         assert fast == slow
 
     def test_targets_and_matches_agree(self):
@@ -123,10 +121,8 @@ class TestEvaluationAgainstBaseline:
         query = TwoRPQ.parse("a (b|a-)*")
         clear_caches()
         for source in db.nodes_in_order():
-            with use_indexed_kernels(True):
-                fast = query.targets(db, source)
-            with use_indexed_kernels(False):
-                slow = query.targets(db, source)
+            fast = query.targets(db, source)
+            slow = targets_from(query.nfa, db, source)
             assert fast == slow
 
 
@@ -138,7 +134,7 @@ class TestStaleCacheNeverServed:
         query = RPQ.parse("r+")
         db = path_graph(3, "r")
         clear_caches()
-        with use_caching(True), use_indexed_kernels(True):
+        with use_caching(True):
             before = query.evaluate(db)
             assert (0, 3) in before and (3, 0) not in before
             db.add_edge(3, "r", 0)  # close the cycle
@@ -149,7 +145,7 @@ class TestStaleCacheNeverServed:
         query = TwoRPQ.parse("r r")
         db = path_graph(2, "r")
         clear_caches()
-        with use_caching(True), use_indexed_kernels(True):
+        with use_caching(True):
             assert query.targets(db, 0) == {2}
             assert query.witness_semipath(db, 1, 3) is None
             db.add_edge(2, "r", 3)
@@ -161,7 +157,7 @@ class TestStaleCacheNeverServed:
         one = GraphDatabase.from_edges([("a", "r", "b")])
         two = GraphDatabase.from_edges([("x", "r", "y")])
         clear_caches()
-        with use_caching(True), use_indexed_kernels(True):
+        with use_caching(True):
             assert query.evaluate(one) == {("a", "b")}
             assert query.evaluate(two) == {("x", "y")}
 

@@ -9,10 +9,10 @@ implemented independently and requires their answers to agree:
   engine;
 - RQ algebra evaluation / containment vs its Datalog image
   (:mod:`repro.rq.to_datalog`);
-- the snapshot-based set-at-a-time evaluation engine (ISSUE 7) vs the
-  object-state baseline vs sequential (uncached, per-call) CRPQ
-  instantiation, over random regexes/graphs including mixed-type and
-  non-string node names.
+- the snapshot-based set-at-a-time evaluation engine vs the object-state
+  oracle of ``tests/oracles/evaluation.py`` vs sequential (uncached,
+  per-call) CRPQ instantiation, over random regexes/graphs including
+  mixed-type and non-string node names.
 
 All properties are derandomized (``derandomize=True``) so CI replays the
 exact same example sequence on every run: a red run is reproducible, and
@@ -25,7 +25,6 @@ import random
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.automata.indexed import use_indexed_kernels
 from repro.automata.regex import random_regex
 from repro.cache import clear_caches, use_caching
 from repro.crpq.evaluation import evaluate_uc2rpq, satisfies_uc2rpq
@@ -42,6 +41,7 @@ from repro.rq.containment import rq_contained
 from repro.rq.evaluation import evaluate_rq
 from repro.rq.generators import random_rq
 from repro.rq.to_datalog import rq_to_datalog
+from tests.oracles import evaluation as oracle
 
 ALPHABET = ("a", "b")
 
@@ -201,7 +201,7 @@ def test_rq_refutation_separates_the_datalog_translations(seed):
     assert head not in evaluate(rq_to_datalog(q2), instance)
 
 
-# -- snapshot engine vs object-state baseline vs sequential instantiation ----
+# -- snapshot engine vs object-state oracle vs sequential instantiation ------
 
 
 def _mixed_node_graph(db_seed: int):
@@ -225,10 +225,8 @@ def test_snapshot_evaluation_agrees_with_object_state(seed, db_seed):
     query = TwoRPQ(random_regex(rng, ALPHABET, 3, allow_inverse=True))
     db = _mixed_node_graph(db_seed)
     clear_caches()
-    with use_indexed_kernels(True):
-        fast = query.evaluate(db)
-    with use_indexed_kernels(False):
-        slow = query.evaluate(db)
+    fast = query.evaluate(db)
+    slow = oracle.evaluate_nfa_on_graph(query.nfa, db)
     assert fast == slow, (query, db_seed)
 
 
@@ -238,18 +236,17 @@ def test_crpq_cached_instantiation_agrees_with_sequential(seed, db_seed):
     """Per-snapshot cached atom instantiation == sequential re-materialize.
 
     Three arms: snapshot engine with caches, snapshot engine with caching
-    disabled (sequential instantiation), and the object-state baseline.
+    disabled (sequential instantiation), and the object-state oracle.
     """
     query = _c2rpq(seed)
     db = _mixed_node_graph(db_seed)
     clear_caches()
-    with use_indexed_kernels(True), use_caching(True):
+    with use_caching(True):
         cached = evaluate_uc2rpq(query, db)
         again = evaluate_uc2rpq(query, db)  # second call exercises hits
-    with use_indexed_kernels(True), use_caching(False):
+    with use_caching(False):
         sequential = evaluate_uc2rpq(query, db)
-    with use_indexed_kernels(False), use_caching(False):
-        baseline = evaluate_uc2rpq(query, db)
+    baseline = oracle.evaluate_uc2rpq(query, db)
     assert cached == again == sequential == baseline, (query, db_seed)
 
 
@@ -263,8 +260,7 @@ def test_crpq_membership_agrees_across_arms(seed, db_seed):
     heads = [(x, y) for x in nodes for y in nodes][:8]
     clear_caches()
     for head in heads:
-        with use_indexed_kernels(True), use_caching(True):
+        with use_caching(True):
             cached = satisfies_uc2rpq(query, db, head)
-        with use_indexed_kernels(False), use_caching(False):
-            baseline = satisfies_uc2rpq(query, db, head)
+        baseline = oracle.satisfies_uc2rpq(query, db, head)
         assert cached == baseline, (query, head, db_seed)

@@ -5,11 +5,11 @@ import json
 
 import pytest
 
+from repro.obs.env import environment_fingerprint
 from repro.obs.perf import (
     SCHEMA,
     SUITES,
     compare_runs,
-    environment_fingerprint,
     experiments_for,
     render_comparison,
     run_suite,

@@ -1,9 +1,9 @@
-"""Property tests for witness semipaths across both evaluation paths.
+"""Property tests for witness semipaths against the object-state oracle.
 
-ISSUE 7 satellite: ``TwoRPQ.witness_semipath`` used to run the
-object-state BFS even with the indexed kernels enabled.  Both paths must
-produce witnesses that (a) conform to L(Q) — the label word is in the
-language and each step is a real semipath step of the database — and
+``TwoRPQ.witness_semipath`` runs on the compiled snapshot; the oracle in
+``tests/oracles/evaluation.py`` runs a per-source object-state BFS.  Both
+must produce witnesses that (a) conform to L(Q) — the label word is in
+the language and each step is a real semipath step of the database — and
 (b) are shortest among conforming semipaths.
 """
 
@@ -13,12 +13,12 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.automata.indexed import use_indexed_kernels
 from repro.automata.regex import random_regex
 from repro.cache import clear_caches
 from repro.graphdb.database import GraphDatabase
 from repro.graphdb.generators import random_graph
 from repro.rpq.rpq import TwoRPQ
+from tests.oracles.evaluation import witness_semipath
 
 ALPHABET = ("a", "b")
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
@@ -44,10 +44,8 @@ def test_witnesses_conform_and_match_lengths_across_paths(seed, db_seed):
     db = random_graph(6, 12, ALPHABET, seed=db_seed)
     clear_caches()
     for source, target in sorted(query.evaluate(db), key=repr):
-        with use_indexed_kernels(True):
-            fast = query.witness_semipath(db, source, target)
-        with use_indexed_kernels(False):
-            slow = query.witness_semipath(db, source, target)
+        fast = query.witness_semipath(db, source, target)
+        slow = witness_semipath(query.nfa, db, source, target)
         assert fast is not None and slow is not None
         assert fast[0] == source and fast[-1] == target
         _check_conforms(query, db, fast)
@@ -69,10 +67,8 @@ def test_non_answers_have_no_witness_on_either_path(seed, db_seed):
         (x, y) for x in nodes for y in nodes if (x, y) not in answers
     ][:10]
     for source, target in non_answers:
-        with use_indexed_kernels(True):
-            assert query.witness_semipath(db, source, target) is None
-        with use_indexed_kernels(False):
-            assert query.witness_semipath(db, source, target) is None
+        assert query.witness_semipath(db, source, target) is None
+        assert witness_semipath(query.nfa, db, source, target) is None
 
 
 @SETTINGS
@@ -86,7 +82,6 @@ def test_witness_is_shortest_on_word_paths(db_seed):
     )
     query = TwoRPQ.parse(" ".join(word))
     clear_caches()
-    with use_indexed_kernels(True):
-        path = query.witness_semipath(db, 0, len(word))
+    path = query.witness_semipath(db, 0, len(word))
     assert path is not None
     assert len(path) == 2 * len(word) + 1
