@@ -14,6 +14,7 @@ import time
 
 from repro.automata.onthefly import SearchStats
 from repro.automata.regex import random_regex
+from repro.budget import Budget
 from repro.rpq.containment import two_rpq_contained
 from repro.rpq.rpq import TwoRPQ
 
@@ -83,7 +84,9 @@ def test_e05_onthefly_vs_materialized(benchmark, report, once_benchmark):
             stats = SearchStats()
             verdict = two_rpq_contained(q1, q2, method="lemma4-onthefly", stats=stats)
             folded = fold_two_nfa(q2.nfa, sigma_pm)
-            materialized = complement_two_nfa(folded, max_states=500_000)
+            materialized = complement_two_nfa(
+                folded, meter=Budget(max_states=500_000).start()
+            )
             rows.append(
                 [
                     left,

@@ -10,6 +10,7 @@ Rows reported:
 
 import time
 
+from repro.budget import Budget
 from repro.crpq.containment import uc2rpq_contained
 from repro.crpq.expansion import enumerate_expansions
 from repro.crpq.syntax import C2RPQ, UC2RPQ, paper_example_1
@@ -97,7 +98,7 @@ def test_e06_mixed_workload(benchmark, report, once_benchmark):
         rows = []
         for label, q1, q2 in workload:
             start = time.perf_counter()
-            result = uc2rpq_contained(q1, q2, max_total_length=5)
+            result = uc2rpq_contained(q1, q2, budget=Budget(max_total_length=5))
             rows.append(
                 [label, result.verdict.value, f"{(time.perf_counter() - start) * 1000:.1f}"]
             )

@@ -9,6 +9,7 @@ Rows reported:
 
 import time
 
+from repro.budget import Budget
 from repro.rq.containment import rq_contained
 from repro.rq.syntax import (
     Or,
@@ -37,7 +38,9 @@ def test_e07_triangle_family(benchmark, report, once_benchmark):
         rows = []
         for label, q1, q2 in instances:
             start = time.perf_counter()
-            result = rq_contained(q1, q2, max_applications=24, max_expansions=150)
+            result = rq_contained(
+                q1, q2, budget=Budget(max_applications=24, max_expansions=150)
+            )
             rows.append(
                 [
                     label,
@@ -71,7 +74,9 @@ def test_e07_budget_scaling(benchmark, report, once_benchmark):
         for applications in (8, 16, 24, 32):
             start = time.perf_counter()
             result = rq_contained(
-                tp, tp, max_applications=applications, max_expansions=10_000
+                tp,
+                tp,
+                budget=Budget(max_applications=applications, max_expansions=10_000),
             )
             rows.append(
                 [
@@ -102,7 +107,7 @@ def test_e07_exactness_split(benchmark, report, once_benchmark):
         bounded = rq_contained(
             TransitiveClosure(edge("e", "x", "y")),
             TransitiveClosure(edge("e", "x", "y")),
-            max_expansions=30,
+            budget=Budget(max_expansions=30),
         )
         return [
             ["e;e ⊑ e+ (TC-free left)", exact.verdict.value],

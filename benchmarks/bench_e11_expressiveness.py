@@ -10,6 +10,7 @@ Rows reported:
 - the relational mirror: E+ vs every bounded-length path UCQ.
 """
 
+from repro.budget import Budget
 from repro.cq.syntax import UCQ, Var, cq_from_strings
 from repro.crpq.containment import uc2rpq_contained
 from repro.crpq.syntax import C2RPQ
@@ -66,12 +67,13 @@ def test_e11_uc2rpq_not_closed_under_tc(benchmark, report, once_benchmark):
         rows = []
         for k in (1, 2, 3):
             approx = _unrolled_triangle(k)
-            under = rq_contained(approx, triangle_plus(), max_expansions=200)
+            under = rq_contained(
+                approx, triangle_plus(), budget=Budget(max_expansions=200)
+            )
             over = rq_contained(
                 triangle_plus(),
                 approx,
-                max_applications=10 * (k + 1),
-                max_expansions=400,
+                budget=Budget(max_applications=10 * (k + 1), max_expansions=400),
             )
             witness_size = (
                 over.counterexample.database.num_edges
@@ -107,7 +109,7 @@ def test_e11_relational_mirror(benchmark, report, once_benchmark):
         rows = []
         for bound in (1, 2, 3, 4):
             union = UCQ(tuple(path_cq(length) for length in range(1, bound + 1)))
-            result = datalog_in_ucq(tc, union, max_expansions=30)
+            result = datalog_in_ucq(tc, union, budget=Budget(max_expansions=30))
             witness = (
                 result.counterexample.database.num_facts
                 if result.counterexample

@@ -11,6 +11,7 @@ fraction decided, verdict mix, and latency distribution.
 import statistics
 import time
 
+from repro.budget import Budget
 from repro.core.engine import check_containment
 from repro.cq.syntax import cq_from_strings
 from repro.crpq.syntax import C2RPQ
@@ -70,7 +71,7 @@ def test_e12_corpus(benchmark, report, once_benchmark):
         verdicts = {verdict: 0 for verdict in Verdict}
         for label, q1, q2 in corpus:
             start = time.perf_counter()
-            result = check_containment(q1, q2, max_expansions=40)
+            result = check_containment(q1, q2, budget=Budget(max_expansions=40))
             elapsed = (time.perf_counter() - start) * 1000
             latencies.append(elapsed)
             verdicts[result.verdict] += 1

@@ -25,7 +25,7 @@ from .alphabet import (
     inverse_word,
     is_inverse,
 )
-from .complement import LazyComplement, StateBudgetExceeded, complement_two_nfa
+from .complement import LazyComplement, complement_two_nfa
 from .dot import graph_to_dot, nfa_to_dot, two_nfa_to_dot
 from .dfa import (
     DFA,
@@ -40,7 +40,6 @@ from .fold import fold_two_nfa, folds_onto, fold_witness, lemma3_state_bound
 from .indexed import IndexedDFA, IndexedNFA
 from .nfa import NFA, Word, from_epsilon_nfa
 from .onthefly import (
-    SearchBudgetExceeded,
     SearchStats,
     find_accepted_word,
     intersection_is_empty,
@@ -80,7 +79,6 @@ __all__ = [
     "inverse_word",
     "is_inverse",
     "LazyComplement",
-    "StateBudgetExceeded",
     "complement_two_nfa",
     "DFA",
     "complement_nfa",
@@ -98,7 +96,6 @@ __all__ = [
     "NFA",
     "Word",
     "from_epsilon_nfa",
-    "SearchBudgetExceeded",
     "SearchStats",
     "find_accepted_word",
     "intersection_is_empty",

@@ -28,19 +28,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ..budget import BudgetExhausted, BudgetMeter
+from ..budget import BudgetMeter
 from .alphabet import LEFT_MARKER, RIGHT_MARKER
 from .nfa import NFA
 from .two_nfa import TwoNFA
-
-
-class StateBudgetExceeded(BudgetExhausted):
-    """Raised when a materialized construction exceeds its state budget.
-
-    A :class:`repro.budget.BudgetExhausted` subclass: the containment
-    procedures catch the whole family and convert it into a structured
-    bounded verdict, while direct kernel callers keep this type.
-    """
 
 
 def _move_targets(two_nfa: TwoNFA, states: frozenset, tape_symbol: object) -> dict[int, set]:
@@ -120,7 +111,6 @@ class LazyComplement:
 
 def complement_two_nfa(
     two_nfa: TwoNFA,
-    max_states: int | None = None,
     meter: BudgetMeter | None = None,
     tracer=None,
 ) -> NFA:
@@ -128,11 +118,12 @@ def complement_two_nfa(
 
     Args:
         two_nfa: the automaton to complement.
-        max_states: optional safety budget; :class:`StateBudgetExceeded`
-            is raised when the reachable state space outgrows it.
         meter: optional :class:`repro.budget.BudgetMeter`; the
             construction charges one ``"states"`` unit per materialized
-            state and polls the wall-clock deadline per transition.
+            state and polls the wall-clock deadline per transition, so a
+            ``max_states`` limit raises
+            :class:`repro.budget.BudgetExhausted` once the reachable
+            state space outgrows it.
         tracer: optional :class:`repro.obs.trace.Tracer`; records a
             ``lemma4-complement`` span with state/transition counts
             (set once on exit, never inside the BFS loop).
@@ -145,13 +136,12 @@ def complement_two_nfa(
         with tracer.span(
             "lemma4-complement", two_nfa_states=two_nfa.num_states
         ) as span:
-            return _complement_two_nfa(two_nfa, max_states, meter, span)
-    return _complement_two_nfa(two_nfa, max_states, meter, None)
+            return _complement_two_nfa(two_nfa, meter, span)
+    return _complement_two_nfa(two_nfa, meter, None)
 
 
 def _complement_two_nfa(
     two_nfa: TwoNFA,
-    max_states: int | None,
     meter: BudgetMeter | None,
     span,
 ) -> NFA:
@@ -179,13 +169,6 @@ def _complement_two_nfa(
                     states.add(target)
                     if meter is not None:
                         meter.charge("states")
-                    if max_states is not None and len(states) > max_states:
-                        raise StateBudgetExceeded(
-                            f"complement exceeded {max_states} states",
-                            resource="states",
-                            spent=len(states),
-                            limit=max_states,
-                        )
                     queue.append(target)
     final = [state for state in states if lazy.is_final(state)]
     if span is not None:

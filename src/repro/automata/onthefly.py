@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Protocol, Sequence
 
-from ..budget import BudgetExhausted, BudgetMeter
+from ..budget import BudgetMeter
 from .nfa import NFA, Word
 
 
@@ -40,15 +40,6 @@ class ImplicitNFA(Protocol):
     def is_final(self, state) -> bool: ...
 
 
-class SearchBudgetExceeded(BudgetExhausted):
-    """Raised when the product search exceeds its configuration budget.
-
-    A :class:`repro.budget.BudgetExhausted` subclass: the containment
-    procedures catch the whole family and convert it into a structured
-    bounded verdict, while direct kernel callers keep this type.
-    """
-
-
 @dataclass
 class SearchStats:
     """Instrumentation for the benchmarks (explored state counts)."""
@@ -60,7 +51,6 @@ class SearchStats:
 def find_accepted_word(
     machines: Sequence[ImplicitNFA],
     alphabet: Sequence[str],
-    max_configs: int | None = None,
     stats: SearchStats | None = None,
     meter: BudgetMeter | None = None,
     tracer=None,
@@ -72,15 +62,14 @@ def find_accepted_word(
     Args:
         machines: implicit automata to intersect.
         alphabet: symbols to search over.
-        max_configs: optional exploration budget (product configurations);
-            :class:`SearchBudgetExceeded` is raised when exceeded.
-            Because every implicit machine here has a finite state space,
-            the search always terminates without a budget as well.
         stats: optional :class:`SearchStats` to fill in.
         meter: optional :class:`repro.budget.BudgetMeter`; the search
             charges one ``"configs"`` unit per product configuration and
             polls the wall-clock deadline, raising
-            :class:`repro.budget.BudgetExhausted` cooperatively.
+            :class:`repro.budget.BudgetExhausted` cooperatively (a
+            ``max_configs`` limit is how a caller caps the search).
+            Because every implicit machine here has a finite state
+            space, the search always terminates without a meter as well.
         tracer: optional :class:`repro.obs.trace.Tracer`; records the
             search as one ``product-search`` span (kernel choice and
             witness length as tags, configurations as a counter — set
@@ -124,12 +113,10 @@ def find_accepted_word(
     if tracer is None:
         if use_bitset:
             return _bitset_find_accepted_word(
-                machines[0], list(machines[1:]), alphabet, max_configs, meter,
+                machines[0], list(machines[1:]), alphabet, meter,
                 kernel=resolved, kernel_stats=kernel_stats,
             )
-        return _generic_find_accepted_word(
-            machines, alphabet, max_configs, stats, meter
-        )
+        return _generic_find_accepted_word(machines, alphabet, stats, meter)
     with tracer.span(
         "product-search",
         machines=len(machines),
@@ -137,13 +124,13 @@ def find_accepted_word(
     ) as span:
         if use_bitset:
             word = _bitset_find_accepted_word(
-                machines[0], list(machines[1:]), alphabet, max_configs, meter,
+                machines[0], list(machines[1:]), alphabet, meter,
                 span=span, tracer=tracer, kernel=resolved,
                 kernel_stats=kernel_stats,
             )
         else:
             word = _generic_find_accepted_word(
-                machines, alphabet, max_configs, stats, meter, span=span
+                machines, alphabet, stats, meter, span=span
             )
         span.annotate(witness_length=None if word is None else len(word))
         return word
@@ -152,7 +139,6 @@ def find_accepted_word(
 def _generic_find_accepted_word(
     machines: Sequence[ImplicitNFA],
     alphabet: Sequence[str],
-    max_configs: int | None = None,
     stats: SearchStats | None = None,
     meter: BudgetMeter | None = None,
     span=None,
@@ -160,7 +146,7 @@ def _generic_find_accepted_word(
     """The object-tuple BFS behind :func:`find_accepted_word`."""
     parents: dict[tuple, tuple[tuple, str] | None] = {}
     try:
-        return _generic_search(machines, alphabet, max_configs, stats, meter, parents)
+        return _generic_search(machines, alphabet, stats, meter, parents)
     finally:
         if span is not None:
             span.count("configs", len(parents))
@@ -169,7 +155,6 @@ def _generic_find_accepted_word(
 def _generic_search(
     machines: Sequence[ImplicitNFA],
     alphabet: Sequence[str],
-    max_configs: int | None,
     stats: SearchStats | None,
     meter: BudgetMeter | None,
     parents: dict,
@@ -211,13 +196,6 @@ def _generic_search(
                 parents[nxt] = (tup, symbol)
                 if meter is not None:
                     meter.charge("configs")
-                if max_configs is not None and len(parents) > max_configs:
-                    raise SearchBudgetExceeded(
-                        f"product search exceeded {max_configs} configurations",
-                        resource="configs",
-                        spent=len(parents),
-                        limit=max_configs,
-                    )
                 if accepted(nxt):
                     hit = nxt
                     break
@@ -262,7 +240,6 @@ def _bitset_find_accepted_word(
     first: NFA,
     rest: Sequence[ImplicitNFA],
     alphabet: Sequence[str],
-    max_configs: int | None,
     meter: BudgetMeter | None = None,
     span=None,
     tracer=None,
@@ -282,7 +259,7 @@ def _bitset_find_accepted_word(
     counted = [0, 0]  # configs, subsumption hits
     try:
         return _bitset_search(
-            first, rest, alphabet, max_configs, meter, counted, tracer, kernel
+            first, rest, alphabet, meter, counted, tracer, kernel
         )
     finally:
         record_search(kernel, counted[1])
@@ -300,7 +277,6 @@ def _bitset_search(
     first: NFA,
     rest: Sequence[ImplicitNFA],
     alphabet: Sequence[str],
-    max_configs: int | None,
     meter: BudgetMeter | None,
     counted: list,
     tracer=None,
@@ -397,13 +373,6 @@ def _bitset_search(
                     total = counted[0] = total + fresh.bit_count()
                     if meter is not None:
                         meter.charge("configs", fresh.bit_count())
-                    if max_configs is not None and total > max_configs:
-                        raise SearchBudgetExceeded(
-                            f"product search exceeded {max_configs} configurations",
-                            resource="configs",
-                            spent=total,
-                            limit=max_configs,
-                        )
                     bit = accepting_bit(next_others, fresh)
                     if bit is not None:
                         hit = (next_others, bit)
@@ -445,8 +414,7 @@ def _bitset_search(
 def intersection_is_empty(
     machines: Sequence[ImplicitNFA],
     alphabet: Sequence[str],
-    max_configs: int | None = None,
     meter: BudgetMeter | None = None,
 ) -> bool:
     """True iff the machines' languages have empty intersection."""
-    return find_accepted_word(machines, alphabet, max_configs, meter=meter) is None
+    return find_accepted_word(machines, alphabet, meter=meter) is None

@@ -119,7 +119,6 @@ def _accepts_from_table(two_nfa: TwoNFA, table: Table) -> bool:
 
 def two_nfa_to_dfa(
     two_nfa: TwoNFA,
-    max_states: int | None = None,
     meter: "BudgetMeter | None" = None,
     tracer=None,
 ) -> DFA:
@@ -127,10 +126,9 @@ def two_nfa_to_dfa(
 
     Args:
         two_nfa: the automaton to convert.
-        max_states: optional budget; a :class:`StateBudgetExceeded` from
-            :mod:`repro.automata.complement` is raised when exceeded.
         meter: optional :class:`repro.budget.BudgetMeter`; charges one
-            ``"states"`` unit per table and polls the deadline.
+            ``"states"`` unit per table (a ``max_states`` limit raises
+            :class:`repro.budget.BudgetExhausted`) and polls the deadline.
         tracer: optional :class:`repro.obs.trace.Tracer`; records a
             ``shepherdson-tables`` span with the table count (set once
             on exit, never inside the construction loop).
@@ -142,19 +140,16 @@ def two_nfa_to_dfa(
         with tracer.span(
             "shepherdson-tables", two_nfa_states=two_nfa.num_states
         ) as span:
-            dfa = _two_nfa_to_dfa(two_nfa, max_states, meter)
+            dfa = _two_nfa_to_dfa(two_nfa, meter)
             span.count("tables", dfa.num_states)
             return dfa
-    return _two_nfa_to_dfa(two_nfa, max_states, meter)
+    return _two_nfa_to_dfa(two_nfa, meter)
 
 
 def _two_nfa_to_dfa(
     two_nfa: TwoNFA,
-    max_states: int | None,
     meter: "BudgetMeter | None",
 ) -> DFA:
-    from .complement import StateBudgetExceeded
-
     initial = _initial_table(two_nfa)
     states: set[Table] = {initial}
     if meter is not None:
@@ -172,13 +167,6 @@ def _two_nfa_to_dfa(
                 states.add(nxt)
                 if meter is not None:
                     meter.charge("states")
-                if max_states is not None and len(states) > max_states:
-                    raise StateBudgetExceeded(
-                        f"Shepherdson construction exceeded {max_states} states",
-                        resource="states",
-                        spent=len(states),
-                        limit=max_states,
-                    )
                 queue.append(nxt)
     final = frozenset(
         table for table in states if _accepts_from_table(two_nfa, table)
@@ -212,10 +200,10 @@ class LazyShepherdsonComplement:
         return not _accepts_from_table(self.two_nfa, state)
 
 
-def naive_complement_two_nfa(two_nfa: TwoNFA, max_states: int | None = None):
+def naive_complement_two_nfa(two_nfa: TwoNFA):
     """The baseline pipeline the paper deems too costly: convert, then flip.
 
     Returns the complement as an NFA, for size comparison with Lemma 4's
     construction in benchmark E4.
     """
-    return two_nfa_to_dfa(two_nfa, max_states).complement().to_nfa()
+    return two_nfa_to_dfa(two_nfa).complement().to_nfa()

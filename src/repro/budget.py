@@ -23,11 +23,10 @@ Three pieces:
   converts it into a structured bounded/inconclusive
   :class:`repro.report.ContainmentResult` via :func:`bounded_result`.
 
-The legacy kernel exceptions (``SearchBudgetExceeded`` in
-:mod:`repro.automata.onthefly`, ``StateBudgetExceeded`` in
-:mod:`repro.automata.complement`) are subclasses of
-:class:`BudgetExhausted`, so procedures catch the whole family with one
-handler while direct kernel callers keep the historical types.
+A budget is the only way a limit reaches a check: containment
+procedures take ``budget=``, kernels take ``meter=``, and each
+procedure's own defaults fill only the fields a caller left unset
+(:meth:`Budget.merged`).
 
 Degradation contract (DESIGN.md "Resource governance"):
 
@@ -145,29 +144,12 @@ class Budget:
         """The staged-escalation budget behind ``budget="auto"``."""
         return cls(deadline_ms=deadline_ms, escalate=True, **limits)
 
-    @classmethod
-    def from_legacy(
-        cls,
-        max_configs: int | None = None,
-        max_states: int | None = None,
-        max_expansions: int | None = None,
-        max_total_length: int | None = None,
-        max_applications: int | None = None,
-    ) -> "Budget":
-        """A Budget equivalent to the deprecated per-procedure kwargs."""
-        return cls(
-            max_configs=max_configs,
-            max_states=max_states,
-            max_expansions=max_expansions,
-            max_total_length=max_total_length,
-            max_applications=max_applications,
-        )
-
     def merged(self, **defaults: Any) -> "Budget":
         """A copy whose unset fields are filled from *defaults*.
 
-        Explicit budget fields always win; this is how the legacy
-        ``max_*`` kwargs act as deprecated aliases underneath a Budget.
+        Explicit budget fields always win; this is how a procedure's
+        defaults, or an escalation round's schedule, fill only the
+        limits the caller left open.
         """
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         for name, value in defaults.items():
@@ -341,17 +323,23 @@ def deadline_scope(budget: Budget | None) -> Iterator[None]:
                 gc.enable()
 
 
-def as_budget(budget: Budget | None, **legacy: Any) -> Budget:
-    """Normalize an optional budget plus legacy ``max_*`` kwargs.
+def configured_budget(
+    deadline_ms: float | None, *, escalate: bool, max_expansions: int | None
+) -> Budget | None:
+    """The budget an operator's settings describe (None when nothing is set).
 
-    The deprecated kwargs construct (or fill unset fields of) a Budget,
-    so all existing call sites keep their behavior while new code passes
-    one Budget object.
+    Shared by ``repro contain``, ``repro batch`` and ``repro serve``.
+    With *escalate* it is a :meth:`Budget.auto` budget (default deadline
+    when *deadline_ms* is None), whose *max_expansions* stays pinned
+    across every round.
     """
-    defaults = {key: value for key, value in legacy.items() if value is not None}
-    if budget is None:
-        return Budget(**defaults) if defaults else UNLIMITED
-    return budget.merged(**defaults) if defaults else budget
+    if escalate:
+        if deadline_ms is None:
+            return Budget.auto(max_expansions=max_expansions)
+        return Budget.auto(deadline_ms=deadline_ms, max_expansions=max_expansions)
+    if deadline_ms is None and max_expansions is None:
+        return None
+    return Budget(deadline_ms=deadline_ms, max_expansions=max_expansions)
 
 
 def bounded_result(

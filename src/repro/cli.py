@@ -137,22 +137,16 @@ def _print_evaluation_stats(tracer) -> None:
 
 
 def _cmd_contain(args: argparse.Namespace) -> int:
-    from .budget import Budget
+    from .budget import configured_budget
 
     q1 = parse_query(args.left)
     q2 = parse_query(args.right)
     options: dict[str, Any] = {}
-    if args.max_expansions is not None:
-        options["max_expansions"] = args.max_expansions
     if args.kernel is not None:
         options["kernel"] = args.kernel
-    budget = None
-    if args.auto_budget:
-        budget = Budget.auto(
-            deadline_ms=args.deadline_ms
-        ) if args.deadline_ms is not None else "auto"
-    elif args.deadline_ms is not None:
-        budget = Budget(deadline_ms=args.deadline_ms)
+    budget = configured_budget(
+        args.deadline_ms, escalate=args.auto_budget, max_expansions=args.max_expansions
+    )
     want_trace = args.trace or args.trace_json is not None
     result = check_containment(q1, q2, budget=budget, trace=want_trace, **options)
     print(result.describe())
@@ -182,39 +176,36 @@ def _cmd_contain(args: argparse.Namespace) -> int:
 def _cmd_batch(args: argparse.Namespace) -> int:
     import json
 
-    from .budget import Budget
+    from .budget import configured_budget
     from .core.batch import BatchItem, check_containment_many
     from .serve.protocol import parse_workload, response_payload
 
-    budget = None
-    if args.auto_budget:
-        budget = Budget.auto(
-            deadline_ms=args.deadline_ms
-        ) if args.deadline_ms is not None else "auto"
-    elif args.deadline_ms is not None:
-        budget = Budget(deadline_ms=args.deadline_ms)
+    budget = configured_budget(
+        args.deadline_ms, escalate=args.auto_budget, max_expansions=args.max_expansions
+    )
     options: dict[str, Any] = {}
-    if args.max_expansions is not None:
-        options["max_expansions"] = args.max_expansions
     if args.kernel is not None:
         options["kernel"] = args.kernel
 
     # Parse the workload on the shared wire-protocol path: malformed
     # lines are isolated exactly like item failures — a bad line yields
-    # an ERROR result line at its input position, not an abort.
+    # an ERROR result line at its input position, not an abort.  Each
+    # line's deadline_ms, kernel and max_expansions apply exactly as
+    # on the server.
     text = pathlib.Path(args.workload).read_text()
     parsed = parse_workload(text)
-    pairs = [(request.left, request.right) for request in parsed.requests]
+    items = [
+        (r.left, r.right, r.budget(budget), dict(r.options)) for r in parsed.requests
+    ]
     pair_ids = {
         position: request.id
         for position, request in enumerate(parsed.requests)
     }
 
     batch = check_containment_many(
-        pairs,
+        items,
         workers=args.workers,
         backend=args.backend,
-        budget=budget,
         trace=args.trace,
         pool_deadline_ms=args.pool_deadline_ms,
         **options,

@@ -769,7 +769,7 @@ class ContainmentExecutor:
 
 
 def check_containment_many(
-    pairs: Iterable[tuple[Any, Any]],
+    pairs: Iterable[tuple],
     *,
     workers: int = DEFAULT_WORKERS,
     backend: str = "thread",
@@ -781,8 +781,11 @@ def check_containment_many(
     """Check ``Q1 ⊆ Q2`` for every pair concurrently; see module docstring.
 
     Args:
-        pairs: an iterable of ``(q1, q2)`` query pairs (materialized up
-            front; results preserve this order).
+        pairs: an iterable of ``(q1, q2)`` query pairs, or of
+            ``(q1, q2, budget, options)`` items carrying their own
+            budget (replacing *budget*) and options (overriding
+            *options*); materialized up front, results preserve this
+            order.
         workers: pool width (default: core count, capped at 8).
         backend: ``"thread"`` or ``"process"`` (see module docstring
             for the sharing/parallelism trade-off).
@@ -804,7 +807,11 @@ def check_containment_many(
     _validate_pool_args(workers, backend, options)
     if pool_deadline_ms is not None and pool_deadline_ms < 0:
         raise ValueError("pool_deadline_ms must be >= 0")
-    items = list(pairs)
+    items = [pair if len(pair) == 4 else (*pair, budget, None) for pair in pairs]
+    kernels = [
+        {**options, **(item_options or {})}.get("kernel", "auto")
+        for _, _, _, item_options in items
+    ]
     start = time.monotonic()
     slots: list[BatchItem | None] = [None] * len(items)
     if items:
@@ -813,9 +820,14 @@ def check_containment_many(
         ) as executor:
             futures: dict["concurrent.futures.Future[BatchItem]", int] = {
                 executor.submit(
-                    q1, q2, index=index, budget=budget, trace=trace
+                    q1,
+                    q2,
+                    index=index,
+                    budget=item_budget,
+                    trace=trace,
+                    options=item_options,
                 ): index
-                for index, (q1, q2) in enumerate(items)
+                for index, (q1, q2, item_budget, item_options) in enumerate(items)
             }
             if pool_deadline_ms is not None:
                 remaining = pool_deadline_ms / 1000.0 - (time.monotonic() - start)
@@ -827,9 +839,7 @@ def check_containment_many(
                         slots[index] = BatchItem(
                             index,
                             _degraded_result(
-                                pool_deadline_ms,
-                                elapsed_ms,
-                                kernel=options.get("kernel", "auto"),
+                                pool_deadline_ms, elapsed_ms, kernel=kernels[index]
                             ),
                             0.0,
                             None,
@@ -845,9 +855,7 @@ def check_containment_many(
                     # to pickle back, or a crashed worker process).
                     slots[index] = BatchItem(
                         index,
-                        error_result(
-                            index, exc, kernel=options.get("kernel", "auto")
-                        ),
+                        error_result(index, exc, kernel=kernels[index]),
                         0.0,
                         None,
                     )

@@ -57,25 +57,9 @@ from ..report import ContainmentResult, Counterexample, EquivalenceResult, Verdi
 
 #: Every option name any dispatch target understands.  Anything else is
 #: a typo and raises TypeError at the engine boundary instead of being
-#: silently discarded.
-_OPTION_UNIVERSE = frozenset(
-    {
-        "method",
-        "stats",
-        "kernel",
-        "max_configs",
-        "max_expansions",
-        "max_total_length",
-        "max_applications",
-    }
-)
-
-#: Options that bound resources rather than select an algorithm.  They
-#: are excluded from the *exact* cache key: an exact verdict does not
-#: depend on how generous the bounds were.
-_BUDGET_OPTIONS = frozenset(
-    {"max_configs", "max_expansions", "max_total_length", "max_applications"}
-)
+#: silently discarded.  Options select an algorithm; limits travel only
+#: in the ``budget``.
+_OPTION_UNIVERSE = frozenset({"method", "stats", "kernel"})
 
 #: Staged-escalation schedule: round k gets geometrically larger limits.
 _ESCALATION_CONFIG_BASE = 4096
@@ -121,11 +105,11 @@ def check_containment(
             accumulate several checks into one tree.  The default
             ``False`` costs one pointer test — tracing is strictly
             pay-for-what-you-use.
-        **options: forwarded to the underlying procedure (e.g.
-            ``method=`` for 2RPQs, ``max_expansions=`` for the
-            expansion-based checks).  Unknown names raise TypeError;
-            names valid for *some* procedure but not the dispatched one
-            are dropped and recorded in ``details["ignored_options"]``.
+        **options: forwarded to the underlying procedure (``method=``
+            and ``stats=`` for 2RPQs, ``kernel=`` everywhere).  Unknown
+            names raise TypeError; names valid for *some* procedure but
+            not the dispatched one are dropped and recorded in
+            ``details["ignored_options"]``.
 
     Returns:
         A :class:`repro.report.ContainmentResult`; see its module
@@ -262,9 +246,9 @@ def _cache_keys(
 ) -> tuple[Any | None, Any | None]:
     """(exact_key, full_key) for the containment cache, or (None, None).
 
-    The exact key drops budget-ish options and the budget itself — an
-    exact verdict holds regardless of the bounds in force — and is
-    tagged so it can never collide with a full key.
+    The exact key drops the budget — an exact verdict holds regardless
+    of the bounds in force — and is tagged so it can never collide with
+    a full key.
     """
     if not caching_enabled():
         return None, None
@@ -276,10 +260,7 @@ def _cache_keys(
         hash(all_options)
     except TypeError:
         return None, None
-    exact_options = tuple(
-        item for item in all_options if item[0] not in _BUDGET_OPTIONS
-    )
-    exact_key = (left, right, exact_options, "exact")
+    exact_key = (left, right, all_options, "exact")
     full_key = (left, right, all_options, budget)
     return exact_key, full_key
 
@@ -382,133 +363,82 @@ def _check_containment_uncached(
             **options,
         )
 
+    # Only the 2RPQ pipeline selects by method/stats; every procedure
+    # accepts the universal kernel option (non-searching ones record
+    # it via details["kernel"] normalization).
+    allowed = ("kernel",)
+    if common is QueryClass.TWO_RPQ:
+        allowed = ("method", "stats", "kernel")
+    picked, ignored = _pick(options, *allowed)
+    result = _dispatch(q1, q2, common, budget, picked, tracer)
+    if ignored:
+        result = dataclasses.replace(
+            result, details={**dict(result.details), "ignored_options": ignored}
+        )
+    return result
+
+
+def _dispatch(
+    q1: Any, q2: Any, common: QueryClass, budget: Budget | None, picked: dict, tracer
+) -> ContainmentResult:
+    """Run the procedure for *common* with the options it understands."""
     if common is QueryClass.RPQ:
-        picked, ignored = _pick(options, "kernel")
-        result = rpq_contained(
+        return rpq_contained(
             RPQ(q1.regex), RPQ(q2.regex), budget=budget, tracer=tracer, **picked
         )
-        return _with_ignored(result, ignored)
-    if common is QueryClass.TWO_RPQ:
-        picked, ignored = _pick(options, "method", "max_configs", "stats", "kernel")
-        result = two_rpq_contained(
+    # Looked up per call: wrappers that patch these module attributes
+    # (perfbench's span tracing) must see every dispatch.
+    towers = {
+        QueryClass.TWO_RPQ: two_rpq_contained,
+        QueryClass.UC2RPQ: uc2rpq_contained,
+        QueryClass.RQ: rq_contained,
+    }
+    if common in towers:
+        return towers[common](
             promote(q1, common), promote(q2, common), budget=budget,
             tracer=tracer, **picked,
         )
-        return _with_ignored(result, ignored)
-    if common is QueryClass.UC2RPQ:
-        picked, ignored = _pick(options, "max_total_length", "max_expansions", "kernel")
-        result = uc2rpq_contained(
-            promote(q1, common), promote(q2, common), budget=budget,
-            tracer=tracer, **picked,
-        )
-        return _with_ignored(result, ignored)
-    if common is QueryClass.RQ:
-        picked, ignored = _pick(options, "max_applications", "max_expansions", "kernel")
-        result = rq_contained(
-            promote(q1, common), promote(q2, common), budget=budget,
-            tracer=tracer, **picked,
-        )
-        return _with_ignored(result, ignored)
-    if common is QueryClass.CQ or common is QueryClass.UCQ:
-        if isinstance(q1, Program) or isinstance(q2, Program):
-            return _nonrecursive_datalog_case(q1, q2, budget, options, tracer)
+    left_ucq, right_ucq = isinstance(q1, (CQ, UCQ)), isinstance(q2, (CQ, UCQ))
+    if left_ucq and right_ucq:
         # Chandra-Merlin is exact and terminating: no budget to thread.
-        # "kernel" is picked (and recorded via details["kernel"]
-        # normalization) rather than reported as ignored: it is a
-        # universal engine option, not a procedure-specific bound.
-        picked, ignored = _pick(options, "kernel")
         with maybe_span(tracer, "ucq-homomorphism"):
             result = ucq_contained(q1, q2)
         if result.holds:
-            return _with_ignored(
-                ContainmentResult(Verdict.HOLDS, "ucq-homomorphism"), ignored
-            )
+            return ContainmentResult(Verdict.HOLDS, "ucq-homomorphism")
         instance, head = result.counterexample  # type: ignore[misc]
-        return _with_ignored(
-            ContainmentResult(
-                Verdict.REFUTED, "ucq-homomorphism", Counterexample(instance, head)
-            ),
-            ignored,
+        return ContainmentResult(
+            Verdict.REFUTED, "ucq-homomorphism", Counterexample(instance, head)
         )
-    if common in (QueryClass.GRQ, QueryClass.DATALOG):
-        # A (U)CQ against a recursive program: the canonical-database /
-        # expansion procedures are stronger than promoting the (U)CQ to
-        # a one-rule-per-disjunct program (ucq_in_datalog is exact).
-        if isinstance(q1, (CQ, UCQ)):
-            picked, ignored = _pick(options, "kernel")
-            return _with_ignored(
-                ucq_in_datalog(
-                    q1, promote(q2, QueryClass.DATALOG), tracer=tracer, **picked
-                ),
-                ignored,
-            )
-        if isinstance(q2, (CQ, UCQ)):
-            picked, ignored = _pick(
-                options, "max_applications", "max_expansions", "kernel"
-            )
-            return _with_ignored(
-                datalog_in_ucq(
-                    promote(q1, QueryClass.DATALOG), q2, budget=budget,
-                    tracer=tracer, **picked,
-                ),
-                ignored,
-            )
-        left = promote(q1, QueryClass.DATALOG)
-        right = promote(q2, QueryClass.DATALOG)
-        picked, ignored = _pick(
-            options, "max_applications", "max_expansions", "kernel"
+    # A program on at least one side (recursive, or a nonrecursive one
+    # classified as a UCQ).  Against a (U)CQ, the canonical-database /
+    # expansion procedures are stronger than promoting the (U)CQ to a
+    # one-rule-per-disjunct program (ucq_in_datalog is exact).
+    if left_ucq:
+        return ucq_in_datalog(
+            q1, promote(q2, QueryClass.DATALOG), tracer=tracer, **picked
         )
-        if common is QueryClass.GRQ or (is_grq(left) and is_grq(right)):
-            return _with_ignored(
-                grq_contained(left, right, budget=budget, tracer=tracer, **picked),
-                ignored,
-            )
-        return _with_ignored(
-            datalog_in_datalog(left, right, budget=budget, tracer=tracer, **picked),
-            ignored,
-        )
-    raise AssertionError(f"unhandled class {common}")  # pragma: no cover
+    left = promote(q1, QueryClass.DATALOG)
+    if right_ucq:
+        return datalog_in_ucq(left, q2, budget=budget, tracer=tracer, **picked)
+    right = promote(q2, QueryClass.DATALOG)
+    if common is QueryClass.GRQ or (
+        common is QueryClass.DATALOG and is_grq(left) and is_grq(right)
+    ):
+        return grq_contained(left, right, budget=budget, tracer=tracer, **picked)
+    return datalog_in_datalog(left, right, budget=budget, tracer=tracer, **picked)
 
 
 def _pick(options: dict, *allowed: str) -> tuple[dict, tuple[str, ...]]:
     """Split options into those the chosen procedure understands and the rest.
 
-    The engine's **options surface is a union across procedures; a
-    bound meant for an expansion check must not crash the automata path
-    it did not end up taking — but neither may it vanish silently, so
-    the dropped names are returned for ``details["ignored_options"]``.
+    The engine's **options surface is a union across procedures; an
+    option meant for the 2RPQ pipeline must not crash the expansion
+    path it did not end up taking — but neither may it vanish silently,
+    so the dropped names are returned for ``details["ignored_options"]``.
     """
     picked = {key: options[key] for key in allowed if key in options}
     ignored = tuple(sorted(key for key in options if key not in allowed))
     return picked, ignored
-
-
-def _with_ignored(
-    result: ContainmentResult, ignored: tuple[str, ...]
-) -> ContainmentResult:
-    if not ignored:
-        return result
-    return dataclasses.replace(
-        result, details={**dict(result.details), "ignored_options": ignored}
-    )
-
-
-def _nonrecursive_datalog_case(
-    q1: Any, q2: Any, budget: Budget | None, options: dict, tracer=None
-) -> ContainmentResult:
-    """UCQ-level checks where one side is a (nonrecursive) program."""
-    picked, ignored = _pick(options, "max_applications", "max_expansions", "kernel")
-    if isinstance(q1, Program) and isinstance(q2, Program):
-        return _with_ignored(
-            datalog_in_datalog(q1, q2, budget=budget, tracer=tracer, **picked),
-            ignored,
-        )
-    if isinstance(q1, Program):
-        return _with_ignored(
-            datalog_in_ucq(q1, q2, budget=budget, tracer=tracer, **picked), ignored
-        )
-    kernel_only, _ = _pick(picked, "kernel")
-    return _with_ignored(ucq_in_datalog(q1, q2, tracer=tracer, **kernel_only), ignored)
 
 
 def check_equivalence(

@@ -16,16 +16,17 @@ not the requested ``max_total_length``.  The exact procedure for this
 class is EXPSPACE-complete (Theorem 6), so the bound is the calibrated
 substitute for an algorithm that cannot run at scale on any hardware.
 
-Budgets: an optional :class:`repro.budget.Budget` adds a wall-clock
-deadline and global caps on top of the legacy per-disjunct kwargs;
-exhaustion is caught here and reported as a bounded/inconclusive verdict
-with spend accounting — never an exception.
+Budgets: an optional :class:`repro.budget.Budget` sets the length bound
+and the per-disjunct expansion cap (unset fields take this module's
+defaults) and adds a wall-clock deadline; exhaustion is caught here and
+reported as a bounded/inconclusive verdict with spend accounting —
+never an exception.
 """
 
 from __future__ import annotations
 
 from ..automata.antichain import resolve_kernel
-from ..budget import Budget, BudgetExhausted, bounded_result
+from ..budget import UNLIMITED, Budget, BudgetExhausted, bounded_result
 from ..obs.trace import maybe_span
 from ..report import ContainmentResult, Counterexample, EquivalenceResult, Verdict
 from .evaluation import satisfies_uc2rpq
@@ -47,8 +48,6 @@ def _as_union(query: UC2RPQ | C2RPQ) -> UC2RPQ:
 def uc2rpq_contained(
     q1: UC2RPQ | C2RPQ,
     q2: UC2RPQ | C2RPQ,
-    max_total_length: int = DEFAULT_LENGTH_BOUND,
-    max_expansions: int | None = DEFAULT_EXPANSION_BUDGET,
     budget: Budget | None = None,
     tracer=None,
     kernel: str = "auto",
@@ -57,15 +56,15 @@ def uc2rpq_contained(
 
     Args:
         q1, q2: the queries (C2RPQs are auto-wrapped).
-        max_total_length: bound on the total word length per expansion
-            of a Q1 disjunct; raised automatically to the exhaustion
-            bound when the disjunct's expansion space is finite.
-        max_expansions: per-disjunct cap on expansions examined.
-        budget: optional :class:`repro.budget.Budget`; its
-            ``max_total_length`` / ``max_expansions`` fields, when set,
-            override the legacy kwargs, and its deadline is checked
-            cooperatively.  Exhaustion yields a structured bounded or
-            inconclusive verdict, never an exception.
+        budget: optional :class:`repro.budget.Budget`.
+            ``max_total_length`` bounds the total word length per
+            expansion of a Q1 disjunct (raised automatically to the
+            exhaustion bound when the disjunct's expansion space is
+            finite; default :data:`DEFAULT_LENGTH_BOUND`);
+            ``max_expansions`` caps the expansions examined per disjunct
+            (default :data:`DEFAULT_EXPANSION_BUDGET`); the deadline is
+            checked cooperatively.  Exhaustion yields a structured
+            bounded or inconclusive verdict, never an exception.
         tracer: optional :class:`repro.obs.trace.Tracer`; records one
             ``disjunct-expansions`` span per Q1 disjunct, tagged with
             the finiteness verdict and effective length bound and
@@ -81,17 +80,17 @@ def uc2rpq_contained(
         raise ValueError(
             f"containment between arities {left.arity} and {right.arity} is ill-typed"
         )
-    length_bound = max_total_length
-    per_disjunct_cap = max_expansions
+    bounds = (budget or UNLIMITED).merged(
+        max_total_length=DEFAULT_LENGTH_BOUND,
+        max_expansions=DEFAULT_EXPANSION_BUDGET,
+    )
+    length_bound = bounds.max_total_length
+    per_disjunct_cap = bounds.max_expansions
+    # The per-disjunct cap is enforced by the enumerator; the meter
+    # enforces only the deadline, and accounts expansions for the spend
+    # report.
     meter = None
     if budget is not None and not budget.is_null:
-        if budget.max_total_length is not None:
-            length_bound = budget.max_total_length
-        if budget.max_expansions is not None:
-            per_disjunct_cap = budget.max_expansions
-        # The per-disjunct cap is enforced by the enumerator (legacy
-        # semantics); the meter enforces only the deadline, and accounts
-        # expansions for the spend report.
         meter = Budget(deadline_ms=budget.deadline_ms).start()
     exact = True
     checked = 0
@@ -185,7 +184,6 @@ def uc2rpq_contained(
 def uc2rpq_equivalent(
     q1: UC2RPQ | C2RPQ,
     q2: UC2RPQ | C2RPQ,
-    max_total_length: int = DEFAULT_LENGTH_BOUND,
     exact: bool = False,
     budget: Budget | None = None,
 ) -> EquivalenceResult:
@@ -196,7 +194,7 @@ def uc2rpq_equivalent(
     not count and are surfaced via ``bounded_directions``.
     """
     return EquivalenceResult(
-        uc2rpq_contained(q1, q2, max_total_length, budget=budget),
-        uc2rpq_contained(q2, q1, max_total_length, budget=budget),
+        uc2rpq_contained(q1, q2, budget=budget),
+        uc2rpq_contained(q2, q1, budget=budget),
         exact=exact,
     )

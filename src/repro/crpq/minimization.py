@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from ..automata.dfa import determinize, reduce_nfa
 from ..automata.state_elimination import nfa_to_regex
+from ..budget import Budget
 from ..report import Verdict
 from ..rpq.rpq import TwoRPQ
 from .containment import uc2rpq_contained
@@ -81,7 +82,7 @@ def minimize_c2rpq(
                 continue
             candidate = C2RPQ(current.head_vars, candidate_atoms)
             verdict = uc2rpq_contained(
-                candidate, current, max_total_length=max_total_length
+                candidate, current, budget=Budget(max_total_length=max_total_length)
             ).verdict
             if _acceptable(verdict, allow_bounded):
                 current = candidate
@@ -104,7 +105,9 @@ def minimize_uc2rpq(
     while index < len(disjuncts) and len(disjuncts) > 1:
         rest = disjuncts[:index] + disjuncts[index + 1 :]
         verdict = uc2rpq_contained(
-            disjuncts[index], UC2RPQ(tuple(rest)), max_total_length=max_total_length
+            disjuncts[index],
+            UC2RPQ(tuple(rest)),
+            budget=Budget(max_total_length=max_total_length),
         ).verdict
         if _acceptable(verdict, allow_bounded):
             disjuncts = rest

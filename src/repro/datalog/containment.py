@@ -19,10 +19,10 @@ shortcut.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable
 
 from ..automata.antichain import resolve_kernel
-from ..budget import Budget, BudgetExhausted, bounded_result
+from ..budget import UNLIMITED, Budget, BudgetExhausted, bounded_result
 from ..cq.containment import ucq_contained
 from ..cq.evaluation import satisfies_ucq
 from ..cq.syntax import CQ, UCQ
@@ -36,17 +36,82 @@ from .unfolding import enumerate_expansions, unfold_nonrecursive
 
 DEFAULT_EXPANSION_BUDGET = 2000
 
+#: Decides one expansion exactly: its canonical instance and frozen head
+#: in, a refuting counterexample (or None) out.
+Refuter = Callable[[Instance, tuple], "Counterexample | None"]
 
-def _effective_bounds(budget, max_applications, max_expansions):
-    """Budget fields override the legacy kwargs; deadline gets a meter."""
-    app_bound, exp_bound, meter = max_applications, max_expansions, None
+
+def expansion_containment(
+    program: Program,
+    method: str,
+    refute: Refuter,
+    budget: Budget | None,
+    *,
+    default_applications: int | None,
+    default_expansions: int,
+    tracer=None,
+) -> ContainmentResult:
+    """The expansion loop shared by the RQ, GRQ and Datalog towers.
+
+    Each expansion of *program*, breadth-first, goes to *refute*; the
+    first counterexample is an exact REFUTED.  A nonrecursive *program*
+    is enumerated exhaustively (HOLDS); otherwise the positive verdict is
+    HOLDS_UP_TO_BOUND at the expansion cap.  The tower's defaults fill
+    only the ``max_applications`` / ``max_expansions`` fields *budget*
+    leaves unset, and the enumerator enforces both caps; the meter,
+    built from the caller's budget alone, enforces its deadline.
+    """
+    bounds = (budget or UNLIMITED).merged(
+        max_applications=default_applications, max_expansions=default_expansions
+    )
+    meter = None
     if budget is not None and not budget.is_null:
-        if budget.max_applications is not None:
-            app_bound = budget.max_applications
-        if budget.max_expansions is not None:
-            exp_bound = budget.max_expansions
         meter = Budget(deadline_ms=budget.deadline_ms).start()
-    return app_bound, exp_bound, meter
+    exhaustive = is_nonrecursive(program)
+    iterator = enumerate_expansions(
+        program,
+        max_applications=None if exhaustive else bounds.max_applications,
+        max_expansions=None if exhaustive else bounds.max_expansions,
+        meter=meter,
+    )
+    checked = 0
+    try:
+        with maybe_span(tracer, "expansion-loop", exhaustive=exhaustive) as span:
+            try:
+                for expansion in iterator:
+                    checked += 1
+                    if meter is not None:
+                        meter.note("expansions")
+                    counterexample = refute(*expansion.canonical_instance())
+                    if counterexample is not None:
+                        return ContainmentResult(
+                            Verdict.REFUTED,
+                            method,
+                            counterexample,
+                            details={"expansions_checked": checked},
+                        )
+            finally:
+                span.count("expansions", checked)
+    except BudgetExhausted as exc:
+        return bounded_result(
+            method, exc, meter, details={"expansions_checked": checked}
+        )
+    if exhaustive:
+        return ContainmentResult(
+            Verdict.HOLDS, method, details={"expansions_checked": checked}
+        )
+    details = {
+        "expansions_checked": checked,
+        "max_applications": bounds.max_applications,
+    }
+    if meter is not None:
+        details["budget"] = {"spend": meter.spend()}
+    return ContainmentResult(
+        Verdict.HOLDS_UP_TO_BOUND,
+        method,
+        bound=bounds.max_expansions,
+        details=details,
+    )
 
 
 def cq_in_datalog(cq: CQ, program: Program) -> ContainmentResult:
@@ -92,8 +157,6 @@ def ucq_in_datalog(
 def datalog_in_ucq(
     program: Program,
     ucq: UCQ | CQ,
-    max_applications: int | None = None,
-    max_expansions: int = DEFAULT_EXPANSION_BUDGET,
     budget: Budget | None = None,
     tracer=None,
     kernel: str = "auto",
@@ -103,14 +166,15 @@ def datalog_in_ucq(
     Exact (HOLDS/REFUTED) for nonrecursive programs; for recursive
     programs a REFUTED verdict is exact and a positive verdict is
     ``HOLDS_UP_TO_BOUND`` over the explored expansions.  An optional
-    *budget*'s ``max_applications`` / ``max_expansions`` fields override
-    the legacy kwargs; its deadline is polled cooperatively and produces
-    a structured verdict, never an exception.  An optional *tracer*
-    records an ``unfold-to-ucq`` span (nonrecursive path) or an
-    ``expansion-loop`` span counting expansions.  *kernel* is accepted
-    for engine-wide option uniformity and validated eagerly; the
-    expansion procedure runs no language-inclusion search (the engine
-    records ``selected: None``).
+    *budget*'s ``max_applications`` / ``max_expansions`` fields bound
+    the enumeration (unset: unbounded applications,
+    :data:`DEFAULT_EXPANSION_BUDGET` expansions); its deadline is polled
+    cooperatively and produces a structured verdict, never an exception.
+    An optional *tracer* records an ``unfold-to-ucq`` span (nonrecursive
+    path) or an ``expansion-loop`` span counting expansions.  *kernel*
+    is accepted for engine-wide option uniformity and validated eagerly;
+    the expansion procedure runs no language-inclusion search (the
+    engine records ``selected: None``).
     """
     resolve_kernel(kernel)
     union = ucq if isinstance(ucq, UCQ) else UCQ((ucq,))
@@ -125,52 +189,35 @@ def datalog_in_ucq(
         return ContainmentResult(
             Verdict.REFUTED, "unfold-to-ucq", Counterexample(instance, head)
         )
-    app_bound, exp_bound, meter = _effective_bounds(
-        budget, max_applications, max_expansions
-    )
-    explored = 0
-    try:
-        with maybe_span(tracer, "expansion-loop", exhaustive=False) as span:
-            try:
-                for expansion in enumerate_expansions(
-                    program,
-                    max_applications=app_bound,
-                    max_expansions=exp_bound,
-                    meter=meter,
-                ):
-                    explored += 1
-                    if meter is not None:
-                        meter.note("expansions")
-                    instance, head = expansion.canonical_instance()
-                    if not satisfies_ucq(union, instance, head):
-                        return ContainmentResult(
-                            Verdict.REFUTED,
-                            "expansion",
-                            Counterexample(instance, head),
-                            details={"expansions_checked": explored},
-                        )
-            finally:
-                span.count("expansions", explored)
-    except BudgetExhausted as exc:
-        return bounded_result(
-            "expansion", exc, meter, details={"expansions_checked": explored}
-        )
-    details = {"expansions_checked": explored}
-    if meter is not None:
-        details["budget"] = {"spend": meter.spend()}
-    return ContainmentResult(
-        Verdict.HOLDS_UP_TO_BOUND,
+
+    def refute(instance: Instance, head: tuple) -> Counterexample | None:
+        held = satisfies_ucq(union, instance, head)
+        return None if held else Counterexample(instance, head)
+
+    return expansion_containment(
+        program,
         "expansion",
-        bound=exp_bound if exp_bound is not None else -1,
-        details=details,
+        refute,
+        budget,
+        default_applications=None,
+        default_expansions=DEFAULT_EXPANSION_BUDGET,
+        tracer=tracer,
     )
+
+
+def evaluation_refuter(right: Program) -> Refuter:
+    """Refute an expansion when *right* does not derive its frozen head."""
+
+    def refute(instance: Instance, head: tuple) -> Counterexample | None:
+        held = head in evaluate(right, instance)
+        return None if held else Counterexample(instance, head)
+
+    return refute
 
 
 def datalog_in_datalog(
     left: Program,
     right: Program,
-    max_applications: int | None = None,
-    max_expansions: int = DEFAULT_EXPANSION_BUDGET,
     budget: Budget | None = None,
     tracer=None,
     kernel: str = "auto",
@@ -182,72 +229,30 @@ def datalog_in_datalog(
     of expansions with terminating evaluation.  Undecidable in general
     [52], hence the bounded verdict; REFUTED is always exact, and a
     nonrecursive *left* exhausts its finite expansion space, upgrading
-    the positive verdict to HOLDS.  An optional *budget* overrides the
-    legacy kwargs and adds cooperative deadline polling (structured
-    verdict on exhaustion, never an exception).  *kernel* is accepted
-    for engine-wide option uniformity and validated eagerly; the
-    expansion procedure runs no language-inclusion search (the engine
-    records ``selected: None``).
+    the positive verdict to HOLDS.  An optional *budget* bounds the
+    enumeration (defaults as in :func:`datalog_in_ucq`) and adds
+    cooperative deadline polling (structured verdict on exhaustion,
+    never an exception).  *kernel* is accepted for engine-wide option
+    uniformity and validated eagerly; the expansion procedure runs no
+    language-inclusion search (the engine records ``selected: None``).
     """
     resolve_kernel(kernel)
     if left.goal_arity != right.goal_arity:
         raise ValueError("arity mismatch between program goals")
-    app_bound, exp_bound, meter = _effective_bounds(
-        budget, max_applications, max_expansions
-    )
-    explored = 0
-    exhausted = is_nonrecursive(left)
-    iterator = enumerate_expansions(
+    return expansion_containment(
         left,
-        max_applications=None if exhausted else app_bound,
-        max_expansions=None if exhausted else exp_bound,
-        meter=meter,
-    )
-    try:
-        with maybe_span(tracer, "expansion-loop", exhaustive=exhausted) as span:
-            try:
-                for expansion in iterator:
-                    explored += 1
-                    if meter is not None:
-                        meter.note("expansions")
-                    instance, head = expansion.canonical_instance()
-                    if head not in evaluate(right, instance):
-                        return ContainmentResult(
-                            Verdict.REFUTED,
-                            "expansion-vs-evaluation",
-                            Counterexample(instance, head),
-                            details={"expansions_checked": explored},
-                        )
-            finally:
-                span.count("expansions", explored)
-    except BudgetExhausted as exc:
-        return bounded_result(
-            "expansion-vs-evaluation",
-            exc,
-            meter,
-            details={"expansions_checked": explored},
-        )
-    if exhausted:
-        return ContainmentResult(
-            Verdict.HOLDS,
-            "expansion-vs-evaluation",
-            details={"expansions_checked": explored},
-        )
-    details = {"expansions_checked": explored}
-    if meter is not None:
-        details["budget"] = {"spend": meter.spend()}
-    return ContainmentResult(
-        Verdict.HOLDS_UP_TO_BOUND,
         "expansion-vs-evaluation",
-        bound=exp_bound if exp_bound is not None else -1,
-        details=details,
+        evaluation_refuter(right),
+        budget,
+        default_applications=None,
+        default_expansions=DEFAULT_EXPANSION_BUDGET,
+        tracer=tracer,
     )
 
 
 def datalog_equivalent_bounded(
     left: Program,
     right: Program,
-    max_expansions: int = DEFAULT_EXPANSION_BUDGET,
     exact: bool = False,
     budget: Budget | None = None,
 ) -> EquivalenceResult:
@@ -258,7 +263,7 @@ def datalog_equivalent_bounded(
     not count and are surfaced via ``bounded_directions``.
     """
     return EquivalenceResult(
-        datalog_in_datalog(left, right, max_expansions=max_expansions, budget=budget),
-        datalog_in_datalog(right, left, max_expansions=max_expansions, budget=budget),
+        datalog_in_datalog(left, right, budget=budget),
+        datalog_in_datalog(right, left, budget=budget),
         exact=exact,
     )

@@ -17,13 +17,11 @@ checker refuses programs outside it rather than silently running the
 from __future__ import annotations
 
 from ..automata.antichain import resolve_kernel
-from ..budget import Budget, BudgetExhausted, bounded_result
+from ..budget import Budget
 from ..obs.trace import maybe_span
-from ..report import ContainmentResult, Counterexample, EquivalenceResult, Verdict
-from ..datalog.analysis import is_nonrecursive
-from ..datalog.evaluation import evaluate
+from ..report import ContainmentResult, EquivalenceResult
+from ..datalog.containment import evaluation_refuter, expansion_containment
 from ..datalog.syntax import Program
-from ..datalog.unfolding import enumerate_expansions
 from .membership import check_grq
 
 DEFAULT_EXPANSION_BUDGET = 3000
@@ -42,8 +40,6 @@ class NotGRQError(ValueError):
 def grq_contained(
     left: Program,
     right: Program,
-    max_applications: int | None = DEFAULT_APPLICATION_BOUND,
-    max_expansions: int | None = DEFAULT_EXPANSION_BUDGET,
     budget: Budget | None = None,
     tracer=None,
     kernel: str = "auto",
@@ -52,14 +48,16 @@ def grq_contained(
 
     Raises :class:`NotGRQError` if either side fails the membership
     check of :mod:`repro.grq.membership`.  An optional *budget*'s
-    ``max_applications`` / ``max_expansions`` fields override the legacy
-    kwargs; its deadline interrupts the enumeration cooperatively and is
-    reported as a structured verdict, never an exception.  An optional
-    *tracer* records a ``grq-membership`` span for the fragment check
-    and an ``expansion-loop`` span counting expansions.  *kernel* is
-    accepted for engine-wide option uniformity and validated eagerly;
-    the expansion procedure runs no language-inclusion search (the
-    engine records ``selected: None``).
+    ``max_applications`` / ``max_expansions`` fields bound the
+    enumeration (defaults :data:`DEFAULT_APPLICATION_BOUND` /
+    :data:`DEFAULT_EXPANSION_BUDGET`); its deadline interrupts the
+    enumeration cooperatively and is reported as a structured verdict,
+    never an exception.  An optional *tracer* records a
+    ``grq-membership`` span for the fragment check and an
+    ``expansion-loop`` span counting expansions.  *kernel* is accepted
+    for engine-wide option uniformity and validated eagerly; the
+    expansion procedure runs no language-inclusion search (the engine
+    records ``selected: None``).
     """
     resolve_kernel(kernel)
     with maybe_span(tracer, "grq-membership"):
@@ -69,63 +67,15 @@ def grq_contained(
                 raise NotGRQError(which, report.violations)
     if left.goal_arity != right.goal_arity:
         raise ValueError("arity mismatch between program goals")
-    app_bound, exp_bound, meter = _effective_bounds(
-        budget, max_applications, max_expansions
-    )
-    exhaustive = is_nonrecursive(left)
-    iterator = enumerate_expansions(
+    return expansion_containment(
         left,
-        max_applications=None if exhaustive else app_bound,
-        max_expansions=None if exhaustive else exp_bound,
-        meter=meter,
-    )
-    checked = 0
-    try:
-        with maybe_span(tracer, "expansion-loop", exhaustive=exhaustive) as span:
-            try:
-                for expansion in iterator:
-                    checked += 1
-                    if meter is not None:
-                        meter.note("expansions")
-                    instance, head = expansion.canonical_instance()
-                    if head not in evaluate(right, instance):
-                        return ContainmentResult(
-                            Verdict.REFUTED,
-                            "grq-expansion",
-                            Counterexample(instance, head),
-                            details={"expansions_checked": checked},
-                        )
-            finally:
-                span.count("expansions", checked)
-    except BudgetExhausted as exc:
-        return bounded_result(
-            "grq-expansion", exc, meter, details={"expansions_checked": checked}
-        )
-    if exhaustive:
-        return ContainmentResult(
-            Verdict.HOLDS, "grq-expansion", details={"expansions_checked": checked}
-        )
-    details = {"expansions_checked": checked, "max_applications": app_bound}
-    if meter is not None:
-        details["budget"] = {"spend": meter.spend()}
-    return ContainmentResult(
-        Verdict.HOLDS_UP_TO_BOUND,
         "grq-expansion",
-        bound=exp_bound if exp_bound is not None else -1,
-        details=details,
+        evaluation_refuter(right),
+        budget,
+        default_applications=DEFAULT_APPLICATION_BOUND,
+        default_expansions=DEFAULT_EXPANSION_BUDGET,
+        tracer=tracer,
     )
-
-
-def _effective_bounds(budget, max_applications, max_expansions):
-    """Budget fields override the legacy kwargs; deadline gets a meter."""
-    app_bound, exp_bound, meter = max_applications, max_expansions, None
-    if budget is not None and not budget.is_null:
-        if budget.max_applications is not None:
-            app_bound = budget.max_applications
-        if budget.max_expansions is not None:
-            exp_bound = budget.max_expansions
-        meter = Budget(deadline_ms=budget.deadline_ms).start()
-    return app_bound, exp_bound, meter
 
 
 def grq_equivalent(

@@ -250,7 +250,9 @@ def _exp_e04(suite: str) -> dict[str, Any]:
     from ..automata.fold import fold_two_nfa
     from ..automata.regex import parse_regex
     from ..automata.shepherdson import two_nfa_to_dfa
+    from ..budget import Budget
 
+    cap = Budget(max_states=200_000)
     family = ["p", "p p", "p p-"]
     if suite == "full":
         family.append("p? p")
@@ -259,8 +261,8 @@ def _exp_e04(suite: str) -> dict[str, Any]:
     timed_two = None
     for text in family:
         two = fold_two_nfa(reduce_nfa(parse_regex(text).to_nfa()), sigma_pm)
-        lemma4 = complement_two_nfa(two, max_states=200_000)
-        shepherdson = two_nfa_to_dfa(two, max_states=200_000)
+        lemma4 = complement_two_nfa(two, meter=cap.start())
+        shepherdson = two_nfa_to_dfa(two, meter=cap.start())
         series.append(
             [
                 text,
@@ -273,7 +275,7 @@ def _exp_e04(suite: str) -> dict[str, Any]:
         timed_two = two
 
     def complement_largest() -> None:
-        complement_two_nfa(timed_two, max_states=200_000)
+        complement_two_nfa(timed_two, meter=cap.start())
 
     return {
         "exact": {

@@ -24,12 +24,13 @@ Request frames::
   :class:`ProtocolError`: a remote peer must never be able to make the
   server read its own filesystem.  ``id`` is optional and echoed back
   verbatim (the frame index is the fallback identity).
-- ``deadline_ms`` is the per-request wall-clock deadline the server
-  inherits into the check's :class:`repro.budget.Budget` (it can only
-  *tighten* the server default, never extend it).
-- ``kernel`` / ``max_expansions`` are per-request engine options,
-  validated here so a bad value is an error *response*, not a dropped
-  connection.
+- ``deadline_ms`` is the per-request wall-clock deadline inherited into
+  the check's :class:`repro.budget.Budget` (it can only *tighten* the
+  operator's default, never extend it); ``max_expansions`` sets that
+  budget's expansion limit; ``kernel`` is a per-request engine option.
+  All three are validated here, so a bad value is an error *response*,
+  not a dropped connection, and :meth:`ContainRequest.budget` applies
+  them identically on the server and in ``repro batch``.
 - ``request_id`` is the request-scoped telemetry identity: if a client
   supplies one it is propagated verbatim into the access log, flight
   recorder, and response payload; otherwise the server assigns a unique
@@ -62,6 +63,7 @@ import pathlib
 from typing import Any, Mapping
 
 from ..automata.antichain import resolve_kernel
+from ..budget import Budget
 from ..core.batch import BatchItem, error_result
 from ..datalog.parser import parse_program
 from ..rpq.rpq import RPQ, TwoRPQ
@@ -139,8 +141,9 @@ class ContainRequest:
         id: the caller's identifier (frame index when absent).
         left / right: the parsed query objects.
         deadline_ms: per-request wall-clock deadline, or None.
-        options: validated per-request engine options
-            (``kernel`` / ``max_expansions`` only).
+        max_expansions: per-request expansion limit, or None.
+        options: validated per-request engine options (``kernel``
+            only).
         request_id: client-supplied telemetry identity (None = the
             server assigns one).
     """
@@ -152,6 +155,24 @@ class ContainRequest:
     deadline_ms: float | None = None
     options: Mapping[str, Any] = dataclasses.field(default_factory=dict)
     request_id: str | None = None
+    max_expansions: int | None = None
+
+    def budget(self, base: Budget | None) -> Budget | None:
+        """This request's check budget, inherited from the operator's *base*.
+
+        ``deadline_ms`` may only tighten *base*'s deadline
+        (:meth:`Budget.tightened`); ``max_expansions`` replaces its
+        expansion limit.  Every other field of *base* — counters and
+        the escalation policy — carries over unchanged.
+        """
+        budget = base
+        if self.deadline_ms is not None:
+            budget = (budget or Budget()).tightened(self.deadline_ms)
+        if self.max_expansions is not None:
+            budget = dataclasses.replace(
+                budget or Budget(), max_expansions=self.max_expansions
+            )
+        return budget
 
 
 @dataclasses.dataclass(frozen=True)
@@ -232,13 +253,12 @@ def parse_frame(
         except Exception as exc:
             raise ProtocolError(str(exc)) from None
         options["kernel"] = kernel
-    if record.get("max_expansions") is not None:
-        max_expansions = record["max_expansions"]
+    max_expansions = record.get("max_expansions")
+    if max_expansions is not None:
         if not isinstance(max_expansions, int) or isinstance(
             max_expansions, bool
         ) or max_expansions < 1:
             raise ProtocolError("max_expansions must be a positive integer")
-        options["max_expansions"] = max_expansions
     return ContainRequest(
         index=index,
         id=identifier,
@@ -247,6 +267,7 @@ def parse_frame(
         deadline_ms=deadline_ms,
         options=options,
         request_id=request_id,
+        max_expansions=max_expansions,
     )
 
 

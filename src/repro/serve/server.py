@@ -64,7 +64,7 @@ import sys
 import time
 from typing import Any
 
-from ..budget import Budget
+from ..budget import configured_budget
 from ..cache import cache_stats
 from ..core.batch import DEFAULT_WORKERS, BatchItem, ContainmentExecutor
 from ..obs.env import environment_fingerprint
@@ -117,8 +117,11 @@ class ServeConfig:
         drain_grace_ms: after drain starts, how long connections may
             keep sending frames (each shed immediately) before the
             server stops reading and closes them.
-        kernel / max_expansions: default engine options (frames may
-            override per request).
+        kernel: default engine kernel (frames may override it per
+            request).
+        max_expansions: default expansion limit of every check's
+            budget (frames may override it per request; it stays
+            pinned across ``auto_budget`` escalation rounds).
         access_log: NDJSON access-log path (None = no access log);
             one record per served frame, written off the event loop.
         slow_ms: flight-recorder slow threshold — requests at or above
@@ -203,6 +206,35 @@ class _PipeWriter:
         return None
 
 
+async def _read_line(reader: Any) -> bytes:
+    """The next line from *reader*, as ``readline()`` returns it.
+
+    A line over an :class:`asyncio.StreamReader`'s limit (64 KiB by
+    default) is discarded through its newline, read on for if it has
+    not arrived yet so the tail never becomes a frame of its own, and
+    raises :class:`~repro.serve.protocol.ProtocolError`.  (``readline``
+    would raise a bare ValueError and could leave that tail behind.)
+    """
+    if not isinstance(reader, asyncio.StreamReader):
+        return await reader.readline()
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial  # EOF: the unterminated last line, as readline
+    except asyncio.LimitOverrunError as exc:
+        overrun = exc
+    while True:
+        await reader.readexactly(overrun.consumed)
+        try:
+            await reader.readuntil(b"\n")
+            break
+        except asyncio.IncompleteReadError:
+            break
+        except asyncio.LimitOverrunError as exc:
+            overrun = exc
+    raise protocol.ProtocolError("frame exceeds the server's line length limit")
+
+
 class ContainmentServer:
     """One serving process; see the module docstring for the contract."""
 
@@ -211,8 +243,6 @@ class ContainmentServer:
         options: dict[str, Any] = {}
         if config.kernel is not None:
             options["kernel"] = config.kernel
-        if config.max_expansions is not None:
-            options["max_expansions"] = config.max_expansions
         # Constructing the executor validates workers/backend/options
         # eagerly — a bad server config fails at startup, never per
         # request.
@@ -225,14 +255,11 @@ class ContainmentServer:
                 default_deadline_ms=config.deadline_ms,
             )
         )
-        if config.auto_budget:
-            self._base_budget: Budget | None = Budget.auto(
-                deadline_ms=config.deadline_ms
-            ) if config.deadline_ms is not None else Budget.auto()
-        elif config.deadline_ms is not None:
-            self._base_budget = Budget(deadline_ms=config.deadline_ms)
-        else:
-            self._base_budget = None
+        self._base_budget = configured_budget(
+            config.deadline_ms,
+            escalate=config.auto_budget,
+            max_expansions=config.max_expansions,
+        )
         self._draining = asyncio.Event()
         self._drain_deadline: float | None = None
         self._started = time.monotonic()
@@ -357,20 +384,7 @@ class ContainmentServer:
             # conveniences, never readable by a remote peer.
             frame = protocol.parse_frame(line, index, allow_files=False)
         except Exception as exc:
-            _PROTOCOL_ERRORS.inc()
-            _RESPONSES.inc()
-            # id is null for unparseable frames, as in `repro batch`;
-            # the request_id is server-assigned — nothing in a frame
-            # that failed to parse is trusted, its own request_id
-            # included.
-            request_id = self._next_request_id()
-            item = protocol.error_item(index, exc, request_id)
-            self._telemetry.observe(
-                access_record(
-                    request_id=request_id, op="invalid", index=index, item=item
-                )
-            )
-            return protocol.response_payload(None, item, index=index)
+            return self._invalid_payload(exc, index)
         request_id = self._next_request_id(frame.request_id)
         if isinstance(frame, protocol.ControlRequest):
             control_frame = frame
@@ -418,9 +432,7 @@ class ContainmentServer:
         start_deadline = (
             admitted_at + deadline_ms / 1000.0 if deadline_ms is not None else None
         )
-        budget: Budget | None = self._base_budget
-        if frame.deadline_ms is not None:
-            budget = (budget or Budget()).tightened(frame.deadline_ms)
+        budget = frame.budget(self._base_budget)
         # Snapshot the queue depth on the event loop now: the spec
         # fires in a worker (a thread here, a separate *process* on
         # backend="process"), and the controller's state is
@@ -450,6 +462,20 @@ class ContainmentServer:
         return asyncio.ensure_future(
             self._finish(frame, future, admitted_at, sampled=sampled)
         )
+
+    def _invalid_payload(self, exc: BaseException, index: int) -> dict[str, Any]:
+        """The isolated error response for a frame that failed to parse."""
+        _PROTOCOL_ERRORS.inc()
+        _RESPONSES.inc()
+        # id is null for unparseable frames, as in `repro batch`; the
+        # request_id is server-assigned — nothing in a frame that failed
+        # to parse is trusted, its own request_id included.
+        request_id = self._next_request_id()
+        item = protocol.error_item(index, exc, request_id)
+        self._telemetry.observe(
+            access_record(request_id=request_id, op="invalid", index=index, item=item)
+        )
+        return protocol.response_payload(None, item, index=index)
 
     async def _finish(
         self,
@@ -559,12 +585,16 @@ class ContainmentServer:
     async def _read_frame(self, reader: asyncio.StreamReader) -> bytes | None:
         """One line from the peer; None means stop (EOF or grace over).
 
+        Raises :class:`~repro.serve.protocol.ProtocolError` for a line
+        over the reader's limit, already discarded (see
+        :func:`_read_line`).
+
         Before drain, wake on *either* a line or the drain event so an
         idle connection starts its grace clock the moment drain begins;
         after drain, reads are bounded by the remaining grace.
         """
         if not self.draining:
-            read_task = asyncio.ensure_future(reader.readline())
+            read_task = asyncio.ensure_future(_read_line(reader))
             drain_task = asyncio.ensure_future(self._draining.wait())
             try:
                 done, _ = await asyncio.wait(
@@ -584,7 +614,7 @@ class ContainmentServer:
         if remaining <= 0:
             return None
         try:
-            return await asyncio.wait_for(reader.readline(), remaining)
+            return await asyncio.wait_for(_read_line(reader), remaining)
         except asyncio.TimeoutError:
             return None
 
@@ -632,7 +662,15 @@ class ContainmentServer:
         index = 0
         try:
             while True:
-                line = await self._read_frame(reader)
+                try:
+                    line = await self._read_frame(reader)
+                except protocol.ProtocolError as exc:
+                    # An oversized frame, discarded through its newline:
+                    # answered in place, and the connection lives on.
+                    _REQUESTS.inc()
+                    await responses.put(self._invalid_payload(exc, index))
+                    index += 1
+                    continue
                 if not line:  # EOF, or drain grace expired
                     break
                 text = line.decode("utf-8", errors="replace")

@@ -7,7 +7,6 @@ import pytest
 from repro.automata.alphabet import Alphabet
 from repro.automata.complement import (
     LazyComplement,
-    StateBudgetExceeded,
     complement_two_nfa,
     lemma4_state_bound,
 )
@@ -15,6 +14,7 @@ from repro.automata.dfa import reduce_nfa
 from repro.automata.fold import fold_two_nfa
 from repro.automata.regex import parse_regex
 from repro.automata.two_nfa import one_way_as_two_way
+from repro.budget import Budget, BudgetExhausted
 
 
 def fold_of(text: str, alphabet):
@@ -51,8 +51,10 @@ class TestMaterializedComplement:
 
     def test_state_budget(self):
         two = fold_of("p p- p", SIGMA_P)
-        with pytest.raises(StateBudgetExceeded):
-            complement_two_nfa(two, max_states=2)
+        with pytest.raises(BudgetExhausted) as info:
+            complement_two_nfa(two, meter=Budget(max_states=2).start())
+        assert info.value.resource == "states"
+        assert info.value.limit == 2
 
     def test_stays_within_lemma4_bound(self):
         two = fold_of("p", SIGMA_P)

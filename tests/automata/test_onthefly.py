@@ -4,12 +4,12 @@ import pytest
 
 from repro.automata.nfa import NFA
 from repro.automata.onthefly import (
-    SearchBudgetExceeded,
     SearchStats,
     find_accepted_word,
     intersection_is_empty,
 )
 from repro.automata.regex import parse_regex
+from repro.budget import Budget, BudgetExhausted
 
 
 def nfa_of(text: str) -> NFA:
@@ -42,12 +42,14 @@ class TestFindAcceptedWord:
         assert find_accepted_word([empty, nfa_of("a")], ("a",)) is None
 
     def test_budget_raises(self):
-        with pytest.raises(SearchBudgetExceeded):
+        with pytest.raises(BudgetExhausted) as info:
             find_accepted_word(
                 [nfa_of("(a|b)(a|b)(a|b)(a|b)"), nfa_of("b b b b")],
                 ("a", "b"),
-                max_configs=2,
+                meter=Budget(max_configs=2).start(),
             )
+        assert info.value.resource == "configs"
+        assert info.value.limit == 2
 
     def test_stats_populated(self):
         stats = SearchStats()

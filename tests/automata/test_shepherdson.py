@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from repro.automata.alphabet import Alphabet
-from repro.automata.complement import StateBudgetExceeded, complement_two_nfa
+from repro.automata.complement import complement_two_nfa
 from repro.automata.dfa import reduce_nfa
 from repro.automata.fold import fold_two_nfa
 from repro.automata.regex import parse_regex
@@ -15,6 +15,7 @@ from repro.automata.shepherdson import (
     two_nfa_to_dfa,
 )
 from repro.automata.two_nfa import one_way_as_two_way
+from repro.budget import Budget, BudgetExhausted
 
 SIGMA_P = Alphabet(("p",)).two_way
 SIGMA_AB = Alphabet(("a", "b")).two_way
@@ -54,8 +55,10 @@ class TestDeterminization:
 
     def test_budget(self, rng, random_two_nfa):
         two = random_two_nfa(rng, 5, ("a", "b"), density=0.3)
-        with pytest.raises(StateBudgetExceeded):
-            two_nfa_to_dfa(two, max_states=1)
+        with pytest.raises(BudgetExhausted) as info:
+            two_nfa_to_dfa(two, meter=Budget(max_states=1).start())
+        assert info.value.resource == "states"
+        assert info.value.limit == 1
 
 
 class TestNaiveComplement:

@@ -106,6 +106,28 @@ class TestDifferentialOracle:
             assert item.result.verdict is Verdict.HOLDS_UP_TO_BOUND
             assert item.result.details["budget"]["spend"]["expansions"] == 5
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_items_carry_their_own_budget_and_options(self, backend):
+        from repro.datalog.parser import parse_program
+
+        program = parse_program("t(x,y) :- e(x,y). t(x,z) :- t(x,y), e(y,z).")
+        holds = (RPQ(parse_regex("a a")), RPQ(parse_regex("a+")))
+        batch = check_containment_many(
+            [
+                (program, program, Budget(max_expansions=5), None),
+                (*holds, None, {"kernel": "subset"}),
+                holds,
+            ],
+            workers=2,
+            backend=backend,
+            budget=Budget(max_expansions=7),
+            kernel="antichain",
+        )
+        first, second, third = batch.results
+        assert first.bound == 5  # the item's budget replaces the batch's
+        assert second.details["kernel"]["requested"] == "subset"
+        assert third.details["kernel"]["requested"] == "antichain"
+
     def test_empty_batch(self):
         batch = check_containment_many([], workers=4)
         assert isinstance(batch, BatchResult)

@@ -121,6 +121,19 @@ class TestCommands:
         assert code == 0
         assert "bound" in capsys.readouterr().out
 
+    def test_auto_budget_keeps_max_expansions(self, capsys):
+        """Regression: --auto-budget used to drop --max-expansions, so each
+        escalation round ran at its own schedule until the deadline."""
+        program = "datalog:t(x,y) :- e(x,y). t(x,z) :- t(x,y), e(y,z)."
+        code = main(
+            [
+                "contain", program, program, "--auto-budget",
+                "--deadline-ms", "400", "--max-expansions", "5",
+            ]
+        )
+        assert code == 0
+        assert "holds up to bound 5" in capsys.readouterr().out
+
     def test_contain_kernel_flag_agreement(self, capsys):
         for kernel in ("subset", "antichain", "auto"):
             assert main(["contain", "rpq:a a", "rpq:a+", "--kernel", kernel]) == 0
@@ -365,6 +378,32 @@ class TestBatchCommand:
         assert lines[1]["verdict"] == "error"
         assert lines[1]["id"] is None
         assert "1 line(s) failed to parse" in captured.err
+
+    def test_line_limits_and_kernel_apply(self, tmp_path, capsys):
+        """Regression: each line's max_expansions and kernel used to be
+        dropped (bound 3000, requested "auto"); they apply as on the
+        server."""
+        tc = "datalog:t(x,y) :- e(x,y). t(x,z) :- t(x,y), e(y,z)."
+        text = (
+            json.dumps({"left": tc, "right": tc, "max_expansions": 5}) + "\n"
+            + '{"left": "rpq:a a", "right": "rpq:a+", "kernel": "subset"}\n'
+        )
+        assert self.run_batch(tmp_path, text) == 0
+        first, second = map(json.loads, capsys.readouterr().out.splitlines())
+        assert first["verdict"] == "holds_up_to_bound"
+        assert first["bound"] == 5
+        assert second["kernel"]["requested"] == "subset"
+        assert second["kernel"]["selected"] == "subset"
+
+    def test_line_deadline_applies(self, tmp_path, capsys):
+        tc = "datalog:t(x,y) :- e(x,y). t(x,z) :- t(x,y), e(y,z)."
+        text = json.dumps({"left": tc, "right": tc, "deadline_ms": 5000}) + "\n"
+        assert self.run_batch(tmp_path, text) == 0
+        [line] = map(json.loads, capsys.readouterr().out.splitlines())
+        # The deadline reached the check: its meter reports the spend
+        # (an unmetered check reports an empty one).
+        assert line["verdict"] == "holds_up_to_bound"
+        assert "elapsed_ms" in line["budget"]["spend"]
 
     def test_empty_workload_to_output_file(self, tmp_path, capsys):
         workload = tmp_path / "w.ndjson"

@@ -45,7 +45,7 @@ class TestSameClassDispatch:
     def test_grq_pair(self):
         left = transitive_closure_program("edge", "tc")
         right = transitive_closure_program("edge", "tc", left_linear=False)
-        result = check_containment(left, right, max_expansions=25)
+        result = check_containment(left, right, budget=Budget(max_expansions=25))
         assert result.method == "grq-expansion" and result.holds
 
     def test_general_datalog_pair(self):
@@ -61,7 +61,7 @@ class TestSameClassDispatch:
             t(x, z) :- t(x, y), e(y, z).
             """
         )
-        result = check_containment(nonlinear, linear, max_expansions=25)
+        result = check_containment(nonlinear, linear, budget=Budget(max_expansions=25))
         assert result.method == "expansion-vs-evaluation" and result.holds
 
 
@@ -80,14 +80,17 @@ class TestMixedClassDispatch:
     def test_graph_query_vs_datalog(self):
         tc = transitive_closure_program("e", "tc")
         assert check_containment(TwoRPQ.parse("e e"), tc).holds
-        result = check_containment(tc, TwoRPQ.parse("e e"), max_expansions=15)
+        result = check_containment(
+            tc, TwoRPQ.parse("e e"), budget=Budget(max_expansions=15)
+        )
         assert result.verdict is Verdict.REFUTED
 
     def test_cq_vs_datalog(self):
         tc = transitive_closure_program("e", "tc")
         path2 = cq_from_strings("x,z", ["e(x,y)", "e(y,z)"])
         assert check_containment(path2, tc).verdict is Verdict.HOLDS
-        assert check_containment(tc, path2, max_expansions=15).verdict is Verdict.REFUTED
+        result = check_containment(tc, path2, budget=Budget(max_expansions=15))
+        assert result.verdict is Verdict.REFUTED
 
     def test_ucq_vs_nonrecursive_program(self):
         program = parse_program("p(x, z) :- e(x, y), e(y, z).")
@@ -113,12 +116,12 @@ class TestOptionsForwarding:
 
     def test_expansion_budget_option(self):
         tc = transitive_closure_program("e", "tc")
-        result = check_containment(tc, tc, max_expansions=5)
+        result = check_containment(tc, tc, budget=Budget(max_expansions=5))
         assert result.details["expansions_checked"] <= 5
 
 
 def _class_matrix():
-    """One containment pair per query class, with any options it needs."""
+    """One containment pair per query class, with any arguments it needs."""
     triangle, union = paper_example_1()
     return {
         "rpq": (RPQ.parse("a a"), RPQ.parse("a+"), {}),
@@ -132,7 +135,7 @@ def _class_matrix():
         "datalog": (
             transitive_closure_program("e", "tc"),
             transitive_closure_program("e", "tc", left_linear=False),
-            {"max_expansions": 25},
+            {"budget": Budget(max_expansions=25)},
         ),
     }
 
@@ -146,7 +149,9 @@ class TestDetailsNormalization:
     )
     def test_details_carry_cache_and_budget(self, label, budget):
         q1, q2, options = _class_matrix()[label]
-        result = check_containment(q1, q2, budget=budget, **options)
+        if budget is not None:
+            options = {**options, "budget": budget}
+        result = check_containment(q1, q2, **options)
         assert "cache" in result.details, label
         assert "budget" in result.details, label
         assert "spend" in result.details["budget"], label

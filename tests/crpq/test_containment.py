@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.budget import Budget
 from repro.crpq.containment import uc2rpq_contained, uc2rpq_equivalent
 from repro.crpq.evaluation import satisfies_uc2rpq
 from repro.crpq.syntax import C2RPQ, UC2RPQ, paper_example_1, two_rpq_as_uc2rpq
@@ -42,14 +43,14 @@ class TestBoundedVerdicts:
     def test_infinite_left_language_gives_bounded_holds(self):
         plus = C2RPQ.from_strings("x,y", [("a+", "x", "y")])
         star_of = C2RPQ.from_strings("x,y", [("a a*|()", "x", "y")])
-        result = uc2rpq_contained(plus, star_of, max_total_length=5)
+        result = uc2rpq_contained(plus, star_of, budget=Budget(max_total_length=5))
         assert result.verdict is Verdict.HOLDS_UP_TO_BOUND
         assert result.bound == 5
 
     def test_refutation_of_infinite_left_is_exact(self):
         plus = C2RPQ.from_strings("x,y", [("a+", "x", "y")])
         two = C2RPQ.from_strings("x,y", [("a a", "x", "y")])
-        result = uc2rpq_contained(plus, two, max_total_length=5)
+        result = uc2rpq_contained(plus, two, budget=Budget(max_total_length=5))
         assert result.verdict is Verdict.REFUTED
         assert satisfies_uc2rpq(plus, *_unpack(result))
         assert not satisfies_uc2rpq(two, *_unpack(result))
@@ -59,7 +60,7 @@ class TestBoundedVerdicts:
         long_word = "a a a a a a a a"  # length 8 > default bound 6
         query = C2RPQ.from_strings("x,y", [(long_word, "x", "y")])
         star = C2RPQ.from_strings("x,y", [("a+", "x", "y")])
-        result = uc2rpq_contained(query, star, max_total_length=2)
+        result = uc2rpq_contained(query, star, budget=Budget(max_total_length=2))
         assert result.verdict is Verdict.HOLDS
 
 
@@ -79,7 +80,9 @@ class TestAgainstTwoRPQEngine:
         q1, q2 = TwoRPQ.parse(left), TwoRPQ.parse(right)
         exact = two_rpq_contained(q1, q2)
         expansion = uc2rpq_contained(
-            two_rpq_as_uc2rpq(q1), two_rpq_as_uc2rpq(q2), max_total_length=6
+            two_rpq_as_uc2rpq(q1),
+            two_rpq_as_uc2rpq(q2),
+            budget=Budget(max_total_length=6),
         )
         assert exact.holds == expansion.holds, (left, right)
 
@@ -107,7 +110,7 @@ class TestConjunctionVsIntersection:
     def test_equivalence_helper(self):
         a = C2RPQ.from_strings("x,y", [("a a*", "x", "y")])
         b = C2RPQ.from_strings("x,y", [("a+", "x", "y")])
-        assert uc2rpq_equivalent(a, b, max_total_length=4)
+        assert uc2rpq_equivalent(a, b, budget=Budget(max_total_length=4))
 
 
 def _unpack(result):

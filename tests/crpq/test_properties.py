@@ -7,6 +7,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.automata.regex import random_regex
+from repro.budget import Budget
 from repro.cq.syntax import Var
 from repro.crpq.containment import uc2rpq_contained
 from repro.crpq.evaluation import evaluate_c2rpq, satisfies_c2rpq
@@ -66,7 +67,7 @@ def test_containment_holds_is_sound_on_samples(seed, db_seed):
     rng = random.Random(seed)
     q1 = random_c2rpq(rng, 1)
     q2 = random_c2rpq(rng, 1)
-    result = uc2rpq_contained(q1, q2, max_total_length=4)
+    result = uc2rpq_contained(q1, q2, budget=Budget(max_total_length=4))
     if result.verdict is Verdict.HOLDS:
         db = random_graph(4, 8, LABELS, seed=db_seed)
         assert evaluate_c2rpq(q1, db) <= evaluate_c2rpq(q2, db)
@@ -78,7 +79,7 @@ def test_refutations_replay(seed):
     rng = random.Random(seed)
     q1 = random_c2rpq(rng, 1)
     q2 = random_c2rpq(rng, 1)
-    result = uc2rpq_contained(q1, q2, max_total_length=4)
+    result = uc2rpq_contained(q1, q2, budget=Budget(max_total_length=4))
     if result.verdict is Verdict.REFUTED:
         db = result.counterexample.database
         head = result.counterexample.output

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.budget import Budget
 from repro.report import Verdict
 from repro.cq.syntax import UCQ, cq_from_strings
 from repro.datalog.containment import (
@@ -64,7 +65,7 @@ class TestDatalogInUCQ:
 
     def test_recursive_refutation_is_exact(self, tc):
         single = cq_from_strings("x,y", ["edge(x,y)"])
-        result = datalog_in_ucq(tc, UCQ((single,)), max_expansions=20)
+        result = datalog_in_ucq(tc, UCQ((single,)), budget=Budget(max_expansions=20))
         assert result.verdict is Verdict.REFUTED
         # The smallest counterexample: a 2-chain.
         assert result.counterexample.database.num_facts == 2
@@ -72,7 +73,9 @@ class TestDatalogInUCQ:
     def test_recursive_positive_is_bounded(self, tc):
         everything = cq_from_strings("x,y", ["edge(x,u)", "edge(v,y)"])
         # tc(x,y) implies an edge leaves x and an edge enters y.
-        result = datalog_in_ucq(tc, UCQ((everything,)), max_expansions=20)
+        result = datalog_in_ucq(
+            tc, UCQ((everything,)), budget=Budget(max_expansions=20)
+        )
         assert result.verdict is Verdict.HOLDS_UP_TO_BOUND
         assert result.bound is not None
 
@@ -80,7 +83,7 @@ class TestDatalogInUCQ:
 class TestDatalogInDatalog:
     def test_left_and_right_linear_tc_agree(self, tc):
         right = transitive_closure_program("edge", "tc", left_linear=False)
-        assert datalog_equivalent_bounded(tc, right, max_expansions=25)
+        assert datalog_equivalent_bounded(tc, right, budget=Budget(max_expansions=25))
 
     def test_tc_contains_squared_tc(self, tc):
         """tc over edge ⊑ tc over (edge ∪ edge²) — and not conversely."""
@@ -93,8 +96,8 @@ class TestDatalogInDatalog:
             """,
             goal="tc2",
         )
-        assert datalog_in_datalog(tc, rich, max_expansions=25).holds
-        result = datalog_in_datalog(rich, tc, max_expansions=25)
+        assert datalog_in_datalog(tc, rich, budget=Budget(max_expansions=25)).holds
+        result = datalog_in_datalog(rich, tc, budget=Budget(max_expansions=25))
         assert result.verdict is Verdict.HOLDS_UP_TO_BOUND  # actually equivalent
 
     def test_goal_arity_mismatch(self, tc):
@@ -110,9 +113,90 @@ class TestDatalogInDatalog:
 
     def test_refutation_counterexample_replays(self, tc):
         two_hop = parse_program("p(x, z) :- edge(x, y), edge(y, z).", goal="p")
-        result = datalog_in_datalog(tc, two_hop, max_expansions=10)
+        result = datalog_in_datalog(tc, two_hop, budget=Budget(max_expansions=10))
         assert result.verdict is Verdict.REFUTED
         instance = result.counterexample.database
         head = result.counterexample.output
         assert head in evaluate(tc, instance)
         assert head not in evaluate(two_hop, instance)
+
+
+def _expansion_callers():
+    """Each caller of ``expansion_containment`` with its fixtures.
+
+    Maps a caller to ``(check, method, exact_method, cases)``: *cases*
+    holds a refutable pair, a pair with a nonrecursive left side, and a
+    recursive pair that holds; *exact_method* is the method name the
+    nonrecursive pair reports.
+    """
+    from repro.grq.containment import grq_contained
+    from repro.rq.containment import rq_contained
+    from repro.rq.syntax import TransitiveClosure, edge, path_query
+
+    tc = transitive_closure_program("edge", "tc")
+    two_hop = parse_program("p(x, z) :- edge(x, y), edge(y, z).", goal="p")
+    programs = {"refuted": (tc, two_hop), "exact": (two_hop, tc), "bounded": (tc, tc)}
+    rq_tc = TransitiveClosure(edge("edge", "x", "y"))
+    single = UCQ((cq_from_strings("x,y", ["edge(x,y)"]),))
+    everything = UCQ((cq_from_strings("x,y", ["edge(x,u)", "edge(v,y)"]),))
+    return {
+        "rq": (
+            rq_contained,
+            "rq-expansion",
+            "rq-expansion",
+            {
+                "refuted": (rq_tc, edge("edge", "x", "y")),
+                "exact": (path_query(["edge", "edge"]), rq_tc),
+                "bounded": (rq_tc, rq_tc),
+            },
+        ),
+        "grq": (grq_contained, "grq-expansion", "grq-expansion", programs),
+        "datalog": (
+            datalog_in_datalog,
+            "expansion-vs-evaluation",
+            "expansion-vs-evaluation",
+            programs,
+        ),
+        "datalog-ucq": (
+            datalog_in_ucq,
+            "expansion",
+            "unfold-to-ucq",
+            {
+                "refuted": (tc, single),
+                "exact": (two_hop, everything),
+                "bounded": (tc, everything),
+            },
+        ),
+    }
+
+
+@pytest.mark.parametrize("caller", ["rq", "grq", "datalog", "datalog-ucq"])
+def test_expansion_containment_callers(caller):
+    """The shared expansion loop gives every tower the same verdicts."""
+    check, method, exact_method, cases = _expansion_callers()[caller]
+
+    refuted = check(*cases["refuted"])
+    assert refuted.verdict is Verdict.REFUTED
+    assert refuted.method == method
+    assert refuted.counterexample is not None
+    assert refuted.details["expansions_checked"] >= 1
+
+    exact = check(*cases["exact"])
+    assert exact.verdict is Verdict.HOLDS
+    assert exact.method == exact_method
+
+    bounded = check(*cases["bounded"], budget=Budget(max_expansions=5))
+    assert bounded.verdict is Verdict.HOLDS_UP_TO_BOUND
+    assert bounded.method == method
+    assert bounded.bound == 5
+    assert bounded.details["expansions_checked"] == 5
+    assert bounded.details["budget"]["spend"]["expansions"] == 5
+
+    # Enough applications for the meter to poll its (already spent)
+    # deadline before the enumeration ends on its own.
+    spent = check(
+        *cases["bounded"], budget=Budget(deadline_ms=0.0, max_applications=200)
+    )
+    assert spent.verdict is Verdict.INCONCLUSIVE
+    assert spent.method == method
+    assert spent.details["budget"]["exhausted"] == "deadline"

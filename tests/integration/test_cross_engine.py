@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from repro.budget import Budget
 from repro.core.engine import check_containment
 from repro.core.witness import verify_counterexample
 from repro.crpq.containment import uc2rpq_contained
@@ -45,7 +46,7 @@ class TestTwoRPQvsExpansion:
                 expansion = uc2rpq_contained(
                     two_rpq_as_uc2rpq(q1),
                     two_rpq_as_uc2rpq(q2),
-                    max_total_length=5,
+                    budget=Budget(max_total_length=5),
                 )
                 if expansion.verdict is Verdict.REFUTED:
                     assert exact.verdict is Verdict.REFUTED, (q1, q2)
@@ -64,8 +65,7 @@ class TestTwoRPQvsRQEmbedding:
                 via_rq = rq_contained(
                     two_rpq_to_rq(q1, ("a",)),
                     two_rpq_to_rq(q2, ("a",)),
-                    max_applications=16,
-                    max_expansions=120,
+                    budget=Budget(max_applications=16, max_expansions=120),
                 )
                 if via_rq.verdict is Verdict.REFUTED:
                     assert exact.verdict is Verdict.REFUTED, (q1, q2)
@@ -86,11 +86,11 @@ class TestRQvsDatalog:
         ]
         for q1 in candidates:
             for q2 in candidates:
-                via_rq = rq_contained(q1, q2, max_expansions=40)
+                via_rq = rq_contained(q1, q2, budget=Budget(max_expansions=40))
                 via_datalog = datalog_in_datalog(
                     rq_to_datalog(q1, prefix="l"),
                     rq_to_datalog(q2, prefix="r"),
-                    max_expansions=40,
+                    budget=Budget(max_expansions=40),
                 )
                 assert via_rq.holds == via_datalog.holds, (q1, q2)
 

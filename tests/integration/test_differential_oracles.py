@@ -26,6 +26,7 @@ import random
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.automata.regex import random_regex
+from repro.budget import Budget
 from repro.cache import clear_caches, use_caching
 from repro.crpq.evaluation import evaluate_uc2rpq, satisfies_uc2rpq
 from repro.crpq.containment import uc2rpq_contained
@@ -151,7 +152,9 @@ def test_uc2rpq_evaluation_agrees_with_datalog_translation(seed, db_seed):
 def test_uc2rpq_refutation_separates_the_datalog_translations(seed):
     """A containment counterexample separates the translated programs too."""
     q1, q2 = _c2rpq(seed), _c2rpq(seed + 1)
-    result = uc2rpq_contained(q1, q2, max_total_length=4, max_expansions=300)
+    result = uc2rpq_contained(
+        q1, q2, budget=Budget(max_total_length=4, max_expansions=300)
+    )
     if result.verdict is not Verdict.REFUTED:
         return
     db = result.counterexample.database
@@ -191,7 +194,7 @@ def test_rq_refutation_separates_the_datalog_translations(seed):
     q2 = random_rq(rng, ALPHABET, 2)
     if q1.arity != q2.arity:
         return
-    result = rq_contained(q1, q2, max_applications=8, max_expansions=120)
+    result = rq_contained(q1, q2, budget=Budget(max_applications=8, max_expansions=120))
     if result.verdict is not Verdict.REFUTED:
         return
     db = result.counterexample.database

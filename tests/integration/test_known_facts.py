@@ -9,6 +9,7 @@ Expected values: True = must not be refuted; False = must be REFUTED.
 
 import pytest
 
+from repro.budget import Budget
 from repro.core.engine import check_containment
 from repro.cq.syntax import cq_from_strings
 from repro.crpq.syntax import C2RPQ
@@ -117,7 +118,7 @@ CORPUS = [
     "label,q1,q2,expected", CORPUS, ids=[row[0] for row in CORPUS]
 )
 def test_known_fact(label, q1, q2, expected):
-    result = check_containment(q1, q2, max_expansions=60)
+    result = check_containment(q1, q2, budget=Budget(max_expansions=60))
     if expected:
         assert result.verdict is not Verdict.REFUTED, (label, result.describe())
     else:

@@ -13,6 +13,7 @@ from repro.automata.complement import complement_two_nfa, lemma4_state_bound
 from repro.automata.dfa import nfa_contains, reduce_nfa
 from repro.automata.fold import fold_two_nfa, folds_onto, lemma3_state_bound
 from repro.automata.regex import parse_regex
+from repro.budget import Budget
 from repro.core.engine import check_containment
 from repro.core.witness import verify_counterexample
 from repro.cq.containment import cq_contained
@@ -231,7 +232,9 @@ class TestSection3_4_RQClosure:
     an RQ; no bounded-length UC2RPQ approximation equals it."""
 
     def test_triangle_plus_strictly_extends_triangle(self):
-        result = rq_contained(triangle_plus(), triangle_query(), max_expansions=40)
+        result = rq_contained(
+            triangle_plus(), triangle_query(), budget=Budget(max_expansions=40)
+        )
         assert result.verdict is Verdict.REFUTED
         assert rq_contained(triangle_query(), triangle_plus()).holds
 
@@ -260,9 +263,13 @@ class TestSection3_4_RQClosure:
             # approx ⊑ triangle+ always; the converse must fail.  Each
             # chained triangle costs ~8 rule applications in the Datalog
             # image, so k+1 triangles need a deeper application bound.
-            assert rq_contained(approx, triangle_plus(), max_expansions=60).holds
+            assert rq_contained(
+                approx, triangle_plus(), budget=Budget(max_expansions=60)
+            ).holds
             assert not rq_contained(
-                triangle_plus(), approx, max_applications=40, max_expansions=60
+                triangle_plus(),
+                approx,
+                budget=Budget(max_applications=40, max_expansions=60),
             ).holds
 
 
@@ -288,8 +295,8 @@ class TestTheorem8_GRQ:
         tc = transitive_closure_program("edge", "tc")
         rq_tc = TransitiveClosure(edge("edge", "x", "y"))
         # The RQ and its hand-written GRQ program are equivalent.
-        assert check_containment(rq_tc, tc, max_expansions=25).holds
-        assert check_containment(tc, rq_tc, max_expansions=25).holds
+        assert check_containment(rq_tc, tc, budget=Budget(max_expansions=25)).holds
+        assert check_containment(tc, rq_tc, budget=Budget(max_expansions=25)).holds
 
     def test_undecidable_fragment_falls_back(self):
         """Outside GRQ, the engine degrades to the semi-decision."""
@@ -300,6 +307,6 @@ class TestTheorem8_GRQ:
             """
         )
         linear = transitive_closure_program("e", "t")
-        result = check_containment(nonlinear, linear, max_expansions=20)
+        result = check_containment(nonlinear, linear, budget=Budget(max_expansions=20))
         assert result.method == "expansion-vs-evaluation"
         assert result.holds  # the two are equivalent; bounded verdict

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.budget import Budget
 from repro.cq.syntax import Var
 from repro.report import Verdict
 from repro.rq.containment import rq_contained, rq_equivalent
@@ -43,20 +44,22 @@ class TestExactCases:
 class TestBoundedCases:
     def test_tc_in_itself_is_bounded_positive(self):
         tc = TransitiveClosure(edge("e", "x", "y"))
-        result = rq_contained(tc, tc, max_expansions=30)
+        result = rq_contained(tc, tc, budget=Budget(max_expansions=30))
         assert result.verdict is Verdict.HOLDS_UP_TO_BOUND
         assert result.details["expansions_checked"] > 0
 
     def test_tc_vs_tc_of_union(self):
         small = TransitiveClosure(edge("a", "x", "y"))
         big = TransitiveClosure(Or(edge("a", "x", "y"), edge("b", "x", "y")))
-        assert rq_contained(small, big, max_expansions=25).holds
+        assert rq_contained(small, big, budget=Budget(max_expansions=25)).holds
         # The converse is refuted (a b-edge chain).
-        result = rq_contained(big, small, max_expansions=25)
+        result = rq_contained(big, small, budget=Budget(max_expansions=25))
         assert result.verdict is Verdict.REFUTED
 
     def test_triangle_plus_not_in_triangle(self):
-        result = rq_contained(triangle_plus(), triangle_query(), max_expansions=40)
+        result = rq_contained(
+            triangle_plus(), triangle_query(), budget=Budget(max_expansions=40)
+        )
         assert result.verdict is Verdict.REFUTED
 
     def test_composition_vs_tc(self):
@@ -75,8 +78,8 @@ class TestEquivalence:
     def test_tc_idempotent(self):
         tc = TransitiveClosure(edge("e", "x", "y"))
         tctc = TransitiveClosure(tc)
-        assert rq_contained(tc, tctc, max_expansions=20).holds
-        assert rq_contained(tctc, tc, max_expansions=20).holds
+        assert rq_contained(tc, tctc, budget=Budget(max_expansions=20)).holds
+        assert rq_contained(tctc, tc, budget=Budget(max_expansions=20)).holds
 
 
 class TestCrossEngineConsistency:
@@ -93,6 +96,6 @@ class TestCrossEngineConsistency:
             via_rq = rq_contained(
                 two_rpq_to_rq(q1, ("a", "b")),
                 two_rpq_to_rq(q2, ("a", "b")),
-                max_expansions=40,
+                budget=Budget(max_expansions=40),
             )
             assert exact.holds == via_rq.holds, (left, right)

@@ -18,6 +18,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.budget import Budget
 from repro.core.batch import BatchItem
 from repro.report import Verdict
 from repro.serve import protocol
@@ -95,9 +96,24 @@ class TestFrameParsing:
             assert frame.deadline_ms == pytest.approx(record["deadline_ms"])
         else:
             assert frame.deadline_ms is None
-        for key in ("kernel", "max_expansions"):
-            assert frame.options.get(key) == record.get(key)
-        assert "unknown_extra" not in frame.options
+        assert frame.options.get("kernel") == record.get("kernel")
+        assert frame.max_expansions == record.get("max_expansions")
+        assert set(frame.options) <= {"kernel"}
+
+    def test_request_budget_inherits_the_base(self):
+        frame = protocol.parse_frame(
+            '{"left": "rpq:a", "right": "rpq:a", "deadline_ms": 50, '
+            '"max_expansions": 5}'
+        )
+        base = Budget.auto(deadline_ms=200.0, max_expansions=64)
+        budget = frame.budget(base)
+        assert budget.deadline_ms == 50.0  # tightened, never extended
+        assert budget.max_expansions == 5  # the frame's limit replaces
+        assert budget.escalate  # the rest of the base carries over
+        assert frame.budget(None) == Budget(deadline_ms=50.0, max_expansions=5)
+        bare = protocol.parse_frame('{"left": "rpq:a", "right": "rpq:a"}')
+        assert bare.budget(base) is base
+        assert bare.budget(None) is None
 
     @SETTINGS
     @given(line=st.sampled_from(MALFORMED_FRAMES))

@@ -176,6 +176,87 @@ class TestOrderingAndIsolation:
         asyncio.run(run())
 
 
+TC_SPEC = "datalog:t(x,y) :- e(x,y). t(x,z) :- t(x,y), e(y,z)."
+
+
+class TestBudgetFields:
+    def test_auto_budget_server_keeps_its_max_expansions(self):
+        """Regression: escalation rounds used to override the server's
+        max_expansions with their own schedule."""
+        frame = json.dumps({"id": "tc", "left": TC_SPEC, "right": TC_SPEC})
+
+        async def run():
+            async with running_server(auto_budget=True, max_expansions=5) as (
+                server,
+                port,
+            ):
+                [resp] = await roundtrip(port, [frame])
+                assert resp["verdict"] == "holds_up_to_bound"
+                assert resp["bound"] == 5
+
+        asyncio.run(run())
+
+    def test_frame_max_expansions_on_an_auto_budget_server(self):
+        frame = json.dumps(
+            {"id": "tc", "left": TC_SPEC, "right": TC_SPEC, "max_expansions": 5}
+        )
+
+        async def run():
+            async with running_server(auto_budget=True, max_expansions=50) as (
+                server,
+                port,
+            ):
+                [resp] = await roundtrip(port, [frame])
+                assert resp["verdict"] == "holds_up_to_bound"
+                assert resp["bound"] == 5
+
+        asyncio.run(run())
+
+
+class TestOversizedFrames:
+    """A frame over the reader's line limit is answered in place."""
+
+    @pytest.mark.parametrize("size", [80_000, 1_000_000], ids=["80KB", "1MB"])
+    def test_oversized_middle_frame_gets_one_error_response(self, size):
+        oversized = json.dumps(
+            {"id": 2, "left": "rpq:" + "a " * (size // 2), "right": "rpq:a"}
+        )
+        frames = [
+            '{"id": 1, "left": "rpq:a a", "right": "rpq:a+"}',
+            oversized,
+            '{"id": 3, "left": "rpq:a+", "right": "rpq:a a"}',
+            '{"op": "health"}',
+        ]
+
+        async def run():
+            async with running_server() as (server, port):
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                for _ in range(500):
+                    if server._connections:
+                        break
+                    await asyncio.sleep(0.01)
+                [conn_task] = server._connections
+                writer.write("".join(f + "\n" for f in frames).encode())
+                await writer.drain()
+                writer.write_eof()
+                responses = []
+                while line := await reader.readline():
+                    responses.append(json.loads(line))
+                writer.close()
+                await asyncio.wait_for(asyncio.wait({conn_task}), timeout=10)
+                assert [r["id"] for r in responses[:3]] == [1, None, 3]
+                assert [r["index"] for r in responses] == [0, 1, 2, 3]
+                assert responses[0]["verdict"] == "holds"
+                assert responses[1]["verdict"] == "error"
+                assert responses[1]["error"]["type"] == "ProtocolError"
+                assert responses[2]["verdict"] == "refuted"
+                assert responses[3]["op"] == "health"
+                assert responses[3]["queue_depth"] == 0
+                assert conn_task.exception() is None
+
+        asyncio.run(run())
+
+
 class TestLoadShedding:
     def test_queue_full_sheds_with_admission_details(self, monkeypatch):
         gate = threading.Event()
