@@ -11,7 +11,8 @@ Public surface:
 - :mod:`repro.automata.complement` — Lemma 4 (single-exponential 2NFA
   complementation) plus its lazy, on-the-fly variant.
 - :mod:`repro.automata.shepherdson` — the classical conversion baseline.
-- :mod:`repro.automata.onthefly` — generic on-the-fly product emptiness.
+- :mod:`repro.automata.onthefly` — on-the-fly product emptiness for an
+  NFA against lazily complemented two-way automata.
 - :mod:`repro.automata.indexed` — integer-indexed bitset kernels every
   hot path above runs on.
 """
@@ -39,11 +40,7 @@ from .dfa import (
 from .fold import fold_two_nfa, folds_onto, fold_witness, lemma3_state_bound
 from .indexed import IndexedDFA, IndexedNFA
 from .nfa import NFA, Word, from_epsilon_nfa
-from .onthefly import (
-    SearchStats,
-    find_accepted_word,
-    intersection_is_empty,
-)
+from .onthefly import find_accepted_word, intersection_is_empty
 from .regex import (
     Concat,
     EmptySet,
@@ -96,7 +93,6 @@ __all__ = [
     "NFA",
     "Word",
     "from_epsilon_nfa",
-    "SearchStats",
     "find_accepted_word",
     "intersection_is_empty",
     "Concat",

@@ -259,46 +259,22 @@ def antichain_containment_search(
     """A shortest word in ``L(left) - L(right)``, or None if contained.
 
     The antichain replacement for the subset kernel's
-    ``_containment_search`` (same contract, same span name, same budget
-    semantics; see the module docstring for the subsumption invariant).
-    *stats* (if given) is filled in place — including on a
-    :class:`repro.budget.BudgetExhausted` unwind — with ``selected``,
-    ``configs``, ``subsumption_hits``, ``antichain_peak`` and a
+    ``_containment_search`` (same contract, same budget semantics; see
+    the module docstring for the subsumption invariant).  With a
+    *tracer*, the preprocessing and the search record ``simulation``
+    and ``antichain-search`` spans.  *stats* (if given) is filled in
+    place — including on a :class:`repro.budget.BudgetExhausted` unwind
+    — with ``configs``, ``subsumption_hits``, ``antichain_peak`` and a
     ``simulation`` preprocessing summary, so bounded verdicts still
     report honest kernel accounting.
+    :func:`repro.automata.dfa.containment_counterexample` is the entry
+    point that also reports the search to spans and metrics.
     """
     if stats is None:
         stats = {}
-    if tracer is None:
-        return _antichain_search(left, right, alphabet, meter, None, stats)
-    with tracer.span(
-        "emptiness-search",
-        kernel="antichain",
-        left_states=left.num_states,
-        right_states=right.num_states,
-    ) as span:
-        try:
-            witness = _antichain_search(left, right, alphabet, meter, tracer, stats)
-        finally:
-            span.count("configs", stats.get("configs", 0))
-            span.count("subsumption_hits", stats.get("subsumption_hits", 0))
-            span.annotate(antichain_peak=stats.get("antichain_peak", 0))
-        span.annotate(witness_length=None if witness is None else len(witness))
-        return witness
-
-
-def _antichain_search(
-    left: NFA,
-    right: NFA,
-    alphabet: Sequence[str],
-    meter,
-    tracer,
-    stats: dict[str, Any],
-) -> Word | None:
     alpha = tuple(dict.fromkeys(alphabet))
     compiled_left = IndexedNFA.from_nfa(left, alpha)
     compiled_right = IndexedNFA.from_nfa(right, alpha)
-    stats["selected"] = "antichain"
 
     with maybe_span(
         tracer, "simulation", side="left", states=compiled_left.num_states
@@ -341,7 +317,6 @@ def _antichain_search(
             )
     finally:
         stats.update(counters)
-        record_search("antichain", counters["subsumption_hits"])
 
 
 def _frontier_search(

@@ -10,6 +10,7 @@ for the on-the-fly pipeline.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
 
@@ -180,27 +181,60 @@ def containment_counterexample(
 ) -> Word | None:
     """A shortest word in L(left) - L(right), or None if contained.
 
-    The complement automaton is never materialized: the search runs over
-    ``(left state, right subset bitset)`` configurations, determinizing
-    the right side incrementally (see
-    :func:`repro.automata.indexed.containment_counterexample_indexed`).
-    *kernel* (``"subset" | "antichain" | "auto"``) selects between the
-    plain visited-set search and the simulation-subsumption antichain
-    search.
+    The Lemma 1 search.  The complement automaton is never
+    materialized: the search runs over ``(left state, right subset
+    bitset)`` configurations, determinizing the right side
+    incrementally.  *kernel* (``"subset" | "antichain" | "auto"``)
+    selects between the plain visited-set search
+    (``indexed._containment_search``) and the simulation-subsumption
+    antichain search (:mod:`repro.automata.antichain`, also what
+    ``"auto"`` picks).  Both return shortest witnesses, so verdicts and
+    witness lengths agree bit for bit.
 
     An optional :class:`repro.budget.BudgetMeter` bounds the search
-    (configs budget + deadline).  An optional
-    :class:`repro.obs.trace.Tracer` records it as an
-    ``emptiness-search`` span.
+    (configs budget + deadline).  However the search ends, this function
+    reports it once: *kernel_stats* (if given) receives the selected
+    kernel and its counters, the kernel usage metrics are bumped, and an
+    optional :class:`repro.obs.trace.Tracer` records one
+    ``emptiness-search`` span (counters set on exit, never inside the
+    BFS loop; the antichain kernel nests ``simulation`` and
+    ``antichain-search`` child spans).
     """
-    from .indexed import containment_counterexample_indexed
+    from .antichain import antichain_containment_search, record_search, resolve_kernel
+    from .indexed import _containment_search
 
+    selected = resolve_kernel(kernel)
     if alphabet is None:
         alphabet = tuple(dict.fromkeys(left.alphabet + right.alphabet))
-    return containment_counterexample_indexed(
-        left, right, tuple(alphabet), meter=meter, tracer=tracer,
-        kernel=kernel, kernel_stats=kernel_stats,
+    stats = {} if kernel_stats is None else kernel_stats
+    stats["selected"] = selected
+    witness = None
+    scope = nullcontext() if tracer is None else tracer.span(
+        "emptiness-search",
+        kernel="antichain" if selected == "antichain" else "incremental-determinization",
+        left_states=left.num_states,
+        right_states=right.num_states,
     )
+    with scope as span:
+        try:
+            if selected == "antichain":
+                witness = antichain_containment_search(
+                    left, right, alphabet, meter, tracer, stats
+                )
+            else:
+                witness = _containment_search(left, right, alphabet, meter, stats)
+        finally:
+            record_search(selected, stats.get("subsumption_hits", 0))
+            if span is not None:
+                span.count("configs", stats.get("configs", 0))
+                if selected == "antichain":
+                    span.count("subsumption_hits", stats.get("subsumption_hits", 0))
+                    span.annotate(antichain_peak=stats.get("antichain_peak", 0))
+                else:
+                    span.count("subset_steps", stats.get("subset_steps", 0))
+        if span is not None:
+            span.annotate(witness_length=None if witness is None else len(witness))
+    return witness
 
 
 def nfa_equivalent(left: NFA, right: NFA, alphabet: Iterable[str] | None = None) -> bool:

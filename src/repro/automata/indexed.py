@@ -476,81 +476,24 @@ def product_nfa(left: NFA, right: NFA) -> NFA:
     return compiled.to_nfa()
 
 
-def containment_counterexample_indexed(
-    left: NFA,
-    right: NFA,
-    alphabet: Sequence[str],
-    meter=None,
-    tracer=None,
-    kernel: str = "auto",
-    kernel_stats: dict | None = None,
-) -> Word | None:
-    """A shortest word in ``L(left) - L(right)``, or None if contained.
-
-    The kernel behind the Lemma 1 pipeline: a BFS over configurations
-    ``(left state, right subset bitset)`` — i.e. the product of ``left``
-    with the complement of ``right``'s subset construction, explored on
-    the fly so the exponential determinization is never materialized
-    beyond its reachable-under-``left`` part.  Subset steps are memoized
-    per (bitset, symbol), which is exactly incremental determinization.
-
-    *kernel* selects the search strategy: ``"antichain"`` (and the
-    default ``"auto"``) dispatches to the subsumption-pruned frontier in
-    :mod:`repro.automata.antichain`; ``"subset"`` keeps the plain
-    visited-set BFS below as the ablation baseline.  Both return
-    shortest witnesses, so verdicts *and* witness lengths agree bit for
-    bit.  *kernel_stats* (if given) is filled with the selected kernel
-    and its frontier statistics.
-
-    An optional :class:`repro.budget.BudgetMeter` is charged one
-    ``"configs"`` unit per configuration (cooperative exhaustion).  An
-    optional :class:`repro.obs.trace.Tracer` records the search as one
-    ``emptiness-search`` span (configs and memoized subset steps are
-    counted once at the end — never inside the BFS loop; the antichain
-    path nests ``simulation`` and ``antichain-search`` child spans).
-    """
-    from .antichain import antichain_containment_search, record_search, resolve_kernel
-
-    if resolve_kernel(kernel) == "antichain":
-        return antichain_containment_search(
-            left, right, alphabet, meter=meter, tracer=tracer, stats=kernel_stats
-        )
-    if kernel_stats is not None:
-        # Set eagerly so a BudgetExhausted unwind still reports the
-        # kernel that was actually running.
-        kernel_stats["selected"] = "subset"
-    if tracer is not None:
-        with tracer.span(
-            "emptiness-search",
-            kernel="incremental-determinization",
-            left_states=left.num_states,
-            right_states=right.num_states,
-        ) as span:
-            witness, explored, subset_steps = _containment_search(
-                left, right, alphabet, meter
-            )
-            span.count("configs", explored)
-            span.count("subset_steps", subset_steps)
-            span.annotate(witness_length=None if witness is None else len(witness))
-            record_search("subset")
-            if kernel_stats is not None:
-                kernel_stats.update(
-                    selected="subset", configs=explored, subset_steps=subset_steps
-                )
-            return witness
-    witness, explored, subset_steps = _containment_search(left, right, alphabet, meter)
-    record_search("subset")
-    if kernel_stats is not None:
-        kernel_stats.update(
-            selected="subset", configs=explored, subset_steps=subset_steps
-        )
-    return witness
-
-
 def _containment_search(
-    left: NFA, right: NFA, alphabet: Sequence[str], meter=None
-) -> tuple[Word | None, int, int]:
-    """(witness, configurations explored, memoized subset steps)."""
+    left: NFA, right: NFA, alphabet: Sequence[str], meter, stats: dict
+) -> Word | None:
+    """The subset kernel: a shortest word in ``L(left) - L(right)``, or None.
+
+    A BFS over configurations ``(left state, right subset bitset)`` —
+    i.e. the product of ``left`` with the complement of ``right``'s
+    subset construction, explored on the fly so the exponential
+    determinization is never materialized beyond its reachable-under-
+    ``left`` part.  Subset steps are memoized per (bitset, symbol),
+    which is exactly incremental determinization.
+
+    The meter (optional) is charged one ``"configs"`` unit per
+    configuration; *stats* receives ``configs`` (the same count) and
+    ``subset_steps`` (memoized subset steps), also when the meter runs
+    out.  :func:`repro.automata.dfa.containment_counterexample` is the
+    entry point.
+    """
     alpha = tuple(dict.fromkeys(alphabet))
     compiled_left = IndexedNFA.from_nfa(left, alpha)
     compiled_right = IndexedNFA.from_nfa(right, alpha)
@@ -564,47 +507,51 @@ def _containment_search(
     parents: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {
         config: None for config in initial
     }
-    if meter is not None:
-        meter.charge("configs", len(initial))
-    hit = next((config for config in initial if accepted(*config)), None)
-    queue = deque(initial)
     subset_step: dict[tuple[int, int], int] = {}
-    num_symbols = len(alpha)
-    while queue and hit is None:
-        config = queue.popleft()
-        state, mask = config
+    try:
         if meter is not None:
-            meter.poll()
-        for row in range(num_symbols):
-            left_targets = compiled_left.delta[row][state]
-            if not left_targets:
-                continue
-            key = (mask, row)
-            next_mask = subset_step.get(key)
-            if next_mask is None:
-                next_mask = compiled_right.successor_mask(mask, row)
-                subset_step[key] = next_mask
-            for next_state in bits(left_targets):
-                next_config = (next_state, next_mask)
-                if next_config in parents:
+            meter.charge("configs", len(initial))
+        hit = next((config for config in initial if accepted(*config)), None)
+        queue = deque(initial)
+        num_symbols = len(alpha)
+        while queue and hit is None:
+            config = queue.popleft()
+            state, mask = config
+            if meter is not None:
+                meter.poll()
+            for row in range(num_symbols):
+                left_targets = compiled_left.delta[row][state]
+                if not left_targets:
                     continue
-                parents[next_config] = (config, row)
-                if meter is not None:
-                    meter.charge("configs")
-                if accepted(next_state, next_mask):
-                    hit = next_config
+                key = (mask, row)
+                next_mask = subset_step.get(key)
+                if next_mask is None:
+                    next_mask = compiled_right.successor_mask(mask, row)
+                    subset_step[key] = next_mask
+                for next_state in bits(left_targets):
+                    next_config = (next_state, next_mask)
+                    if next_config in parents:
+                        continue
+                    parents[next_config] = (config, row)
+                    if meter is not None:
+                        meter.charge("configs")
+                    if accepted(next_state, next_mask):
+                        hit = next_config
+                        break
+                    queue.append(next_config)
+                if hit is not None:
                     break
-                queue.append(next_config)
-            if hit is not None:
-                break
+    finally:
+        stats["configs"] = len(parents)
+        stats["subset_steps"] = len(subset_step)
     if hit is None:
-        return None, len(parents), len(subset_step)
+        return None
     word: list[str] = []
     cursor: tuple[int, int] = hit
     while parents[cursor] is not None:
         cursor, row = parents[cursor]  # type: ignore[misc]
         word.append(alpha[row])
-    return tuple(reversed(word)), len(parents), len(subset_step)
+    return tuple(reversed(word))
 
 
 def minimize_dfa(dfa: "DFA") -> "DFA":

@@ -3,10 +3,12 @@
 The paper's PSPACE upper bounds hinge on never materializing the
 exponential complement automaton: "we construct A on the fly,
 constructing states only as we search for a path from a start state to a
-final state".  This module implements that search generically over
-*implicit automata* — objects exposing initial states, successor states,
-and a final-state test — so the same code runs the RPQ pipeline
-(NFA x complement-DFA) and the 2RPQ pipeline (NFA x Lemma-4 complement).
+final state".  This module implements that search for a materialized
+NFA intersected with *implicit automata* — objects exposing initial
+states, successor states, and a final-state test — so the same code runs
+the 2RPQ pipeline against the Shepherdson and the Lemma 4 complements.
+(The RPQ pipeline's product with a complement-DFA has its own kernels,
+behind :func:`repro.automata.dfa.containment_counterexample`.)
 
 The search is a breadth-first exploration of the product configuration
 space, which returns a *shortest* accepted word; containment refutations
@@ -15,8 +17,7 @@ therefore come with minimal counterexample words.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from contextlib import nullcontext
 from typing import Iterable, Iterator, Protocol, Sequence
 
 from ..budget import BudgetMeter
@@ -40,18 +41,9 @@ class ImplicitNFA(Protocol):
     def is_final(self, state) -> bool: ...
 
 
-@dataclass
-class SearchStats:
-    """Instrumentation for the benchmarks (explored state counts)."""
-
-    explored: int = 0
-    frontier_peak: int = 0
-
-
 def find_accepted_word(
     machines: Sequence[ImplicitNFA],
     alphabet: Sequence[str],
-    stats: SearchStats | None = None,
     meter: BudgetMeter | None = None,
     tracer=None,
     kernel: str = "auto",
@@ -60,9 +52,9 @@ def find_accepted_word(
     """Shortest word accepted by *every* machine, or None if none exists.
 
     Args:
-        machines: implicit automata to intersect.
+        machines: a materialized :class:`NFA` followed by the implicit
+            automata to intersect it with.
         alphabet: symbols to search over.
-        stats: optional :class:`SearchStats` to fill in.
         meter: optional :class:`repro.budget.BudgetMeter`; the search
             charges one ``"configs"`` unit per product configuration and
             polls the wall-clock deadline, raising
@@ -74,142 +66,59 @@ def find_accepted_word(
             search as one ``product-search`` span (kernel choice and
             witness length as tags, configurations as a counter — set
             once on exit, never inside the BFS loop).
-        kernel: ``"subset" | "antichain" | "auto"``.  On the bitset
-            path, ``"antichain"`` (and the default ``"auto"``) quotients
-            the first machine by simulation equivalence and prunes
-            freshly discovered first-machine states that are simulated
-            by an already-seen sibling at the same rest-configuration —
-            a simulator accepts every suffix the pruned state would, so
-            verdicts and shortest-witness lengths are unchanged.  The
-            generic fallback ignores the option (recorded honestly in
-            *kernel_stats*).
+        kernel: ``"subset" | "antichain" | "auto"``.  ``"antichain"``
+            (and the default ``"auto"``) quotients the first machine by
+            simulation equivalence and prunes freshly discovered
+            first-machine states that are simulated by an already-seen
+            sibling at the same rest-configuration — a simulator accepts
+            every suffix the pruned state would, so verdicts and
+            shortest-witness lengths are unchanged.
         kernel_stats: optional dict filled with the selected kernel and
-            its pruning statistics.
+            its counters (``configs``, plus ``subsumption_hits`` on the
+            antichain kernel), also when the meter runs out.
 
     Returns:
         The shortest word in the intersection, or None.
 
-    When the first machine is a materialized :class:`NFA` and no stats
-    object is attached, the search dispatches to a bitset kernel that
-    tracks that machine's states as a big-int set per configuration of
-    the remaining machines — successor computations of the (expensive,
-    lazily complemented) other machines then run once per configuration
-    and symbol instead of once per product state.  Every other input
-    (a first machine that is only implicit, or a *stats* object to
-    fill) runs the generic search in :func:`_generic_find_accepted_word`.
+    Raises:
+        TypeError: when the first machine is not a materialized NFA.
+
+    The search tracks the first machine's states as a big-int set per
+    configuration of the remaining machines, so successor computations
+    of the (expensive, lazily complemented) other machines run once per
+    configuration and symbol instead of once per product state.
     """
-    from .antichain import resolve_kernel
+    from .antichain import record_search, resolve_kernel
 
-    resolved = resolve_kernel(kernel)
-    use_bitset = stats is None and bool(machines) and isinstance(machines[0], NFA)
-    if not use_bitset:
-        # The generic object-tuple search has no macrostate to subsume
-        # against; record the honest fallback.
-        resolved = "subset"
-        if kernel_stats is not None:
-            kernel_stats.update(selected="subset", search="generic")
-    elif kernel_stats is not None:
-        kernel_stats["selected"] = resolved
-    if tracer is None:
-        if use_bitset:
-            return _bitset_find_accepted_word(
-                machines[0], list(machines[1:]), alphabet, meter,
-                kernel=resolved, kernel_stats=kernel_stats,
+    if not machines or not isinstance(machines[0], NFA):
+        raise TypeError("find_accepted_word needs an NFA as its first machine")
+    selected = resolve_kernel(kernel)
+    if kernel_stats is not None:
+        kernel_stats["selected"] = selected
+    counted = [0, 0]  # configs, subsumption hits
+    word = None
+    scope = nullcontext() if tracer is None else tracer.span(
+        "product-search", machines=len(machines), kernel=f"bitset-{selected}"
+    )
+    with scope as span:
+        try:
+            word = _bitset_search(
+                machines[0], machines[1:], alphabet, meter, counted, tracer,
+                selected,
             )
-        return _generic_find_accepted_word(machines, alphabet, stats, meter)
-    with tracer.span(
-        "product-search",
-        machines=len(machines),
-        kernel=f"bitset-{resolved}" if use_bitset else "generic",
-    ) as span:
-        if use_bitset:
-            word = _bitset_find_accepted_word(
-                machines[0], list(machines[1:]), alphabet, meter,
-                span=span, tracer=tracer, kernel=resolved,
-                kernel_stats=kernel_stats,
-            )
-        else:
-            word = _generic_find_accepted_word(
-                machines, alphabet, stats, meter, span=span
-            )
-        span.annotate(witness_length=None if word is None else len(word))
-        return word
-
-
-def _generic_find_accepted_word(
-    machines: Sequence[ImplicitNFA],
-    alphabet: Sequence[str],
-    stats: SearchStats | None = None,
-    meter: BudgetMeter | None = None,
-    span=None,
-) -> Word | None:
-    """The object-tuple BFS behind :func:`find_accepted_word`."""
-    parents: dict[tuple, tuple[tuple, str] | None] = {}
-    try:
-        return _generic_search(machines, alphabet, stats, meter, parents)
-    finally:
+        finally:
+            record_search(selected, counted[1])
+            if kernel_stats is not None:
+                kernel_stats["configs"] = counted[0]
+                if selected == "antichain":
+                    kernel_stats["subsumption_hits"] = counted[1]
+            if span is not None:
+                span.count("configs", counted[0])
+                if selected == "antichain":
+                    span.count("subsumption_hits", counted[1])
         if span is not None:
-            span.count("configs", len(parents))
-
-
-def _generic_search(
-    machines: Sequence[ImplicitNFA],
-    alphabet: Sequence[str],
-    stats: SearchStats | None,
-    meter: BudgetMeter | None,
-    parents: dict,
-) -> Word | None:
-    initial: list[tuple] = []
-    seeds = [_polled(machine.initial_states(), meter) for machine in machines]
-    if any(not seed for seed in seeds):
-        return None
-    initial = list(_cartesian(seeds))
-
-    parents.update({tup: None for tup in initial})
-    queue: deque[tuple] = deque(initial)
-
-    def accepted(tup: tuple) -> bool:
-        return all(machine.is_final(state) for machine, state in zip(machines, tup))
-
-    if meter is not None:
-        meter.charge("configs", len(initial))
-    hit = next((tup for tup in initial if accepted(tup)), None)
-    while queue and hit is None:
-        tup = queue.popleft()
-        if stats is not None:
-            stats.explored += 1
-            stats.frontier_peak = max(stats.frontier_peak, len(queue))
-        if meter is not None:
-            meter.poll()
-        for symbol in alphabet:
-            successor_sets = [
-                _polled(machine.successor_states(state, symbol), meter)
-                for machine, state in zip(machines, tup)
-            ]
-            if any(not successors for successors in successor_sets):
-                continue
-            for nxt in _cartesian(successor_sets):
-                if meter is not None:
-                    meter.poll()
-                if nxt in parents:
-                    continue
-                parents[nxt] = (tup, symbol)
-                if meter is not None:
-                    meter.charge("configs")
-                if accepted(nxt):
-                    hit = nxt
-                    break
-                queue.append(nxt)
-            if hit is not None:
-                break
-    if hit is None:
-        return None
-    word: list[str] = []
-    cursor = hit
-    while parents[cursor] is not None:
-        cursor, symbol = parents[cursor]  # type: ignore[misc]
-        word.append(symbol)
-    return tuple(reversed(word))
+            span.annotate(witness_length=None if word is None else len(word))
+    return word
 
 
 def _cartesian(pools: Sequence[Sequence]) -> Iterator[tuple]:
@@ -236,52 +145,24 @@ def _polled(iterable: Iterable, meter: BudgetMeter | None) -> list:
     return out
 
 
-def _bitset_find_accepted_word(
-    first: NFA,
-    rest: Sequence[ImplicitNFA],
-    alphabet: Sequence[str],
-    meter: BudgetMeter | None = None,
-    span=None,
-    tracer=None,
-    kernel: str = "antichain",
-    kernel_stats: dict | None = None,
-) -> Word | None:
-    """Bitset kernel behind :func:`find_accepted_word` (same contract).
-
-    A layered BFS over configurations of the *rest* machines, each
-    carrying the bitset of *first*-machine states reachable alongside
-    it; a product state ``(l, rest-tuple)`` is explored at most once
-    (bit ``l`` enters the tuple's mask once), so the budget and the
-    shortest-word guarantee match the generic search exactly.
-    """
-    from .antichain import record_search
-
-    counted = [0, 0]  # configs, subsumption hits
-    try:
-        return _bitset_search(
-            first, rest, alphabet, meter, counted, tracer, kernel
-        )
-    finally:
-        record_search(kernel, counted[1])
-        if kernel_stats is not None:
-            kernel_stats["configs"] = counted[0]
-            if kernel == "antichain":
-                kernel_stats["subsumption_hits"] = counted[1]
-        if span is not None:
-            span.count("configs", counted[0])
-            if kernel == "antichain":
-                span.count("subsumption_hits", counted[1])
-
-
 def _bitset_search(
     first: NFA,
     rest: Sequence[ImplicitNFA],
     alphabet: Sequence[str],
     meter: BudgetMeter | None,
     counted: list,
-    tracer=None,
-    kernel: str = "antichain",
+    tracer,
+    kernel: str,
 ) -> Word | None:
+    """The layered BFS behind :func:`find_accepted_word`.
+
+    Runs over configurations of the *rest* machines, each carrying the
+    bitset of *first*-machine states reachable alongside it; a product
+    state ``(l, rest-tuple)`` is explored at most once (bit ``l`` enters
+    the tuple's mask once).  ``counted`` receives the configurations
+    discovered (``counted[0]``, exactly what the meter was charged) and
+    the subsumption hits (``counted[1]``).
+    """
     from .indexed import IndexedNFA, bits
 
     alpha = tuple(dict.fromkeys(alphabet))

@@ -20,9 +20,8 @@ Canonical-key rules (see DESIGN.md "Performance architecture"):
   sharing needs no copying and no invalidation: a key can never go
   stale because nothing it points to can change.  The only eviction is
   LRU pressure.
-- **Instrumentation must not poison keys.**  Callers passing mutable
-  instrumentation (e.g. ``stats=`` objects) opt out of caching — the
-  engine skips the cache whenever an option does not hash.
+- **Unhashable inputs opt out.**  The engine skips the cache whenever a
+  query or an option does not hash.
 
 :func:`clear_caches` resets contents (benchmarks call it between
 ablation arms so both arms compile from cold).
@@ -39,39 +38,10 @@ one compute no matter how many workers race on it.
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterator, Mapping
-
-# --- global switch --------------------------------------------------------------
-
-_CACHING_ENABLED = True
-
-
-def caching_enabled() -> bool:
-    """Whether the cache layer is active (disabled = every call recomputes)."""
-    return _CACHING_ENABLED
-
-
-def set_caching(enabled: bool) -> bool:
-    """Enable/disable all caches globally; returns the previous value."""
-    global _CACHING_ENABLED
-    previous = _CACHING_ENABLED
-    _CACHING_ENABLED = bool(enabled)
-    return previous
-
-
-@contextlib.contextmanager
-def use_caching(enabled: bool = True) -> Iterator[None]:
-    """Context manager form of :func:`set_caching`."""
-    previous = set_caching(enabled)
-    try:
-        yield
-    finally:
-        set_caching(previous)
-
+from typing import Any, Callable, Hashable, Mapping
 
 # --- the cache type -------------------------------------------------------------
 
@@ -145,9 +115,7 @@ class LRUCache:
         return len(self._entries)
 
     def get(self, key: Hashable, default: Any = None) -> Any:
-        """Look up *key*, counting a hit or miss; no-op when disabled."""
-        if not _CACHING_ENABLED:
-            return default
+        """Look up *key*, counting a hit or miss."""
         with self._lock:
             try:
                 value = self._entries[key]
@@ -165,14 +133,12 @@ class LRUCache:
         (the engine's exact-vs-budgeted containment keys): only the
         authoritative lookup should count toward hit/miss stats.
         """
-        if not _CACHING_ENABLED:
-            return default
         with self._lock:
             return self._entries.get(key, default)
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert (or refresh) an entry, evicting LRU past ``maxsize``."""
-        if not _CACHING_ENABLED or value is None:
+        if value is None:
             return
         with self._lock:
             self._entries[key] = value
@@ -196,8 +162,6 @@ class LRUCache:
         on the same key (pathological but possible) computes directly
         instead of deadlocking.
         """
-        if not _CACHING_ENABLED:
-            return compute()
         while True:
             with self._lock:
                 value = self._entries.get(key)

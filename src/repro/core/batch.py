@@ -529,17 +529,11 @@ class ContainmentExecutor:
 
     def _make_pool(self) -> concurrent.futures.Executor:
         if self.backend == "process":
-            # Mutable instrumentation objects (``stats=``) bypass the
-            # caches anyway and may not pickle; keep them out of the
-            # initializer arguments.
-            warm_options = {
-                k: v for k, v in self._options.items() if k != "stats"
-            }
             return concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=self._process_context(),
                 initializer=_warm_start,
-                initargs=(warm_options,),
+                initargs=(self._options,),
             )
         return concurrent.futures.ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="batch-worker"

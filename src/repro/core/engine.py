@@ -38,7 +38,7 @@ from typing import Any
 
 from ..automata.antichain import resolve_kernel
 from ..budget import Budget, deadline_scope
-from ..cache import caching_enabled, containment_cache, query_cache_key
+from ..cache import containment_cache, query_cache_key
 from ..obs.metrics import counter as _metric_counter, histogram as _metric_histogram
 from ..obs.trace import Tracer, maybe_span
 from ..cq.containment import ucq_contained
@@ -59,7 +59,7 @@ from ..report import ContainmentResult, Counterexample, EquivalenceResult, Verdi
 #: a typo and raises TypeError at the engine boundary instead of being
 #: silently discarded.  Options select an algorithm; limits travel only
 #: in the ``budget``.
-_OPTION_UNIVERSE = frozenset({"method", "stats", "kernel"})
+_OPTION_UNIVERSE = frozenset({"method", "kernel"})
 
 #: Staged-escalation schedule: round k gets geometrically larger limits.
 _ESCALATION_CONFIG_BASE = 4096
@@ -106,7 +106,7 @@ def check_containment(
             ``False`` costs one pointer test — tracing is strictly
             pay-for-what-you-use.
         **options: forwarded to the underlying procedure (``method=``
-            and ``stats=`` for 2RPQs, ``kernel=`` everywhere).  Unknown
+            for 2RPQs, ``kernel=`` everywhere).  Unknown
             names raise TypeError; names valid for *some* procedure but
             not the dispatched one are dropped and recorded in
             ``details["ignored_options"]``.
@@ -120,8 +120,8 @@ def check_containment(
     Repeated calls with the same queries and options are served from
     the containment cache in :mod:`repro.cache`; the returned result's
     ``details["cache"]`` records ``"hit"``, ``"miss"``, or ``"bypass"``
-    (unhashable queries or options — e.g. a mutable ``stats=`` object —
-    opt out of caching rather than risking a stale or shared value).
+    (unhashable queries or options opt out of caching rather than
+    risking a stale or shared value).
     Caching is bound-aware: exact verdicts are stored under a key that
     ignores budgets and serve any later budget, while bounded verdicts
     are keyed by their budget, so a cached small-budget result never
@@ -250,8 +250,6 @@ def _cache_keys(
     of the bounds in force — and is tagged so it can never collide with
     a full key.
     """
-    if not caching_enabled():
-        return None, None
     left, right = query_cache_key(q1), query_cache_key(q2)
     if left is None or right is None:
         return None, None
@@ -363,12 +361,12 @@ def _check_containment_uncached(
             **options,
         )
 
-    # Only the 2RPQ pipeline selects by method/stats; every procedure
+    # Only the 2RPQ pipeline selects by method; every procedure
     # accepts the universal kernel option (non-searching ones record
     # it via details["kernel"] normalization).
     allowed = ("kernel",)
     if common is QueryClass.TWO_RPQ:
-        allowed = ("method", "stats", "kernel")
+        allowed = ("method", "kernel")
     picked, ignored = _pick(options, *allowed)
     result = _dispatch(q1, q2, common, budget, picked, tracer)
     if ignored:

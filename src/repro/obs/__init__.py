@@ -7,8 +7,8 @@ package makes them inspectable:
 
 - :mod:`repro.obs.trace` — nested spans with monotonic timings,
   counters, and tags (``with tracer.span("determinize", states=n):``).
-  The default is the no-op :data:`repro.obs.trace.NULL_TRACER`;
-  instrumented code pays a single ``None`` test when tracing is off.
+  Tracing is off when the tracer is ``None`` (the default everywhere);
+  instrumented code then pays a single ``None`` test.
 - :mod:`repro.obs.metrics` — a process-local registry of counters,
   gauges, and fixed-bucket histograms; :func:`metrics_snapshot` is the
   machine-readable dump, akin to :func:`repro.cache.cache_stats`.
@@ -36,7 +36,7 @@ span tree in ``details["trace"]`` (CLI: ``contain --trace`` /
 observatory.
 """
 
-from .trace import NULL_TRACER, NullTracer, Span, Tracer, as_tracer, maybe_span
+from .trace import Span, Tracer, maybe_span
 from .metrics import (
     Counter,
     Gauge,
@@ -78,11 +78,8 @@ from .telemetry import (
 )
 
 __all__ = [
-    "NULL_TRACER",
-    "NullTracer",
     "Span",
     "Tracer",
-    "as_tracer",
     "maybe_span",
     "Counter",
     "Gauge",

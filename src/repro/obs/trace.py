@@ -10,16 +10,14 @@ budget exhaustion).  The API is a context manager::
         ...
         sp.count("subsets", len(table))
 
-Pay-for-what-you-use contract (the tentpole requirement): tracing off
-must cost (nearly) nothing.  Three mechanisms enforce it:
+Pay-for-what-you-use contract: tracing off must cost (nearly)
+nothing.  ``tracer=None`` is the one way to switch it off:
 
-- every instrumented signature defaults to ``tracer=None``; hot kernels
-  guard with a plain ``if tracer is not None`` (one pointer test);
+- every instrumented signature defaults to ``tracer=None``; search
+  boundaries guard with a plain ``tracer is None`` test (one pointer
+  test, no span tags built);
 - stage-level code uses :func:`maybe_span`, which returns a shared
-  no-op scope without allocating when the tracer is ``None`` or null;
-- :class:`NullTracer` (singleton :data:`NULL_TRACER`) implements the
-  whole surface as no-ops, so code handed a tracer unconditionally
-  still works.  Its ``is_active`` is ``False`` for explicit guards.
+  no-op scope without allocating when the tracer is ``None``.
 
 Spans always close, including on exception unwinds (``BudgetExhausted``
 escaping a kernel still produces a well-formed tree, with the failing
@@ -36,9 +34,6 @@ from typing import Any, Iterator
 __all__ = [
     "Span",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "as_tracer",
     "maybe_span",
 ]
 
@@ -154,8 +149,6 @@ class Tracer:
     it).  Not thread-safe: one tracer belongs to one check.
     """
 
-    is_active = True
-
     __slots__ = ("roots", "_stack")
 
     def __init__(self) -> None:
@@ -214,16 +207,9 @@ class Tracer:
 
 
 class _NullSpan:
-    """Inert span: accepts the whole recording surface, stores nothing."""
+    """Inert span: accepts the recording surface, stores nothing."""
 
     __slots__ = ()
-
-    name = "null"
-    tags: dict[str, Any] = {}
-    counters: dict[str, float] = {}
-    events: list = []
-    children: list = []
-    duration_ms = 0.0
 
     def count(self, name: str, amount: float = 1) -> None:
         pass
@@ -251,51 +237,13 @@ _NULL_SPAN = _NullSpan()
 _NULL_SCOPE = _NullScope()
 
 
-class NullTracer:
-    """The do-nothing tracer (default everywhere; see module docstring)."""
-
-    is_active = False
-
-    __slots__ = ()
-
-    roots: list = []
-    root = None
-    current = None
-
-    def span(self, name: str, **tags: Any) -> _NullScope:
-        return _NULL_SCOPE
-
-    def count(self, name: str, amount: float = 1) -> None:
-        pass
-
-    def annotate(self, **tags: Any) -> None:
-        pass
-
-    def event(self, name: str, **data: Any) -> None:
-        pass
-
-    def to_dict(self) -> None:
-        return None
-
-
-#: The process-wide null tracer (stateless, so sharing is safe).
-NULL_TRACER = NullTracer()
-
-
-def as_tracer(tracer: "Tracer | NullTracer | None") -> "Tracer | NullTracer":
-    """Normalize an optional tracer argument (None becomes the null one)."""
-    return NULL_TRACER if tracer is None else tracer
-
-
-def maybe_span(
-    tracer: "Tracer | NullTracer | None", name: str, **tags: Any
-):
+def maybe_span(tracer: Tracer | None, name: str, **tags: Any):
     """``tracer.span(...)`` that is near-free when tracing is off.
 
     The stage-boundary idiom: ``with maybe_span(tracer, "fold"):``.
-    With ``tracer`` None (or null) this returns the shared no-op scope
-    without allocating a span or touching the tag kwargs.
+    With ``tracer`` None this returns the shared no-op scope without
+    allocating a span or touching the tag kwargs.
     """
-    if tracer is None or not tracer.is_active:
+    if tracer is None:
         return _NULL_SCOPE
     return tracer.span(name, **tags)

@@ -26,7 +26,7 @@ from ..automata.complement import LazyComplement, complement_two_nfa
 from ..automata.dfa import containment_counterexample
 from ..automata.fold import fold_two_nfa
 from ..automata.nfa import NFA, Word
-from ..automata.onthefly import SearchStats, find_accepted_word
+from ..automata.onthefly import find_accepted_word
 from ..automata.shepherdson import LazyShepherdsonComplement
 from ..budget import Budget, BudgetExhausted, bounded_result, deadline_scope
 from ..obs.trace import maybe_span
@@ -94,7 +94,6 @@ def two_rpq_contained(
     q1: TwoRPQ,
     q2: TwoRPQ,
     method: TwoRPQMethod = "shepherdson",
-    stats: SearchStats | None = None,
     budget: Budget | None = None,
     tracer=None,
     kernel: str = "auto",
@@ -113,7 +112,6 @@ def two_rpq_contained(
             - ``"lemma4-materialized"``: Lemma 4 complement fully built,
               then an explicit product; only viable for tiny queries,
               used by benchmark E4/E5 as the measured upper bound.
-        stats: optional search instrumentation.
         budget: optional :class:`repro.budget.Budget`: ``max_configs``
             bounds product configurations, ``max_states`` the
             materialized complement.  Exhaustion of any resource returns
@@ -125,7 +123,9 @@ def two_rpq_contained(
         kernel: the product-search kernel (``"subset" | "antichain" |
             "auto"``) for the on-the-fly methods; the materialized
             method ignores it (recorded honestly in
-            ``details["kernel"]``).
+            ``details["kernel"]``).  The on-the-fly methods report their
+            search counters there too (``configs`` is what the budget
+            was charged).
     """
     from ..automata.antichain import resolve_kernel
 
@@ -144,7 +144,6 @@ def two_rpq_contained(
                 witness = find_accepted_word(
                     [left, LazyShepherdsonComplement(folded)],
                     sigma_pm,
-                    stats=stats,
                     meter=meter,
                     tracer=tracer,
                     kernel=kernel,
@@ -154,7 +153,6 @@ def two_rpq_contained(
                 witness = find_accepted_word(
                     [left, LazyComplement(folded)],
                     sigma_pm,
-                    stats=stats,
                     meter=meter,
                     tracer=tracer,
                     kernel=kernel,

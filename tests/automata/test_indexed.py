@@ -11,18 +11,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.automata.dfa import determinize
-from repro.automata.indexed import (
-    IndexedNFA,
-    bits,
-    containment_counterexample_indexed,
-    epsilon_closures,
-    minimize_dfa,
-)
+from repro.automata.dfa import containment_counterexample, determinize
+from repro.automata.indexed import IndexedNFA, bits, epsilon_closures, minimize_dfa
 from repro.automata.nfa import NFA
 from repro.automata.onthefly import find_accepted_word
 from repro.automata.regex import parse_regex
-from repro.cache import use_caching
+from repro.cache import clear_caches
 from tests.oracles import automata as oracle
 
 
@@ -68,7 +62,7 @@ def test_accepts_rejects_symbols_outside_the_alphabet():
 
 
 def test_implicit_nfa_protocol_drives_onthefly_search():
-    left = IndexedNFA.from_nfa(nfa_of("a(a|b)*"), ("a", "b"))
+    left = nfa_of("a(a|b)*")
     right = IndexedNFA.from_nfa(nfa_of("(a|b)*b"), ("a", "b"))
     word = find_accepted_word([left, right], ("a", "b"))
     assert word is not None
@@ -99,8 +93,8 @@ def test_live_mask_drops_unreachable_and_dead_states():
 
 def test_determinize_matches_baseline_exactly():
     nfa = nfa_of("(a|b)*a(a|b)")
-    with use_caching(False):
-        fast = determinize(nfa, ("a", "b"))
+    clear_caches()
+    fast = determinize(nfa, ("a", "b"))
     slow = oracle.determinize(nfa, ("a", "b"))
     assert fast == slow
 
@@ -144,7 +138,7 @@ def test_containment_counterexample_agrees_with_materializing_pipeline():
     for left_text, right_text, contained in cases:
         left, right = nfa_of(left_text), nfa_of(right_text)
         alpha = ("a", "b", "c")
-        fast = containment_counterexample_indexed(left, right, alpha)
+        fast = containment_counterexample(left, right, alpha)
         slow = oracle.containment_counterexample(left, right, alpha)
         assert (fast is None) == contained
         assert (slow is None) == contained

@@ -4,8 +4,8 @@ The design contract of :mod:`repro.automata.indexed` is that every
 kernel renders exactly what the textbook object-state construction
 would.  These tests hold production to the object-state oracles of
 ``tests/oracles`` on random regexes, random edge-list automata and
-random graphs, with caching disabled where a cached result could stand
-in for a fresh kernel run.
+random graphs, with the caches cleared where a cached result could
+stand in for a fresh kernel run.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.automata.dfa import determinize
-from repro.automata.indexed import IndexedNFA, containment_counterexample_indexed
+from repro.automata.dfa import containment_counterexample, determinize
+from repro.automata.indexed import IndexedNFA
 from repro.automata.nfa import NFA, from_epsilon_nfa
 from repro.automata.regex import Regex, random_regex
-from repro.cache import use_caching
+from repro.cache import clear_caches
 from repro.graphdb.generators import random_graph
 from repro.rpq.rpq import evaluate_nfa_on_graph, targets_from
 from tests.oracles import automata as oracle
@@ -65,8 +65,8 @@ def words(draw, max_len: int = 5):
 @settings(max_examples=50, deadline=None)
 @given(edge_list_nfas())
 def test_determinize_is_a_structural_drop_in(nfa):
-    with use_caching(False):
-        fast = determinize(nfa, ALPHABET)
+    clear_caches()
+    fast = determinize(nfa, ALPHABET)
     slow = oracle.determinize(nfa, ALPHABET)
     assert fast == slow
 
@@ -111,8 +111,8 @@ def test_epsilon_elimination_agrees_with_baseline(spec):
 @settings(max_examples=40, deadline=None)
 @given(regexes(), regexes())
 def test_minimize_produces_identical_canonical_dfa(r1, r2):
-    with use_caching(False):
-        dfa = determinize(r1.to_nfa().union(r2.to_nfa()), ALPHABET)
+    clear_caches()
+    dfa = determinize(r1.to_nfa().union(r2.to_nfa()), ALPHABET)
     fast = dfa.minimize()
     slow = oracle.minimize(dfa)
     assert fast == slow
@@ -122,7 +122,7 @@ def test_minimize_produces_identical_canonical_dfa(r1, r2):
 @given(regexes(), regexes())
 def test_containment_counterexamples_agree_with_baseline(r1, r2):
     left, right = r1.to_nfa().trim(), r2.to_nfa().trim()
-    fast = containment_counterexample_indexed(left, right, ALPHABET)
+    fast = containment_counterexample(left, right, ALPHABET)
     slow = oracle.containment_counterexample(left, right, ALPHABET)
     assert (fast is None) == (slow is None)
     if fast is not None:

@@ -23,7 +23,7 @@ from repro.crpq.containment import uc2rpq_contained
 from repro.crpq.syntax import paper_example_1
 from repro.datalog.syntax import transitive_closure_program
 from repro.report import EquivalenceResult, Verdict
-from repro.rpq.containment import two_rpq_contained, two_rpq_equivalent
+from repro.rpq.containment import rpq_contained, two_rpq_contained, two_rpq_equivalent
 from repro.rpq.rpq import RPQ, TwoRPQ
 from repro.rq.syntax import TransitiveClosure, edge
 
@@ -151,6 +151,34 @@ class TestSearchBudgetNoLongerLeaks:
         assert info.value.limit == 1
 
 
+BOUNDED_SEARCHES = {
+    "rpq": lambda kernel: rpq_contained(
+        RPQ.parse("(a|b)* a (a|b) (a|b) (a|b)"),
+        RPQ.parse("(a|b)* a (a|b) (a|b) (a|b) (a|b)"),
+        budget=Budget(max_configs=5),
+        kernel=kernel,
+    ),
+    "2rpq": lambda kernel: two_rpq_contained(
+        TwoRPQ.parse("p"),
+        TwoRPQ.parse("p p- p"),
+        budget=Budget(max_configs=1),
+        kernel=kernel,
+    ),
+}
+
+
+@pytest.mark.parametrize("kernel", ["subset", "antichain"])
+@pytest.mark.parametrize("family", sorted(BOUNDED_SEARCHES))
+def test_bounded_verdict_reports_the_kernel_counters(family, kernel):
+    """Every kernel reports the configurations it was charged for, also
+    when the budget ran out."""
+    result = BOUNDED_SEARCHES[family](kernel)
+    assert result.verdict is Verdict.HOLDS_UP_TO_BOUND
+    assert result.details["kernel"]["selected"] == kernel
+    configs = result.details["kernel"]["configs"]
+    assert configs == result.details["budget"]["spend"]["configs"]
+
+
 class TestDeadlineNeverRaises:
     """A deadline budget must produce a structured verdict for every
     dispatch class, never an exception."""
@@ -211,8 +239,9 @@ class TestOptionValidation:
     valid-but-ignored options are recorded, not silently dropped."""
 
     def test_unknown_option_raises(self):
-        # A typo, and a limit: limits travel only in the budget.
-        for option in ("max_expnasions", "max_expansions"):
+        # A typo, a limit (limits travel only in the budget), and the
+        # deleted search-instrumentation option.
+        for option in ("max_expnasions", "max_expansions", "stats"):
             with pytest.raises(TypeError, match=option):
                 check_containment(RPQ.parse("a"), RPQ.parse("a|b"), **{option: 5})
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.automata.onthefly import SearchStats
 from repro.cache import (
     LRUCache,
     cache_stats,
@@ -18,7 +17,6 @@ from repro.cache import (
     containment_cache,
     determinize_cache,
     query_cache_key,
-    use_caching,
 )
 from repro.core.engine import check_containment
 from repro.report import Verdict
@@ -52,14 +50,6 @@ class TestLRUCache:
         assert cache.get("b") is None
         assert cache.get("a") == 1
         assert cache.get("c") == 3
-
-    def test_disabled_cache_stores_and_counts_nothing(self):
-        cache = LRUCache("test-disabled", maxsize=4)
-        with use_caching(False):
-            cache.put("k", 1)
-            assert cache.get("k") is None
-        assert len(cache) == 0
-        assert cache.stats.requests == 0
 
     def test_get_or_compute_computes_once(self):
         cache = LRUCache("test-compute", maxsize=4)
@@ -141,23 +131,14 @@ class TestEngineContainmentCache:
         for q1, q2 in pairs:
             warm = check_containment(q1, q2)
             cached = check_containment(q1, q2)
-            with use_caching(False):
-                cold = check_containment(q1, q2)
+            clear_caches()
+            cold = check_containment(q1, q2)
             assert cached.details["cache"] == "hit"
-            assert cold.details["cache"] == "bypass"
+            assert cold.details["cache"] == "miss"
             for result in (cached, cold):
                 assert result.verdict == warm.verdict
                 assert result.method == warm.method
                 assert result.counterexample == warm.counterexample
-
-    def test_mutable_stats_option_bypasses_the_cache(self):
-        q1, q2 = TwoRPQ.parse("p"), TwoRPQ.parse("p p- p")
-        stats = SearchStats()
-        result = check_containment(q1, q2, stats=stats)
-        assert result.details["cache"] == "bypass"
-        assert stats.explored > 0  # the instrumented run actually happened
-        snapshot = cache_stats()["containment"]
-        assert snapshot["hits"] == 0 and snapshot["misses"] == 0
 
     def test_distinct_options_get_distinct_entries(self):
         q1, q2 = TwoRPQ.parse("p"), TwoRPQ.parse("p p- p")

@@ -9,7 +9,7 @@ of the acceptance criteria).
 
 import pytest
 
-from repro.cache import clear_caches, use_caching
+from repro.cache import clear_caches
 from repro.graphdb import GraphSnapshot
 from repro.graphdb.database import GraphDatabase
 from repro.graphdb.generators import path_graph, random_graph
@@ -134,32 +134,29 @@ class TestStaleCacheNeverServed:
         query = RPQ.parse("r+")
         db = path_graph(3, "r")
         clear_caches()
-        with use_caching(True):
-            before = query.evaluate(db)
-            assert (0, 3) in before and (3, 0) not in before
-            db.add_edge(3, "r", 0)  # close the cycle
-            after = query.evaluate(db)
-            assert (3, 0) in after
+        before = query.evaluate(db)
+        assert (0, 3) in before and (3, 0) not in before
+        db.add_edge(3, "r", 0)  # close the cycle
+        after = query.evaluate(db)
+        assert (3, 0) in after
 
     def test_mutation_invalidates_targets_and_witness(self):
         query = TwoRPQ.parse("r r")
         db = path_graph(2, "r")
         clear_caches()
-        with use_caching(True):
-            assert query.targets(db, 0) == {2}
-            assert query.witness_semipath(db, 1, 3) is None
-            db.add_edge(2, "r", 3)
-            assert query.targets(db, 1) == {3}
-            assert query.witness_semipath(db, 1, 3) == (1, "r", 2, "r", 3)
+        assert query.targets(db, 0) == {2}
+        assert query.witness_semipath(db, 1, 3) is None
+        db.add_edge(2, "r", 3)
+        assert query.targets(db, 1) == {3}
+        assert query.witness_semipath(db, 1, 3) == (1, "r", 2, "r", 3)
 
     def test_two_databases_do_not_cross_contaminate(self):
         query = RPQ.parse("r")
         one = GraphDatabase.from_edges([("a", "r", "b")])
         two = GraphDatabase.from_edges([("x", "r", "y")])
         clear_caches()
-        with use_caching(True):
-            assert query.evaluate(one) == {("a", "b")}
-            assert query.evaluate(two) == {("x", "y")}
+        assert query.evaluate(one) == {("a", "b")}
+        assert query.evaluate(two) == {("x", "y")}
 
 
 class TestSnapshotExport:

@@ -1,21 +1,13 @@
 """Tracer/Span semantics: nesting, timing monotonicity, error capture,
-and the NullTracer no-op contract."""
+and the ``tracer=None`` no-op contract."""
 
 from __future__ import annotations
 
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    as_tracer,
-    maybe_span,
-)
+from repro.obs.trace import Span, Tracer, maybe_span
 
 
 class TestSpanNesting:
@@ -162,57 +154,6 @@ class TestErrorUnwind:
         assert all(s.end is not None for s in tracer.root.walk())
 
 
-class TestNullTracer:
-    def test_surface_is_inert(self):
-        tracer = NullTracer()
-        with tracer.span("anything", tag=1) as span:
-            span.count("n")
-            span.annotate(x=1)
-            span.event("e")
-        assert tracer.to_dict() is None
-        assert tracer.roots == []
-        assert tracer.root is None
-        assert not tracer.is_active
-        assert NULL_TRACER.to_dict() is None
-
-    def test_as_tracer_normalizes_none(self):
-        assert as_tracer(None) is NULL_TRACER
-        tracer = Tracer()
-        assert as_tracer(tracer) is tracer
-
+class TestTracingOff:
     def test_maybe_span_shares_one_noop_scope(self):
-        assert maybe_span(None, "x") is maybe_span(NULL_TRACER, "y", tag=1)
-
-    @settings(max_examples=50, deadline=None, derandomize=True)
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["span", "count", "annotate", "event"]),
-                st.text(
-                    alphabet="abcdefghij", min_size=1, max_size=8
-                ),
-                st.integers(0, 100),
-            ),
-            max_size=30,
-        )
-    )
-    def test_null_tracer_noop_under_any_call_sequence(self, calls):
-        """Property: no call sequence makes the null tracer observable."""
-        tracer = NULL_TRACER
-        open_scopes = []
-        for kind, name, amount in calls:
-            if kind == "span":
-                scope = maybe_span(tracer, name, size=amount)
-                open_scopes.append(scope)
-                scope.__enter__()
-            elif kind == "count":
-                tracer.count(name, amount)
-            elif kind == "annotate":
-                tracer.annotate(**{name: amount})
-            else:
-                tracer.event(name, value=amount)
-        for scope in reversed(open_scopes):
-            scope.__exit__(None, None, None)
-        assert tracer.to_dict() is None
-        assert tracer.roots == []
-        assert tracer.current is None
+        assert maybe_span(None, "x") is maybe_span(None, "y", tag=1)

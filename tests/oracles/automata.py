@@ -4,11 +4,15 @@ Each function takes and returns the object-level :class:`NFA` /
 :class:`DFA` types and renders its result exactly as the production
 kernel does (subset states as frozensets of NFA states, minimized states
 as frozensets of DFA states, product states as pairs), so tests can
-compare the two with ``==``.
+compare the two with ``==``.  :func:`find_accepted_word` and
+:func:`implicit_accepts` work on any implicit automaton (the
+``initial_states`` / ``successor_states`` / ``is_final`` protocol of
+:mod:`repro.automata.onthefly`).
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from typing import Hashable, Iterable, Sequence
 
@@ -160,30 +164,7 @@ def _closure(nfa: NFA, seeds: Iterable[State], forward: bool) -> set:
 
 def shortest_word(nfa: NFA) -> Word | None:
     """A shortest accepted word by BFS with parent pointers, or None."""
-    parents: dict[State, tuple[State, str] | None] = {s: None for s in nfa.initial}
-    queue = deque(nfa.initial)
-    hit = next((s for s in nfa.initial if s in nfa.final), None)
-    while queue and hit is None:
-        state = queue.popleft()
-        for symbol in nfa.alphabet:
-            for nxt in nfa.successors(state, symbol):
-                if nxt in parents:
-                    continue
-                parents[nxt] = (state, symbol)
-                if nxt in nfa.final:
-                    hit = nxt
-                    break
-                queue.append(nxt)
-            if hit is not None:
-                break
-    if hit is None:
-        return None
-    word: list[str] = []
-    cursor: State = hit
-    while parents[cursor] is not None:
-        cursor, symbol = parents[cursor]  # type: ignore[misc]
-        word.append(symbol)
-    return tuple(reversed(word))
+    return find_accepted_word([nfa], nfa.alphabet)
 
 
 def containment_counterexample(
@@ -238,3 +219,57 @@ def from_epsilon_nfa(
         for reachable in closures[target]
     ]
     return trim(NFA.build(alphabet, states, new_initial, new_final, new_transitions))
+
+
+def find_accepted_word(machines: Sequence, alphabet: Sequence[str]) -> Word | None:
+    """A shortest word every implicit machine accepts, or None.
+
+    Breadth-first search over tuples of machine states with parent
+    pointers: the reference for
+    :func:`repro.automata.onthefly.find_accepted_word`.
+    """
+
+    def accepted(tup: tuple) -> bool:
+        return all(machine.is_final(state) for machine, state in zip(machines, tup))
+
+    initial = list(
+        itertools.product(*(list(machine.initial_states()) for machine in machines))
+    )
+    parents: dict[tuple, tuple[tuple, str] | None] = {tup: None for tup in initial}
+    queue = deque(initial)
+    hit = next((tup for tup in initial if accepted(tup)), None)
+    while queue and hit is None:
+        tup = queue.popleft()
+        for symbol in alphabet:
+            pools = [
+                list(machine.successor_states(state, symbol))
+                for machine, state in zip(machines, tup)
+            ]
+            for nxt in itertools.product(*pools):
+                if nxt in parents:
+                    continue
+                parents[nxt] = (tup, symbol)
+                if accepted(nxt):
+                    hit = nxt
+                    break
+                queue.append(nxt)
+            if hit is not None:
+                break
+    if hit is None:
+        return None
+    word: list[str] = []
+    cursor = hit
+    while parents[cursor] is not None:
+        cursor, symbol = parents[cursor]  # type: ignore[misc]
+        word.append(symbol)
+    return tuple(reversed(word))
+
+
+def implicit_accepts(machine, word: Word) -> bool:
+    """Whether an implicit machine accepts *word* (on-the-fly subset run)."""
+    states = set(machine.initial_states())
+    for symbol in word:
+        states = {
+            nxt for state in states for nxt in machine.successor_states(state, symbol)
+        }
+    return any(machine.is_final(state) for state in states)

@@ -14,6 +14,7 @@ All properties are derandomized so CI replays the same corpus.
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -251,7 +252,7 @@ class TestSharedWithBatch:
     """The workload parser is the one `repro batch` runs on."""
 
     def test_smoke_workload_parses_fully(self):
-        text = open("benchmarks/workloads/batch_smoke.ndjson").read()
+        text = pathlib.Path("benchmarks/workloads/batch_smoke.ndjson").read_text()
         parsed = protocol.parse_workload(text)
         assert len(parsed.requests) == 20
         assert not parsed.failures
