@@ -18,9 +18,13 @@ with the full telemetry surface enabled:
 6. schema-validate every access-log record and require each accepted
    frame to appear exactly once (answered or shed).
 
+``--backend process`` runs the same checks against process workers,
+whose metrics reach the ``metrics`` verb only through per-item
+repatriation.
+
 Exits non-zero on any violation.  Usage::
 
-    PYTHONPATH=src python scripts/serve_smoke.py [--workload PATH]
+    PYTHONPATH=src python scripts/serve_smoke.py [--backend {thread,process}] [--workload PATH]
 """
 
 from __future__ import annotations
@@ -114,6 +118,10 @@ def main() -> int:
         "--workload", default=str(DEFAULT_WORKLOAD), help="NDJSON workload"
     )
     parser.add_argument(
+        "--backend", choices=("thread", "process"), default="thread",
+        help="the server's worker-pool backend",
+    )
+    parser.add_argument(
         "--out", default="serve_metrics.json", help="metrics snapshot path"
     )
     parser.add_argument(
@@ -142,6 +150,7 @@ def main() -> int:
         [
             sys.executable, "-m", "repro", "serve",
             "--port", "0", "--workers", "4", "--queue-limit", "256",
+            "--backend", args.backend,
             "--access-log", str(access_log),
             "--trace-sample-rate", "0.25",
             "--slow-ms", "0",
@@ -155,7 +164,10 @@ def main() -> int:
     assert process.stderr is not None
     try:
         port, prom_port = read_announces(process.stderr)
-        print(f"serve_smoke: server on port {port}, metrics on {prom_port}")
+        print(
+            f"serve_smoke: {args.backend} server on port {port}, "
+            f"metrics on {prom_port}"
+        )
 
         responses: list[dict] = []
         with socket.create_connection(("127.0.0.1", port), 10) as sock:

@@ -91,43 +91,21 @@ def determinize(
             where "complement" must be taken relative to the full
             Sigma* (or Sigma±*) of the containment problem.
         tracer: optional :class:`repro.obs.trace.Tracer`; records a
-            ``determinize`` span with input/output state counts and the
-            cache outcome.
+            ``determinize`` span with input/output state counts.
 
-    Repeated determinizations of the same automaton are served from the
-    canonical-form-keyed cache in :mod:`repro.cache`; the subset
-    construction itself runs on the bitset kernel.
+    The subset construction runs on the bitset kernel.
     """
-    from ..cache import determinize_cache, nfa_cache_key
-
-    if tracer is None:
-        alpha = tuple(dict.fromkeys(alphabet)) if alphabet is not None else nfa.alphabet
-        key = nfa_cache_key(nfa, alpha)
-        cached = determinize_cache.get(key)
-        if cached is not None:
-            return cached
-        result = _determinize_uncached(nfa, alpha)
-        determinize_cache.put(key, result)
-        return result
-    with tracer.span("determinize", nfa_states=nfa.num_states) as span:
-        alpha = tuple(dict.fromkeys(alphabet)) if alphabet is not None else nfa.alphabet
-        key = nfa_cache_key(nfa, alpha)
-        cached = determinize_cache.get(key)
-        if cached is not None:
-            span.event("cache", outcome="hit")
-            span.annotate(dfa_states=cached.num_states)
-            return cached
-        span.event("cache", outcome="miss")
-        result = _determinize_uncached(nfa, alpha)
-        span.annotate(dfa_states=result.num_states)
-        determinize_cache.put(key, result)
-        return result
-
-
-def _determinize_uncached(nfa: NFA, alpha: tuple[str, ...]) -> DFA:
     from .indexed import IndexedNFA
 
-    return IndexedNFA.from_nfa(nfa, alpha).determinize().to_dfa()
+    alpha = tuple(dict.fromkeys(alphabet)) if alphabet is not None else nfa.alphabet
+    scope = nullcontext() if tracer is None else tracer.span(
+        "determinize", nfa_states=nfa.num_states
+    )
+    with scope as span:
+        result = IndexedNFA.from_nfa(nfa, alpha).determinize().to_dfa()
+        if span is not None:
+            span.annotate(dfa_states=result.num_states)
+    return result
 
 
 def complement_nfa(

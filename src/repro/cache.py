@@ -1,11 +1,13 @@
 """Canonical-form-keyed LRU caches for the compilation pipeline.
 
 The containment engine recompiles the same artifacts constantly: a
-workload of ``check(Q1, Q2)`` calls re-derives regex→NFA compilations,
-NFA→DFA determinizations, and — for repeated query pairs — entire
-containment verdicts.  This module provides the shared memoization
-layer: small, bounded LRU caches with hit/miss/eviction counters that
-the benchmarks read off via :func:`cache_stats`.
+workload of ``check(Q1, Q2)`` calls re-derives regex→NFA compilations
+and — for repeated query pairs — entire containment verdicts.  This
+module provides the shared memoization layer: small, bounded LRU
+caches.  Each counts its hits, misses and evictions on the metrics
+registry as ``cache.<name>.hits|misses|evictions``
+(:mod:`repro.obs.metrics`), and :func:`cache_stats` is a view over
+those counters plus each cache's size.
 
 Canonical-key rules (see DESIGN.md "Performance architecture"):
 
@@ -14,7 +16,7 @@ Canonical-key rules (see DESIGN.md "Performance architecture"):
   final, transition table) — state *objects* included, so two automata
   share an entry only when they are equal component-for-component,
   never merely isomorphic.  This keeps cached values exact drop-ins
-  (e.g. a cached DFA's subset states mention the caller's own NFA
+  (e.g. a cached evaluation context indexes the caller's own NFA
   states).
 - **Values are immutable** (frozen dataclasses over frozensets), so
   sharing needs no copying and no invalidation: a key can never go
@@ -24,11 +26,14 @@ Canonical-key rules (see DESIGN.md "Performance architecture"):
   query or an option does not hash.
 
 :func:`clear_caches` resets contents (benchmarks call it between
-ablation arms so both arms compile from cold).
+ablation arms so both arms compile from cold), and by default zeroes
+the counters in place; :func:`repro.obs.metrics.reset_metrics` zeroes
+them too.
 
 Concurrency (DESIGN.md "Concurrency architecture"): every cache is
-thread-safe.  A per-cache re-entrant lock guards the entry table and
-the counters, and :meth:`LRUCache.get_or_compute` is **single-flight**:
+thread-safe.  A per-cache re-entrant lock guards the entry table (the
+registry counters carry their own locks), and
+:meth:`LRUCache.get_or_compute` is **single-flight**:
 concurrent misses on the same key run ``compute()`` exactly once — the
 first caller computes while the rest wait on the in-flight entry and
 are then served (and counted) as hits.  Stats therefore stay exact
@@ -40,41 +45,11 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Mapping
+from typing import Any, Callable, Hashable
+
+from .obs.metrics import counter
 
 # --- the cache type -------------------------------------------------------------
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction counters for one cache (surfaced to benchmarks).
-
-    The object identity is part of the contract: resets happen **in
-    place** (:meth:`reset`), so a handle hoisted once (``stats =
-    cache.stats``) keeps reporting the live counters across
-    :func:`clear_caches` — the same convention as
-    :meth:`repro.obs.metrics.MetricsRegistry.reset`.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of requests served from cache (0.0 when unused)."""
-        return self.hits / self.requests if self.requests else 0.0
-
-    def reset(self) -> None:
-        """Zero the counters in place (hoisted handles stay valid)."""
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
 
 class _InFlight:
@@ -96,8 +71,12 @@ class LRUCache:
     miss sentinel); every value in this package is a result object, so
     the restriction costs nothing.
 
-    Thread-safe: a re-entrant lock guards the entry table and counters,
-    and :meth:`get_or_compute` is single-flight (see module docstring).
+    ``hits``, ``misses`` and ``evictions`` are the registry counters
+    ``cache.<name>.hits|misses|evictions``; two caches of one name
+    share them.
+
+    Thread-safe: a re-entrant lock guards the entry table, and
+    :meth:`get_or_compute` is single-flight (see module docstring).
     ``compute()`` itself always runs outside the lock, so a computation
     may recurse into the same cache freely.
     """
@@ -105,7 +84,9 @@ class LRUCache:
     def __init__(self, name: str, maxsize: int = 1024) -> None:
         self.name = name
         self.maxsize = maxsize
-        self.stats = CacheStats()
+        self.hits = counter(f"cache.{name}.hits")
+        self.misses = counter(f"cache.{name}.misses")
+        self.evictions = counter(f"cache.{name}.evictions")
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = threading.RLock()
         self._inflight: dict[Hashable, _InFlight] = {}
@@ -120,10 +101,10 @@ class LRUCache:
             try:
                 value = self._entries[key]
             except KeyError:
-                self.stats.misses += 1
+                self.misses.inc()
                 return default
             self._entries.move_to_end(key)
-            self.stats.hits += 1
+            self.hits.inc()
             return value
 
     def peek(self, key: Hashable, default: Any = None) -> Any:
@@ -145,7 +126,7 @@ class LRUCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
-                self.stats.evictions += 1
+                self.evictions.inc()
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
         """``get`` falling back to ``compute()`` — run exactly once per key.
@@ -167,18 +148,18 @@ class LRUCache:
                 value = self._entries.get(key)
                 if value is not None:
                     self._entries.move_to_end(key)
-                    self.stats.hits += 1
+                    self.hits.inc()
                     return value
                 flight = self._inflight.get(key)
                 if flight is None:
                     flight = _InFlight()
                     self._inflight[key] = flight
-                    self.stats.misses += 1
+                    self.misses.inc()
                     break  # this thread is the leader
                 if flight.owner == threading.get_ident():
                     # Re-entrant same-key compute: fall back to direct
                     # computation rather than waiting on ourselves.
-                    self.stats.misses += 1
+                    self.misses.inc()
                     value = compute()
                     self.put(key, value)
                     return value
@@ -186,8 +167,7 @@ class LRUCache:
             if flight.error is not None:
                 raise flight.error
             if flight.value is not None:
-                with self._lock:
-                    self.stats.hits += 1
+                self.hits.inc()
                 return flight.value
             # Leader computed None (uncacheable): loop and retry fresh.
         try:
@@ -208,14 +188,15 @@ class LRUCache:
     def clear(self, reset_stats: bool = False) -> None:
         """Empty the cache; optionally zero the counters **in place**.
 
-        The stats object is never rebound: hoisted ``cache.stats``
-        handles keep observing the live counters after a clear (the
-        contract :mod:`repro.obs.metrics` documents for its registry).
+        The counters are never rebound: hoisted ``cache.hits`` handles
+        keep observing the live counts after a clear (the contract
+        :mod:`repro.obs.metrics` documents for its registry).
         """
         with self._lock:
             self._entries.clear()
             if reset_stats:
-                self.stats.reset()
+                for count in (self.hits, self.misses, self.evictions):
+                    count.reset()
 
 
 # --- registry -------------------------------------------------------------------
@@ -224,18 +205,19 @@ _REGISTRY: dict[str, LRUCache] = {}
 
 
 def cache_stats() -> dict[str, dict[str, Any]]:
-    """Machine-readable snapshot of every cache (for benchmark tables)."""
-    return {
-        name: {
-            "hits": cache.stats.hits,
-            "misses": cache.stats.misses,
-            "evictions": cache.stats.evictions,
-            "hit_rate": round(cache.stats.hit_rate, 4),
+    """Every cache's counters (read off the metrics registry) and size."""
+    stats = {}
+    for name, cache in _REGISTRY.items():
+        hits, misses = cache.hits.value, cache.misses.value
+        stats[name] = {
+            "hits": hits,
+            "misses": misses,
+            "evictions": cache.evictions.value,
+            "hit_rate": round(hits / (hits + misses), 4) if hits + misses else 0.0,
             "size": len(cache),
             "maxsize": cache.maxsize,
         }
-        for name, cache in _REGISTRY.items()
-    }
+    return stats
 
 
 def clear_caches(reset_stats: bool = True) -> None:
@@ -244,37 +226,10 @@ def clear_caches(reset_stats: bool = True) -> None:
         cache.clear(reset_stats=reset_stats)
 
 
-def merge_stats_delta(deltas: Mapping[str, Mapping[str, int]]) -> None:
-    """Fold another process's hit/miss/eviction increments into this
-    process's cache counters.
-
-    The cache half of worker telemetry repatriation (the metrics half
-    is :func:`repro.obs.metrics.merge_snapshot_delta`): a process-pool
-    worker diffs :func:`cache_stats` around one item and the parent
-    merges the counter deltas here, so ``cache_stats()`` in the parent
-    reports the work that actually happened.  Only the counters merge —
-    ``size`` stays local, because the *entries* live in the worker
-    process and never cross the boundary.  Unknown cache names are
-    ignored (all caches are module-level, so the names always exist in
-    a same-version parent; a skew just loses telemetry, never breaks).
-    """
-    for name, delta in deltas.items():
-        cache = _REGISTRY.get(name)
-        if cache is None:
-            continue
-        with cache._lock:
-            cache.stats.hits += int(delta.get("hits", 0))
-            cache.stats.misses += int(delta.get("misses", 0))
-            cache.stats.evictions += int(delta.get("evictions", 0))
-
-
 # --- the package's shared caches --------------------------------------------------
 
 #: regex AST -> reduced NFA (the Thompson construction + reduce_nfa).
 regex_nfa_cache = LRUCache("regex-nfa", maxsize=1024)
-
-#: (NFA canonical key, alphabet) -> complete DFA (subset construction).
-determinize_cache = LRUCache("determinize", maxsize=512)
 
 #: (Q1 key, Q2 key, options) -> ContainmentResult (the engine front door).
 containment_cache = LRUCache("containment", maxsize=2048)

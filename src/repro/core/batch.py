@@ -49,9 +49,9 @@ Backends:
   first-class (DESIGN.md "Concurrency architecture"):
 
   - **Warm start.** Every worker runs a pool initializer that imports
-    the tower dispatch path and seeds the regex→NFA / determinize /
-    containment caches with tiny checks, so the first real item never
-    pays cold-compile latency.
+    the tower dispatch path and seeds the regex→NFA and containment
+    caches with tiny checks, so the first real item never pays
+    cold-compile latency.
   - **Crash isolation.** A worker that dies mid-item (segfault,
     ``os._exit``) breaks the pool for *every* in-flight future; the
     executor quarantines the casualties — each is retried exactly once,
@@ -61,11 +61,11 @@ Backends:
     (``batch.pool_rebuilds`` counts it) and subsequent submits
     succeed: a crashing check never aborts a batch or takes down
     ``repro serve``.
-  - **Telemetry repatriation.** Each item carries a delta snapshot of
-    the worker's metrics registry and cache counters
-    (:attr:`BatchItem.telemetry`); the parent merges it exactly once
-    at completion, so ``repro top``, the ``metrics`` verb, and
-    post-batch snapshots report true figures instead of zeros.
+  - **Telemetry repatriation.** After each check the worker drains its
+    metrics registry (cache counters included) and the item carries
+    what moved (:attr:`BatchItem.telemetry`); the parent folds it in
+    exactly once at completion, so ``repro top``, the ``metrics`` verb,
+    and post-batch snapshots report true figures instead of zeros.
   - **Picklable hooks.** The ``expired_result`` admission hook crosses
     the boundary when it pickles — the serving layer uses a frozen
     dataclass spec (:class:`repro.serve.admission.DeadlineShedSpec`),
@@ -93,13 +93,8 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from ..automata.antichain import resolve_kernel
 from ..budget import Budget
-from ..obs.metrics import counter as _metric_counter, gauge as _metric_gauge, \
-    histogram as _metric_histogram
-from ..obs.telemetry import (
-    merge_worker_telemetry,
-    worker_telemetry_baseline,
-    worker_telemetry_delta,
-)
+from ..obs.metrics import REGISTRY, counter as _metric_counter, \
+    gauge as _metric_gauge, histogram as _metric_histogram, merge_snapshot_delta
 from ..obs.trace import Tracer
 from ..report import ContainmentResult, Verdict
 from .engine import _OPTION_UNIVERSE, check_containment
@@ -150,13 +145,14 @@ class BatchItem:
             ``pid:<n>``), or ``None`` for degraded items.
         request_id: request-scoped telemetry identity (the serving
             layer assigns or propagates one; plain batches leave None).
-        telemetry: repatriated worker-side accounting — the delta of
-            the worker process's metrics registry and cache counters
-            over exactly this item (process backend only; the thread
-            backend mutates the parent registry directly and leaves
-            None).  The executor merges it into the parent exactly
-            once at completion; it stays on the item afterwards for
-            inspection but is *not* part of the NDJSON wire payload.
+        telemetry: repatriated worker-side accounting — the
+            :meth:`~repro.obs.metrics.MetricsRegistry.drain` of the
+            worker process's registry (cache counters included) after
+            this item (process backend only; the thread backend
+            mutates the parent registry directly and leaves None).
+            The executor merges it into the parent exactly once at
+            completion; it stays on the item afterwards for inspection
+            but is *not* part of the NDJSON wire payload.
     """
 
     index: int
@@ -328,13 +324,14 @@ def _warm_start(options: dict[str, Any]) -> None:
     dispatch path pulls every tower module into the worker (the
     fork-server preloads this module, so under ``forkserver`` the
     import is inherited and under ``spawn`` front-loaded here), and a
-    pair of tiny checks seeds the regex→NFA,
-    determinize, and containment caches so the first real item starts
-    against warm compilation machinery.  The warm pair is deliberately
-    obscure (``a b a b`` vs ``(a b)*``) so it cannot collide with a
-    real workload's cache keys and skew repatriated stats.  Failures
-    are swallowed: warm start is an optimization, and a worker that
-    cannot warm still isolates real item failures normally.
+    pair of tiny checks seeds the regex→NFA and containment caches so
+    the first real item starts against warm compilation machinery.
+    The warm pair is deliberately obscure (``a b a b`` vs ``(a b)*``)
+    so it cannot collide with a real workload's cache keys.  The
+    registry is drained and the window discarded at the end, so the
+    warm-up checks never reach the parent's metrics.  Failures are
+    swallowed: warm start is an optimization, and a worker that cannot
+    warm still isolates real item failures normally.
     """
     from ..automata.regex import parse_regex
     from ..rpq.rpq import RPQ
@@ -346,6 +343,7 @@ def _warm_start(options: dict[str, Any]) -> None:
         check_containment(q2, q1, **options)
     except Exception:
         pass
+    REGISTRY.drain()
 
 
 def _run_one_item(
@@ -380,10 +378,11 @@ def _run_one_item(
     pickle (the serving layer's spec is a frozen dataclass —
     :class:`repro.serve.admission.DeadlineShedSpec`).
 
-    ``collect_telemetry`` (process backend) brackets the check with a
-    metrics/cache baseline-and-delta pair so the parent can repatriate
-    this worker's accounting; the thread backend shares the parent
-    registry and skips it.
+    ``collect_telemetry`` (process backend) drains the worker's metrics
+    registry once after the check and ships what moved as
+    :attr:`BatchItem.telemetry`, so the parent can repatriate this
+    worker's accounting; the thread backend shares the parent registry
+    and skips it.
     """
     start = time.monotonic()
     if start_deadline is not None and start > start_deadline:
@@ -396,7 +395,6 @@ def _run_one_item(
             )
         return BatchItem(index, result, 0.0, None, request_id)
     worker = f"pid:{os.getpid()}/{threading.current_thread().name}"
-    baseline = worker_telemetry_baseline() if collect_telemetry else None
     try:
         if trace:
             result = check_containment(
@@ -407,9 +405,7 @@ def _run_one_item(
     except Exception as exc:
         result = error_result(index, exc, kernel=options.get("kernel", "auto"))
     wall_ms = (time.monotonic() - start) * 1000.0
-    telemetry = (
-        worker_telemetry_delta(baseline) if baseline is not None else None
-    )
+    telemetry = (REGISTRY.drain() or None) if collect_telemetry else None
     return BatchItem(index, result, wall_ms, worker, request_id, telemetry)
 
 
@@ -720,7 +716,7 @@ class ContainmentExecutor:
         if item.telemetry is not None:
             # The single merge point for repatriated worker telemetry:
             # every completion path funnels through here exactly once.
-            merge_worker_telemetry(item.telemetry)
+            merge_snapshot_delta(item.telemetry)
         if not outer.cancelled():
             try:
                 outer.set_result(item)

@@ -3,10 +3,13 @@
 The aggregate side of observability — where traces answer "what did
 *this* check do", metrics answer "what has the process been doing":
 how many checks per query class, the verdict mix, the latency
-distribution.  :func:`metrics_snapshot` is the machine-readable dump,
-deliberately shaped like :func:`repro.cache.cache_stats`.
+distribution, the cache hit/miss/eviction counts.  It is the process's
+one counter vocabulary: the LRU caches count here too, under
+``cache.<name>.hits|misses|evictions``, and :func:`repro.cache.cache_stats`
+is a view over those counters.  :func:`metrics_snapshot` is the
+machine-readable dump.
 
-Design (mirrors the cache layer's conventions):
+Design:
 
 - instruments live in a :class:`MetricsRegistry`; the module-level
   :data:`REGISTRY` is the process default, with :func:`counter` /
@@ -23,7 +26,11 @@ Design (mirrors the cache layer's conventions):
   every mutation (and around multi-field histogram reads), so counter
   sums stay exact under the batch layer's worker pools.  Registry
   get-or-create is likewise locked, so two threads asking for the same
-  name always receive the same instrument.
+  name always receive the same instrument;
+- :meth:`MetricsRegistry.drain` hands over what moved since the last
+  drain and zeroes it in place: a process-pool worker drains once per
+  item and the parent folds the payload in with
+  :func:`merge_snapshot_delta` (DESIGN.md "Concurrency architecture").
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ __all__ = [
     "histogram",
     "metrics_snapshot",
     "reset_metrics",
-    "snapshot_delta",
     "merge_snapshot_delta",
 ]
 
@@ -80,6 +86,12 @@ class Counter:
 
     def snapshot(self) -> dict[str, Any]:
         return {"type": self.kind, "value": self.value}
+
+    def drain(self) -> dict[str, Any] | None:
+        """Snapshot and zero in one locked step (None when nothing moved)."""
+        with self._lock:
+            value, self.value = self.value, 0
+        return {"type": self.kind, "value": value} if value else None
 
 
 class Gauge:
@@ -149,11 +161,14 @@ class Histogram:
 
     def reset(self) -> None:
         with self._lock:
-            self.bucket_counts = [0] * (len(self.boundaries) + 1)
-            self.count = 0
-            self.total = 0.0
-            self.min: float | None = None
-            self.max: float | None = None
+            self._zero()
+
+    def _zero(self) -> None:
+        self.bucket_counts = [0] * (len(self.boundaries) + 1)
+        self.count = 0
+        self.total = 0.0
+        self.min: float | None = None
+        self.max: float | None = None
 
     @property
     def mean(self) -> float:
@@ -181,21 +196,37 @@ class Histogram:
 
     def snapshot(self) -> dict[str, Any]:
         with self._lock:
-            cumulative: dict[str, int] = {}
-            running = 0
-            for boundary, bucket in zip(self.boundaries, self.bucket_counts):
-                running += bucket
-                cumulative[repr(boundary)] = running
-            cumulative["+Inf"] = self.count
-            return {
-                "type": self.kind,
-                "count": self.count,
-                "sum": round(self.total, 6),
-                "min": self.min,
-                "max": self.max,
-                "mean": round(self.mean, 6),
-                "buckets": cumulative,
-            }
+            return self._snapshot()
+
+    def drain(self) -> dict[str, Any] | None:
+        """Snapshot and zero in one locked step (None when nothing moved).
+
+        The window's ``min``/``max`` are its own observations' bounds,
+        because the previous drain zeroed them.
+        """
+        with self._lock:
+            if not self.count:
+                return None
+            window = self._snapshot()
+            self._zero()
+        return window
+
+    def _snapshot(self) -> dict[str, Any]:
+        cumulative: dict[str, int] = {}
+        running = 0
+        for boundary, bucket in zip(self.boundaries, self.bucket_counts):
+            running += bucket
+            cumulative[repr(boundary)] = running
+        cumulative["+Inf"] = self.count
+        return {
+            "type": self.kind,
+            "count": self.count,
+            "sum": round(self.total, 6),
+            "min": self.min,
+            "max": self.max,
+            "mean": round(self.mean, 6),
+            "buckets": cumulative,
+        }
 
     def merge_delta(
         self,
@@ -209,13 +240,10 @@ class Histogram:
 
         ``buckets`` uses the snapshot wire shape — *cumulative* counts
         keyed by ``repr(boundary)`` plus a ``"+Inf"`` catch-all — which
-        is exactly what subtracting two :meth:`snapshot` payloads
-        yields (cumulative deltas are still cumulative).  A boundary
-        this histogram does not have lands in the covering bucket, so
-        merging never loses observations even across boundary drift.
-        ``minimum``/``maximum`` are folded with min/max; a worker that
-        reports lifetime bounds can only widen the range, never shrink
-        it.
+        is what :meth:`drain` returns.  A boundary this histogram does
+        not have lands in the covering bucket, so merging never loses
+        observations even across boundary drift.  ``minimum``/``maximum``
+        are the window's own bounds, folded with min/max.
         """
         if count <= 0:
             return
@@ -298,6 +326,26 @@ class MetricsRegistry:
         for instrument in instruments:
             instrument.reset()
 
+    def drain(self) -> dict[str, dict[str, Any]]:
+        """Hand over every counter and histogram that moved, zeroed in place.
+
+        Each instrument is read and zeroed under its own lock, so an
+        increment racing the drain lands in this window or the next,
+        never in neither; hoisted handles keep counting.  Gauges are
+        point-in-time values of this process and are not drained.
+        Returns ``{}`` when nothing moved.  The payload is what
+        :func:`merge_snapshot_delta` folds into another registry.
+        """
+        with self._lock:
+            instruments = list(self._instruments.items())
+        moved: dict[str, dict[str, Any]] = {}
+        for name, instrument in instruments:
+            if instrument.kind != "gauge":
+                window = instrument.drain()
+                if window is not None:
+                    moved[name] = window
+        return moved
+
 
 #: The process-default registry (what the engine and CLI report from).
 REGISTRY = MetricsRegistry()
@@ -319,70 +367,21 @@ def histogram(name: str, buckets: Iterable[float] = DEFAULT_BUCKETS_MS) -> Histo
 
 
 def metrics_snapshot(prefix: str | None = None) -> dict[str, dict[str, Any]]:
-    """Snapshot of the default registry (akin to ``cache_stats()``)."""
+    """Snapshot of the default registry."""
     return REGISTRY.snapshot(prefix)
 
 
 def reset_metrics() -> None:
-    """Zero the default registry in place (tests/benchmarks)."""
+    """Zero the default registry in place, cache counters included
+    (tests/benchmarks)."""
     REGISTRY.reset()
-
-
-def snapshot_delta(
-    before: dict[str, dict[str, Any]], after: dict[str, dict[str, Any]]
-) -> dict[str, dict[str, Any]]:
-    """The numeric difference between two :func:`metrics_snapshot` dumps.
-
-    The worker side of telemetry repatriation (DESIGN.md "Concurrency
-    architecture"): a process-pool worker snapshots its registry before
-    and after one item and ships the delta back with the result, so the
-    parent can :func:`merge_snapshot_delta` it and report true figures.
-
-    - **Counters** carry the value increment (zero increments are
-      dropped — the common case is a handful of touched instruments).
-    - **Histograms** carry the window's ``count``/``sum`` plus the
-      cumulative-bucket deltas (still cumulative, still mergeable by
-      addition) and the worker's ``min``/``max`` as range bounds.
-    - **Gauges** are skipped: they are point-in-time values of *that*
-      process (queue depths, pool sizes) and adding them across
-      processes would be nonsense.
-
-    Both payloads must come from the same process; instruments present
-    only in ``before`` (impossible without a reset) are ignored.
-    """
-    delta: dict[str, dict[str, Any]] = {}
-    for name, cur in after.items():
-        kind = cur.get("type")
-        prev = before.get(name, {})
-        if kind == "counter":
-            increment = cur.get("value", 0) - prev.get("value", 0)
-            if increment > 0:
-                delta[name] = {"type": "counter", "value": increment}
-        elif kind == "histogram":
-            count = cur.get("count", 0) - prev.get("count", 0)
-            if count <= 0:
-                continue
-            prev_buckets = prev.get("buckets", {})
-            buckets = {
-                key: value - prev_buckets.get(key, 0)
-                for key, value in cur.get("buckets", {}).items()
-            }
-            delta[name] = {
-                "type": "histogram",
-                "count": count,
-                "sum": round(cur.get("sum", 0.0) - prev.get("sum", 0.0), 6),
-                "min": cur.get("min"),
-                "max": cur.get("max"),
-                "buckets": {k: v for k, v in buckets.items() if v},
-            }
-    return delta
 
 
 def merge_snapshot_delta(
     delta: dict[str, dict[str, Any]], registry: MetricsRegistry | None = None
 ) -> None:
-    """Fold a :func:`snapshot_delta` payload into a registry (default:
-    the process registry).
+    """Fold a :meth:`MetricsRegistry.drain` payload into a registry
+    (default: the process registry).
 
     Instruments are get-or-created, so a worker-only metric still shows
     up in the parent; a name that exists with a mismatched kind raises

@@ -31,6 +31,9 @@ per served frame fans the record out to the log, the ring, and the
 profile.  Everything here is zero-dependency and pay-for-what-you-use:
 with no access log configured and a sample rate of 0, ``observe`` is a
 dict build plus a deque append.
+
+This module must not import :mod:`repro.cache`: that imports
+:mod:`repro.obs.metrics`, and so this package, closing an import cycle.
 """
 
 from __future__ import annotations
@@ -44,13 +47,7 @@ import time
 from collections import deque
 from typing import Any
 
-from ..cache import cache_stats, merge_stats_delta
-from .metrics import (
-    counter as _metric_counter,
-    merge_snapshot_delta,
-    metrics_snapshot,
-    snapshot_delta,
-)
+from .metrics import counter as _metric_counter
 from .profile import SpanProfile
 
 __all__ = [
@@ -64,9 +61,6 @@ __all__ = [
     "TelemetryConfig",
     "access_record",
     "validate_access_record",
-    "worker_telemetry_baseline",
-    "worker_telemetry_delta",
-    "merge_worker_telemetry",
 ]
 
 #: Schema tag stamped into every access-log record.
@@ -78,6 +72,12 @@ FLIGHT_SCHEMA = "repro-flight/1"
 #: Every ``op`` an access record may carry: the containment verb, the
 #: control verbs, and ``invalid`` for frames that failed to parse.
 ACCESS_OPS = ("contain", "health", "metrics", "debug", "invalid")
+
+#: Bound on the access-log writer's queue.
+LOG_QUEUE_SIZE = 1024
+
+#: Hotspot rows the ``metrics`` verb exposes.
+PROFILE_TOP = 15
 
 _LOG_WRITTEN = _metric_counter("telemetry.access_log.written")
 _LOG_DROPPED = _metric_counter("telemetry.access_log.dropped")
@@ -197,7 +197,7 @@ class AccessLogWriter:
     and telemetry must never become the bottleneck it is measuring.
     """
 
-    def __init__(self, path: str, *, queue_size: int = 1024) -> None:
+    def __init__(self, path: str, *, queue_size: int = LOG_QUEUE_SIZE) -> None:
         if queue_size < 1:
             raise ValueError(f"queue_size must be >= 1, not {queue_size}")
         self.path = str(path)
@@ -371,16 +371,12 @@ class TelemetryConfig:
             it retain their span trees.
         sample_rate: fraction of requests traced live ([0, 1]; 0 = off).
         flight_capacity: ring-buffer size of the flight recorder.
-        log_queue_size: bound on the access-log writer's queue.
-        profile_top: hotspot rows the ``metrics`` verb exposes.
     """
 
     access_log: str | None = None
     slow_ms: float = 250.0
     sample_rate: float = 0.0
     flight_capacity: int = 256
-    log_queue_size: int = 1024
-    profile_top: int = 15
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.sample_rate <= 1.0:
@@ -405,9 +401,7 @@ class Telemetry:
     def __init__(self, config: TelemetryConfig | None = None) -> None:
         self.config = config if config is not None else TelemetryConfig()
         self.log: AccessLogWriter | None = (
-            AccessLogWriter(
-                self.config.access_log, queue_size=self.config.log_queue_size
-            )
+            AccessLogWriter(self.config.access_log)
             if self.config.access_log is not None
             else None
         )
@@ -436,7 +430,7 @@ class Telemetry:
 
     def profile_snapshot(self) -> dict[str, Any]:
         """The hotspot aggregate of sampled traces (``metrics`` verb)."""
-        return self.profile.to_dict(top=self.config.profile_top)
+        return self.profile.to_dict(top=PROFILE_TOP)
 
     def stats(self) -> dict[str, Any]:
         """Accounting block for the ``metrics`` verb / health surfaces."""
@@ -458,56 +452,3 @@ class Telemetry:
         """Flush and stop the access-log writer (idempotent)."""
         if self.log is not None:
             self.log.close()
-
-
-# --- worker telemetry repatriation ----------------------------------------------
-#
-# The process backend's metrics/cache counters move in the *worker*
-# processes, invisible to the parent's registry — without repatriation,
-# `repro top`, the `metrics` verb, and post-batch snapshots report zeros
-# whenever `backend="process"`.  The contract (DESIGN.md "Concurrency
-# architecture"): the worker brackets each item with a baseline/delta
-# pair, the delta rides home on the item (plain dicts, pickle-friendly),
-# and the parent merges it exactly once at future-completion time.
-
-
-def worker_telemetry_baseline() -> dict[str, Any]:
-    """Worker-side pre-item snapshot: metrics registry plus cache stats.
-
-    Taken *after* any warm-start activity, at item start, so initializer
-    checks never leak into per-item deltas.
-    """
-    return {"metrics": metrics_snapshot(), "cache": cache_stats()}
-
-
-def worker_telemetry_delta(baseline: dict[str, Any]) -> dict[str, Any] | None:
-    """What one item moved: the diff against its pre-item baseline.
-
-    Returns ``None`` when the item touched nothing (e.g. a shed that
-    never reached the engine), so idle items cost zero bytes on the
-    wire.
-    """
-    metrics_part = snapshot_delta(baseline.get("metrics", {}), metrics_snapshot())
-    cache_part: dict[str, dict[str, int]] = {}
-    before_cache = baseline.get("cache", {})
-    for name, cur in cache_stats().items():
-        prev = before_cache.get(name, {})
-        moved = {
-            key: cur.get(key, 0) - prev.get(key, 0)
-            for key in ("hits", "misses", "evictions")
-        }
-        moved = {key: value for key, value in moved.items() if value}
-        if moved:
-            cache_part[name] = moved
-    if not metrics_part and not cache_part:
-        return None
-    return {"metrics": metrics_part, "cache": cache_part}
-
-
-def merge_worker_telemetry(delta: dict[str, Any] | None) -> None:
-    """Parent-side fold of one repatriated item delta (idempotent on
-    ``None``; the caller guarantees each delta merges exactly once)."""
-    if not delta:
-        return
-    merge_snapshot_delta(delta.get("metrics") or {})
-    merge_stats_delta(delta.get("cache") or {})

@@ -21,6 +21,8 @@ import json
 import socket
 from typing import Any, Mapping
 
+from .admission import SHED_REASONS
+
 __all__ = [
     "parse_addr",
     "fetch_control",
@@ -31,10 +33,6 @@ __all__ = [
     "top_deltas",
     "render_top",
 ]
-
-#: Shed reasons rendered as individual columns (the suffixed counters).
-SHED_REASONS = ("queue_full", "deadline", "draining")
-
 
 def parse_addr(addr: str, *, default_port: int = 7407) -> tuple[str, int]:
     """``HOST:PORT`` / ``HOST`` / ``:PORT`` into a connectable pair."""

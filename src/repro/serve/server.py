@@ -34,9 +34,10 @@ multi-core parallelism and crash isolation — workers warm-start
 (caches pre-seeded at spin-up), a worker crash resolves to an isolated
 ``ERROR`` response while the pool rebuilds underneath the running
 server, per-request deadline sheds use the picklable
-:class:`~repro.serve.admission.DeadlineShedSpec`, and worker-side
-metrics/cache deltas are repatriated so the ``metrics`` verb and
-``repro top`` report true figures.  The health verb names the active
+:class:`~repro.serve.admission.DeadlineShedSpec`, and each worker's
+metrics registry (cache counters included) is drained per item and
+folded into the server's, so the ``metrics`` verb and ``repro top``
+report true figures.  The health verb names the active
 backend; drain semantics are identical (shutdown waits on process
 workers).  See DESIGN.md for the tradeoff.
 
@@ -74,6 +75,7 @@ from ..obs.promtext import http_exposition
 from ..obs.telemetry import Telemetry, TelemetryConfig, access_record
 from . import protocol
 from .admission import (
+    SHED_REASONS,
     AdmissionController,
     AdmissionPolicy,
     DeadlineShedSpec,
@@ -89,7 +91,7 @@ _PROTOCOL_ERRORS = _metric_counter("serve.protocol_errors")
 _SHED = _metric_counter("serve.shed")
 _SHED_BY = {
     reason: _metric_counter(f"serve.shed.{reason}")
-    for reason in ("queue_full", "deadline", "draining")
+    for reason in SHED_REASONS
 }
 _QUEUE_DEPTH = _metric_gauge("serve.queue_depth")
 _LATENCY_MS = _metric_histogram("serve.latency_ms")

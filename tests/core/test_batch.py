@@ -324,8 +324,7 @@ class TestCounterExactness:
         assert all(outcome in ("hit", "miss") for outcome in outcomes)
         # All verdicts identical regardless of who computed first.
         assert len({item.result.verdict for item in batch.items}) == 1
-        stats = containment_cache.stats
-        assert stats.hits + stats.misses == 12
+        assert containment_cache.hits.value + containment_cache.misses.value == 12
 
     def test_worker_utilization_gauge_in_unit_range(self):
         check_containment_many(e1_workload()[:6], workers=2)
@@ -364,8 +363,8 @@ class TestSingleFlight:
         # Straggler call after the flight resolves: a plain hit.
         assert cache.get_or_compute("cold-key", compute) == "value"
         assert len(computes) == 1, "single-flight: compute ran once"
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 7
+        assert cache.misses.value == 1
+        assert cache.hits.value == 7
 
     def test_leader_failure_propagates_to_followers_and_caches_nothing(self):
         from repro.cache import LRUCache
@@ -678,8 +677,8 @@ class TestProcessBackend:
 
     def test_worker_telemetry_repatriates_exactly(self):
         # Worker processes mutate their own registries; the executor
-        # merges each item's delta exactly once, so the parent's
-        # counters read as if the work ran in-process.
+        # merges each item's drained window exactly once, so the
+        # parent's counters read as if the work ran in-process.
         pairs = e1_workload()
         seen, distinct = set(), []
         for q1, q2 in pairs:
@@ -687,12 +686,41 @@ class TestProcessBackend:
             if key not in seen:
                 seen.add(key)
                 distinct.append((q1, q2))
+        sequential_baseline(distinct)
+        in_process = cache_stats()["regex-nfa"]
+        reset_metrics()
         batch = check_containment_many(distinct, workers=2, backend="process")
         assert all(item.telemetry is not None for item in batch.items)
         assert REGISTRY.counter("engine.checks").value == len(distinct)
         assert REGISTRY.histogram("engine.check_ms").count == len(distinct)
-        stats = cache_stats()["containment"]
-        assert stats["hits"] + stats["misses"] == len(distinct)
+        stats = cache_stats()
+        containment = stats["containment"]
+        assert containment["hits"] + containment["misses"] == len(distinct)
+        # The parent compiled nothing itself: every regex-nfa lookup it
+        # reports came home from a worker, and each distinct regex
+        # missed at least once in some worker.
+        compiled = stats["regex-nfa"]
+        assert compiled["hits"] + compiled["misses"] == (
+            in_process["hits"] + in_process["misses"]
+        )
+        assert compiled["misses"] >= in_process["misses"]
+        for name in stats:
+            for what in ("hits", "misses", "evictions"):
+                counter = REGISTRY.counter(f"cache.{name}.{what}")
+                assert counter.value == stats[name][what], (name, what)
+
+    def test_repatriated_histogram_window_carries_only_its_own_bounds(self):
+        # Neither the warm-up checks nor an item from before the
+        # parent's reset may leak into the parent's min/max.
+        slow = self.pair("(a|b)* a" + " (a|b)" * 6, "(a|b)* a" + " (a|b)" * 7)
+        with ContainmentExecutor(workers=1, backend="process") as executor:
+            executor.submit(*slow).result(timeout=60)
+            reset_metrics()
+            executor.submit(*self.pair("a", "a|b")).result(timeout=60)
+        check_ms = REGISTRY.histogram("engine.check_ms")
+        assert check_ms.count == 1
+        assert check_ms.min == check_ms.max
+        assert check_ms.max == pytest.approx(check_ms.total, abs=1e-3)
 
     def test_thread_backend_items_carry_no_telemetry_delta(self):
         # Thread workers share the parent registry: repatriating a

@@ -1,12 +1,16 @@
 """Tests for the canonical-form-keyed cache layer (repro.cache).
 
-Covers the LRU mechanics, the engine's containment cache (repeat calls
-served from cache with identical results, hit/miss surfaced in
-``details["cache"]`` and in :func:`cache_stats`), and the bypass rules
-for unhashable options.
+Covers the LRU mechanics, the counters each cache keeps on the metrics
+registry (and :func:`cache_stats`, the view over them), the engine's
+containment cache (repeat calls served from cache with identical
+results, hit/miss surfaced in ``details["cache"]``), and the bypass
+rules for unhashable options.
 """
 
 from __future__ import annotations
+
+import subprocess
+import sys
 
 import pytest
 
@@ -15,10 +19,10 @@ from repro.cache import (
     cache_stats,
     clear_caches,
     containment_cache,
-    determinize_cache,
     query_cache_key,
 )
 from repro.core.engine import check_containment
+from repro.obs.metrics import metrics_snapshot, reset_metrics
 from repro.report import Verdict
 from repro.rpq.rpq import RPQ, TwoRPQ
 
@@ -36,9 +40,9 @@ class TestLRUCache:
         assert cache.get("k") is None
         cache.put("k", 1)
         assert cache.get("k") == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 1
-        assert cache.stats.hit_rate == 0.5
+        assert cache.misses.value == 1
+        assert cache.hits.value == 1
+        assert cache_stats()["test-basic"]["hit_rate"] == 0.5
 
     def test_eviction_is_least_recently_used(self):
         cache = LRUCache("test-lru", maxsize=2)
@@ -46,7 +50,7 @@ class TestLRUCache:
         cache.put("b", 2)
         assert cache.get("a") == 1  # refresh "a"; "b" is now LRU
         cache.put("c", 3)
-        assert cache.stats.evictions == 1
+        assert cache.evictions.value == 1
         assert cache.get("b") is None
         assert cache.get("a") == 1
         assert cache.get("c") == 3
@@ -64,35 +68,51 @@ class TestLRUCache:
         cache.put("k", 1)
         cache.get("k")
         cache.clear()
-        assert len(cache) == 0 and cache.stats.hits == 1
+        assert len(cache) == 0 and cache.hits.value == 1
         cache.clear(reset_stats=True)
-        assert cache.stats.hits == 0
+        assert cache.hits.value == 0
 
     def test_held_stats_handle_survives_clear(self):
-        # Regression: clear(reset_stats=True) used to rebind self.stats
-        # to a fresh CacheStats, silently orphaning any handle a metrics
-        # exporter (or batch worker) grabbed earlier. The contract is now
-        # reset-in-place: the held object keeps reporting live counters.
+        # clear(reset_stats=True) zeroes the counters in place, so a
+        # handle a metrics exporter (or batch worker) grabbed earlier
+        # keeps reporting live counts.
         cache = LRUCache("test-stats-handle", maxsize=4)
-        handle = cache.stats
+        handle = cache.hits
         cache.put("k", 1)
         cache.get("k")
         cache.clear(reset_stats=True)
-        assert cache.stats is handle
-        assert handle.hits == 0
+        assert cache.hits is handle
+        assert handle.value == 0
         cache.put("k", 2)
         cache.get("k")
-        assert handle.hits == 1  # live counters, not a stale snapshot
+        assert handle.value == 1  # live counters, not a stale snapshot
 
     def test_held_stats_handle_survives_global_clear_caches(self):
-        handle = containment_cache.stats
+        hits, misses = containment_cache.hits, containment_cache.misses
         check_containment(RPQ.parse("a"), RPQ.parse("a|b"))
-        assert handle.misses >= 1
+        assert misses.value >= 1
         clear_caches(reset_stats=True)
-        assert containment_cache.stats is handle
-        assert handle.misses == 0 and handle.hits == 0
+        assert containment_cache.misses is misses
+        assert misses.value == 0 and hits.value == 0
         check_containment(RPQ.parse("a"), RPQ.parse("a|b"))
-        assert handle.misses == 1
+        assert misses.value == 1
+
+    def test_counters_live_in_the_metrics_registry(self):
+        check_containment(RPQ.parse("a a"), RPQ.parse("a+"))
+        check_containment(RPQ.parse("a a"), RPQ.parse("a+"))
+        snapshot, stats = metrics_snapshot(), cache_stats()
+        for name in stats:
+            for what in ("hits", "misses", "evictions"):
+                assert snapshot[f"cache.{name}.{what}"]["value"] == stats[name][what]
+        assert stats["containment"]["hits"] == 1
+        assert stats["containment"]["misses"] == 1
+        reset_metrics()
+        assert cache_stats()["containment"]["hits"] == 0
+
+    def test_importing_the_cache_first_closes_no_cycle(self):
+        # repro.cache imports repro.obs.metrics, whose package imports
+        # repro.obs.telemetry: that module must not import repro.cache.
+        subprocess.run([sys.executable, "-c", "import repro.cache"], check=True)
 
 
 class TestQueryCacheKey:
@@ -147,10 +167,10 @@ class TestEngineContainmentCache:
         assert other.details["cache"] == "miss"
         assert check_containment(q1, q2, method="shepherdson").details["cache"] == "hit"
 
-    def test_determinize_cache_fills_during_rpq_checks(self):
+    def test_regex_nfa_is_the_only_compile_cache(self):
         check_containment(RPQ.parse("(a|b)* a"), RPQ.parse("(a|b)*"))
         stats = cache_stats()
         assert stats["regex-nfa"]["size"] > 0
-        # Lemma 1 now runs on the on-the-fly kernel; determinize still
-        # caches when the materializing paths (reduce_nfa) invoke it.
-        assert "determinize" in stats
+        # Compilation has one cache: reduce_nfa's determinize runs once
+        # per regex-nfa miss, so it is not cached again.
+        assert "determinize" not in stats

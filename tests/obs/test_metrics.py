@@ -1,5 +1,6 @@
 """Metrics registry semantics: instrument behavior, get-or-create
-stability, snapshots, and in-place reset."""
+stability, snapshots, in-place reset, and the drain/merge round trip
+that repatriates a process worker's metrics."""
 
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    merge_snapshot_delta,
 )
 
 
@@ -146,6 +148,87 @@ class TestRegistry:
         hoisted.inc()
         assert registry.counter("hits") is hoisted
         assert registry.snapshot()["hits"]["value"] == 1
+
+
+class TestDrain:
+    def test_returns_exactly_the_instruments_that_moved(self):
+        registry = MetricsRegistry()
+        registry.counter("moved").inc(3)
+        registry.counter("idle")
+        registry.histogram("lat", buckets=(1.0,)).observe(0.5)
+        registry.histogram("quiet", buckets=(1.0,))
+        window = registry.drain()
+        assert set(window) == {"moved", "lat"}
+        assert window["moved"] == {"type": "counter", "value": 3}
+        assert window["lat"]["count"] == 1
+        assert window["lat"]["min"] == window["lat"]["max"] == 0.5
+
+    def test_zeroes_in_place_so_held_handles_keep_counting(self):
+        registry = MetricsRegistry()
+        hoisted = registry.counter("hits")
+        hist = registry.histogram("lat", buckets=(1.0,))
+        hoisted.inc(2)
+        hist.observe(5.0)
+        registry.drain()
+        assert hoisted.value == 0
+        assert hist.count == 0 and hist.min is None and hist.max is None
+        hoisted.inc()
+        hist.observe(0.25)
+        window = registry.drain()
+        assert registry.counter("hits") is hoisted
+        assert window["hits"]["value"] == 1
+        # The second window carries only its own bounds, not the 5.0
+        # the first window saw.
+        assert window["lat"]["min"] == window["lat"]["max"] == 0.25
+
+    def test_leaves_gauges_alone(self):
+        registry = MetricsRegistry()
+        registry.gauge("depth").set(4)
+        assert registry.drain() == {}
+        assert registry.gauge("depth").value == 4
+
+    def test_returns_empty_when_nothing_moved(self):
+        registry = MetricsRegistry()
+        assert registry.drain() == {}
+        registry.counter("x").inc()
+        registry.drain()
+        assert registry.drain() == {}
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        counters=st.dictionaries(
+            st.sampled_from(["c1", "c2", "c3"]), st.integers(0, 1000), max_size=3
+        ),
+        observations=st.dictionaries(
+            st.sampled_from(["h1", "h2"]),
+            st.lists(st.floats(0, 20_000, allow_nan=False), max_size=20),
+            max_size=2,
+        ),
+    )
+    def test_merge_into_fresh_registry_reproduces_the_window(
+        self, counters, observations
+    ):
+        source = MetricsRegistry()
+        for name, amount in counters.items():
+            source.counter(name).inc(amount)
+        for name, values in observations.items():
+            for value in values:
+                source.histogram(name).observe(value)
+        before = source.snapshot()
+        target = MetricsRegistry()
+        merge_snapshot_delta(source.drain(), target)
+        after = target.snapshot()
+        for name, amount in counters.items():
+            if amount:
+                assert after[name]["value"] == amount
+            else:
+                assert name not in after
+        for name, values in observations.items():
+            if not values:
+                assert name not in after
+                continue
+            for key in ("count", "sum", "min", "max", "buckets"):
+                assert after[name][key] == before[name][key], key
 
 
 class TestDefaultRegistry:
