@@ -293,7 +293,9 @@ def _tokenize(text: str) -> Iterator[tuple[str, str]]:
             remainder = text[position:].strip()
             if not remainder:
                 break
-            raise RegexSyntaxError(f"cannot tokenize {remainder!r} in {text!r}")
+            raise RegexSyntaxError(
+                f"cannot tokenize {_excerpt(remainder)} in {_excerpt(text)}"
+            )
         position = match.end()
         kind = match.lastgroup
         assert kind is not None
@@ -301,84 +303,166 @@ def _tokenize(text: str) -> Iterator[tuple[str, str]]:
     yield "end", ""
 
 
+#: Tallest AST the parser returns.  Every walk over a regex (hashing,
+#: equality, printing, compilation, inversion) recurses once per level,
+#: so a bounded height keeps them all far below Python's recursion
+#: limit.  Concatenations and unions, parenthesized or not, are built as
+#: balanced trees, so a word or alternation of any length stays short;
+#: only deep nesting of different operators reaches the limit, e.g.
+#: ``((a b)* c)*`` nested about 100 times.
+MAX_REGEX_HEIGHT = 200
+
+_POSTFIX = {"star": Star, "plus": Plus, "opt": Optional_}
+_UNARY = (Star, Plus, Optional_)
+
+
+def _excerpt(text: str, limit: int = 40) -> str:
+    return repr(text if len(text) <= limit else text[:limit] + "...")
+
+
+def _height(node: Regex) -> int:
+    """Edges on the longest root-to-leaf path (iterative: no recursion)."""
+    tallest, stack = 0, [(node, 0)]
+    while stack:
+        node, depth = stack.pop()
+        tallest = max(tallest, depth)
+        if isinstance(node, (Concat, Union)):
+            stack += ((node.left, depth + 1), (node.right, depth + 1))
+        elif isinstance(node, _UNARY):
+            stack.append((node.body, depth + 1))
+    return tallest
+
+
 class _Parser:
+    """Iterative parser: an explicit stack of open groups, so parenthesis
+    depth costs no Python recursion.
+
+    Factors and alternatives live in two flat lists shared by all open
+    groups.  A group without ``|`` leaves its factors inline in the
+    enclosing concatenation, and a union group stays a pending marker
+    (the index of its first alternative) that splices into an enclosing
+    union — so ``(a (b (c d)))`` and ``a|(b|(c|d))`` flatten before
+    being balanced.  A postfix operator or a neighbouring factor makes
+    the group a node of its own.
+    """
+
     def __init__(self, text: str) -> None:
-        self.tokens = list(_tokenize(text))
-        self.index = 0
         self.text = text
+        self.factors: list[Regex | int] = []
+        self.alternatives: list[Regex] = []
 
-    def peek(self) -> tuple[str, str]:
-        return self.tokens[self.index]
+    def fail(self, problem: str) -> RegexSyntaxError:
+        return RegexSyntaxError(f"{problem} in {_excerpt(self.text)}")
 
-    def advance(self) -> tuple[str, str]:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
+    @staticmethod
+    def balanced(kind: type, parts: list[Regex]) -> Regex:
+        """``kind`` over *parts* as a balanced tree (left-nested up to 3)."""
+        while len(parts) > 3:
+            paired = [kind(left, right) for left, right in zip(parts[::2], parts[1::2])]
+            parts = paired + parts[len(paired) * 2:]
+        if len(parts) == 3:
+            return kind(kind(parts[0], parts[1]), parts[2])
+        return kind(parts[0], parts[1]) if len(parts) == 2 else parts[0]
+
+    def take(self, start: int) -> Regex:
+        """Pop the factors from *start* on as one operand (their Concat)."""
+        factors = self.factors
+        if factors[-1].__class__ is int:  # a union group becomes a node
+            first = factors.pop()
+            factors.append(self.balanced(Union, self.alternatives[first:]))
+            del self.alternatives[first:]
+        if len(factors) == start + 1:
+            return factors.pop()
+        operand = self.balanced(Concat, factors[start:])
+        del factors[start:]
+        return operand
+
+    def close_alternative(self, start: int) -> None:
+        """Move the factors from *start* on into the alternatives."""
+        factors = self.factors
+        if len(factors) == start + 1:
+            last = factors.pop()
+            if last.__class__ is not int:  # else a lone union group: its
+                self.alternatives.append(last)  # alternatives are already ours
+        else:
+            self.alternatives.append(self.take(start))
 
     def parse(self) -> Regex:
-        node = self.parse_union()
-        kind, value = self.peek()
-        if kind != "end":
-            raise RegexSyntaxError(f"unexpected {value!r} in {self.text!r}")
-        return node
-
-    def parse_union(self) -> Regex:
-        node = self.parse_concat()
-        while self.peek()[0] == "bar":
-            self.advance()
-            node = Union(node, self.parse_concat())
-        return node
-
-    def parse_concat(self) -> Regex:
-        parts = [self.parse_postfix()]
-        while True:
-            kind, _value = self.peek()
-            if kind == "dot":
-                self.advance()
+        factors, alternatives = self.factors, self.alternatives
+        groups: list[tuple[int, int]] = []  # the enclosing groups' starts
+        first_factor = first_alternative = 0  # where the open group starts
+        deepest = 0
+        closed = None  # first factor of the group the last token closed
+        after_dot = False
+        for kind, value in _tokenize(self.text):
+            if kind == "symbol":
+                if closed is not None and factors[-1].__class__ is int:
+                    factors.append(self.take(len(factors) - 1))
+                factors.append(Sym(value))
+                closed = None
+                after_dot = False
                 continue
-            if kind in ("symbol", "lparen"):
-                parts.append(self.parse_postfix())
+            in_alternative = len(factors) > first_factor
+            closing, closed = closed, None
+            if kind == "lparen":
+                if closing is not None and factors[-1].__class__ is int:
+                    factors.append(self.take(len(factors) - 1))
+                groups.append((first_factor, first_alternative))
+                first_factor, first_alternative = len(factors), len(alternatives)
+                if len(groups) > deepest:
+                    deepest = len(groups)
+            elif kind in _POSTFIX and in_alternative and not after_dot:
+                # A stack of postfix operators is one operator: a** = a*,
+                # and any mix of them is *.
+                node = factors.pop() if closing is None else self.take(closing)
+                op = _POSTFIX[kind]
+                if not isinstance(node, op):
+                    node = Star(node.body) if isinstance(node, _UNARY) else op(node)
+                factors.append(node)
+            elif kind == "dot" and in_alternative:
+                after_dot, closed = True, closing  # a pending union stays pending
                 continue
-            break
-        node = parts[0]
-        for part in parts[1:]:
-            node = Concat(node, part)
-        return node
-
-    def parse_postfix(self) -> Regex:
-        node = self.parse_atom()
-        while True:
-            kind, _value = self.peek()
-            if kind == "star":
-                self.advance()
-                node = Star(node)
-            elif kind == "plus":
-                self.advance()
-                node = Plus(node)
-            elif kind == "opt":
-                self.advance()
-                node = Optional_(node)
+            elif kind == "bar" and in_alternative:
+                self.close_alternative(first_factor)
+            elif kind == "rparen" and groups and (
+                in_alternative or len(alternatives) == first_alternative
+            ):
+                if not in_alternative:
+                    factors.append(Epsilon())  # "()" denotes epsilon
+                elif len(alternatives) == first_alternative:
+                    closed = first_factor  # no "|": the factors stay inline
+                else:
+                    self.close_alternative(first_factor)
+                    factors.append(first_alternative)
+                    closed = len(factors) - 1
+                first_factor, first_alternative = groups.pop()
+            elif kind == "end" and not groups and in_alternative:
+                self.close_alternative(0)
+                return self.checked(self.balanced(Union, alternatives), deepest)
+            elif kind == "end" and groups:
+                raise self.fail("expected ')' but got end of input")
             else:
-                return node
+                raise self.fail(f"unexpected {value or kind!r}")
+            after_dot = False
+        raise AssertionError("unreachable: the token stream ends with 'end'")
 
-    def parse_atom(self) -> Regex:
-        kind, value = self.advance()
-        if kind == "symbol":
-            return Sym(value)
-        if kind == "lparen":
-            if self.peek()[0] == "rparen":
-                self.advance()
-                return Epsilon()
-            node = self.parse_union()
-            kind, value = self.advance()
-            if kind != "rparen":
-                raise RegexSyntaxError(f"expected ')' but got {value!r} in {self.text!r}")
-            return node
-        raise RegexSyntaxError(f"unexpected {value or kind!r} in {self.text!r}")
+    def checked(self, node: Regex, deepest: int) -> Regex:
+        # Each group level adds at most a balanced union, a balanced
+        # concatenation and a postfix operator over at most len(text)
+        # parts; only trees that may exceed the limit are measured.
+        bound = (deepest + 1) * (2 * len(self.text).bit_length() + 2)
+        if bound > MAX_REGEX_HEIGHT and _height(node) > MAX_REGEX_HEIGHT:
+            raise self.fail(f"regex nests deeper than {MAX_REGEX_HEIGHT} levels")
+        return node
 
 
 def parse_regex(text: str) -> Regex:
-    """Parse the textual regex syntax documented in the module docstring."""
+    """Parse the textual regex syntax documented in the module docstring.
+
+    Raises :class:`RegexSyntaxError` (a ``ValueError``, with a bounded
+    message) on malformed text or a tree taller than
+    :data:`MAX_REGEX_HEIGHT`.
+    """
     return _Parser(text).parse()
 
 

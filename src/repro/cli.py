@@ -39,31 +39,45 @@ from .relational import io as relational_io
 from .rpq.rpq import RPQ, TwoRPQ
 
 
+def _input_error(error: Exception) -> SystemExit:
+    """A malformed query or unreadable file: one stderr line, exit 2.
+
+    Exit 2 is argparse's usage-error code, so it never reads as a
+    containment verdict (``contain`` exits 1 on a refutation).
+    """
+    message = " ".join(str(error).split()) or type(error).__name__
+    print(f"repro: error: {message}", file=sys.stderr)
+    return SystemExit(2)
+
+
 def parse_query(argument: str) -> Any:
-    """Parse a ``kind:spec`` query argument (wire grammar; exits on error).
+    """Parse a ``kind:spec`` query argument (wire grammar; exits 2 on error).
 
     CLI arguments are operator-supplied, so ``@`` file specs are
     allowed here — the server rejects them on the wire.
     """
-    from .serve.protocol import ProtocolError, parse_query_spec
+    from .serve.protocol import parse_query_spec
 
     try:
         return parse_query_spec(argument, allow_files=True)
-    except ProtocolError as error:
-        raise SystemExit(str(error)) from None
+    except (ValueError, OSError) as error:  # every parser error is a ValueError
+        raise _input_error(error) from None
 
 
 def load_database(path: str):
-    """Load a graph or relational database by extension.
+    """Load a graph or relational database by extension (exits 2 on error).
 
     ``.facts``/``.dl`` load as relational instances; everything else
     (``.edges``, ``.json``, ...) loads as a graph database, falling back
     to relational when binary-edge parsing fails.
     """
     suffix = pathlib.Path(path).suffix
-    if suffix in (".facts", ".dl"):
-        return relational_io.load(path)
-    return graph_io.load(path)
+    try:
+        if suffix in (".facts", ".dl"):
+            return relational_io.load(path)
+        return graph_io.load(path)
+    except (ValueError, OSError) as error:
+        raise _input_error(error) from None
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -344,12 +358,16 @@ def _load_run(path: pathlib.Path) -> dict:
 
 
 def _cmd_bench_run(args: argparse.Namespace) -> int:
-    from .obs.perf import run_suite, write_run
+    from .obs.perf import CheckFailed, gate_failures, run_suite, write_run
     from .obs.profile import render_profile
 
-    document = run_suite(
-        args.suite, repeats=args.repeats, profile=not args.no_profile
-    )
+    try:
+        document = run_suite(
+            args.suite, repeats=args.repeats, profile=not args.no_profile
+        )
+    except CheckFailed as error:
+        print(f"bench run: hard check failed: {error}", file=sys.stderr)
+        return 1
     path = write_run(document, path=args.out, directory=args.dir)
     print(
         f"bench run {document['run_id']} (suite {document['suite']}, "
@@ -362,11 +380,19 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
         )
         print(f"  {experiment['id']}: exact series recorded"
               + (f"; {medians}" if medians else ""))
+        for gate in experiment.get("gates", ()):
+            shown = gate.get("reason") or (
+                f"{gate['value']} {gate['op']} {gate['bound']}"
+            )
+            print(f"    gate {gate['name']}: {gate['verdict']} ({shown})")
     if "profile" in document:
         print()
         print(render_profile(document["profile"], top=args.top), end="")
     print(f"# run written to {path}", file=sys.stderr)
-    return 0
+    failures = gate_failures(document)
+    for failure in failures:
+        print(f"gate failed: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _cmd_bench_compare(args: argparse.Namespace) -> int:
@@ -677,11 +703,14 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sub = bench_p.add_subparsers(dest="bench_command", required=True)
 
     bench_run_p = bench_sub.add_parser(
-        "run", help="execute a bench suite and write BENCH_<runid>.json"
+        "run",
+        help="execute a bench suite and write BENCH_<runid>.json (exit 1 "
+        "on a failed hard check or timing gate)",
     )
     bench_run_p.add_argument(
         "--suite", choices=("smoke", "full"), default="smoke",
-        help="experiment tier to run (default: smoke)",
+        help="experiment tier to run (default: smoke; only full evaluates "
+        "timing gates)",
     )
     bench_run_p.add_argument(
         "--repeats", type=int, default=5,

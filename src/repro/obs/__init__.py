@@ -18,8 +18,11 @@ package makes them inspectable:
   merged into one path-keyed hotspot table (calls, cum/self time,
   p50/p95).
 - :mod:`repro.obs.perf` — the performance observatory: structured
-  bench runs (``BENCH_<runid>.json``) and the run-over-run regression
-  detector (exact series bit-for-bit, timing series MAD-gated).
+  bench runs (``BENCH_<runid>.json``), timing gates, and the
+  run-over-run regression detector (exact series bit-for-bit, timing
+  series MAD-gated); its experiments live in :mod:`repro.obs.experiments`.
+  Neither is imported here: the bench harness stays off the serving
+  import path (import ``repro.obs.perf`` explicitly).
 - :mod:`repro.obs.telemetry` — operational telemetry for the serving
   layer: the request-scoped NDJSON access log (bounded, non-blocking
   writer), the flight recorder (ring buffer with span-tree retention
@@ -58,13 +61,6 @@ from .export import (
 )
 from .profile import SpanProfile, aggregate_traces, render_profile
 from .env import environment_fingerprint
-from .perf import (
-    compare_runs,
-    render_comparison,
-    run_suite,
-    validate_run,
-    write_run,
-)
 from .promtext import http_exposition, render_prometheus
 from .telemetry import (
     ACCESS_LOG_SCHEMA,
@@ -99,12 +95,7 @@ __all__ = [
     "SpanProfile",
     "aggregate_traces",
     "render_profile",
-    "compare_runs",
     "environment_fingerprint",
-    "render_comparison",
-    "run_suite",
-    "validate_run",
-    "write_run",
     "http_exposition",
     "render_prometheus",
     "ACCESS_LOG_SCHEMA",

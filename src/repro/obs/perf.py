@@ -2,8 +2,9 @@
 
 The reproduction targets are *shapes* — state blow-ups and growth rates
 from Lemmas 1-4 / Theorems 5-8 — and shapes regress silently when the
-only record is a human-readable table.  This module makes each bench
-run a machine-checkable document:
+only record is a human-readable table.  This module is the one bench
+harness; the experiments themselves (E1-E12, A1-A10) are registered by
+:mod:`repro.obs.experiments`.  Each run is a machine-checkable document:
 
 - :func:`run_suite` executes a registered experiment suite (``smoke``
   or ``full``) programmatically and returns one JSON-ready run
@@ -13,6 +14,15 @@ run a machine-checkable document:
   (best-of-k workloads summarized as median/MAD), plus an environment
   fingerprint, a metrics/cache snapshot, and an aggregated hotspot
   profile (:mod:`repro.obs.profile`) saying where the time went.
+- **Hard checks**: an experiment raises :class:`CheckFailed` (via
+  :func:`check`) when a shape claim fails — exact facts are checked in
+  the experiment body on every tier.
+- **Timing gates** (:class:`Gate`, full tier only): a bound on the ratio
+  of two timed workloads' ``best_ms``, or of one workload to a fixed
+  pure-Python host-calibration loop timed right beside it, so a gate
+  measures the code, not the host.  Each gate's value, bound and
+  verdict lands in the run document; ``repro bench run`` exits 1
+  naming any gate that failed.
 - :func:`write_run` persists the document as ``BENCH_<runid>.json``
   (the bench trajectory's native format).
 - :func:`compare_runs` is the regression detector: against a committed
@@ -38,9 +48,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 import os
 import statistics
-import sys
 import time
 from typing import Any, Callable
 
@@ -51,9 +61,14 @@ from .profile import SpanProfile
 __all__ = [
     "SCHEMA",
     "SUITES",
+    "CALIBRATION",
+    "CheckFailed",
     "Experiment",
+    "Gate",
     "RunComparison",
+    "check",
     "experiments_for",
+    "gate_failures",
     "time_workload",
     "run_suite",
     "write_run",
@@ -68,31 +83,84 @@ SCHEMA = "repro-bench/1"
 #: Known suite tiers: ``smoke`` is the CI-sized subset, ``full`` the sweep.
 SUITES = ("smoke", "full")
 
+#: Workload name under which a gate refers to the host-calibration loop,
+#: which the harness then times beside the experiment's own workloads.
+CALIBRATION = "host-calibration"
+
 
 # --- registry -------------------------------------------------------------------
+
+
+class CheckFailed(Exception):
+    """An experiment's hard check failed: a reproduced shape claim is wrong."""
+
+
+def check(condition: bool, message: str) -> None:
+    """Raise :class:`CheckFailed` unless *condition* (survives ``python -O``)."""
+    if not condition:
+        raise CheckFailed(message)
+
+
+_GATE_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_GATE_AGGREGATES = {"max": max, "median": statistics.median}
+
+
+@dataclasses.dataclass(frozen=True)
+class Gate:
+    """A declared timing gate, evaluated on the full tier only.
+
+    Its value is ``aggregate(best_ms[a] / best_ms[b] for a, b in ratios)``
+    over the experiment's timed workloads, where ``b`` may be
+    :data:`CALIBRATION`; it passes when ``value <op> bound``.  Below
+    ``min_cpus`` cores, or with fewer than ``min_reps`` timing samples
+    behind a workload, it records itself as skipped.
+    """
+
+    name: str
+    ratios: tuple[tuple[str, str], ...]
+    op: str
+    bound: float
+    aggregate: str = "max"
+    min_reps: int = 1
+    min_cpus: int = 1
 
 
 @dataclasses.dataclass(frozen=True)
 class Experiment:
     """One registered bench experiment.
 
-    ``build(suite)`` performs the exact-series work and returns
-    ``{"exact": <JSON-stable dict>, "timed": {name: thunk}}``; the
-    harness times each thunk best-of-k afterwards.
+    ``build(suite)`` performs the exact-series work (raising
+    :class:`CheckFailed` when a hard check fails) and returns
+    ``{"exact": <JSON-stable dict>, "timed": {name: thunk}}``; on the
+    ``timed_suites`` tiers the harness times each thunk best-of-k
+    afterwards (at most ``max_repeats`` times, for workloads that take
+    seconds), and on the full tier it then evaluates ``gates``.
     """
 
     id: str
     title: str
     suites: tuple[str, ...]
     build: Callable[[str], dict[str, Any]]
+    gates: tuple[Gate, ...] = ()
+    max_repeats: int | None = None
+    timed_suites: tuple[str, ...] = ("full",)
 
 
 _EXPERIMENTS: list[Experiment] = []
 
 
-def _experiment(id: str, title: str, suites: tuple[str, ...] = SUITES):
+def _experiment(
+    id: str,
+    title: str,
+    suites: tuple[str, ...] = SUITES,
+    gates: tuple[Gate, ...] = (),
+    max_repeats: int | None = None,
+    timed_suites: tuple[str, ...] = ("full",),
+):
     def register(fn: Callable[[str], dict[str, Any]]) -> Callable:
-        _EXPERIMENTS.append(Experiment(id, title, suites, fn))
+        _EXPERIMENTS.append(
+            Experiment(id, title, suites, fn, gates, max_repeats, timed_suites)
+        )
         return fn
 
     return register
@@ -133,667 +201,51 @@ def time_workload(fn: Callable[[], Any], repeats: int = 5) -> dict[str, Any]:
     }
 
 
-# --- experiments ----------------------------------------------------------------
-# Each build() reuses the same library calls the pytest benchmarks make
-# (benchmarks/bench_e*.py), trimmed to suite-sized workloads.  Imports
-# are local so `import repro.obs` stays light.
+def _calibration_loop() -> None:
+    """The host-speed probe that calibration-relative gates divide by."""
+    total, table = 0, {}
+    for i in range(100_000):
+        total += i * i % 7
+        table[i & 1023] = total
 
 
-@_experiment("E1-oracle", "Lemma 1 pipeline vs brute-force word oracle")
-def _exp_e01(suite: str) -> dict[str, Any]:
-    import itertools
-    import random
-
-    from ..automata.regex import parse_regex, random_regex
-    from ..rpq.containment import rpq_contained
-    from ..rpq.rpq import RPQ
-
-    alphabet = ("a", "b")
-    atoms = ["a", "b", "a b", "a|b", "a*", "a+", "b a", "(a b)*", "a?"]
-    if suite == "smoke":
-        atoms, n_random = atoms[:6], 10
+def _evaluate_gate(gate: Gate, timings: dict[str, Any]) -> dict[str, Any]:
+    """One gate record: value, bound and verdict (pass/fail/skipped)."""
+    record: dict[str, Any] = {
+        "name": gate.name,
+        "ratios": [list(pair) for pair in gate.ratios],
+        "aggregate": gate.aggregate,
+        "op": gate.op,
+        "bound": gate.bound,
+        "value": None,
+    }
+    used = [timings[name] for pair in gate.ratios for name in pair]
+    cores = os.cpu_count() or 1
+    reps = min(timing["reps"] for timing in used)
+    if cores < gate.min_cpus:
+        reason = f"needs >= {gate.min_cpus} cores, host has {cores}"
+    elif reps < gate.min_reps:
+        reason = f"needs best of >= {gate.min_reps} reps, run took {reps}"
     else:
-        n_random = 40
-    rng = random.Random(1)
-    pairs = [(parse_regex(x), parse_regex(y)) for x in atoms for y in atoms]
-    pairs += [
-        (random_regex(rng, alphabet, 3), random_regex(rng, alphabet, 3))
-        for _ in range(n_random)
-    ]
-
-    def brute_force_contained(r1, r2, max_length=5) -> bool:
-        n1, n2 = r1.to_nfa(), r2.to_nfa()
-        for length in range(max_length + 1):
-            for word in itertools.product(alphabet, repeat=length):
-                if n1.accepts(word) and not n2.accepts(word):
-                    return False
-        return True
-
-    consistent = inconsistent = positives = 0
-    for r1, r2 in pairs:
-        verdict = rpq_contained(RPQ(r1), RPQ(r2)).holds
-        if verdict and not brute_force_contained(r1, r2):
-            inconsistent += 1
-        else:
-            consistent += 1
-        positives += verdict
-    timed_pairs = pairs[:20]
-
-    def check_pairs() -> None:
-        for r1, r2 in timed_pairs:
-            rpq_contained(RPQ(r1), RPQ(r2))
-
-    return {
-        "exact": {
-            "pairs": len(pairs),
-            "consistent": consistent,
-            "inconsistent": inconsistent,
-            "containments": positives,
-        },
-        "timed": {"rpq-containment-20pairs": check_pairs},
-    }
-
-
-@_experiment("E3-fold-size", "Lemma 3 fold-2NFA state counts vs bound")
-def _exp_e03(suite: str) -> dict[str, Any]:
-    import random
-
-    from ..automata.alphabet import Alphabet
-    from ..automata.dfa import reduce_nfa
-    from ..automata.fold import fold_two_nfa, lemma3_state_bound
-    from ..automata.regex import random_regex
-
-    depths = (2, 3) if suite == "smoke" else (2, 3, 4, 5)
-    rng = random.Random(5)
-    series: list[list[int]] = []
-    largest = None
-    for sigma_size in (1, 2, 3):
-        alphabet = tuple("abc"[:sigma_size])
-        sigma_pm = Alphabet(alphabet).two_way
-        for depth in depths:
-            nfa = reduce_nfa(
-                random_regex(rng, alphabet, depth, allow_inverse=True).to_nfa()
-            )
-            if nfa.num_states == 0:
-                continue
-            folded = fold_two_nfa(nfa, sigma_pm)
-            series.append(
-                [
-                    sigma_size,
-                    nfa.num_states,
-                    folded.num_states,
-                    lemma3_state_bound(nfa, sigma_pm),
-                ]
-            )
-            largest = (nfa, sigma_pm)
-    exact = {
-        "series": series,
-        "all_within_bound": all(row[2] <= row[3] for row in series),
-        "fold_exactly_2n": all(row[2] == 2 * row[1] for row in series),
-    }
-    timed: dict[str, Callable[[], Any]] = {}
-    if largest is not None:
-        nfa, sigma_pm = largest
-
-        def fold_largest() -> None:
-            fold_two_nfa(nfa, sigma_pm)
-
-        timed["fold-largest-nfa"] = fold_largest
-    return {"exact": exact, "timed": timed}
-
-
-@_experiment("E4-complement", "Lemma 4 complement blow-up vs Shepherdson")
-def _exp_e04(suite: str) -> dict[str, Any]:
-    from ..automata.alphabet import Alphabet
-    from ..automata.complement import complement_two_nfa, lemma4_state_bound
-    from ..automata.dfa import reduce_nfa
-    from ..automata.fold import fold_two_nfa
-    from ..automata.regex import parse_regex
-    from ..automata.shepherdson import two_nfa_to_dfa
-    from ..budget import Budget
-
-    cap = Budget(max_states=200_000)
-    family = ["p", "p p", "p p-"]
-    if suite == "full":
-        family.append("p? p")
-    sigma_pm = Alphabet(("p",)).two_way
-    series: list[list[Any]] = []
-    timed_two = None
-    for text in family:
-        two = fold_two_nfa(reduce_nfa(parse_regex(text).to_nfa()), sigma_pm)
-        lemma4 = complement_two_nfa(two, meter=cap.start())
-        shepherdson = two_nfa_to_dfa(two, meter=cap.start())
-        series.append(
-            [
-                text,
-                two.num_states,
-                lemma4.num_states,
-                lemma4_state_bound(two),
-                shepherdson.num_states,
-            ]
+        best = [timing["best_ms"] for timing in used]
+        value = _GATE_AGGREGATES[gate.aggregate](
+            [best[index] / best[index + 1] for index in range(0, len(best), 2)]
         )
-        timed_two = two
-
-    def complement_largest() -> None:
-        complement_two_nfa(timed_two, meter=cap.start())
-
-    return {
-        "exact": {
-            "series": series,
-            "all_within_bound": all(row[2] <= row[3] for row in series),
-        },
-        "timed": {"lemma4-complement-largest": complement_largest},
-    }
+        passed = _GATE_OPS[gate.op](value, gate.bound)
+        verdict = "pass" if passed else "fail"
+        return {**record, "value": round(value, 4), "verdict": verdict}
+    return {**record, "verdict": "skipped", "reason": reason}
 
 
-@_experiment("engine-cache", "containment cache outcomes and hit accounting")
-def _exp_cache(suite: str) -> dict[str, Any]:
-    from ..automata.regex import parse_regex
-    from ..cache import cache_stats, clear_caches
-    from ..core.engine import check_containment
-    from ..rpq.rpq import RPQ
-
-    clear_caches()
-    pairs = [("a a", "a+"), ("a+", "a a"), ("(a b)+", "(a b)*")]
-    queries = [
-        (RPQ(parse_regex(left)), RPQ(parse_regex(right))) for left, right in pairs
+def gate_failures(document: dict[str, Any]) -> list[str]:
+    """One line per failed gate of a run document (empty = all held)."""
+    return [
+        f"{experiment['id']}/{gate['name']}: {gate['value']} {gate['op']} "
+        f"{gate['bound']} does not hold"
+        for experiment in document["experiments"]
+        for gate in experiment.get("gates", ())
+        if gate["verdict"] == "fail"
     ]
-    outcomes: list[list[str]] = []
-    for _ in range(2):  # cold pass then warm pass
-        for q1, q2 in queries:
-            result = check_containment(q1, q2)
-            outcomes.append([result.verdict.value, result.details["cache"]])
-    stats = cache_stats()["containment"]
-    warm_q1, warm_q2 = queries[0]
-
-    def warm_hit() -> None:
-        check_containment(warm_q1, warm_q2)
-
-    return {
-        "exact": {
-            "outcomes": outcomes,
-            "containment_hits": stats["hits"],
-            "containment_misses": stats["misses"],
-        },
-        "timed": {"engine-warm-hit": warm_hit},
-    }
-
-
-@_experiment("batch-scaling", "batch front door: worker-count scaling on E1 pairs")
-def _exp_batch(suite: str) -> dict[str, Any]:
-    import random
-
-    from ..automata.regex import parse_regex, random_regex
-    from ..cache import clear_caches
-    from ..core.batch import check_containment_many, sequential_baseline
-    from ..rpq.rpq import RPQ
-
-    alphabet = ("a", "b")
-    atoms = ["a", "b", "a b", "a|b", "a*", "a+"]
-    n_random = 10 if suite == "smoke" else 40
-    rng = random.Random(1)
-    pairs = [
-        (RPQ(parse_regex(x)), RPQ(parse_regex(y))) for x in atoms for y in atoms
-    ]
-    pairs += [
-        (RPQ(random_regex(rng, alphabet, 3)), RPQ(random_regex(rng, alphabet, 3)))
-        for _ in range(n_random)
-    ]
-
-    # Exact series: the differential oracle.  Concurrency may change
-    # wall-clock, never answers — batch verdicts at workers ∈ {1, 4} on
-    # both backends must equal the sequential loop's, bit-for-bit.
-    expected = [result.verdict.value for result in sequential_baseline(pairs)]
-    agreement: dict[str, bool] = {}
-    for backend, workers in (("thread", 1), ("thread", 4), ("process", 4)):
-        clear_caches()
-        batch = check_containment_many(pairs, workers=workers, backend=backend)
-        verdicts = [item.result.verdict.value for item in batch.items]
-        agreement[f"{backend}-{workers}"] = verdicts == expected
-    counts: dict[str, int] = {}
-    for verdict in expected:
-        counts[verdict] = counts.get(verdict, 0) + 1
-
-    # Timed series: cold-cache wall-clock of the sequential loop vs the
-    # thread pool, so the medians expose real scaling (or, on a single
-    # core under the GIL, the honest absence of it — see EXPERIMENTS.md).
-    def run_sequential() -> None:
-        clear_caches()
-        sequential_baseline(pairs)
-
-    def run_thread_1() -> None:
-        clear_caches()
-        check_containment_many(pairs, workers=1, backend="thread")
-
-    def run_thread_4() -> None:
-        clear_caches()
-        check_containment_many(pairs, workers=4, backend="thread")
-
-    return {
-        "exact": {
-            "pairs": len(pairs),
-            "agreement": agreement,
-            "verdict_counts": counts,
-        },
-        "timed": {
-            "batch-sequential": run_sequential,
-            "batch-thread-1worker": run_thread_1,
-            "batch-thread-4workers": run_thread_4,
-        },
-    }
-
-
-class _PoisonPill:
-    """Crash-isolation probe: unpickling one kills the worker process.
-
-    Never constructed worker-side — ``__reduce__`` makes the *unpickle*
-    the crash (``os._exit(1)`` at argument-deserialization time), which
-    is the most hostile deterministic stand-in for a segfaulting
-    worker the standard library allows.
-    """
-
-    def __reduce__(self):  # pragma: no cover - runs in the dying worker
-        return (os._exit, (1,))
-
-
-@_experiment("process-scaling", "process backend: agreement, crash isolation, scaling")
-def _exp_process(suite: str) -> dict[str, Any]:
-    import pathlib
-    import random
-
-    from ..automata.regex import parse_regex, random_regex
-    from ..cache import clear_caches
-    from ..core.batch import (
-        ContainmentExecutor,
-        check_containment_many,
-        sequential_baseline,
-    )
-    from ..rpq.rpq import RPQ
-    from ..serve.protocol import parse_workload
-
-    alphabet = ("a", "b")
-    atoms = ["a", "b", "a b", "a|b", "a*", "a+"]
-    n_random = 10 if suite == "smoke" else 40
-    rng = random.Random(1)
-    pairs = [
-        (RPQ(parse_regex(x)), RPQ(parse_regex(y))) for x in atoms for y in atoms
-    ]
-    pairs += [
-        (RPQ(random_regex(rng, alphabet, 3)), RPQ(random_regex(rng, alphabet, 3)))
-        for _ in range(n_random)
-    ]
-
-    # Exact series 1: the cross-backend differential oracle on the E1
-    # pair family.  Process workers recompute behind a pickle boundary
-    # with their own caches; the verdict list must still equal the
-    # sequential loop's, bit-for-bit, at every worker count.
-    expected = [result.verdict.value for result in sequential_baseline(pairs)]
-    agreement: dict[str, bool] = {}
-    for backend, workers in (("process", 1), ("process", 4)):
-        clear_caches()
-        batch = check_containment_many(pairs, workers=workers, backend=backend)
-        verdicts = [item.result.verdict.value for item in batch.items]
-        agreement[f"{backend}-{workers}"] = verdicts == expected
-
-    # Exact series 2: the serving smoke workload replayed through both
-    # pool substrates — thread-4 and process-4 must answer
-    # benchmarks/workloads/batch_smoke.ndjson exactly alike.
-    workload_path = (
-        pathlib.Path(__file__).resolve().parents[3]
-        / "benchmarks"
-        / "workloads"
-        / "batch_smoke.ndjson"
-    )
-    parsed = parse_workload(workload_path.read_text())
-    smoke_pairs = [(request.left, request.right) for request in parsed.requests]
-    smoke_expected = [
-        result.verdict.value for result in sequential_baseline(smoke_pairs)
-    ]
-    workload_agreement: dict[str, bool] = {}
-    for backend, workers in (("thread", 1), ("thread", 4), ("process", 4)):
-        clear_caches()
-        batch = check_containment_many(
-            smoke_pairs, workers=workers, backend=backend
-        )
-        verdicts = [item.result.verdict.value for item in batch.items]
-        workload_agreement[f"{backend}-{workers}"] = verdicts == smoke_expected
-
-    # Exact series 3: crash isolation.  A worker killed mid-batch (the
-    # poison pill unpickles into ``os._exit(1)``) must cost exactly its
-    # own item — an ERROR carrying ``details["error"]`` — while every
-    # other item keeps its sequential verdict and the executor keeps
-    # accepting work on a rebuilt pool.
-    crash_pairs = list(pairs[:4])
-    crash_pairs.insert(2, (_PoisonPill(), _PoisonPill()))
-    clear_caches()
-    crash_items = check_containment_many(
-        crash_pairs, workers=2, backend="process"
-    ).items
-    survivors_expected = [
-        result.verdict.value for result in sequential_baseline(pairs[:4])
-    ]
-    survivors = [
-        item.result.verdict.value
-        for index, item in enumerate(crash_items)
-        if index != 2
-    ]
-    with ContainmentExecutor(workers=1, backend="process") as executor:
-        executor.submit(_PoisonPill(), _PoisonPill()).result()
-        after_crash = executor.submit(*pairs[0]).result()
-    crash = {
-        "poison_is_isolated_error": (
-            crash_items[2].result.verdict.value == "error"
-            and "error" in crash_items[2].result.details
-        ),
-        "survivors_match_sequential": survivors == survivors_expected,
-        "accepts_after_crash": (
-            after_crash.result.verdict.value == survivors_expected[0]
-        ),
-    }
-
-    # Timed series: cold-cache process-pool wall-clock at 1 and 4
-    # workers.  On a single core the 4-worker figure honestly shows
-    # serialization overhead, not speedup — EXPERIMENTS.md A10 gates
-    # the >=1.5x claim on the core count for exactly that reason.
-    def run_process_1() -> None:
-        clear_caches()
-        check_containment_many(pairs, workers=1, backend="process")
-
-    def run_process_4() -> None:
-        clear_caches()
-        check_containment_many(pairs, workers=4, backend="process")
-
-    return {
-        "exact": {
-            "pairs": len(pairs),
-            "agreement": agreement,
-            "workload": {
-                "file": workload_path.name,
-                "pairs": len(smoke_pairs),
-                "agreement": workload_agreement,
-            },
-            "crash": crash,
-        },
-        "timed": {
-            "batch-process-1worker": run_process_1,
-            "batch-process-4workers": run_process_4,
-        },
-    }
-
-
-@_experiment("budget-degradation", "bounded verdict + spend accounting")
-def _exp_budget(suite: str) -> dict[str, Any]:
-    from ..budget import Budget
-    from ..core.engine import check_containment
-    from ..datalog.parser import parse_program
-
-    program = parse_program(
-        "t(x,y) :- e(x,y). t(x,z) :- t(x,y), e(y,z)."
-    )
-    result = check_containment(program, program, budget=Budget(max_expansions=5))
-    accounting = result.details["budget"]
-    spend = {
-        name: value
-        for name, value in accounting.get("spend", {}).items()
-        if name != "elapsed_ms"  # wall-clock: deterministic counters only
-    }
-    return {
-        "exact": {
-            "verdict": result.verdict.value,
-            "exhausted": accounting.get("exhausted"),
-            "spend": spend,
-        },
-        "timed": {},
-    }
-
-
-@_experiment("antichain-ablation", "antichain vs subset containment kernel")
-def _exp_antichain(suite: str) -> dict[str, Any]:
-    import random
-
-    from ..automata.dfa import containment_counterexample
-    from ..automata.regex import parse_regex, random_regex
-    from ..cache import clear_caches
-    from ..rpq.containment import two_rpq_contained
-    from ..rpq.rpq import TwoRPQ
-
-    alphabet = ("a", "b")
-
-    # E1-style family: seeded random regex pairs, checked with both
-    # kernels through the same public entry point.  Hard gate: verdicts
-    # agree, witnesses have equal (shortest) length, and every witness
-    # actually separates the languages.
-    atoms = ["a", "b", "a b", "a|b", "a*", "a+", "b a", "(a b)*", "a?"]
-    if suite == "smoke":
-        atoms, n_random = atoms[:6], 10
-    else:
-        n_random = 30
-    rng = random.Random(11)
-    nfa_pairs = [
-        (parse_regex(x).to_nfa().trim().renumber(),
-         parse_regex(y).to_nfa().trim().renumber())
-        for x in atoms for y in atoms
-    ]
-    nfa_pairs += [
-        (random_regex(rng, alphabet, 3).to_nfa().trim().renumber(),
-         random_regex(rng, alphabet, 3).to_nfa().trim().renumber())
-        for _ in range(n_random)
-    ]
-    agreements = disagreements = refuted = 0
-    for left, right in nfa_pairs:
-        witnesses = {}
-        for kernel in ("subset", "antichain"):
-            clear_caches()
-            witnesses[kernel] = containment_counterexample(
-                left, right, alphabet, kernel=kernel
-            )
-        sub, anti = witnesses["subset"], witnesses["antichain"]
-        same_verdict = (sub is None) == (anti is None)
-        valid = True
-        if anti is not None:
-            valid = (
-                len(sub) == len(anti)
-                and left.accepts(anti)
-                and not right.accepts(anti)
-            )
-            refuted += 1
-        if same_verdict and valid:
-            agreements += 1
-        else:
-            disagreements += 1
-
-    # E4-style family: Theorem 5 fold pipelines (including the paper's
-    # divergence example) through both kernels of the on-the-fly search.
-    tworpq_family = [("p", "p p-"), ("p", "p p- p")]
-    if suite == "full":
-        tworpq_family.append(("a a", "a a-"))
-    tworpq_rows: list[list[Any]] = []
-    for left_text, right_text in tworpq_family:
-        q1, q2 = TwoRPQ.parse(left_text), TwoRPQ.parse(right_text)
-        row: list[Any] = [f"{left_text} <= {right_text}"]
-        for kernel in ("subset", "antichain"):
-            clear_caches()
-            result = two_rpq_contained(q1, q2, kernel=kernel)
-            row.append(result.verdict.value)
-        tworpq_rows.append(row)
-
-    # Blow-up family (a|b)* a (a|b)^n vs the n+1 suffix: the right-hand
-    # determinization is the classic 2^n subset blow-up; the frontier
-    # counts (subset configs vs antichain kept configs + peak) are the
-    # structural fact the speedup rests on, gated bit-for-bit.
-    sizes = (6, 8) if suite == "smoke" else (6, 8, 10, 12)
-    frontier: list[list[int]] = []
-    timed_pair = None
-    for n in sizes:
-        suffix = " ".join(["(a|b)"] * n)
-        left = parse_regex(f"(a|b)* a {suffix}").to_nfa().trim().renumber()
-        right = (
-            parse_regex(f"(a|b)* a (a|b) {suffix}").to_nfa().trim().renumber()
-        )
-        counts = {}
-        for kernel in ("subset", "antichain"):
-            clear_caches()
-            stats: dict[str, Any] = {}
-            containment_counterexample(
-                left, right, alphabet, kernel=kernel, kernel_stats=stats
-            )
-            counts[kernel] = stats
-        frontier.append(
-            [
-                n,
-                counts["subset"]["configs"],
-                counts["antichain"]["configs"],
-                counts["antichain"]["antichain_peak"],
-                counts["antichain"]["subsumption_hits"],
-            ]
-        )
-        timed_pair = (left, right)
-
-    assert timed_pair is not None
-    timed_left, timed_right = timed_pair
-
-    def run_kernel(kernel: str) -> Callable[[], Any]:
-        def thunk() -> None:
-            clear_caches()
-            containment_counterexample(
-                timed_left, timed_right, alphabet, kernel=kernel
-            )
-
-        return thunk
-
-    return {
-        "exact": {
-            "pairs": len(nfa_pairs),
-            "agreements": agreements,
-            "disagreements": disagreements,
-            "refuted": refuted,
-            "tworpq": tworpq_rows,
-            "frontier": frontier,
-        },
-        "timed": {
-            "blowup-subset": run_kernel("subset"),
-            "blowup-antichain": run_kernel("antichain"),
-        },
-    }
-
-
-@_experiment("evaluation-engine", "snapshot set-at-a-time evaluation vs baselines")
-def _exp_evaluation(suite: str) -> dict[str, Any]:
-    import random
-
-    from ..automata.regex import random_regex
-    from ..cache import clear_caches
-    from ..crpq.evaluation import evaluate_uc2rpq
-    from ..crpq.syntax import C2RPQ
-    from ..graphdb.generators import random_graph
-    from ..rpq.rpq import TwoRPQ
-
-    alphabet = ("a", "b")
-    n_queries = 8 if suite == "smoke" else 20
-    rng = random.Random(17)
-    queries = [
-        TwoRPQ(random_regex(rng, alphabet, 3, allow_inverse=True))
-        for _ in range(n_queries)
-    ]
-    db = random_graph(14, 40, alphabet, seed=23)
-
-    # Hard gate 1: differential answer agreement — the all-sources BFS
-    # (``query.evaluate``) and one single-source BFS per node
-    # (``reach_from_source`` via ``query.targets``, after clearing the
-    # caches so no all-pairs answer can be sliced) must produce identical
-    # answer sets on every seeded query (sizes recorded so drift is
-    # visible).
-    agreements = disagreements = 0
-    answer_sizes: list[int] = []
-    for query in queries:
-        clear_caches()
-        fast = query.evaluate(db)
-        clear_caches()
-        slow = frozenset(
-            (source, target)
-            for source in db.nodes_in_order()
-            for target in query.targets(db, source)
-        )
-        if fast == slow:
-            agreements += 1
-        else:
-            disagreements += 1
-        answer_sizes.append(len(fast))
-
-    # Hard gate 2: snapshot invalidation — a cached result must never
-    # survive a database mutation (the acceptance-criteria mutation test).
-    mutable = random_graph(10, 20, alphabet, seed=29)
-    probe = TwoRPQ.parse("a+")
-    clear_caches()
-    before = probe.evaluate(mutable)
-    missing = next(
-        (source, target)
-        for source in mutable.nodes_in_order()
-        for target in mutable.nodes_in_order()
-        if (source, target) not in before
-    )
-    mutable.add_edge(missing[0], "a", missing[1])
-    after = probe.evaluate(mutable)
-    mutation_series = {
-        "before_size": len(before),
-        "after_size": len(after),
-        "stale_served": after == before,
-        "new_pair_answered": missing in after,
-    }
-
-    # Timed: the repeated-query workload (same queries re-evaluated
-    # against an unchanged database).  The "sequential" arm clears the
-    # evaluation caches between calls, reproducing the pre-snapshot
-    # cost structure (recompile adjacency + re-run BFS per call).
-    def repeated_snapshot() -> None:
-        clear_caches()
-        for _ in range(3):
-            for query in queries:
-                query.evaluate(db)
-
-    def repeated_sequential() -> None:
-        for _ in range(3):
-            for query in queries:
-                clear_caches()
-                query.evaluate(db)
-
-    # Timed: the multi-atom CRPQ workload — distinct regular atoms
-    # anchored on the head, the shape benchmark A9 gates at >= 5x.
-    crpq = C2RPQ.from_strings(
-        "x,y",
-        [
-            ("(a|b)* a (a|b)*", "x", "y"),
-            ("a (b a-)+", "x", "y"),
-            ("b- (a|b)+ a", "x", "z"),
-            ("(a b)+ b-", "z", "y"),
-        ],
-    )
-
-    def multi_atom_snapshot() -> None:
-        clear_caches()
-        for _ in range(5):
-            evaluate_uc2rpq(crpq, db)
-
-    def multi_atom_sequential() -> None:
-        for _ in range(5):
-            clear_caches()
-            evaluate_uc2rpq(crpq, db)
-
-    return {
-        "exact": {
-            "queries": len(queries),
-            "agreements": agreements,
-            "disagreements": disagreements,
-            "answer_sizes": answer_sizes,
-            "mutation": mutation_series,
-        },
-        "timed": {
-            "repeated-query-snapshot": repeated_snapshot,
-            "repeated-query-sequential": repeated_sequential,
-            "multi-atom-crpq-snapshot": multi_atom_snapshot,
-            "multi-atom-crpq-sequential": multi_atom_sequential,
-        },
-    }
 
 
 # --- the run harness ------------------------------------------------------------
@@ -842,7 +294,10 @@ def run_suite(
     """Execute a suite and return the JSON-ready run document.
 
     Resets metrics and clears caches first, so the recorded snapshots
-    (and the cache-outcome exact series) describe this run alone.
+    (and the cache-outcome exact series) describe this run alone.  A
+    failed hard check raises :class:`CheckFailed` naming the
+    experiment; failed timing gates are recorded, not raised (see
+    :func:`gate_failures`).
     """
     specs = experiments_for(suite)
     reset_metrics()
@@ -851,19 +306,27 @@ def run_suite(
     clear_caches()
     experiments: list[dict[str, Any]] = []
     for spec in specs:
-        built = spec.build(suite)
-        timings = {
-            name: time_workload(fn, repeats)
-            for name, fn in sorted(built.get("timed", {}).items())
+        try:
+            built = spec.build(suite)
+        except CheckFailed as error:
+            raise CheckFailed(f"{spec.id}: {error}") from None
+        reps = min(repeats, spec.max_repeats or repeats)
+        timed = dict(built.get("timed", {})) if suite in spec.timed_suites else {}
+        gates = spec.gates if suite == "full" else ()
+        if any(CALIBRATION in pair for gate in gates for pair in gate.ratios):
+            # Timed in the same pass as the workloads it calibrates, so both
+            # see the same host load.
+            timed[CALIBRATION] = _calibration_loop
+        timings = {name: time_workload(fn, reps) for name, fn in sorted(timed.items())}
+        record = {
+            "id": spec.id,
+            "title": spec.title,
+            "exact": _normalize(built["exact"]),
+            "timings": timings,
         }
-        experiments.append(
-            {
-                "id": spec.id,
-                "title": spec.title,
-                "exact": _normalize(built["exact"]),
-                "timings": timings,
-            }
-        )
+        if gates:
+            record["gates"] = [_evaluate_gate(gate, timings) for gate in gates]
+        experiments.append(record)
     document: dict[str, Any] = {
         "schema": SCHEMA,
         "run_id": run_id if run_id is not None else _new_run_id(),
@@ -903,6 +366,9 @@ def write_run(
 # --- schema validation ----------------------------------------------------------
 
 _TIMING_KEYS = frozenset({"reps", "best_ms", "median_ms", "mad_ms", "samples_ms"})
+_GATE_KEYS = frozenset(
+    {"name", "ratios", "aggregate", "op", "bound", "value", "verdict"}
+)
 
 
 def validate_run(document: Any) -> list[str]:
@@ -954,7 +420,27 @@ def validate_run(document: Any) -> list[str]:
                     f"experiment {label}: timing {name!r} missing "
                     f"{sorted(_TIMING_KEYS - set(timing or ()))}"
                 )
+        gates = experiment.get("gates", [])
+        if not isinstance(gates, list):
+            problems.append(f"experiment {label}: gates must be a list")
+            continue
+        for gate in gates:
+            problem = _gate_problem(gate)
+            if problem:
+                problems.append(f"experiment {label}: gate {problem}")
     return problems
+
+
+def _gate_problem(gate: Any) -> str | None:
+    if not isinstance(gate, dict) or not _GATE_KEYS <= set(gate):
+        return f"record missing {sorted(_GATE_KEYS - set(gate or ()))}"
+    if gate["op"] not in _GATE_OPS or gate["aggregate"] not in _GATE_AGGREGATES:
+        return f"{gate['name']!r}: unknown op or aggregate"
+    if gate["verdict"] not in ("pass", "fail", "skipped"):
+        return f"{gate['name']!r}: verdict {gate['verdict']!r} unknown"
+    if gate["verdict"] != "skipped" and not isinstance(gate["value"], (int, float)):
+        return f"{gate['name']!r}: {gate['verdict']} without a numeric value"
+    return None
 
 
 # --- the regression detector ----------------------------------------------------
@@ -1110,3 +596,7 @@ def render_comparison(comparison: RunComparison) -> str:
     for note in comparison.notes:
         lines.append(f"  * {note}")
     return "\n".join(lines) + "\n"
+
+
+# The experiment suite registers itself on import (it needs the names above).
+from . import experiments as _experiments  # noqa: E402,F401

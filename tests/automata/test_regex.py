@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.automata.regex import (
+    MAX_REGEX_HEIGHT,
     Concat,
     EmptySet,
     Epsilon,
@@ -65,10 +66,77 @@ class TestParser:
         with pytest.raises(RegexSyntaxError):
             parse_regex(bad)
 
+    def test_reparse_of_printed_random_regexes_keeps_the_language(self):
+        rng = random.Random(31)
+        alphabet = ("a", "a-", "b", "b-")
+        for _ in range(300):
+            regex = random_regex(rng, ("a", "b"), 4, allow_inverse=True)
+            reparsed = parse_regex(str(regex))
+            assert set(enumerate_language(reparsed, alphabet, 3)) == set(
+                enumerate_language(regex, alphabet, 3)
+            ), str(regex)
+
     def test_roundtrip_via_str(self):
         for text in ["a b|c", "(a|b)* c", "p p- p", "a+ b? c*"]:
             regex = parse_regex(text)
             assert parse_regex(str(regex)) == regex
+
+
+class TestLongAndDeepInput:
+    """Long or deeply nested text parses into a short tree, or is rejected
+    with RegexSyntaxError; never RecursionError."""
+
+    def test_long_word_is_a_balanced_word(self):
+        regex = parse_regex(" ".join(["a"] * 1000))
+        assert regex.to_nfa().accepts(("a",) * 1000)
+        assert not regex.to_nfa().accepts(("a",) * 999)
+        assert parse_regex(str(regex)) == regex
+
+    def test_many_alternatives(self):
+        regex = parse_regex("|".join(f"s{i}" for i in range(1000)))
+        assert len(regex.symbols()) == 1000
+        assert hash(regex) == hash(parse_regex(str(regex)))
+
+    def test_deep_parentheses_around_an_atom(self):
+        assert parse_regex("(" * 10_000 + "a" + ")" * 10_000) == Sym("a")
+
+    def test_right_nested_groups_flatten(self):
+        nested = parse_regex("(a " * 2000 + "a" + ")" * 2000)
+        assert nested == parse_regex(" ".join(["a"] * 2001))
+        unions = parse_regex("(a|" * 2000 + "b" + ")" * 2000)
+        assert unions == parse_regex("|".join(["a"] * 2000 + ["b"]))
+
+    def test_stacked_postfix_is_one_operator(self):
+        assert parse_regex("a" + "*" * 1000) == Star(Sym("a"))
+        assert parse_regex("a++") == Plus(Sym("a"))
+        assert parse_regex("a??") == Optional_(Sym("a"))
+        assert parse_regex("a+?") == parse_regex("a?+") == Star(Sym("a"))
+
+    def test_nesting_at_the_height_limit_walks(self):
+        levels = MAX_REGEX_HEIGHT // 2  # each ((x b)*) level adds a Concat and a Star
+        text = "(" * levels + "a" + " b)*" * levels
+        regex, again = parse_regex(text), parse_regex(text)
+        assert regex == again and hash(regex) == hash(again)
+        assert regex.inverse().inverse() == regex
+        assert parse_regex(str(regex)) == regex
+        nfa = regex.to_nfa()
+        assert nfa.accepts(()) and not nfa.accepts(("a",))
+
+    def test_nesting_past_the_limit_is_a_syntax_error(self):
+        levels = MAX_REGEX_HEIGHT
+        with pytest.raises(RegexSyntaxError, match="nests deeper") as caught:
+            parse_regex("(" * levels + "a" + " b)*" * levels)
+        assert len(str(caught.value)) < 200
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["(" * 20_000 + "a", "a" + ")" * 20_000, "a @" * 9000],
+        ids=["unclosed", "unopened", "untokenizable"],
+    )
+    def test_error_messages_stay_short(self, bad):
+        with pytest.raises(RegexSyntaxError) as caught:
+            parse_regex(bad)
+        assert len(str(caught.value)) < 200
 
 
 class TestThompson:

@@ -60,7 +60,7 @@ def e1_workload(n_random: int = 12) -> list[tuple[RPQ, RPQ]]:
     """A seeded E1-style workload: atom pairs plus random regex pairs.
 
     The same generator family as the E1 oracle experiment in
-    :mod:`repro.obs.perf` — deterministic, so the expected verdicts
+    :mod:`repro.obs.experiments` — deterministic, so the expected verdicts
     are fixed across runs and machines.
     """
     atoms = ["a", "b", "a b", "a|b", "a*", "a+"]
@@ -641,7 +641,7 @@ class TestProcessBackend:
         assert shapes["thread"] == shapes["process"]
 
     def test_worker_crash_is_isolated_and_pool_recovers(self):
-        from repro.obs.perf import _PoisonPill
+        from repro.obs.experiments import _PoisonPill
 
         pairs = e1_workload()[:4]
         expected = [r.verdict for r in sequential_baseline(pairs)]
@@ -664,7 +664,7 @@ class TestProcessBackend:
         assert REGISTRY.counter("batch.pool_rebuilds").value >= 1
 
     def test_executor_accepts_submissions_after_a_crash(self):
-        from repro.obs.perf import _PoisonPill
+        from repro.obs.experiments import _PoisonPill
 
         with ContainmentExecutor(workers=1, backend="process") as executor:
             crashed = executor.submit(

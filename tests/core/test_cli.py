@@ -56,6 +56,45 @@ class TestParseQuery:
             parse_query("rpq")
 
 
+class TestMalformedInput:
+    """Malformed queries and unreadable files exit 2 with one stderr line,
+    never 1 (which `contain` reserves for a refutation) or a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["contain", "rpq:(a", "rpq:a"],
+            ["contain", "foo:a", "rpq:a"],
+            ["contain", "rpq:@/nonexistent", "rpq:a"],
+            ["contain", "rpq:a", "rq:r(x,"],
+            ["evaluate", "rpq:a", "--database", "/nonexistent.edges"],
+            ["classify", "datalog:p(x) :- "],
+        ],
+        ids=["bad-regex", "bad-kind", "missing-spec-file", "bad-rq", "missing-database",
+             "bad-datalog"],
+    )
+    def test_exits_2_with_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    def test_unparseable_database_exits_2(self, tmp_path, capsys):
+        database = tmp_path / "db.facts"
+        database.write_text("not a fact\n")
+        with pytest.raises(SystemExit) as excinfo:
+            load_database(str(database))
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("repro: error: ")
+
+    def test_refutation_still_exits_1(self):
+        assert main(["contain", "rpq:a a", "rpq:a"]) == 1
+
+
 class TestCommands:
     def test_classify(self, capsys):
         assert main(["classify", "rpq:a+"]) == 0

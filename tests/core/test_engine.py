@@ -252,6 +252,25 @@ class TestKernelDetails:
         assert info["selected"] == "antichain"
 
 
+class TestLongRegexes:
+    """Long words and alternations check, twice: the second run's cache
+    lookup compares two separately parsed (deep) query keys."""
+
+    @pytest.mark.parametrize(
+        "text,verdict",
+        [
+            (" ".join(["a"] * 1000), Verdict.REFUTED),
+            ("|".join(["a"] * 1000), Verdict.HOLDS),
+            ("a" + "*" * 1000, Verdict.REFUTED),
+            ("(" * 1000 + "a" + ")" * 1000, Verdict.HOLDS),
+        ],
+        ids=["word", "alternatives", "stacked-stars", "parentheses"],
+    )
+    def test_checks_from_fresh_parses(self, text, verdict):
+        for _ in range(2):
+            assert check_containment(RPQ.parse(text), RPQ.parse("a")).verdict is verdict
+
+
 class TestTracing:
     """``trace=True`` returns a span tree covering every pipeline stage."""
 

@@ -28,7 +28,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.automata.regex import random_regex
 from repro.budget import Budget
 from repro.cache import clear_caches
-from repro.crpq.evaluation import evaluate_uc2rpq, satisfies_uc2rpq
+from repro.crpq.evaluation import evaluate_uc2rpq, satisfies_c2rpq, satisfies_uc2rpq
 from repro.crpq.containment import uc2rpq_contained
 from repro.crpq.syntax import C2RPQ
 from repro.crpq.to_datalog import uc2rpq_to_datalog
@@ -263,3 +263,35 @@ def test_crpq_membership_agrees_across_arms(seed, db_seed):
         cached = satisfies_uc2rpq(query, db, head)
         baseline = oracle.satisfies_uc2rpq(query, db, head)
         assert cached == baseline, (query, head, db_seed)
+
+
+# The evaluation-engine bench workloads (EXPERIMENTS.md A9), at their
+# recorded sizes: the bench times them, these pin their answers.
+
+
+def test_snapshot_evaluation_agrees_on_the_repeated_query_workload():
+    """10 random 2RPQs on a 40-node graph == the object-state oracle."""
+    rng = random.Random(41)
+    queries = [TwoRPQ(random_regex(rng, ALPHABET, 3, allow_inverse=True)) for _ in range(10)]
+    db = random_graph(40, 160, ALPHABET, seed=43)
+    clear_caches()
+    for query in queries:
+        assert query.evaluate(db) == oracle.evaluate_nfa_on_graph(query.nfa, db), query
+
+
+def test_crpq_membership_agrees_on_the_multi_atom_workload():
+    """The 4-atom CRPQ's 36 membership tests == the object-state oracle."""
+    query = C2RPQ.from_strings(
+        "x,y",
+        [
+            ("(a|b)* a (a|b)*", "x", "y"),
+            ("a (b a-)+", "x", "y"),
+            ("b- (a|b)+ a", "x", "z"),
+            ("(a b)+ b-", "z", "y"),
+        ],
+    )
+    db = random_graph(30, 100, ALPHABET, seed=47)
+    nodes = db.nodes_in_order()[:6]
+    clear_caches()
+    for head in [(x, y) for x in nodes for y in nodes]:
+        assert satisfies_c2rpq(query, db, head) == oracle.satisfies_uc2rpq(query, db, head), head

@@ -1,14 +1,26 @@
 """Tests for the performance observatory (repro.obs.perf)."""
 
-import copy
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
+from repro.cli import main
+from repro.obs import perf
 from repro.obs.env import environment_fingerprint
 from repro.obs.perf import (
+    CALIBRATION,
     SCHEMA,
     SUITES,
+    CheckFailed,
+    Experiment,
+    Gate,
+    check,
     compare_runs,
     experiments_for,
     render_comparison,
@@ -132,10 +144,24 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite("nightly")
 
+    def test_smoke_tier_carries_no_timing_gate(self, smoke_run):
+        for experiment in smoke_run["experiments"]:
+            assert "gates" not in experiment
+            assert CALIBRATION not in experiment["timings"]
+
     def test_full_suite_extends_smoke_series(self, smoke_run):
         full = run_suite("full", repeats=1, profile=False)
         assert validate_run(full) == []
         assert "profile" not in full
+        # Every declared gate is evaluated (its workloads exist); best of
+        # one sample is too little for the gates that replace best-of-k.
+        gates = {
+            gate["name"]: gate
+            for exp in full["experiments"]
+            for gate in exp.get("gates", ())
+        }
+        assert len(gates) == sum(len(spec.gates) for spec in experiments_for("full"))
+        assert gates["trace-off-budget"]["verdict"] == "skipped"
         smoke_by_id = {exp["id"]: exp for exp in smoke_run["experiments"]}
         full_by_id = {exp["id"]: exp for exp in full["experiments"]}
         # Full sweeps strictly extend the smoke workloads...
@@ -263,3 +289,164 @@ class TestCompare:
         comparison = compare_runs(baseline, current)
         assert comparison.ok
         assert any("work" in note for note in comparison.notes)
+
+
+def _gate_experiment(*gates, build=None):
+    """A synthetic full-tier experiment timing a no-op and a 2 ms sleep."""
+
+    def default_build(suite):
+        return {
+            "exact": {"value": 1},
+            "timed": {"fast": lambda: None, "slow": lambda: time.sleep(0.002)},
+        }
+
+    return Experiment("X-gates", "synthetic", SUITES, build or default_build, gates)
+
+
+@pytest.fixture
+def registry(monkeypatch):
+    """Swap the registered suite for synthetic experiments."""
+
+    def install(*experiments):
+        monkeypatch.setattr(perf, "_EXPERIMENTS", list(experiments))
+
+    return install
+
+
+_GOOD_GATE = {
+    "name": "g",
+    "ratios": [["a", "b"]],
+    "aggregate": "max",
+    "op": ">=",
+    "bound": 1.0,
+    "value": 2.0,
+    "verdict": "pass",
+}
+
+
+class TestGates:
+    def _gates(self, document):
+        return {gate["name"]: gate for gate in document["experiments"][0]["gates"]}
+
+    def test_ratio_gate_value_is_the_best_ms_ratio(self, registry):
+        registry(_gate_experiment(Gate("slow-vs-fast", (("slow", "fast"),), ">=", 1.0)))
+        document = run_suite("full", repeats=3, profile=False)
+        timings = document["experiments"][0]["timings"]
+        gate = self._gates(document)["slow-vs-fast"]
+        assert gate["value"] == pytest.approx(
+            timings["slow"]["best_ms"] / timings["fast"]["best_ms"], rel=1e-3
+        )
+        assert gate["verdict"] == "pass"
+        assert validate_run(document) == []
+
+    def test_calibration_gate_times_the_calibration_loop_beside_it(self, registry):
+        gate = Gate("slow-budget", (("slow", CALIBRATION),), "<", 1e6)
+        registry(_gate_experiment(gate))
+        document = run_suite("full", repeats=3, profile=False)
+        timings = document["experiments"][0]["timings"]
+        assert timings[CALIBRATION]["reps"] == 3
+        gate = self._gates(document)["slow-budget"]
+        assert gate["value"] == pytest.approx(
+            timings["slow"]["best_ms"] / timings[CALIBRATION]["best_ms"],
+            rel=1e-3,
+            abs=1e-4,
+        )
+        assert gate["verdict"] == "pass"
+
+    def test_aggregate_over_several_ratios(self, registry):
+        ratios = (("slow", "fast"), ("fast", "slow"))
+        registry(_gate_experiment(Gate("highest", ratios, ">", 1.0, aggregate="max")))
+        document = run_suite("full", repeats=2, profile=False)
+        timings = document["experiments"][0]["timings"]
+        gate = self._gates(document)["highest"]
+        assert gate["value"] == pytest.approx(
+            timings["slow"]["best_ms"] / timings["fast"]["best_ms"], rel=1e-3
+        )
+        assert gate["verdict"] == "pass"
+
+    def test_smoke_tier_skips_evaluation(self, registry):
+        registry(_gate_experiment(Gate("never", (("fast", "fast"),), ">", 2.0)))
+        document = run_suite("smoke", repeats=1, profile=False)
+        assert "gates" not in document["experiments"][0]
+
+    def test_core_count_condition_records_skipped(self, registry, monkeypatch):
+        gate = Gate("multicore", (("slow", "fast"),), ">=", 1.0, min_cpus=2)
+        registry(_gate_experiment(gate))
+        monkeypatch.setattr(perf.os, "cpu_count", lambda: 1)
+        gate = self._gates(run_suite("full", repeats=2, profile=False))["multicore"]
+        assert gate["verdict"] == "skipped" and gate["value"] is None
+        assert "2 cores" in gate["reason"]
+
+    def test_too_few_reps_records_skipped(self, registry):
+        gate = Gate("best-of-3", (("slow", "fast"),), ">=", 1.0, min_reps=3)
+        registry(_gate_experiment(gate))
+        gate = self._gates(run_suite("full", repeats=1, profile=False))["best-of-3"]
+        assert gate["verdict"] == "skipped" and "reps" in gate["reason"]
+
+    def test_process_speedup_gate_needs_two_cores(self):
+        (spec,) = [s for s in experiments_for("full") if s.id == "process-scaling"]
+        assert [gate.min_cpus for gate in spec.gates] == [2]
+
+    def test_failing_gate_exits_1_naming_it(self, registry, tmp_path, capsys):
+        registry(_gate_experiment(Gate("impossible", (("fast", "fast"),), ">=", 2.0)))
+        out = tmp_path / "run.json"
+        argv = ["bench", "run", "--suite", "full", "--repeats", "2", "--no-profile"]
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "gate failed: X-gates/impossible" in captured.err
+        assert "gate impossible: fail" in captured.out
+        recorded = self._gates(json.loads(out.read_text()))
+        assert recorded["impossible"]["verdict"] == "fail"
+
+    def test_passing_gates_exit_0(self, registry, tmp_path):
+        registry(_gate_experiment(Gate("easy", (("slow", "fast"),), ">", 0.0)))
+        argv = ["bench", "run", "--suite", "full", "--repeats", "2", "--no-profile"]
+        assert main(argv + ["--out", str(tmp_path / "run.json")]) == 0
+
+    def test_failed_hard_check_exits_1_naming_it(self, registry, tmp_path, capsys):
+        def build(suite):
+            check(1 + 1 == 3, "arithmetic drifted")
+            return {"exact": {}}
+
+        registry(_gate_experiment(build=build))
+        with pytest.raises(CheckFailed, match="X-gates: arithmetic drifted"):
+            run_suite("smoke", repeats=1, profile=False)
+        argv = ["bench", "run", "--suite", "smoke", "--no-profile"]
+        assert main(argv + ["--out", str(tmp_path / "run.json")]) == 1
+        assert "X-gates: arithmetic drifted" in capsys.readouterr().err
+        assert not (tmp_path / "run.json").exists()
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            {"name": "g"},
+            {**_GOOD_GATE, "verdict": "maybe"},
+            {**_GOOD_GATE, "value": None},
+            {**_GOOD_GATE, "op": "~"},
+        ],
+        ids=["missing-keys", "unknown-verdict", "pass-without-value", "unknown-op"],
+    )
+    def test_validate_rejects_malformed_gate_record(self, broken):
+        document = synthetic_run()
+        document["experiments"][0]["gates"] = [_GOOD_GATE]
+        assert validate_run(document) == []
+        document["experiments"][0]["gates"] = [broken]
+        assert any("gate" in problem for problem in validate_run(document))
+
+
+def test_serving_import_path_leaves_the_bench_harness_out():
+    """Server, forkserver and worker processes never load the bench code."""
+    probe = (
+        "import sys, repro.serve.server; "
+        "print(sorted(m for m in sys.modules if m in "
+        "('repro.obs.perf', 'repro.obs.experiments')))"
+    )
+    source_root = pathlib.Path(repro.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(source_root)},
+    )
+    assert result.stdout.strip() == "[]"

@@ -167,6 +167,37 @@ class TestFrameParsing:
         assert "request_id" not in plain.to_dict()
 
 
+#: Regex specs that fill most of one 64 KiB frame (asyncio's line limit).
+_DEEP_SPECS = {
+    "parentheses": "(" * 30_000 + "a" + ")" * 30_000,
+    "word": " ".join(["a"] * 30_000),
+    "alternatives": "|".join(["a"] * 30_000),
+    "stacked-stars": "a" + "*" * 60_000,
+    "right-nested": "(a " * 15_000 + "a" + ")" * 15_000,
+    "star-of-concat": "(" * 12_000 + "a" + " b)*" * 12_000,
+    "unclosed": "(" * 60_000 + "a",
+}
+
+
+class TestDeepRegexFrames:
+    """No regex in one frame makes parse_frame raise RecursionError, and a
+    rejected one is a bounded error response."""
+
+    @pytest.mark.parametrize("name", sorted(_DEEP_SPECS))
+    def test_parses_or_is_a_bounded_error(self, name):
+        line = json.dumps({"op": "contain", "left": f"rpq:{_DEEP_SPECS[name]}", "right": "rpq:a"})
+        assert len(line) < 64 * 1024
+        try:
+            frame = protocol.parse_frame(line, 0)
+        except ValueError as exc:
+            item = protocol.error_item(0, exc, "r-1")
+            wire = protocol.encode_frame(protocol.response_payload(None, item, index=0))
+            assert len(wire.encode()) < 4096
+        else:
+            assert isinstance(frame, protocol.ContainRequest)
+            hash(frame.left)
+
+
 class TestWorkloadOrderPreservation:
     @SETTINGS
     @given(workload=st.lists(lines, max_size=12))
