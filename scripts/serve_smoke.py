@@ -7,14 +7,18 @@ with the full telemetry surface enabled:
 1. start the server on a free port with ``--access-log``,
    ``--trace-sample-rate``, ``--flight-dump`` and ``--prom-port 0``,
    and parse both announce lines;
-2. replay the checked-in batch workload over TCP and require every
-   frame answered in order with no shed responses and a unique
-   server-assigned ``request_id`` on each;
+2. replay the checked-in batch workload over TCP, followed by two
+   frames that must fail (an ``rq:`` spec of 400 chained rules, refused
+   while parsing, and a pair that raises inside a worker), and require
+   every frame answered in order with no shed responses and a unique
+   server-assigned ``request_id`` on each, each failing frame as one
+   isolated error under 4 KiB that carries no traceback;
 3. fetch the ``metrics`` and ``debug`` control verbs and write the
    metrics snapshot to ``serve_metrics.json`` (a CI artifact);
 4. scrape the Prometheus endpoint and lint every exposition line;
 5. SIGTERM the server and require a clean drain: exit code 0, the
-   ``# drained`` summary on stderr, and the flight-recorder dump file;
+   ``# drained`` summary on stderr, and the flight-recorder dump file,
+   whose entries for the two failing frames hold their tracebacks;
 6. schema-validate every access-log record and require each accepted
    frame to appear exactly once (answered or shed).
 
@@ -45,6 +49,18 @@ sys.path.insert(0, str(REPO / "src"))
 from repro.obs.telemetry import validate_access_record  # noqa: E402
 
 DEFAULT_WORKLOAD = REPO / "benchmarks" / "workloads" / "batch_smoke.ndjson"
+
+_RQ_CHAIN = "\n".join(
+    ["r0(x, y) :- [a](x, y)."]
+    + [f"r{i}(x, y) :- r{i - 1}(x, z), [a](z, y)." for i in range(1, 400)]
+)
+#: Sent after the workload; each must come back as one isolated error.
+ERROR_FRAMES = [
+    json.dumps({"id": "rq-chain", "left": "rq:" + _RQ_CHAIN, "right": "rpq:a"}),
+    json.dumps(
+        {"id": "worker-error", "left": "datalog:ans(X) :- e(X,Y).", "right": "rpq:a"}
+    ),
+]
 
 # One Prometheus exposition line: comment, or `name[{le="..."}] value`.
 _EXPOSITION_LINE = re.compile(
@@ -172,7 +188,7 @@ def main() -> int:
         responses: list[dict] = []
         with socket.create_connection(("127.0.0.1", port), 10) as sock:
             sock.settimeout(120)
-            payload = "".join(line + "\n" for line in lines)
+            payload = "".join(line + "\n" for line in lines + ERROR_FRAMES)
             payload += '{"op": "debug", "id": "recorder", "last": 5}\n'
             payload += '{"op": "metrics", "id": "snapshot"}\n'
             sock.sendall(payload.encode())
@@ -181,8 +197,9 @@ def main() -> int:
                 for line in stream:
                     responses.append(json.loads(line))
 
-        if len(responses) != len(lines) + 2:
-            fail(f"{len(responses)} responses for {len(lines) + 2} frames")
+        frames = len(lines) + len(ERROR_FRAMES)
+        if len(responses) != frames + 2:
+            fail(f"{len(responses)} responses for {frames + 2} frames")
         if [r["index"] for r in responses] != list(range(len(responses))):
             fail("responses out of input order")
         answered = responses[: len(lines)]
@@ -199,8 +216,20 @@ def main() -> int:
             f"serve_smoke: {len(answered)} frames answered in order, "
             f"0 shed, {len(request_ids)} unique request ids"
         )
+        for response in responses[len(lines):frames]:
+            size = len(json.dumps(response).encode())
+            if response["verdict"] != "error" or size >= 4096:
+                fail(f"failing frame not a bounded error ({size} bytes): "
+                     f"{json.dumps(response)[:300]}")
+            if set(response["error"]) != {"type", "message", "index"}:
+                fail(f"error payload carries {sorted(response['error'])}")
+        print(
+            f"serve_smoke: {len(ERROR_FRAMES)} failing frames answered as "
+            f"bounded errors "
+            f"({[r['error']['type'] for r in responses[len(lines):frames]]})"
+        )
 
-        flight = responses[len(lines)]
+        flight = responses[frames]
         if flight.get("op") != "debug":
             fail(f"debug verb returned {flight!r}")
         if flight["flight"]["schema"] != "repro-flight/1":
@@ -253,9 +282,18 @@ def main() -> int:
         dump = json.loads(flight_dump.read_text())
         if dump.get("schema") != "repro-flight/1":
             fail(f"flight dump schema {dump.get('schema')!r}")
+        tracebacks = [
+            entry for entry in dump["entries"]
+            if entry.get("verdict") == "error"
+            and "Traceback" in entry["error"].get("traceback", "")
+        ]
+        if len(tracebacks) != len(ERROR_FRAMES):
+            fail(f"flight dump holds {len(tracebacks)} error tracebacks, "
+                 f"not {len(ERROR_FRAMES)}")
         print(
             f"serve_smoke: flight dump has {len(dump['entries'])} entries "
-            f"({dump['recorded_total']} recorded)"
+            f"({dump['recorded_total']} recorded, "
+            f"{len(tracebacks)} error tracebacks)"
         )
 
         if not access_log.exists():

@@ -3,21 +3,24 @@
 The containment engine recompiles the same artifacts constantly: a
 workload of ``check(Q1, Q2)`` calls re-derives regex→NFA compilations
 and — for repeated query pairs — entire containment verdicts.  This
-module provides the shared memoization layer: small, bounded LRU
-caches.  Each counts its hits, misses and evictions on the metrics
-registry as ``cache.<name>.hits|misses|evictions``
-(:mod:`repro.obs.metrics`), and :func:`cache_stats` is a view over
-those counters plus each cache's size.
+module provides the shared memoization layer: two small, bounded LRU
+caches, ``regex-nfa`` and ``containment``.  Each counts its hits,
+misses and evictions on the metrics registry as
+``cache.<name>.hits|misses|evictions`` (:mod:`repro.obs.metrics`), and
+:func:`cache_stats` is a view over those counters plus each cache's
+size.
+
+Nothing derived from a graph database lives here.  Evaluation state
+(compiled contexts, answer sets, C2RPQ instantiations) belongs to the
+database's :class:`~repro.graphdb.snapshot.GraphSnapshot`, in its
+``memo``, and dies with the snapshot.
 
 Canonical-key rules (see DESIGN.md "Performance architecture"):
 
 - **Keys bind full structural identity.**  A regex key is the frozen
-  AST itself; an NFA key is the tuple of (alphabet, states, initial,
-  final, transition table) — state *objects* included, so two automata
-  share an entry only when they are equal component-for-component,
-  never merely isomorphic.  This keeps cached values exact drop-ins
-  (e.g. a cached evaluation context indexes the caller's own NFA
-  states).
+  AST itself; a query key is ``(type, value)`` of a frozen query
+  object, so two queries share an entry only when they are equal
+  component-for-component, never merely isomorphic.
 - **Values are immutable** (frozen dataclasses over frozensets), so
   sharing needs no copying and no invalidation: a key can never go
   stale because nothing it points to can change.  The only eviction is
@@ -221,7 +224,11 @@ def cache_stats() -> dict[str, dict[str, Any]]:
 
 
 def clear_caches(reset_stats: bool = True) -> None:
-    """Empty every registered cache (benchmarks: cold-start both arms)."""
+    """Empty every registered cache (benchmarks: cold-start both arms).
+
+    Snapshot memos are not registered caches: ``db.snapshot().memo.clear()``
+    forgets one database's evaluation state.
+    """
     for cache in _REGISTRY.values():
         cache.clear(reset_stats=reset_stats)
 
@@ -234,41 +241,8 @@ regex_nfa_cache = LRUCache("regex-nfa", maxsize=1024)
 #: (Q1 key, Q2 key, options) -> ContainmentResult (the engine front door).
 containment_cache = LRUCache("containment", maxsize=2048)
 
-#: ("ctx", NFA canonical key, snapshot fingerprint) -> compiled evaluation
-#: context (IndexedNFA + per-symbol adjacency rows resolved against one
-#: GraphSnapshot).  Values are immutable after construction; the
-#: fingerprint component makes entries for a mutated database
-#: unreachable (DESIGN.md "Evaluation architecture").
-eval_context_cache = LRUCache("eval-context", maxsize=256)
-
-#: ("pairs", NFA canonical key, snapshot fingerprint) -> frozenset of
-#: (source, target) answer pairs — the set-at-a-time RPQ/2RPQ result.
-evaluation_cache = LRUCache("evaluation", maxsize=1024)
-
-#: (C2RPQ canonical key, snapshot fingerprint) -> (CQ, Instance): each
-#: distinct regular atom instantiated once per snapshot, shared by every
-#: membership test the expansion-based containment loops run.  The
-#: Instance is treated as frozen after construction (readers only).
-instantiate_cache = LRUCache("instantiate", maxsize=512)
-
 
 # --- canonical keys ----------------------------------------------------------------
-
-
-def nfa_cache_key(nfa: Any, alphabet: tuple[str, ...] | None = None) -> Hashable:
-    """Structural identity key for an NFA (plus the target alphabet).
-
-    Binds the exact states, transition table, and alphabet, so a cache
-    entry is shared only between calls that would compute byte-identical
-    results (see the module docstring's canonical-key rules).
-    """
-    return (
-        alphabet if alphabet is not None else nfa.alphabet,
-        nfa.states,
-        nfa.initial,
-        nfa.final,
-        frozenset(nfa.transitions.items()),
-    )
 
 
 def query_cache_key(query: Any) -> Hashable | None:

@@ -135,14 +135,12 @@ def _print_evaluation_stats(tracer) -> None:
     for name, data in sorted(metrics_snapshot().items()):
         if name.startswith("evaluation."):
             print(f"#   {name} = {data.get('value', 0)}", file=sys.stderr)
-    for name in ("eval-context", "evaluation", "instantiate", "regex-nfa"):
-        stats = cache_stats().get(name)
-        if stats is not None:
-            print(
-                f"#   cache {name}: hits={stats['hits']} misses={stats['misses']} "
-                f"size={stats['size']}",
-                file=sys.stderr,
-            )
+    stats = cache_stats()["regex-nfa"]
+    print(
+        f"#   cache regex-nfa: hits={stats['hits']} misses={stats['misses']} "
+        f"size={stats['size']}",
+        file=sys.stderr,
+    )
     if tracer is not None and tracer.roots:
         from .obs.export import render_trace
 

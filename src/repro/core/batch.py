@@ -22,8 +22,11 @@ Semantics (DESIGN.md "Concurrency architecture"):
 - **Failure isolation.** One item's exception becomes a
   ``Verdict.ERROR`` result for that item, with the exception type,
   message, and traceback in ``details["error"]`` — never a batch
-  abort.  Budget exhaustion is *not* an error: it degrades inside the
-  engine exactly as in sequential use.
+  abort.  The wire payload (:meth:`BatchItem.to_dict`) carries only the
+  type and a message truncated to :data:`ERROR_MESSAGE_CHARS`
+  characters; the traceback stays in process (the serving layer's
+  flight recorder keeps it).  Budget exhaustion is *not* an error: it
+  degrades inside the engine exactly as in sequential use.
 - **Pool deadline.** ``pool_deadline_ms`` bounds the whole batch:
   when it expires, items that have not started are degraded to
   ``Verdict.INCONCLUSIVE`` with ``details["budget"]`` recording the
@@ -130,6 +133,10 @@ _BATCH_POOL_REBUILDS = _metric_counter("batch.pool_rebuilds")
 #: the pool twice is the poison and resolves to ``ERROR``.
 _MAX_ATTEMPTS = 2
 
+#: Longest error message a wire payload carries: a response stays
+#: bounded whatever the exception says (a parser may quote its input).
+ERROR_MESSAGE_CHARS = 512
+
 
 @dataclasses.dataclass(frozen=True)
 class BatchItem:
@@ -177,7 +184,12 @@ class BatchItem:
             out["request_id"] = self.request_id
         details = dict(self.result.details)
         if "error" in details:
-            out["error"] = details["error"]
+            error = details["error"]
+            out["error"] = {
+                "type": error["type"],
+                "message": error["message"][:ERROR_MESSAGE_CHARS],
+                "index": error["index"],
+            }
         if "budget" in details:
             out["budget"] = details["budget"]
         if "kernel" in details:

@@ -106,7 +106,8 @@ def check_containment(
             ``False`` costs one pointer test — tracing is strictly
             pay-for-what-you-use.
         **options: forwarded to the underlying procedure (``method=``
-            for 2RPQs, ``kernel=`` everywhere).  Unknown
+            for 2RPQs, ``kernel=`` for RPQs and 2RPQs; every result
+            reports the requested kernel).  Unknown
             names raise TypeError; names valid for *some* procedure but
             not the dispatched one are dropped and recorded in
             ``details["ignored_options"]``.
@@ -361,13 +362,12 @@ def _check_containment_uncached(
             **options,
         )
 
-    # Only the 2RPQ pipeline selects by method; every procedure
-    # accepts the universal kernel option (non-searching ones record
-    # it via details["kernel"] normalization).
-    allowed = ("kernel",)
-    if common is QueryClass.TWO_RPQ:
-        allowed = ("method", "kernel")
-    picked, ignored = _pick(options, *allowed)
+    # Only the RPQ and 2RPQ pipelines run a language-inclusion search,
+    # so only they take a kernel (the rest record ``selected: None``
+    # through the details["kernel"] normalization); only the 2RPQ
+    # pipeline selects by method.
+    allowed = {QueryClass.RPQ: ("kernel",), QueryClass.TWO_RPQ: ("method", "kernel")}
+    picked, ignored = _pick(options, *allowed.get(common, ()))
     result = _dispatch(q1, q2, common, budget, picked, tracer)
     if ignored:
         result = dataclasses.replace(
@@ -384,17 +384,17 @@ def _dispatch(
         return rpq_contained(
             RPQ(q1.regex), RPQ(q2.regex), budget=budget, tracer=tracer, **picked
         )
-    # Looked up per call: wrappers that patch these module attributes
-    # (perfbench's span tracing) must see every dispatch.
-    towers = {
-        QueryClass.TWO_RPQ: two_rpq_contained,
-        QueryClass.UC2RPQ: uc2rpq_contained,
-        QueryClass.RQ: rq_contained,
-    }
-    if common in towers:
-        return towers[common](
+    if common is QueryClass.TWO_RPQ:
+        return two_rpq_contained(
             promote(q1, common), promote(q2, common), budget=budget,
             tracer=tracer, **picked,
+        )
+    # Looked up per call: wrappers that patch these module attributes
+    # (perfbench's span tracing) must see every dispatch.
+    towers = {QueryClass.UC2RPQ: uc2rpq_contained, QueryClass.RQ: rq_contained}
+    if common in towers:
+        return towers[common](
+            promote(q1, common), promote(q2, common), budget=budget, tracer=tracer
         )
     left_ucq, right_ucq = isinstance(q1, (CQ, UCQ)), isinstance(q2, (CQ, UCQ))
     if left_ucq and right_ucq:
@@ -412,18 +412,16 @@ def _dispatch(
     # expansion procedures are stronger than promoting the (U)CQ to a
     # one-rule-per-disjunct program (ucq_in_datalog is exact).
     if left_ucq:
-        return ucq_in_datalog(
-            q1, promote(q2, QueryClass.DATALOG), tracer=tracer, **picked
-        )
+        return ucq_in_datalog(q1, promote(q2, QueryClass.DATALOG), tracer=tracer)
     left = promote(q1, QueryClass.DATALOG)
     if right_ucq:
-        return datalog_in_ucq(left, q2, budget=budget, tracer=tracer, **picked)
+        return datalog_in_ucq(left, q2, budget=budget, tracer=tracer)
     right = promote(q2, QueryClass.DATALOG)
     if common is QueryClass.GRQ or (
         common is QueryClass.DATALOG and is_grq(left) and is_grq(right)
     ):
-        return grq_contained(left, right, budget=budget, tracer=tracer, **picked)
-    return datalog_in_datalog(left, right, budget=budget, tracer=tracer, **picked)
+        return grq_contained(left, right, budget=budget, tracer=tracer)
+    return datalog_in_datalog(left, right, budget=budget, tracer=tracer)
 
 
 def _pick(options: dict, *allowed: str) -> tuple[dict, tuple[str, ...]]:
@@ -433,9 +431,13 @@ def _pick(options: dict, *allowed: str) -> tuple[dict, tuple[str, ...]]:
     option meant for the 2RPQ pipeline must not crash the expansion
     path it did not end up taking — but neither may it vanish silently,
     so the dropped names are returned for ``details["ignored_options"]``.
+    ``kernel`` is never among them: the engine validates it for every
+    procedure and reports it in ``details["kernel"]``.
     """
     picked = {key: options[key] for key in allowed if key in options}
-    ignored = tuple(sorted(key for key in options if key not in allowed))
+    ignored = tuple(
+        sorted(key for key in options if key not in allowed and key != "kernel")
+    )
     return picked, ignored
 
 

@@ -25,7 +25,6 @@ never an exception.
 
 from __future__ import annotations
 
-from ..automata.antichain import resolve_kernel
 from ..budget import UNLIMITED, Budget, BudgetExhausted, bounded_result
 from ..obs.trace import maybe_span
 from ..report import ContainmentResult, Counterexample, EquivalenceResult, Verdict
@@ -50,7 +49,6 @@ def uc2rpq_contained(
     q2: UC2RPQ | C2RPQ,
     budget: Budget | None = None,
     tracer=None,
-    kernel: str = "auto",
 ) -> ContainmentResult:
     """Expansion-based containment check for UC2RPQs.
 
@@ -69,12 +67,7 @@ def uc2rpq_contained(
             ``disjunct-expansions`` span per Q1 disjunct, tagged with
             the finiteness verdict and effective length bound and
             counting the expansions examined.
-        kernel: accepted for engine-wide option uniformity and
-            validated eagerly; the expansion procedure runs no
-            language-inclusion search, so the value selects nothing
-            here (the engine records ``selected: None``).
     """
-    resolve_kernel(kernel)
     left, right = _as_union(q1), _as_union(q2)
     if left.arity != right.arity:
         raise ValueError(

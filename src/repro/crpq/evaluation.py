@@ -5,20 +5,20 @@ D we first evaluate all the 2RPQs appearing in Q, instantiating each as
 a binary relation over the elements of D, and then evaluate Q as a
 conjunctive query over this collection of relations."
 
-Set-at-a-time engineering on top of the recipe (ISSUE 7): each
-**distinct** regular atom is instantiated once — atoms sharing a regex
-share the materialized relation — and the whole ``(CQ, Instance)``
-artifact is cached per ``(query canonical form, snapshot fingerprint)``
-in :data:`repro.cache.instantiate_cache`.  That matters because
-:func:`satisfies_c2rpq` is the hot loop of expansion-based containment:
-the same query is tested against a stream of canonical databases, and
-each database is probed for many heads, so re-materializing atom
-relations per membership test dominated the pre-snapshot cost.
+Set-at-a-time engineering on top of the recipe: each **distinct**
+regular atom is instantiated once — atoms sharing a regex share the
+materialized relation — and the whole ``(CQ, Instance)`` artifact is
+memoized on the database's snapshot, which a write drops.  That matters
+because :func:`satisfies_c2rpq` is the hot loop of expansion-based
+containment: the same query is tested against a stream of canonical
+databases, and each database is probed for many heads, so
+re-materializing atom relations per membership test dominated the
+pre-snapshot cost.
 """
 
 from __future__ import annotations
 
-from ..cache import instantiate_cache, query_cache_key
+from ..cache import query_cache_key
 from ..cq.evaluation import evaluate_cq, satisfies
 from ..cq.syntax import CQ, Atom
 from ..graphdb.database import GraphDatabase, Node
@@ -37,7 +37,7 @@ def _materialize(
 
     Atoms with equal regexes share one materialized relation (and hence
     one evaluation BFS); the returned Instance is treated as frozen by
-    every caller, so it is safe to share through the cache.
+    every caller, so it is safe to share through the snapshot memo.
     """
     instance = Instance()
     atoms = []
@@ -65,21 +65,16 @@ def _materialize(
 def _instantiate(
     query: C2RPQ, db: GraphDatabase, tracer=None, meter=None
 ) -> tuple[CQ, Instance]:
-    """The ``(CQ, Instance)`` pair for *query* over *db*, cached per snapshot.
-
-    The artifact is keyed on ``(query canonical form, snapshot
-    fingerprint)``, so the expansion loop's repeated membership tests
-    against one canonical database hit a single materialization.
-    Unhashable queries, and every call with caching disabled,
-    re-materialize.
+    """The ``(CQ, Instance)`` pair for *query* over *db*, memoized on
+    the snapshot, so the expansion loop's membership tests against one
+    canonical database share a single materialization.  Unhashable
+    queries re-materialize.
     """
     key = query_cache_key(query)
     if key is None:
         return _materialize(query, db, tracer=tracer, meter=meter)
-    fingerprint = db.snapshot(tracer=tracer).fingerprint
-    return instantiate_cache.get_or_compute(
-        (key, fingerprint),
-        lambda: _materialize(query, db, tracer=tracer, meter=meter),
+    return db.snapshot(tracer=tracer).memoized(
+        ("instance", key), lambda: _materialize(query, db, tracer=tracer, meter=meter)
     )
 
 
@@ -107,9 +102,9 @@ def satisfies_c2rpq(
     """Early-exit membership test ``head in Q(D)``.
 
     Used in the hot loop of expansion-based containment, where *db* is a
-    small canonical database and only one tuple matters; the per-snapshot
-    instantiate cache means successive heads against the same database
-    skip straight to the join.
+    small canonical database and only one tuple matters; the memoized
+    instantiation means successive heads against the same database skip
+    straight to the join.
     """
     cq, instance = _instantiate(query, db, tracer=tracer, meter=meter)
     return satisfies(cq, instance, head)

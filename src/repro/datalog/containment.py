@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..automata.antichain import resolve_kernel
 from ..budget import UNLIMITED, Budget, BudgetExhausted, bounded_result
 from ..cq.containment import ucq_contained
 from ..cq.evaluation import satisfies_ucq
@@ -130,16 +129,8 @@ def cq_in_datalog(cq: CQ, program: Program) -> ContainmentResult:
     )
 
 
-def ucq_in_datalog(
-    ucq: UCQ | CQ, program: Program, tracer=None, kernel: str = "auto"
-) -> ContainmentResult:
-    """Exact: every disjunct must map into the program's answers.
-
-    *kernel* is accepted for engine-wide option uniformity and validated
-    eagerly; canonical-database evaluation runs no language-inclusion
-    search (the engine records ``selected: None``).
-    """
-    resolve_kernel(kernel)
+def ucq_in_datalog(ucq: UCQ | CQ, program: Program, tracer=None) -> ContainmentResult:
+    """Exact: every disjunct must map into the program's answers."""
     union = ucq if isinstance(ucq, UCQ) else UCQ((ucq,))
     with maybe_span(tracer, "canonical-db-evaluation") as span:
         checked = 0
@@ -159,7 +150,6 @@ def datalog_in_ucq(
     ucq: UCQ | CQ,
     budget: Budget | None = None,
     tracer=None,
-    kernel: str = "auto",
 ) -> ContainmentResult:
     """``program ⊆ ucq`` via expansion enumeration.
 
@@ -171,12 +161,8 @@ def datalog_in_ucq(
     :data:`DEFAULT_EXPANSION_BUDGET` expansions); its deadline is polled
     cooperatively and produces a structured verdict, never an exception.
     An optional *tracer* records an ``unfold-to-ucq`` span (nonrecursive
-    path) or an ``expansion-loop`` span counting expansions.  *kernel*
-    is accepted for engine-wide option uniformity and validated eagerly;
-    the expansion procedure runs no language-inclusion search (the
-    engine records ``selected: None``).
+    path) or an ``expansion-loop`` span counting expansions.
     """
-    resolve_kernel(kernel)
     union = ucq if isinstance(ucq, UCQ) else UCQ((ucq,))
     if is_nonrecursive(program):
         with maybe_span(tracer, "unfold-to-ucq") as span:
@@ -220,7 +206,6 @@ def datalog_in_datalog(
     right: Program,
     budget: Budget | None = None,
     tracer=None,
-    kernel: str = "auto",
 ) -> ContainmentResult:
     """``left ⊆ right`` for two Datalog programs.
 
@@ -232,11 +217,8 @@ def datalog_in_datalog(
     the positive verdict to HOLDS.  An optional *budget* bounds the
     enumeration (defaults as in :func:`datalog_in_ucq`) and adds
     cooperative deadline polling (structured verdict on exhaustion,
-    never an exception).  *kernel* is accepted for engine-wide option
-    uniformity and validated eagerly; the expansion procedure runs no
-    language-inclusion search (the engine records ``selected: None``).
+    never an exception).
     """
-    resolve_kernel(kernel)
     if left.goal_arity != right.goal_arity:
         raise ValueError("arity mismatch between program goals")
     return expansion_containment(

@@ -11,9 +11,10 @@ where traversing an edge backwards reads its inverse letter.
 
 Nodes are kept in **insertion order** (the stable total order every
 compiled artifact uses — see :mod:`repro.graphdb.snapshot`), and every
-structural mutation bumps a **revision counter** so snapshots and the
-evaluation caches keyed on them invalidate precisely when the data
-changes.
+structural mutation bumps a **revision counter** and drops the compiled
+snapshot.  Everything evaluation derives from the data is memoized on
+that snapshot, so a write discards it all at once and the next read
+starts from the new content.
 """
 
 from __future__ import annotations
@@ -117,8 +118,9 @@ class GraphDatabase:
         """The compiled :class:`~repro.graphdb.snapshot.GraphSnapshot`.
 
         Built at most once per revision: mutations (:meth:`add_edge` /
-        :meth:`add_node`) drop the cached snapshot, so a stale snapshot
-        can never be observed through this accessor.
+        :meth:`add_node`) drop the cached snapshot, and with it every
+        evaluation artifact memoized on it, so a stale snapshot can
+        never be observed through this accessor.
         """
         if self._snapshot is None:
             from .snapshot import GraphSnapshot

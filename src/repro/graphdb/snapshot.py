@@ -5,9 +5,15 @@ Query evaluation used to recompile the world on every call: each
 letter through the backward index, and rebuilt a per-symbol adjacency
 table — then threw all of it away.  A :class:`GraphSnapshot` is that
 compilation done **once per database revision**: stable insertion-order
-node ids, per-label forward/backward adjacency as bitset rows, and a
-cheap structural fingerprint so the caches in :mod:`repro.cache` can key
-evaluation results on ``(query canonical form, snapshot fingerprint)``.
+node ids and per-label forward/backward adjacency as bitset rows.
+
+The snapshot also owns everything derived from it (its :attr:`memo`):
+compiled evaluation contexts and all-pairs answers
+(:mod:`repro.rpq.rpq`), C2RPQ instantiations
+(:mod:`repro.crpq.evaluation`) and label relations (:meth:`relation`).
+The snapshot object is the only identity of that state: nothing hashes
+the graph's content, a write drops the snapshot together with its memo,
+and derived state lives exactly as long as a caller holds the snapshot.
 
 The module also hosts the evaluation kernels that run against a
 snapshot (the counterparts of the containment kernels in
@@ -18,22 +24,21 @@ snapshot (the counterparts of the containment kernels in
   propagating per-configuration *source bitsets* instead of replaying a
   scalar BFS per source (set-at-a-time in the Section 3.3 sense);
 - :func:`reach_from_source` — the single-source product BFS for
-  ``targets``/``matches`` when no all-pairs result is cached;
+  ``targets``/``matches`` when no all-pairs answer is memoized;
 - :func:`witness_path` — shortest-witness extraction with parent
   backtracking, the same scheme as the antichain kernel, so witness
   search shares the compiled context with answering.
 
 Invalidation contract: :meth:`repro.graphdb.database.GraphDatabase.snapshot`
-rebuilds on mutation (the revision counter), and the fingerprint binds
-node identities, labels, and the full adjacency structure, so a cache
-entry keyed on a fingerprint can never serve answers for a database
-that has since changed.
+rebuilds on mutation (the revision counter), so the next read starts
+from a new snapshot with an empty memo and can never be served an
+answer derived from the database as it was before the write.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Sequence
 
 from ..automata.alphabet import base_symbol, is_inverse
 from ..automata.indexed import IndexedNFA, bits
@@ -66,9 +71,15 @@ class GraphSnapshot:
         labels: the base-label alphabet, sorted (label id = index).
         forward: ``forward[label_id][node_id]`` — successor bitset.
         backward: ``backward[label_id][node_id]`` — predecessor bitset.
-        fingerprint: ``(num_nodes, num_edges, content_hash)`` — the
-            hashable cache-key component binding node identities,
-            labels, and the whole adjacency structure.
+        memo: what readers derive from this snapshot, filled through
+            :meth:`memoized`: ``("context", id(nfa))`` → a compiled
+            evaluation context that holds the NFA itself (so the id is
+            not reused while the entry lives), ``("instance", query
+            key)`` → a C2RPQ's ``(CQ, Instance)``, ``("relation",
+            label)`` → ``r(D)``.  No value refers back to the snapshot,
+            so a dropped snapshot is freed by reference counting alone,
+            even with the cyclic collector off.  ``memo.clear()``
+            forgets the derived state and keeps the compiled graph.
     """
 
     __slots__ = (
@@ -80,8 +91,7 @@ class GraphSnapshot:
         "backward",
         "num_nodes",
         "num_edges",
-        "fingerprint",
-        "_relations",
+        "memo",
         "_zeros",
     )
 
@@ -101,15 +111,7 @@ class GraphSnapshot:
         self.backward = backward
         self.num_nodes = len(nodes)
         self.num_edges = num_edges
-        content = hash(
-            (
-                nodes,
-                labels,
-                tuple(tuple(row) for row in forward),
-            )
-        )
-        self.fingerprint = (self.num_nodes, num_edges, content)
-        self._relations: dict[str, frozenset] = {}
+        self.memo: dict = {}
         self._zeros = [0] * self.num_nodes  # shared empty row; never mutated
 
     @classmethod
@@ -153,20 +155,31 @@ class GraphSnapshot:
         the pre-resolved table the evaluation kernels run against."""
         return [self.rows_for(symbol) for symbol in symbols]
 
+    def memoized(self, key: Hashable, compute: Callable[[], Any]) -> Any:
+        """``memo[key]``, computed and stored on first use.
+
+        Unlocked: threads racing on one key may each compute it, and the
+        last assignment wins.  A value is complete before it is stored
+        (a context's answer set is assigned once, when complete), so no
+        reader sees a partial or wrong value.
+        """
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = compute()
+        return value
+
     def relation(self, label: str) -> frozenset:
         """The binary relation ``r(D)`` for a (possibly inverse) label,
         materialized once per snapshot and memoized."""
-        cached = self._relations.get(label)
-        if cached is None:
-            rows = self.rows_for(label)
-            nodes = self.nodes
-            cached = frozenset(
+        rows, nodes = self.rows_for(label), self.nodes
+        return self.memoized(
+            ("relation", label),
+            lambda: frozenset(
                 (nodes[source], nodes[target])
                 for source in range(self.num_nodes)
                 for target in bits(rows[source])
-            )
-            self._relations[label] = cached
-        return cached
+            ),
+        )
 
     def __repr__(self) -> str:
         return (

@@ -16,7 +16,6 @@ checker refuses programs outside it rather than silently running the
 
 from __future__ import annotations
 
-from ..automata.antichain import resolve_kernel
 from ..budget import Budget
 from ..obs.trace import maybe_span
 from ..report import ContainmentResult, EquivalenceResult
@@ -42,7 +41,6 @@ def grq_contained(
     right: Program,
     budget: Budget | None = None,
     tracer=None,
-    kernel: str = "auto",
 ) -> ContainmentResult:
     """Containment between two GRQ programs.
 
@@ -54,12 +52,8 @@ def grq_contained(
     enumeration cooperatively and is reported as a structured verdict,
     never an exception.  An optional *tracer* records a
     ``grq-membership`` span for the fragment check and an
-    ``expansion-loop`` span counting expansions.  *kernel* is accepted
-    for engine-wide option uniformity and validated eagerly; the
-    expansion procedure runs no language-inclusion search (the engine
-    records ``selected: None``).
+    ``expansion-loop`` span counting expansions.
     """
-    resolve_kernel(kernel)
     with maybe_span(tracer, "grq-membership"):
         for which, program in (("left", left), ("right", right)):
             report = check_grq(program)

@@ -20,6 +20,8 @@ answers the operator's questions about them after the fact:
   *trees* are retained only for the interesting ones — slow
   (``slow_ms`` threshold), shed, or errored requests — so memory
   stays bounded by ``capacity`` small dicts plus a handful of trees.
+  An errored request's entry also keeps the exception's traceback,
+  which neither the response nor the access log carries.
 - **Where does production time go?**  :class:`Sampler` deterministically
   samples a configurable fraction of requests for live tracing; the
   sampled span trees feed a :class:`repro.obs.profile.SpanProfile`
@@ -137,8 +139,8 @@ def access_record(
                 record[key] = details[key]
         error = details.get("error")
         if isinstance(error, dict):
-            # Type and message only: tracebacks belong to the response
-            # payload and the flight recorder, not every log line.
+            # Type and message only: the traceback belongs to the flight
+            # recorder (Telemetry.observe's *error*), not every log line.
             record["error"] = {
                 "type": error.get("type"),
                 "message": error.get("message"),
@@ -293,10 +295,17 @@ class FlightRecorder:
         return isinstance(total_ms, (int, float)) and total_ms >= self.slow_ms
 
     def record(
-        self, record: dict[str, Any], trace: dict[str, Any] | None = None
+        self,
+        record: dict[str, Any],
+        trace: dict[str, Any] | None = None,
+        error: dict[str, Any] | None = None,
     ) -> None:
-        """Append one record (plus its trace, if the policy retains it)."""
+        """Append one record (plus its trace, if the policy retains it);
+        a full *error* block, traceback included, replaces the record's
+        type-and-message summary."""
         entry = dict(record)
+        if error is not None:
+            entry["error"] = dict(error)
         retained = trace is not None and self.retains_trace(record)
         if retained:
             entry["trace"] = trace
@@ -419,12 +428,16 @@ class Telemetry:
         return sampled
 
     def observe(
-        self, record: dict[str, Any], trace: dict[str, Any] | None = None
+        self,
+        record: dict[str, Any],
+        trace: dict[str, Any] | None = None,
+        error: dict[str, Any] | None = None,
     ) -> None:
-        """Account for one served frame (never raises into the server)."""
+        """Account for one served frame (never raises into the server);
+        only the flight recorder keeps *error*, the full error block."""
         if trace is not None:
             self.profile.add(trace)
-        self.recorder.record(record, trace)
+        self.recorder.record(record, trace, error)
         if self.log is not None:
             self.log.write(record)
 

@@ -9,11 +9,11 @@ traverse edges backwards.
 Evaluation is a product construction over ``(node, automaton state)``
 configurations, run **set-at-a-time** against a compiled
 :class:`repro.graphdb.snapshot.GraphSnapshot`: the automaton and the
-per-symbol adjacency are compiled once per database revision (cached on
-``(query canonical form, snapshot fingerprint)`` — see
-:mod:`repro.cache`), and a single multi-source frontier BFS answers the
-query for every source simultaneously.  Single-source queries and
-witness semipaths run on the same compiled context.
+per-symbol adjacency are compiled once per snapshot and memoized on it
+with the all-pairs answer, keyed by the automaton object, and a single
+multi-source frontier BFS answers the query for every source
+simultaneously.  Single-source queries and witness semipaths run on the
+same compiled context.
 """
 
 from __future__ import annotations
@@ -24,12 +24,7 @@ from ..automata.alphabet import base_symbol
 from ..automata.dfa import reduce_nfa
 from ..automata.indexed import IndexedNFA, bits
 from ..automata.nfa import NFA, Word
-from ..cache import (
-    eval_context_cache,
-    evaluation_cache,
-    nfa_cache_key,
-    regex_nfa_cache,
-)
+from ..cache import regex_nfa_cache
 from ..graphdb.database import GraphDatabase, Node
 from ..graphdb.snapshot import (
     GraphSnapshot,
@@ -51,34 +46,25 @@ def _compiled(regex: Regex) -> NFA:
 
 
 class _EvalContext:
-    """One compiled (automaton, snapshot) pair: the unit evaluation caches.
+    """One automaton compiled against one snapshot, memoized on it.
 
-    Immutable after construction, so it is shared freely across all
-    sources, atoms, and repeated queries against the same revision.
+    Holds the NFA itself, so the memo key ``id(nfa)`` stays unique while
+    the entry lives, and no reference to the snapshot, so the memo forms
+    no cycle.  ``pairs`` is the all-pairs answer once computed.
     """
 
-    __slots__ = ("compiled", "snapshot", "adjacency")
+    __slots__ = ("nfa", "compiled", "adjacency", "pairs")
 
-    def __init__(self, compiled: IndexedNFA, snapshot: GraphSnapshot) -> None:
-        self.compiled = compiled
-        self.snapshot = snapshot
-        self.adjacency = snapshot.adjacency_for(compiled.symbols)
+    def __init__(self, nfa: NFA, snapshot: GraphSnapshot) -> None:
+        self.nfa = nfa
+        self.compiled = IndexedNFA.from_nfa(nfa)
+        self.adjacency = snapshot.adjacency_for(self.compiled.symbols)
+        self.pairs: frozenset[tuple[Node, Node]] | None = None
 
 
-def _graph_context(nfa: NFA, db: GraphDatabase, tracer=None) -> _EvalContext:
-    """The compiled evaluation context for (nfa, db), cached per revision.
-
-    The snapshot pre-resolves inverse letters through the backward
-    index; the context aligns its bitset rows with the automaton's
-    symbol order.  Node ids are the snapshot's stable insertion-order
-    ids (never ``sorted(key=repr)``, which is run-to-run
-    nondeterministic for default-``repr`` node objects).
-    """
-    snapshot = db.snapshot(tracer=tracer)
-    key = ("ctx", nfa_cache_key(nfa), snapshot.fingerprint)
-    return eval_context_cache.get_or_compute(
-        key, lambda: _EvalContext(IndexedNFA.from_nfa(nfa), snapshot)
-    )
+def _context(nfa: NFA, snapshot: GraphSnapshot) -> _EvalContext:
+    """The compiled evaluation context for *nfa* on *snapshot* (memoized)."""
+    return snapshot.memoized(("context", id(nfa)), lambda: _EvalContext(nfa, snapshot))
 
 
 def evaluate_nfa_on_graph(
@@ -86,54 +72,48 @@ def evaluate_nfa_on_graph(
 ) -> frozenset[tuple[Node, Node]]:
     """All pairs (x, y) connected by a semipath spelling a word of L(nfa)."""
     _EVAL_QUERIES.inc()
-    context = _graph_context(nfa, db, tracer=tracer)
-    key = ("pairs", nfa_cache_key(nfa), context.snapshot.fingerprint)
-
-    def compute() -> frozenset[tuple[Node, Node]]:
-        nodes = context.snapshot.nodes
-        with maybe_span(
-            tracer,
-            "eval-bfs",
-            mode="all-sources",
-            nodes=len(nodes),
-            states=context.compiled.num_states,
-        ) as span:
-            answers, configs = reach_all_sources(
-                context.compiled, context.adjacency, len(nodes), meter=meter
-            )
-            span.count("configs", configs)
-        _EVAL_BFS_RUNS.inc()
-        return frozenset(
-            (nodes[source], nodes[target])
-            for target in range(len(nodes))
-            for source in bits(answers[target])
+    snapshot = db.snapshot(tracer=tracer)
+    context = _context(nfa, snapshot)
+    if context.pairs is not None:
+        return context.pairs
+    nodes = snapshot.nodes
+    with maybe_span(
+        tracer,
+        "eval-bfs",
+        mode="all-sources",
+        nodes=len(nodes),
+        states=context.compiled.num_states,
+    ) as span:
+        answers, configs = reach_all_sources(
+            context.compiled, context.adjacency, len(nodes), meter=meter
         )
-
-    return evaluation_cache.get_or_compute(key, compute)
+        span.count("configs", configs)
+    _EVAL_BFS_RUNS.inc()
+    context.pairs = frozenset(
+        (nodes[source], nodes[target])
+        for target in range(len(nodes))
+        for source in bits(answers[target])
+    )
+    return context.pairs
 
 
 def targets_from(
     nfa: NFA, db: GraphDatabase, source: Node, tracer=None, meter=None
 ) -> frozenset[Node]:
     """Nodes reachable from *source* along words of L(nfa) (product BFS)."""
-    if source not in db.nodes:
+    snapshot = db.snapshot(tracer=tracer)
+    source_id = snapshot.node_index.get(source)
+    if source_id is None:
         return frozenset()
-    context = _graph_context(nfa, db, tracer=tracer)
-    nodes = context.snapshot.nodes
-    cached = evaluation_cache.peek(
-        ("pairs", nfa_cache_key(nfa), context.snapshot.fingerprint)
-    )
-    if cached is not None:
-        # An all-pairs result is already materialized for this
-        # snapshot: slice it instead of re-running any BFS.
-        return frozenset(y for x, y in cached if x == source)
+    context = _context(nfa, snapshot)
+    if context.pairs is not None:
+        # The all-pairs answer is already memoized on this snapshot:
+        # slice it instead of re-running any BFS.
+        return frozenset(y for x, y in context.pairs if x == source)
+    nodes = snapshot.nodes
     with maybe_span(tracer, "eval-bfs", mode="single-source", nodes=len(nodes)):
         mask = reach_from_source(
-            context.compiled,
-            context.adjacency,
-            len(nodes),
-            context.snapshot.node_index[source],
-            meter=meter,
+            context.compiled, context.adjacency, len(nodes), source_id, meter=meter
         )
     _EVAL_BFS_RUNS.inc()
     return frozenset(nodes[i] for i in bits(mask))
@@ -189,17 +169,19 @@ class TwoRPQ:
         It runs against the same compiled snapshot context as
         ``targets``/``matches`` (shortest by BFS parent backtracking).
         """
-        if source not in db.nodes or target not in db.nodes:
+        snapshot = db.snapshot(tracer=tracer)
+        source_id = snapshot.node_index.get(source)
+        target_id = snapshot.node_index.get(target)
+        if source_id is None or target_id is None:
             return None
-        context = _graph_context(self.nfa, db, tracer=tracer)
-        snapshot = context.snapshot
+        context = _context(self.nfa, snapshot)
         with maybe_span(tracer, "eval-bfs", mode="witness", nodes=snapshot.num_nodes):
             steps = witness_path(
                 context.compiled,
                 context.adjacency,
                 snapshot.num_nodes,
-                snapshot.node_index[source],
-                snapshot.node_index[target],
+                source_id,
+                target_id,
                 meter=meter,
             )
         if steps is None:

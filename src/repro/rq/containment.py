@@ -16,7 +16,6 @@ run beyond toy sizes; the bound is the calibrated substitute.
 
 from __future__ import annotations
 
-from ..automata.antichain import resolve_kernel
 from ..budget import Budget
 from ..obs.trace import maybe_span
 from ..report import ContainmentResult, Counterexample, EquivalenceResult
@@ -35,7 +34,6 @@ def rq_contained(
     q2: RQ,
     budget: Budget | None = None,
     tracer=None,
-    kernel: str = "auto",
 ) -> ContainmentResult:
     """Expansion-based containment check for regular queries.
 
@@ -53,12 +51,7 @@ def rq_contained(
         tracer: optional :class:`repro.obs.trace.Tracer`; records a
             ``translate-datalog`` span for the Section 4.1 translation
             and an ``expansion-loop`` span counting expansions.
-        kernel: accepted for engine-wide option uniformity and
-            validated eagerly; the expansion procedure runs no
-            language-inclusion search (the engine records
-            ``selected: None``).
     """
-    resolve_kernel(kernel)
     if q1.arity != q2.arity:
         raise ValueError(
             f"containment between arities {q1.arity} and {q2.arity} is ill-typed"

@@ -22,16 +22,18 @@ containment, the Datalog embedding — applies unchanged.
 
 from __future__ import annotations
 
+import itertools
 import re
 
+from ..automata.alphabet import base_symbol
 from ..automata.regex import parse_regex
 from ..cq.syntax import Var
 from .syntax import (
     And,
+    EdgeAtom,
     Or,
     Project,
     RQ,
-    RQError,
     Select,
     TransitiveClosure,
     rename,
@@ -41,6 +43,30 @@ from .embeddings import regex_to_rq, _Fresh
 
 class RQSyntaxError(ValueError):
     """Raised when an RQ rule text cannot be parsed."""
+
+
+#: Tallest term the parser returns (in edges).  Every walk over an RQ
+#: term (hashing, equality, evaluation, containment, the Datalog
+#: embedding) recurses once per level, and a named atom inlines its
+#: definition, so rules that each call the one before grow two levels per
+#: rule, at a cost quadratic in the chain.  Each definition is measured as
+#: it is folded; a body of more atoms, or a head of more rules, than the
+#: limit (a left-deep chain that tall) is refused before it is built.
+MAX_RQ_HEIGHT = 100
+
+
+def _height(term: RQ) -> int:
+    """Edges on the longest root-to-leaf path (iterative: no recursion)."""
+    tallest, stack = 0, [(term, 0)]
+    while stack:
+        node, depth = stack.pop()
+        tallest = max(tallest, depth)
+        stack += ((child, depth + 1) for child in node.children())
+    return tallest
+
+
+def _too_deep(what: str) -> RQSyntaxError:
+    return RQSyntaxError(f"{what} nests deeper than {MAX_RQ_HEIGHT} levels")
 
 
 _RULE = re.compile(r"^\s*(?P<head>[^:]+?)\s*:-\s*(?P<body>.+?)\s*$", re.S)
@@ -88,6 +114,7 @@ class _RQParser:
         self.definitions: dict[str, RQ] = {}
         self.alphabet = alphabet
         self.fresh = _Fresh("__rqp")
+        self._stamp = itertools.count()
 
     def parse(self, text: str, goal: str | None) -> RQ:
         cleaned = _strip_comments(text)
@@ -103,10 +130,16 @@ class _RQParser:
         grouped: dict[str, list[tuple[tuple[Var, ...], RQ]]] = {}
         for chunk in chunks:
             name, head_vars, term = self._parse_rule(chunk)
-            grouped.setdefault(name, []).append((head_vars, term))
+            variants = grouped.setdefault(name, [])
+            variants.append((head_vars, term))
+            if len(variants) > MAX_RQ_HEIGHT:
+                raise _too_deep(f"the union of the rules for {name}")
             if name not in order:
                 order.append(name)
-            self.definitions[name] = self._fold_variants(name, grouped[name])
+            definition = self._fold_variants(name, variants)
+            if _height(definition) > MAX_RQ_HEIGHT:
+                raise _too_deep(f"the definition of {name}")
+            self.definitions[name] = definition
         target = goal if goal is not None else order[-1]
         if target not in self.definitions:
             raise RQSyntaxError(f"goal {target!r} is not defined")
@@ -121,7 +154,9 @@ class _RQParser:
             if len(head_vars) != len(canonical):
                 raise RQSyntaxError(f"rules for {name} disagree on arity")
             mapping = {
-                old.name: new.name for old, new in zip(head_vars, canonical)
+                old.name: new.name
+                for old, new in zip(head_vars, canonical)
+                if old != new
             }
             pieces.append(rename(term, mapping) if mapping else term)
         node = pieces[0]
@@ -133,8 +168,6 @@ class _RQParser:
         symbols: set[str] = set()
         for match in re.finditer(r"\[([^\]]+)\]", "\n".join(chunks)):
             regex = parse_regex(match.group(1))
-            from ..automata.alphabet import base_symbol
-
             symbols |= {base_symbol(s) for s in regex.symbols()}
         if not symbols:
             raise RQSyntaxError("no regex atoms to infer the alphabet from")
@@ -154,9 +187,10 @@ class _RQParser:
         )
         if not head_vars:
             raise RQSyntaxError("rules need at least one head variable")
-        conjuncts = [
-            self._parse_atom(text) for text in _split_atoms(match.group("body"))
-        ]
+        atoms = _split_atoms(match.group("body"))
+        if len(atoms) > MAX_RQ_HEIGHT:
+            raise _too_deep(f"the body of {head_match.group('name')}")
+        conjuncts = [self._parse_atom(text) for text in atoms]
         node: RQ = conjuncts[0]
         for conjunct in conjuncts[1:]:
             node = And(node, conjunct)
@@ -205,28 +239,16 @@ class _RQParser:
                 raise RQSyntaxError(
                     f"{name} has arity {term.arity}, called with {len(call_vars)}"
                 )
-            namespace = {}
-            for node_vars in (term.head_vars,):
-                namespace.update(
-                    {old.name: new.name for old, new in zip(node_vars, call_vars)}
-                )
+            namespace = {
+                old.name: new.name for old, new in zip(term.head_vars, call_vars)
+            }
             # Rename non-head variables apart so call sites never capture.
-            from .syntax import EdgeAtom
-
             for node in term.walk():
                 if isinstance(node, EdgeAtom):
                     for var in (node.source, node.target):
                         namespace.setdefault(var.name, f"{var.name}@{next(self._stamp)}")
             return rename(term, namespace)
         raise RQSyntaxError(f"cannot parse atom {text!r}")
-
-    @property
-    def _stamp(self):
-        if not hasattr(self, "_stamp_counter"):
-            import itertools
-
-            self._stamp_counter = itertools.count()
-        return self._stamp_counter
 
 
 def parse_rq(
@@ -241,5 +263,8 @@ def parse_rq(
         goal: which defined query to return (default: the last head).
         alphabet: base symbols for ``*``/``?``/epsilon identity atoms;
             inferred from the regex atoms when omitted.
+
+    Raises :class:`RQSyntaxError` (a ``ValueError``) on malformed text
+    or a term taller than :data:`MAX_RQ_HEIGHT`.
     """
     return _RQParser(alphabet).parse(text, goal)

@@ -60,9 +60,12 @@ class RQ:
         return 1 + sum(child.size() for child in self.children())
 
     def walk(self) -> Iterator["RQ"]:
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Every node, in pre-order (iterative: no per-level generator)."""
+        stack: list[RQ] = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children()))
 
     # -- operator sugar ---------------------------------------------------------
 

@@ -475,7 +475,8 @@ class ContainmentServer:
         request_id = self._next_request_id()
         item = protocol.error_item(index, exc, request_id)
         self._telemetry.observe(
-            access_record(request_id=request_id, op="invalid", index=index, item=item)
+            access_record(request_id=request_id, op="invalid", index=index, item=item),
+            error=item.result.details["error"],
         )
         return protocol.response_payload(None, item, index=index)
 
@@ -536,6 +537,7 @@ class ContainmentServer:
                 sampled=sampled,
             ),
             trace if isinstance(trace, dict) else None,
+            error=item.result.details.get("error"),
         )
         return protocol.response_payload(frame.id, item, index=frame.index)
 

@@ -35,6 +35,7 @@ from repro.core.batch import (
     BatchResult,
     ContainmentExecutor,
     check_containment_many,
+    error_result,
     sequential_baseline,
 )
 from repro.obs.metrics import REGISTRY, reset_metrics
@@ -151,6 +152,17 @@ class TestFailureIsolation:
         assert error["type"] == "TypeError"
         assert "Traceback" in error["traceback"]
         assert batch.errors == (batch.items[1],)
+
+    def test_wire_error_is_type_bounded_message_and_index(self):
+        """The payload carries no traceback (file paths stay on the
+        server) and at most 512 characters of message."""
+        try:
+            raise ValueError("x" * 5_000)
+        except ValueError as exc:
+            result = error_result(4, exc)
+        wire = BatchItem(4, result, 0.0, None).to_dict()["error"]
+        assert wire == {"type": "ValueError", "message": "x" * 512, "index": 4}
+        assert "Traceback" in result.details["error"]["traceback"]
 
     def test_error_results_are_falsy_and_inexact(self):
         poisoned = [(object(), object())]

@@ -263,6 +263,18 @@ class TestOptionValidation:
         )
         assert "ignored_options" not in result.details
 
+    def test_kernel_on_a_non_searching_pair_is_reported_not_ignored(self):
+        # UC2RPQ containment runs no inclusion search: the tower takes
+        # no kernel, and the engine still validates and reports it.
+        triangle, union = paper_example_1()
+        result = check_containment(
+            triangle, union, budget=Budget(max_expansions=50), kernel="subset"
+        )
+        assert "ignored_options" not in result.details
+        assert result.details["kernel"] == {"requested": "subset", "selected": None}
+        with pytest.raises(TypeError):
+            uc2rpq_contained(triangle, union, kernel="subset")
+
 
 class TestBoundAwareCache:
     def test_small_budget_then_large_budget_reaches_exact(self):

@@ -133,7 +133,7 @@ class TestCommands:
         assert "a\tc" in captured.out
         assert "# evaluation stats" in captured.err
         assert "evaluation.snapshot_builds" in captured.err
-        assert "cache evaluation:" in captured.err
+        assert "cache regex-nfa:" in captured.err
         assert "eval-bfs" in captured.err
 
     def test_evaluate_without_stats_is_quiet(self, graph_file, capsys):

@@ -1,0 +1,167 @@
+"""Writes and reads interleave without stale answers.
+
+A database is written to (``add_edge``, ``add_node``) between reads
+(``TwoRPQ.evaluate`` / ``targets`` / ``witness_semipath``,
+``evaluate_c2rpq`` / ``satisfies_c2rpq``).  Every read is checked
+against the object-state oracle on a database freshly rebuilt from the
+same writes, so an answer memoized on a snapshot that a write dropped
+can never pass.  A second test bounds the snapshots alive across such a
+loop with the cyclic collector off: what a read memoizes on a snapshot
+must not keep the snapshot alive once a write has dropped it.  A third
+races readers on one snapshot's unlocked memo.
+"""
+
+from __future__ import annotations
+
+import gc
+import sys
+import threading
+
+from hypothesis import given, settings, strategies as st
+
+from repro.crpq.evaluation import evaluate_c2rpq, satisfies_c2rpq
+from repro.crpq.syntax import C2RPQ
+from repro.graphdb import GraphSnapshot
+from repro.graphdb.database import GraphDatabase
+from repro.graphdb.generators import random_graph
+from repro.rpq.rpq import TwoRPQ
+from tests.oracles import evaluation as oracle
+
+QUERIES = [
+    TwoRPQ.parse(text) for text in ("a+", "a b-", "(a|b)* b", "a- (a|b)*", "b (a b-)*")
+]
+CRPQS = [
+    C2RPQ.from_strings("x,y", [("a+", "x", "z"), ("b", "z", "y")]),
+    C2RPQ.from_strings("x,y", [("(a|b-)*", "x", "y"), ("a", "y", "x")]),
+]
+
+_node = st.integers(0, 5)
+_query = st.integers(0, len(QUERIES) - 1)
+_crpq = st.integers(0, len(CRPQS) - 1)
+_op = st.one_of(
+    st.tuples(st.just("edge"), _node, st.sampled_from(("a", "b")), _node),
+    st.tuples(st.just("node"), st.integers(0, 7)),
+    st.tuples(st.just("evaluate"), _query),
+    st.tuples(st.just("targets"), _query, _node),
+    st.tuples(st.just("witness"), _query, _node, _node),
+    st.tuples(st.just("c2rpq"), _crpq),
+    st.tuples(st.just("member"), _crpq, _node, _node),
+)
+
+
+def _conforms(query: TwoRPQ, db: GraphDatabase, path: tuple) -> bool:
+    """The alternating sequence is a real semipath spelling a word of L(Q)."""
+    nodes, word = path[0::2], path[1::2]
+    return query.accepts_word(tuple(word)) and all(
+        there in db.successors(here, label)
+        for here, label, there in zip(nodes, word, nodes[1:])
+    )
+
+
+def _check_read(op: tuple, db: GraphDatabase, fresh: GraphDatabase) -> None:
+    kind = op[0]
+    if kind == "evaluate":
+        query = QUERIES[op[1]]
+        assert query.evaluate(db) == oracle.evaluate_nfa_on_graph(query.nfa, fresh)
+    elif kind == "targets":
+        query, source = QUERIES[op[1]], op[2]
+        assert query.targets(db, source) == oracle.targets_from(query.nfa, fresh, source)
+    elif kind == "witness":
+        query, source, target = QUERIES[op[1]], op[2], op[3]
+        path = query.witness_semipath(db, source, target)
+        expected = oracle.witness_semipath(query.nfa, fresh, source, target)
+        if expected is None:
+            assert path is None
+        else:
+            assert path is not None and path[0] == source and path[-1] == target
+            assert _conforms(query, fresh, path)
+            assert len(path) == len(expected)  # both shortest
+    elif kind == "c2rpq":
+        query = CRPQS[op[1]]
+        assert evaluate_c2rpq(query, db) == oracle.evaluate_uc2rpq(query, fresh)
+    else:
+        query, head = CRPQS[op[1]], (op[2], op[3])
+        assert satisfies_c2rpq(query, db, head) == oracle.satisfies_uc2rpq(
+            query, fresh, head
+        )
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(_op, min_size=1, max_size=40))
+def test_reads_after_writes_match_a_fresh_database(ops):
+    db = GraphDatabase()
+    edges: list[tuple] = []
+    nodes: list = []
+    for op in ops:
+        if op[0] == "edge":
+            db.add_edge(*op[1:])
+            edges.append(op[1:])
+        elif op[0] == "node":
+            db.add_node(op[1])
+            nodes.append(op[1])
+        else:
+            _check_read(op, db, GraphDatabase.from_edges(edges, nodes=nodes))
+
+
+def test_writes_leave_at_most_two_snapshots_alive():
+    """Derived state forms no cycle with its snapshot: with the cyclic
+    collector off, reference counting alone frees each dropped one."""
+    db = random_graph(30, 60, ("a", "b"), seed=5)
+    people = db.nodes_in_order()
+    query, crpq = QUERIES[1], CRPQS[0]
+    seen: set[int] = set()  # ids only: holding a snapshot would keep it alive
+    gc.collect()
+    gc.disable()
+    try:
+        for step in range(60):
+            source = people[step % len(people)]
+            seen.add(id(db.snapshot()))
+            query.evaluate(db)
+            query.targets(db, source)
+            query.witness_semipath(db, source, people[0])
+            satisfies_c2rpq(crpq, db, (source, people[0]))
+            db.snapshot().relation("a-")
+            db.add_edge(f"new{step}", "a", source)
+        alive = sum(
+            isinstance(obj, GraphSnapshot) and id(obj) in seen
+            for obj in gc.get_objects()
+        )
+    finally:
+        gc.enable()
+    assert alive <= 2
+
+
+def test_concurrent_readers_never_see_a_wrong_memo_entry():
+    """Readers racing on one snapshot's unlocked memo (and on clearing
+    it) may compute an entry twice, but every answer stays exact."""
+    db = random_graph(25, 60, ("a", "b"), seed=9)
+    people = db.nodes_in_order()
+    expected = [oracle.evaluate_nfa_on_graph(query.nfa, db) for query in QUERIES]
+    expected_crpq = oracle.evaluate_uc2rpq(CRPQS[1], db)
+    errors: list[Exception] = []
+
+    def read(worker: int) -> None:
+        try:
+            for _ in range(3):
+                for index, query in enumerate(QUERIES):
+                    source = people[(worker + index) % len(people)]
+                    sliced = {y for x, y in expected[index] if x == source}
+                    assert query.targets(db, source) == sliced
+                    assert query.evaluate(db) == expected[index]
+                assert evaluate_c2rpq(CRPQS[1], db) == expected_crpq
+                db.snapshot().memo.clear()
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(w,)) for w in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []

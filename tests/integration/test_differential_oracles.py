@@ -236,10 +236,10 @@ def test_snapshot_evaluation_agrees_with_object_state(seed, db_seed):
 @SETTINGS
 @given(st.integers(0, 10**9), st.integers(0, 10**6))
 def test_crpq_cached_instantiation_agrees_with_sequential(seed, db_seed):
-    """Per-snapshot cached atom instantiation == the object-state oracle.
+    """Atom instantiation memoized on the snapshot == the object-state oracle.
 
-    Three arms: snapshot engine from cold caches, the same call again
-    (served from the caches), and the object-state oracle.
+    Three arms: snapshot engine from a fresh database, the same call
+    again (served from the snapshot memo), and the object-state oracle.
     """
     query = _c2rpq(seed)
     db = _mixed_node_graph(db_seed)

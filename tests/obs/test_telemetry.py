@@ -352,6 +352,20 @@ class TestTelemetryFacade:
         assert stats["flight_recorder"]["recorded_total"] == 1
         assert stats["access_log"]["written"] == 1
 
+    def test_only_the_flight_recorder_keeps_the_traceback(self, tmp_path):
+        path = tmp_path / "access.ndjson"
+        telemetry = Telemetry(TelemetryConfig(access_log=str(path)))
+        error = {"type": "ValueError", "message": "boom", "index": 0,
+                 "traceback": "Traceback (most recent call last): ..."}
+        item = _item(verdict=Verdict.ERROR, method="batch-isolated", error=error)
+        record = access_record(request_id="r", op="contain", index=0, item=item)
+        telemetry.observe(record, error=error)
+        telemetry.close()
+        assert telemetry.recorder.entries()[0]["error"] == error
+        assert json.loads(path.read_text())["error"] == {
+            "type": "ValueError", "message": "boom"
+        }
+
     def test_no_log_no_sampling_is_the_cheap_path(self):
         telemetry = Telemetry(TelemetryConfig())
         assert telemetry.log is None

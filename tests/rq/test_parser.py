@@ -130,6 +130,36 @@ class TestErrors:
             )
 
 
+def chain(rules: int) -> str:
+    """*rules* rules, each calling the one before: the term grows two
+    levels per rule."""
+    lines = ["r0(x, y) :- [a](x, y)."]
+    lines += [f"r{i}(x, y) :- r{i - 1}(x, z), [a](z, y)." for i in range(1, rules)]
+    return "\n".join(lines)
+
+
+class TestHeightLimit:
+    """RQ terms are bounded as regexes are: a term taller than
+    MAX_RQ_HEIGHT is a syntax error, never a RecursionError later."""
+
+    def test_chain_at_the_limit_parses_and_hashes(self):
+        term = parse_rq(chain(51))  # exactly MAX_RQ_HEIGHT (100) levels
+        hash(term)
+        assert term.arity == 2
+
+    def test_chained_rules_past_the_limit_are_refused(self):
+        with pytest.raises(RQSyntaxError, match="definition of r51 nests deeper than"):
+            parse_rq(chain(400))
+
+    def test_wide_body_is_refused_before_it_is_built(self):
+        with pytest.raises(RQSyntaxError, match="body of ans nests deeper than"):
+            parse_rq("ans(x, y) :- " + ", ".join(["[a](x, y)"] * 5_000) + ".")
+
+    def test_long_union_is_refused_before_it_is_built(self):
+        with pytest.raises(RQSyntaxError, match="rules for ans nests deeper than"):
+            parse_rq("\n".join(["ans(x, y) :- [a](x, y)."] * 5_000))
+
+
 class TestAlphabetHandling:
     def test_explicit_alphabet_for_star(self):
         query = parse_rq("ans(x, y) :- [a*](x, y).", alphabet=("a", "b"))

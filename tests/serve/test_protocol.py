@@ -198,6 +198,26 @@ class TestDeepRegexFrames:
             hash(frame.left)
 
 
+def _rq_chain(rules: int) -> str:
+    lines = ["r0(x, y) :- [a](x, y)."]
+    lines += [f"r{i}(x, y) :- r{i - 1}(x, z), [a](z, y)." for i in range(1, rules)]
+    return "\n".join(lines)
+
+
+class TestDeepRQFrames:
+    def test_chained_rules_are_a_bounded_rq_syntax_error(self):
+        """400 rules, each calling the last: refused as the chain is
+        folded (the term would be about 800 levels tall)."""
+        from repro.rq.parser import RQSyntaxError
+
+        line = json.dumps({"id": 2, "left": f"rq:{_rq_chain(400)}", "right": "rpq:a"})
+        with pytest.raises(RQSyntaxError) as caught:
+            protocol.parse_frame(line, 1)
+        item = protocol.error_item(1, caught.value, "r-1")
+        wire = protocol.encode_frame(protocol.response_payload(None, item, index=1))
+        assert len(wire.encode()) < 4096
+
+
 class TestWorkloadOrderPreservation:
     @SETTINGS
     @given(workload=st.lists(lines, max_size=12))

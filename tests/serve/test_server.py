@@ -140,6 +140,35 @@ class TestOrderingAndIsolation:
 
         asyncio.run(run())
 
+    def test_chained_rq_frame_is_one_bounded_error_in_order(self):
+        """An RQ spec of 400 chained rules is refused at parse time:
+        one isolated RQSyntaxError between its neighbours' answers."""
+        rules = ["r0(x, y) :- [a](x, y)."] + [
+            f"r{i}(x, y) :- r{i - 1}(x, z), [a](z, y)." for i in range(1, 400)
+        ]
+        chained = json.dumps(
+            {"id": 2, "left": "rq:" + "\n".join(rules), "right": "rpq:a"}
+        )
+
+        async def run():
+            async with running_server() as (server, port):
+                responses = await roundtrip(
+                    port,
+                    [
+                        '{"id": 1, "left": "rpq:a a", "right": "rpq:a+"}',
+                        chained,
+                        '{"id": 3, "left": "rpq:a+", "right": "rpq:a a"}',
+                    ],
+                )
+                assert [r["id"] for r in responses] == [1, None, 3]
+                assert [r["index"] for r in responses] == [0, 1, 2]
+                verdicts = [r["verdict"] for r in responses]
+                assert verdicts == ["holds", "error", "refuted"]
+                assert responses[1]["error"]["type"] == "RQSyntaxError"
+                assert len(json.dumps(responses[1])) < 4096
+
+        asyncio.run(run())
+
     def test_file_specs_rejected_on_the_wire(self, tmp_path):
         secret = tmp_path / "secret.txt"
         secret.write_text("top secret contents")
@@ -534,6 +563,33 @@ class TestTelemetry:
         for record in contain:
             assert record["shed"] is None
             assert record["total_ms"] >= record["exec_ms"] >= 0
+
+    def test_error_tracebacks_reach_only_the_flight_recorder(self, tmp_path):
+        """Responses and access-log lines carry type and message; the
+        flight-recorder entry of an errored request keeps the traceback."""
+        log_path = tmp_path / "access.ndjson"
+        frames = [
+            '{"id": "bad", "left": "rpq:((", "right": "rpq:a"}',  # parse-time
+            '{"id": "w", "left": "datalog:ans(X) :- e(X,Y).", "right": "rpq:a"}',
+        ]
+
+        async def run():
+            async with running_server(access_log=str(log_path)) as (server, port):
+                return await roundtrip(port, frames + ['{"op": "debug"}'])
+
+        *errors, debug = asyncio.run(run())
+        assert [r["verdict"] for r in errors] == ["error", "error"]
+        for response in errors:
+            assert set(response["error"]) == {"type", "message", "index"}
+        entries = debug["flight"]["entries"]
+        assert len(entries) == 2
+        for entry in entries:
+            assert "Traceback" in entry["error"]["traceback"]
+        records = [json.loads(line) for line in log_path.read_text().splitlines()]
+        errored = [r for r in records if r["verdict"] == "error"]
+        assert len(errored) == 2
+        for record in errored:
+            assert set(record["error"]) == {"type", "message"}
 
     def test_sheds_land_in_the_access_log_with_reasons(
         self, tmp_path, monkeypatch
