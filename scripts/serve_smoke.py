@@ -16,6 +16,10 @@ with the full telemetry surface enabled:
 3. fetch the ``metrics`` and ``debug`` control verbs and write the
    metrics snapshot to ``serve_metrics.json`` (a CI artifact);
 4. scrape the Prometheus endpoint and lint every exposition line;
+   then send, on a fresh connection, an ``rpq:`` frame holding a word of
+   30,000 letters (near the 64 KiB line limit) with ``deadline_ms`` 150,
+   and require one bounded answer within 1 s: the deadline bounds
+   compiling the query, not only searching it;
 5. SIGTERM the server and require a clean drain: exit code 0, the
    ``# drained`` summary on stderr, and the flight-recorder dump file,
    whose entries for the two failing frames hold their tracebacks;
@@ -42,6 +46,7 @@ import signal
 import socket
 import subprocess
 import sys
+import time
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
@@ -61,6 +66,13 @@ ERROR_FRAMES = [
         {"id": "worker-error", "left": "datalog:ans(X) :- e(X,Y).", "right": "rpq:a"}
     ),
 ]
+
+#: A word this long fills most of one 64 KiB frame; compiling it to the
+#: end takes seconds, so only a deadline that bounds compilation answers
+#: it in time.
+LONG_WORD_LETTERS = 30_000
+LONG_WORD_DEADLINE_MS = 150
+LONG_WORD_ANSWER_S = 1.0
 
 # One Prometheus exposition line: comment, or `name[{le="..."}] value`.
 _EXPOSITION_LINE = re.compile(
@@ -126,6 +138,34 @@ def check_access_log(path: pathlib.Path, request_ids: set[str]) -> None:
     for record in records:
         by_op[record["op"]] = by_op.get(record["op"], 0) + 1
     print(f"serve_smoke: {len(records)} access records, ops={by_op}")
+
+
+def check_long_word(port: int) -> None:
+    """One long-word frame comes back as a bounded answer in time."""
+    word = " ".join("ab"[i % 2] for i in range(LONG_WORD_LETTERS))
+    frame = json.dumps({
+        "id": "long-word", "left": f"rpq:{word}", "right": "rpq:a",
+        "deadline_ms": LONG_WORD_DEADLINE_MS,
+    })
+    with socket.create_connection(("127.0.0.1", port), 10) as sock:
+        sock.settimeout(60)
+        start = time.monotonic()
+        sock.sendall(frame.encode() + b"\n")
+        sock.shutdown(socket.SHUT_WR)
+        with sock.makefile("r", encoding="utf-8") as stream:
+            replies = [json.loads(line) for line in stream]
+        elapsed = time.monotonic() - start
+    if len(replies) != 1 or replies[0].get("verdict") not in ("inconclusive", "refuted"):
+        fail(f"long-word frame answered {json.dumps(replies)[:300]}")
+    if elapsed > LONG_WORD_ANSWER_S:
+        fail(f"long-word frame answered after {elapsed:.2f}s "
+             f"(deadline_ms {LONG_WORD_DEADLINE_MS})")
+    print(
+        f"serve_smoke: {LONG_WORD_LETTERS}-letter word answered "
+        f"{replies[0]['verdict']} by {replies[0].get('method')} in "
+        f"{elapsed * 1000:.0f} ms ({len(frame)} bytes, deadline_ms "
+        f"{LONG_WORD_DEADLINE_MS})"
+    )
 
 
 def main() -> int:
@@ -264,6 +304,8 @@ def main() -> int:
             f"serve_smoke: prometheus exposition clean "
             f"({len(exposition.splitlines())} lines)"
         )
+
+        check_long_word(port)
 
         process.send_signal(signal.SIGTERM)
         try:

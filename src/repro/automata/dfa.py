@@ -120,24 +120,104 @@ def complement_nfa(
     return determinize(nfa, alphabet, tracer=tracer).complement().to_nfa()
 
 
-def reduce_nfa(nfa: NFA, alphabet: Iterable[str] | None = None) -> NFA:
+#: ``reduce_nfa`` stops the subset construction once the DFA has more
+#: than this many times the trimmed NFA's states, and keeps the trimmed
+#: NFA: a minimal DFA that small is rare past that point, and the
+#: construction itself is the exponential step the searches avoid.
+SUBSET_CAP_FACTOR = 4
+
+
+def reduce_nfa(nfa: NFA, meter=None, stats: dict | None = None) -> NFA:
     """A smaller NFA for the same language, when one is cheaply available.
 
     Trims dead states, then tries determinize + Hopcroft-minimize (over
-    the NFA's own alphabet) and keeps whichever result has fewer states.
+    the NFA's own alphabet) and keeps whichever result has fewer states,
+    renumbered ``0 .. n-1`` in ``repr`` order of the state names.
     Thompson-constructed automata typically shrink by 2-4x, which matters
     a lot downstream: the fold and complementation constructions are
     (singly and exponentially) sensitive to input state counts.
+
+    Runs on the indexed kernels from start to finish.  The subset
+    construction stops once it passes :data:`SUBSET_CAP_FACTOR` times
+    the trimmed NFA's states, and the trimmed NFA is kept.  Frozenset
+    names are built only for the live blocks of a minimal DFA that
+    wins, to number them as ``renumber()`` would, so the result equals
+    ``determinize(trimmed).minimize().to_nfa().trim().renumber()`` then.
+    An optional :class:`repro.budget.BudgetMeter` is polled for its
+    deadline in every stage; *stats* (if given) receives
+    ``nfa_states`` (trimmed), ``dfa_states`` (None when capped) and
+    ``capped``.
     """
-    trimmed = nfa.trim()
-    if trimmed.num_states == 0:
-        return trimmed
-    try:
-        minimized = determinize(trimmed, alphabet).minimize().to_nfa().trim()
-    except MemoryError:  # pragma: no cover - pathological inputs only
-        return trimmed
-    chosen = minimized if minimized.num_states < trimmed.num_states else trimmed
-    return chosen.renumber()
+    from .indexed import IndexedNFA, hopcroft, members
+
+    compiled = IndexedNFA.from_nfa(nfa)
+    compiled = compiled.restricted(compiled.live_mask(meter))
+    size = compiled.num_states
+    dfa = None
+    if size:
+        dfa = compiled.determinize(SUBSET_CAP_FACTOR * size, meter)
+    if stats is not None:
+        stats.update(
+            nfa_states=size,
+            dfa_states=None if dfa is None else dfa.num_states,
+            capped=bool(size) and dfa is None,
+        )
+    if dfa is None:
+        return compiled.numbered_nfa(nfa.transitions)
+    block_of, representative = hopcroft(dfa.delta, dfa.num_states, dfa.final, meter)
+    final = dfa.final
+    # A minimal complete DFA has at most one dead block: the rejecting
+    # block that every symbol maps back to itself.
+    dead = next(
+        (
+            block
+            for block, state in enumerate(representative)
+            if not (final >> state) & 1
+            and all(block_of[row[state]] == block for row in dfa.delta)
+        ),
+        None,
+    )
+    if len(representative) - (dead is not None) >= size:
+        return compiled.numbered_nfa(nfa.transitions)
+    # Name each live block as the object-level pipeline would: a
+    # frozenset of subset states, each a frozenset of NFA state names,
+    # built in the same insertion order (repr order at both levels);
+    # then number the blocks in repr order of those names, as
+    # NFA.renumber() does.
+    nfa_names = compiled.state_names
+    subsets: dict[int, list[frozenset]] = {}
+    for state, mask in enumerate(dfa.subset_masks):
+        if meter is not None:
+            meter.poll()
+        block = block_of[state]
+        if block != dead:
+            subsets.setdefault(block, []).append(
+                frozenset([nfa_names[i] for i in members(mask)])
+            )
+    names: dict[int, str] = {}
+    for block, inner in subsets.items():
+        if meter is not None:
+            meter.poll()
+        names[block] = repr(frozenset(sorted(inner, key=repr)))
+    number = {block: index for index, block in enumerate(sorted(names, key=names.get))}
+    transitions = {}
+    for block, index in number.items():
+        if meter is not None:
+            meter.poll()
+        state = representative[block]
+        for symbol, row in zip(dfa.symbols, dfa.delta):
+            target = block_of[row[state]]
+            if target != dead:
+                transitions[(index, symbol)] = frozenset((number[target],))
+    return NFA(
+        nfa.alphabet,
+        frozenset(range(len(number))),
+        frozenset((number[block_of[dfa.initial]],)),
+        frozenset(
+            index for block, index in number.items() if (final >> representative[block]) & 1
+        ),
+        transitions,
+    )
 
 
 def nfa_contains(left: NFA, right: NFA, alphabet: Iterable[str] | None = None) -> bool:

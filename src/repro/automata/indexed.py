@@ -41,6 +41,16 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def members(mask: int) -> list[int]:
+    """``list(bits(mask))``, without the generator's per-item cost."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _mask_of(indices: Iterable[int]) -> int:
     out = 0
     for index in indices:
@@ -48,33 +58,22 @@ def _mask_of(indices: Iterable[int]) -> int:
     return out
 
 
-def _closure_mask(seeds: int, adjacency: Sequence[int]) -> int:
-    """Bitset transitive closure: all indices reachable from *seeds*."""
+def _closure_mask(seeds: int, adjacency: Sequence[int], meter=None) -> int:
+    """Bitset transitive closure: all indices reachable from *seeds*.
+
+    An optional meter is polled for its deadline once per BFS layer.
+    """
     reached = seeds
     frontier = seeds
     while frontier:
+        if meter is not None:
+            meter.poll()
         step = 0
         for index in bits(frontier):
             step |= adjacency[index]
         frontier = step & ~reached
         reached |= frontier
     return reached
-
-
-def epsilon_closures(
-    num_states: int, eps_edges: Iterable[tuple[int, int]]
-) -> list[int]:
-    """Per-state epsilon-closure bitsets (state i is always in its own).
-
-    The kernel behind epsilon elimination: ``result[i]`` is the bitset of
-    states reachable from ``i`` by epsilon moves (reflexively).
-    """
-    adjacency = [0] * num_states
-    for source, target in eps_edges:
-        adjacency[source] |= 1 << target
-    return [
-        _closure_mask(1 << index, adjacency) for index in range(num_states)
-    ]
 
 
 # --- the compiled automata ------------------------------------------------------
@@ -213,27 +212,85 @@ class IndexedNFA:
                 return False
         return bool(current & self.final)
 
-    def reachable_mask(self) -> int:
-        """Bitset of states reachable from the initial set."""
+    def reachable_mask(self, meter=None) -> int:
+        """Bitset of states reachable from the initial set.
+
+        An optional meter checks its deadline every 1,024 states and is
+        polled once per BFS layer.
+        """
         adjacency = [0] * self.num_states
         for row in self.delta:
             for index in range(self.num_states):
                 adjacency[index] |= row[index]
-        return _closure_mask(self.initial, adjacency)
+                if meter is not None and not index & 1023:
+                    meter.check_deadline()
+        return _closure_mask(self.initial, adjacency, meter)
 
-    def coreachable_mask(self) -> int:
-        """Bitset of states from which the final set is reachable."""
+    def coreachable_mask(self, meter=None) -> int:
+        """Bitset of states from which the final set is reachable (polled
+        like :meth:`reachable_mask`)."""
         reverse = [0] * self.num_states
         for row in self.delta:
-            for source in range(self.num_states):
-                targets = row[source]
-                for target in bits(targets):
-                    reverse[target] |= 1 << source
-        return _closure_mask(self.final, reverse)
+            for source, targets in enumerate(row):
+                bit = 1 << source
+                while targets:
+                    low = targets & -targets
+                    reverse[low.bit_length() - 1] |= bit
+                    targets ^= low
+                if meter is not None and not source & 1023:
+                    meter.check_deadline()
+        return _closure_mask(self.final, reverse, meter)
 
-    def live_mask(self) -> int:
+    def live_mask(self, meter=None) -> int:
         """States both reachable and co-reachable (the trim kernel)."""
-        return self.reachable_mask() & self.coreachable_mask()
+        return self.reachable_mask(meter) & self.coreachable_mask(meter)
+
+    def restricted(self, keep: int) -> "IndexedNFA":
+        """The sub-automaton on the states of *keep*, in the same order."""
+        if keep == (1 << self.num_states) - 1:
+            return self
+        kept = list(bits(keep))
+        new_index = {old: new for new, old in enumerate(kept)}
+
+        def squeeze(mask: int) -> int:
+            out = 0
+            for old in bits(mask & keep):
+                out |= 1 << new_index[old]
+            return out
+
+        return IndexedNFA(
+            self.symbols,
+            len(kept),
+            [[squeeze(row[old]) for old in kept] for row in self.delta],
+            squeeze(self.initial),
+            squeeze(self.final),
+            tuple(self.state_names[old] for old in kept),
+        )
+
+    def numbered_nfa(self, keys: Iterable[tuple[Hashable, str]]) -> NFA:
+        """The object-level NFA whose states are this automaton's ints.
+
+        *keys* are the ``(state name, symbol)`` keys of the transition
+        table this automaton was compiled from; the result lists its
+        transitions in their order.  Equal to
+        ``self.to_nfa().renumber()`` when the state names are in
+        ``repr`` order, as :meth:`from_nfa` interns them.
+        """
+        number = {name: index for index, name in enumerate(self.state_names)}
+        transitions = {}
+        for name, symbol in keys:
+            state, row = number.get(name), self.symbol_index.get(symbol)
+            if state is not None and row is not None:
+                targets = self.delta[row][state]
+                if targets:
+                    transitions[(state, symbol)] = frozenset(members(targets))
+        return NFA(
+            self.symbols,
+            frozenset(range(self.num_states)),
+            frozenset(members(self.initial)),
+            frozenset(members(self.final)),
+            transitions,
+        )
 
     def is_empty(self) -> bool:
         """True iff no accepting state is reachable."""
@@ -277,11 +334,16 @@ class IndexedNFA:
                     break
         return tuple(reversed(word))
 
-    def determinize(self) -> "IndexedDFA":
+    def determinize(
+        self, max_states: int | None = None, meter=None
+    ) -> "IndexedDFA | None":
         """Subset construction; the result is complete over ``symbols``.
 
         DFA state ``i`` stands for the NFA-state bitset
         ``subset_masks[i]``; the empty subset is the (reachable) sink.
+        Returns None as soon as the construction would pass *max_states*
+        states.  An optional meter is polled for its deadline once per
+        DFA state.
         """
         initial = self.initial
         index_of: dict[int, int] = {initial: 0}
@@ -290,12 +352,18 @@ class IndexedNFA:
         delta: list[list[int]] = [[] for _ in range(num_symbols)]
         position = 0
         while position < len(subset_masks):
-            mask = subset_masks[position]
-            for row in range(num_symbols):
-                target_mask = self.successor_mask(mask, row)
+            if meter is not None:
+                meter.poll()
+            states = members(subset_masks[position])
+            for row, successors in enumerate(self.delta):
+                target_mask = 0
+                for state in states:
+                    target_mask |= successors[state]
                 target = index_of.get(target_mask)
                 if target is None:
                     target = len(subset_masks)
+                    if max_states is not None and target >= max_states:
+                        return None
                     index_of[target_mask] = target
                     subset_masks.append(target_mask)
                 delta[row].append(target)
@@ -554,92 +622,140 @@ def _containment_search(
     return tuple(reversed(word))
 
 
+def hopcroft(
+    delta: Sequence[Sequence[int]], num_states: int, final: int, meter=None
+) -> tuple[list[int], list[int]]:
+    """The coarsest partition of a complete DFA's states (Hopcroft).
+
+    *delta* is ``delta[symbol_id][state] -> state`` over states
+    ``0 .. num_states - 1``, which must all be reachable, and *final*
+    the accepting bitset.  Returns ``(block_of, representative)``:
+    ``block_of[state]`` is the block id of each state and
+    ``representative[block]`` one member of each block.
+
+    O(|Sigma| n log n): blocks are contiguous ranges of one element
+    array, a splitter's predecessors come from inverse transition
+    lists, only the blocks they touch are split (by moving the touched
+    states to the front of their range), and worklist membership is a
+    flag per block.  An optional meter is polled for its deadline once
+    per splitter.
+    """
+    inverse = []
+    for row in delta:
+        predecessors: list[list[int]] = [[] for _ in range(num_states)]
+        for source, target in enumerate(row):
+            predecessors[target].append(source)
+        inverse.append(predecessors)
+        if meter is not None:
+            meter.check_deadline()
+    accepting = [state for state in range(num_states) if (final >> state) & 1]
+    rejecting = [state for state in range(num_states) if not (final >> state) & 1]
+    elements: list[int] = []
+    begin: list[int] = []
+    end: list[int] = []
+    block_of = [0] * num_states
+    for part in sorted((part for part in (accepting, rejecting) if part), key=len):
+        for state in part:
+            block_of[state] = len(begin)
+        begin.append(len(elements))
+        elements += part
+        end.append(len(elements))
+    position = [0] * num_states
+    for index, state in enumerate(elements):
+        position[state] = index
+    marked = [0] * len(begin)
+    # Splitting by the smaller initial block (block 0) is enough.
+    worklist = [0] if len(begin) == 2 else []
+    waiting = [block in worklist for block in range(len(begin))]
+    while worklist:
+        if meter is not None:
+            meter.poll()
+        splitter = worklist.pop()
+        waiting[splitter] = False
+        members = elements[begin[splitter]:end[splitter]]
+        for predecessors in inverse:
+            touched = []
+            for target in members:
+                for state in predecessors[target]:
+                    block = block_of[state]
+                    done = marked[block]
+                    if not done:
+                        touched.append(block)
+                    # Move *state* to the front of its block's range.
+                    slot = begin[block] + done
+                    here = position[state]
+                    other = elements[slot]
+                    elements[slot] = state
+                    position[state] = slot
+                    elements[here] = other
+                    position[other] = here
+                    marked[block] = done + 1
+            for block in touched:
+                size, inside = end[block] - begin[block], marked[block]
+                marked[block] = 0
+                if inside == size:
+                    continue
+                fresh = len(begin)
+                begin.append(begin[block])
+                end.append(begin[block] + inside)
+                begin[block] += inside
+                marked.append(0)
+                for index in range(begin[fresh], end[fresh]):
+                    block_of[elements[index]] = fresh
+                if waiting[block] or inside <= size - inside:
+                    waiting.append(True)
+                    worklist.append(fresh)
+                else:
+                    waiting.append(False)
+                    waiting[block] = True
+                    worklist.append(block)
+    return block_of, [elements[first] for first in begin]
+
+
 def minimize_dfa(dfa: "DFA") -> "DFA":
     """Indexed Hopcroft refinement behind :meth:`DFA.minimize`.
 
-    Blocks are bitsets over interned DFA states; the result renders each
-    block as a frozenset of original states, as textbook refinement over
-    frozenset blocks does (partition refinement computes the unique
-    coarsest partition, so the automaton is the same either way).
+    Interns the reachable states, refines with :func:`hopcroft`, and
+    renders each block as a frozenset of original states, as textbook
+    refinement over frozenset blocks does (partition refinement
+    computes the unique coarsest partition, so the automaton is the
+    same either way).  Block members are inserted in ``repr`` order, so
+    a block's own ``repr`` (which :meth:`NFA.renumber` sorts by) does
+    not depend on the refinement order.
     """
-    names = tuple(sorted(dfa.states, key=repr))
-    index = {name: i for i, name in enumerate(names)}
-    n = len(names)
-    symbols = dfa.alphabet
-    num_symbols = len(symbols)
-    symbol_index = {symbol: i for i, symbol in enumerate(symbols)}
-    forward = [[0] * n for _ in range(num_symbols)]  # target index per state
-    reverse = [[0] * n for _ in range(num_symbols)]  # predecessor bitsets
-    adjacency = [0] * n
-    for (source, symbol), target in dfa.transitions.items():
-        row = symbol_index[symbol]
-        s, t = index[source], index[target]
-        forward[row][s] = t
-        reverse[row][t] |= 1 << s
-        adjacency[s] |= 1 << t
-    reachable = _closure_mask(1 << index[dfa.initial], adjacency)
-    final = _mask_of(index[s] for s in dfa.final) & reachable
-    non_final = reachable & ~final
-    partition = [block for block in (final, non_final) if block]
-    worklist = deque(partition)
-    while worklist:
-        splitter = worklist.popleft()
-        for row in range(num_symbols):
-            predecessors = 0
-            for target in bits(splitter):
-                predecessors |= reverse[row][target]
-            predecessors &= reachable
-            if not predecessors:
-                continue
-            next_partition: list[int] = []
-            for block in partition:
-                inside = block & predecessors
-                outside = block & ~predecessors
-                if inside and outside:
-                    next_partition.append(inside)
-                    next_partition.append(outside)
-                    try:
-                        position = worklist.index(block)
-                    except ValueError:
-                        position = -1
-                    if position >= 0:
-                        del worklist[position]
-                        worklist.append(inside)
-                        worklist.append(outside)
-                    else:
-                        smaller = min(
-                            (inside, outside), key=lambda m: m.bit_count()
-                        )
-                        worklist.append(smaller)
-                else:
-                    next_partition.append(block)
-            partition = next_partition
     from .dfa import DFA
 
-    block_names = [
-        frozenset(names[i] for i in bits(block)) for block in partition
-    ]
-    block_of_state: dict[int, int] = {}
-    for position, block in enumerate(partition):
-        for state in bits(block):
-            block_of_state[state] = position
-    transitions = {
-        (block_names[position], symbols[row]): block_names[
-            block_of_state[forward[row][next(bits(block))]]
-        ]
-        for position, block in enumerate(partition)
-        for row in range(num_symbols)
-    }
-    final_blocks = frozenset(
-        block_names[position]
-        for position, block in enumerate(partition)
-        if block & final
-    )
+    symbols = dfa.alphabet
+    transitions = dfa.transitions
+    names = [dfa.initial]
+    index = {dfa.initial: 0}
+    delta: list[list[int]] = [[] for _ in symbols]
+    for name in names:  # grows while iterating: a BFS over reachable states
+        for row, symbol in zip(delta, symbols):
+            target = transitions[(name, symbol)]
+            number = index.get(target)
+            if number is None:
+                number = index[target] = len(names)
+                names.append(target)
+            row.append(number)
+    final = _mask_of(index[state] for state in dfa.final if state in index)
+    block_of, representative = hopcroft(delta, len(names), final)
+    members: list[list] = [[] for _ in representative]
+    for number, name in enumerate(names):
+        members[block_of[number]].append(name)
+    block_names = [frozenset(sorted(block, key=repr)) for block in members]
     return DFA(
         symbols,
         frozenset(block_names),
-        block_names[block_of_state[index[dfa.initial]]],
-        final_blocks,
-        transitions,
+        block_names[block_of[0]],
+        frozenset(
+            block_names[block]
+            for block, state in enumerate(representative)
+            if (final >> state) & 1
+        ),
+        {
+            (block_names[block], symbol): block_names[block_of[row[state]]]
+            for block, state in enumerate(representative)
+            for symbol, row in zip(symbols, delta)
+        },
     )
-

@@ -280,46 +280,160 @@ def from_epsilon_nfa(
 ) -> NFA:
     """Eliminate epsilon transitions (labelled ``None``) and build an NFA.
 
-    Standard epsilon-closure elimination: a state is initial if reachable
-    from an initial state by epsilon moves is folded in by closing the
-    initial set, and each symbol transition is post-composed with the
-    epsilon closure of its target.
+    Standard epsilon-closure elimination: the epsilon closure of the
+    initial set becomes initial, a state is accepting when its closure
+    meets the accepting set, and each symbol transition is
+    post-composed with the epsilon closure of its target; the result is
+    trimmed.  States are interned to ints and handed to
+    :func:`epsilon_free`.
     """
-    eps: dict[State, set] = {}
-    labelled: list[tuple[State, str, State]] = []
-    for source, symbol, target in transitions:
-        if symbol is EPSILON:
-            eps.setdefault(source, set()).add(target)
-        else:
-            labelled.append((source, symbol, target))
-
-    from .indexed import bits, epsilon_closures
-
-    # Bitset closure kernel: intern states, close over epsilon edges.
-    states = list(states)
-    index = {state: i for i, state in enumerate(states)}
-    masks = epsilon_closures(
-        len(states),
-        (
-            (index[source], index[target])
-            for source, targets in eps.items()
-            for target in targets
-        ),
+    names = list(states)
+    index = {state: i for i, state in enumerate(names)}
+    return epsilon_free(
+        alphabet,
+        len(names),
+        [index[state] for state in initial],
+        [index[state] for state in final],
+        [(index[source], symbol, index[target]) for source, symbol, target in transitions],
+        names,
     )
-    closures = {
-        state: {states[i] for i in bits(masks[index[state]])} for state in states
-    }
-    final_set = frozenset(final)
-    new_final = {
-        state for state, close in closures.items() if close & final_set
-    }
-    new_initial = set(initial)
-    new_transitions = [
-        (source, symbol, reachable)
-        for source, symbol, target in labelled
-        for reachable in closures[target]
-    ]
-    # Fold epsilon-closure of initial states into the initial set.
-    for init in list(new_initial):
-        new_initial |= closures[init]
-    return NFA.build(alphabet, states, new_initial, new_final, new_transitions).trim()
+
+
+def epsilon_free(
+    alphabet: Iterable[str],
+    num_states: int,
+    initial: Iterable[int],
+    final: Iterable[int],
+    edges: Iterable[tuple[int, str | None, int]],
+    names: list | None = None,
+    meter=None,
+) -> NFA:
+    """The trimmed epsilon-free NFA of an epsilon-NFA on int states.
+
+    States are ``0 .. num_states - 1``, rendered as ``names[i]`` (the
+    ints themselves when *names* is None); an edge labelled ``EPSILON``
+    is an epsilon move.  Works on int arrays, with no per-state
+    closure set: a state survives trimming when the initial states
+    reach it along edges of any label, and either its epsilon closure
+    meets *final* or one of its own labelled edges leads to a state from
+    which *final* is reachable.  Epsilon closures are then computed
+    only for the targets of the surviving states' labelled edges.  The
+    result equals closure elimination followed by :meth:`NFA.trim`.
+
+    Edges stay in one list, threaded into per-state linked lists in
+    both directions (``head[state]`` is a state's last edge, ``link[e]``
+    the edge before ``e``), so no per-state container is allocated.  An
+    optional :class:`repro.budget.BudgetMeter` checks its deadline every
+    64 states a reachability pass visits and is polled once per
+    closure, so a long regex cannot hold a deadline-bounded check past
+    its deadline.
+    """
+    n = num_states
+    edges = list(edges)
+    out_head, out_link = [-1] * n, [-1] * len(edges)
+    in_head, in_link = [-1] * n, [-1] * len(edges)
+    for index, (source, _symbol, target) in enumerate(edges):
+        out_link[index] = out_head[source]
+        out_head[source] = index
+        in_link[index] = in_head[target]
+        in_head[target] = index
+        if meter is not None and not index & 1023:
+            meter.check_deadline()
+    outgoing = (edges, out_head, out_link, 2)
+    incoming = (edges, in_head, in_link, 0)
+    initial, final = list(initial), list(final)
+    reached = _marked(initial, outgoing, False, n, meter)
+    productive = _marked(final, incoming, False, n, meter)
+    accepting = _marked(final, incoming, True, n, meter)
+    live = bytearray(accepting)
+    for source, symbol, target in edges:
+        if symbol is not EPSILON and productive[target]:
+            live[source] = 1
+    for state in range(n):
+        if not reached[state]:
+            live[state] = 0
+
+    stamp = [0] * n
+    generation = 0
+
+    def closure(seeds: list[int]) -> list[int]:
+        """Live states epsilon-reachable from *seeds*, ascending."""
+        nonlocal generation
+        generation += 1
+        stack = []
+        for seed in seeds:
+            if stamp[seed] != generation:
+                stamp[seed] = generation
+                stack.append(seed)
+        if meter is not None:
+            meter.poll()
+        members = []
+        while stack:
+            state = stack.pop()
+            if live[state]:
+                members.append(state)
+            index = out_head[state]
+            while index >= 0:
+                _source, symbol, nxt = edges[index]
+                index = out_link[index]
+                if symbol is EPSILON and stamp[nxt] != generation:
+                    stamp[nxt] = generation
+                    stack.append(nxt)
+        members.sort()
+        return members
+
+    name = (lambda state: state) if names is None else names.__getitem__
+    table: dict[tuple[State, str], frozenset] = {}
+    closures: dict[int, frozenset] = {}
+    for source, symbol, target in edges:
+        if symbol is EPSILON or not live[source]:
+            continue
+        targets = closures.get(target)
+        if targets is None:
+            targets = closures[target] = frozenset(map(name, closure([target])))
+        if targets:
+            key = (name(source), symbol)
+            known = table.get(key)
+            table[key] = targets if known is None else known | targets
+    return NFA(
+        tuple(dict.fromkeys(alphabet)),
+        frozenset(name(state) for state in range(n) if live[state]),
+        frozenset(map(name, closure(initial))),
+        frozenset(name(state) for state in range(n) if live[state] and accepting[state]),
+        table,
+    )
+
+
+def _marked(
+    seeds: Iterable[int], threads: tuple, epsilon_only: bool, n: int, meter
+) -> bytearray:
+    """Flags of the states reachable from *seeds* along *threads*.
+
+    *threads* is ``(edges, head, link, end)`` as built in
+    :func:`epsilon_free`: a visit follows ``edge[end]`` of each edge
+    threaded from the state, only the epsilon edges when
+    *epsilon_only*.
+    """
+    edges, head, link, end = threads
+    seen = bytearray(n)
+    stack = []
+    for seed in seeds:
+        if not seen[seed]:
+            seen[seed] = 1
+            stack.append(seed)
+    visits = 0
+    while stack:
+        visits += 1
+        if meter is not None and not visits & 63:
+            meter.check_deadline()
+        index = head[stack.pop()]
+        while index >= 0:
+            edge = edges[index]
+            index = link[index]
+            if epsilon_only and edge[1] is not EPSILON:
+                continue
+            nxt = edge[end]
+            if not seen[nxt]:
+                seen[nxt] = 1
+                stack.append(nxt)
+    return seen

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .alphabet import inverse, is_inverse
-from .nfa import EPSILON, NFA, Word, from_epsilon_nfa
+from .nfa import EPSILON, NFA, Word, epsilon_free
 
 
 class RegexSyntaxError(ValueError):
@@ -45,13 +45,19 @@ class Regex:
         """All letters (from Sigma±) occurring in the expression."""
         raise NotImplementedError
 
-    def to_nfa(self) -> NFA:
-        """Compile to an epsilon-free NFA via the Thompson construction."""
-        builder = _ThompsonBuilder()
+    def to_nfa(self, meter=None) -> NFA:
+        """Compile to a trimmed epsilon-free NFA via the Thompson construction.
+
+        States are the Thompson automaton's ints; epsilon moves are
+        removed in one pass (:func:`repro.automata.nfa.epsilon_free`).
+        An optional :class:`repro.budget.BudgetMeter` is polled for its
+        deadline once per regex node and while epsilon moves are removed.
+        """
+        builder = _ThompsonBuilder(meter)
         start, end = builder.compile(self)
         alphabet = tuple(sorted(self.symbols()))
-        return from_epsilon_nfa(
-            alphabet, range(builder.counter), [start], [end], builder.transitions
+        return epsilon_free(
+            alphabet, builder.counter, [start], [end], builder.transitions, meter=meter
         )
 
     def uses_inverse(self) -> bool:
@@ -215,15 +221,18 @@ def word_regex(word: Word) -> Regex:
 class _ThompsonBuilder:
     """Accumulates epsilon-NFA fragments for a regex AST."""
 
-    def __init__(self) -> None:
+    def __init__(self, meter=None) -> None:
         self.counter = 0
         self.transitions: list[tuple[int, str | None, int]] = []
+        self.meter = meter
 
     def _fresh(self) -> int:
         self.counter += 1
         return self.counter - 1
 
     def compile(self, node: Regex) -> tuple[int, int]:
+        if self.meter is not None:
+            self.meter.poll()
         start, end = self._fresh(), self._fresh()
         if isinstance(node, EmptySet):
             pass  # no path from start to end

@@ -50,6 +50,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
+from .budget import BudgetExhausted
 from .obs.metrics import counter
 
 # --- the cache type -------------------------------------------------------------
@@ -142,9 +143,12 @@ class LRUCache:
         so the counters match what a sequential interleaving of the
         same requests would have recorded.  If the leader's compute
         raises, followers re-raise the same exception and nothing is
-        cached.  A re-entrant call from the leader's own ``compute()``
-        on the same key (pathological but possible) computes directly
-        instead of deadlocking.
+        cached — except :class:`~repro.budget.BudgetExhausted`, which
+        says the leader's own request ran out (its deadline, typically)
+        and nothing about the key: a follower then computes the value
+        itself, under its own budget.  A re-entrant call from the
+        leader's own ``compute()`` on the same key (pathological but
+        possible) computes directly instead of deadlocking.
         """
         while True:
             with self._lock:
@@ -167,6 +171,8 @@ class LRUCache:
                     self.put(key, value)
                     return value
             flight.event.wait()
+            if isinstance(flight.error, BudgetExhausted):
+                continue  # the leader's budget, not ours: compute afresh
             if flight.error is not None:
                 raise flight.error
             if flight.value is not None:

@@ -408,16 +408,19 @@ class _PoisonPill:
 
 
 def _blowup_pairs() -> list[tuple[RPQ, RPQ]]:
-    """A10's CPU-bound pairs: a (a|b)^8 window after the distinguishing
-    letter forces ~2^8 determinization states per check."""
-    window = " ".join(["(a|b)"] * 8)
+    """A10's CPU-bound pairs: ``(a|b)* a (a|b)^12`` against the ``^13``
+    suffix behind a distinct 4-letter prefix each.  Checked on the
+    subset kernel, whose search explores about 2^13 configurations per
+    pair (A8's blow-up family at n = 12); compilation stops at the
+    subset cap, so the search is what keeps each check busy."""
+    window = " ".join(["(a|b)"] * 12)
     pairs = []
     for index in range(12):
         prefix = " ".join("a" if (index >> bit) & 1 else "b" for bit in range(4))
         pairs.append(
             (
-                RPQ(parse_regex(f"{prefix} (a|b)* b {window}")),
                 RPQ(parse_regex(f"{prefix} (a|b)* a {window}")),
+                RPQ(parse_regex(f"{prefix} (a|b)* a (a|b) {window}")),
             )
         )
     return pairs
@@ -519,13 +522,15 @@ def _exp_process(suite: str) -> dict[str, Any]:
     )
     check(all(crash.values()), f"crash isolation broke: {crash}")
 
-    def run_pool(batch_pairs, workers: int | None) -> Callable[[], None]:
+    def run_pool(batch_pairs, workers: int | None, **options) -> Callable[[], None]:
         def thunk() -> None:
             clear_caches()
             if workers is None:
-                sequential_baseline(batch_pairs)
+                sequential_baseline(batch_pairs, **options)
             else:
-                check_containment_many(batch_pairs, workers=workers, backend="process")
+                check_containment_many(
+                    batch_pairs, workers=workers, backend="process", **options
+                )
 
         return thunk
 
@@ -537,9 +542,12 @@ def _exp_process(suite: str) -> dict[str, Any]:
         # Multi-core throughput on pairs CPU-bound enough to amortize
         # pool startup; the speedup gate needs >= 2 cores.
         blowup = _blowup_pairs()
-        blowup_expected = _verdicts(sequential_baseline(blowup))
+        kernel = "subset"
+        blowup_expected = _verdicts(sequential_baseline(blowup, kernel=kernel))
         clear_caches()
-        batch = check_containment_many(blowup, workers=4, backend="process")
+        batch = check_containment_many(
+            blowup, workers=4, backend="process", kernel=kernel
+        )
         exact["blowup"] = {
             "pairs": len(blowup),
             "agreement_process_4": (
@@ -547,8 +555,8 @@ def _exp_process(suite: str) -> dict[str, Any]:
             ),
         }
         check(exact["blowup"]["agreement_process_4"], "process-4 diverged on blow-ups")
-        timed["blowup-sequential"] = run_pool(blowup, None)
-        timed["blowup-process-4workers"] = run_pool(blowup, 4)
+        timed["blowup-sequential"] = run_pool(blowup, None, kernel=kernel)
+        timed["blowup-process-4workers"] = run_pool(blowup, 4, kernel=kernel)
     return {"exact": exact, "timed": timed}
 
 
@@ -753,6 +761,18 @@ def _exp_antichain(suite: str) -> dict[str, Any]:
         for depth, depth_pairs in random_suites.items():
             for kernel in ("subset", "antichain"):
                 timed[f"random-d{depth}-{kernel}"] = run_kernel(kernel, depth_pairs)
+        # The same family through the engine, compilation included: the
+        # cap keeps reduce_nfa from building the 2^n-state DFA, so the
+        # subset kernel's search is what grows.
+        for n in _BLOWUP_SIZES[1:]:
+            suffix = " ".join(["(a|b)"] * n)
+            pair = (
+                RPQ(parse_regex(f"(a|b)* a {suffix}")),
+                RPQ(parse_regex(f"(a|b)* a (a|b) {suffix}")),
+            )
+            for kernel in ("subset", "antichain"):
+                run = lambda p=pair, k=kernel: check_containment(*p, kernel=k)  # noqa: E731
+                timed[f"blowup-check-{kernel}-n{n}"] = _arm(clear_caches, True, [run])
     return {
         "exact": {
             "pairs": len(nfa_pairs),

@@ -58,10 +58,12 @@ def rpq_contained(
 
     The witness word (if any) is materialized as a path database on
     which ``(0, n) in Q1(D) - Q2(D)``.  An optional *budget* bounds the
-    product search; exhaustion yields a structured bounded verdict
-    rather than an exception.  An optional *tracer* records one span per
-    automata-pipeline stage.  *kernel* selects the language-inclusion
-    search (``"subset" | "antichain" | "auto"``); the choice and its
+    product search, and its deadline bounds compiling both sides too;
+    exhaustion yields a structured bounded verdict rather than an
+    exception.  An optional *tracer* records one span per
+    automata-pipeline stage (a ``compile`` span per side).  *kernel*
+    selects the language-inclusion search
+    (``"subset" | "antichain" | "auto"``); the choice and its
     frontier statistics are reported in ``details["kernel"]`` on every
     return path.
     """
@@ -72,8 +74,9 @@ def rpq_contained(
     meter = None if budget is None or budget.is_null else budget.start()
     kstats: dict = {"requested": kernel}
     try:
+        left, right = q1.compile(meter, tracer), q2.compile(meter, tracer)
         witness = containment_counterexample(
-            q1.nfa, q2.nfa, alphabet, meter=meter, tracer=tracer,
+            left, right, alphabet, meter=meter, tracer=tracer,
             kernel=kernel, kernel_stats=kstats,
         )
     except BudgetExhausted as exc:
@@ -114,12 +117,13 @@ def two_rpq_contained(
               used by benchmark E4/E5 as the measured upper bound.
         budget: optional :class:`repro.budget.Budget`: ``max_configs``
             bounds product configurations, ``max_states`` the
-            materialized complement.  Exhaustion of any resource returns
-            a structured bounded/inconclusive verdict — this procedure
-            never raises on budget exhaustion.
+            materialized complement, and ``deadline_ms`` bounds
+            compiling both sides as well.  Exhaustion of any resource
+            returns a structured bounded/inconclusive verdict — this
+            procedure never raises on budget exhaustion.
         tracer: optional :class:`repro.obs.trace.Tracer`; records a
-            ``fold`` span plus the method-specific search/complement
-            stage spans.
+            ``compile`` span per side and a ``fold`` span plus the
+            method-specific search/complement stage spans.
         kernel: the product-search kernel (``"subset" | "antichain" |
             "auto"``) for the on-the-fly methods; the materialized
             method ignores it (recorded honestly in
@@ -136,10 +140,10 @@ def two_rpq_contained(
     kstats: dict = {"requested": kernel}
     try:
         with deadline_scope(budget):
-            with maybe_span(tracer, "fold", nfa_states=q2.nfa.num_states) as span:
-                folded = fold_two_nfa(q2.nfa, sigma_pm)
+            left, right = q1.compile(meter, tracer), q2.compile(meter, tracer)
+            with maybe_span(tracer, "fold", nfa_states=right.num_states) as span:
+                folded = fold_two_nfa(right, sigma_pm)
                 span.annotate(two_nfa_states=folded.num_states)
-            left = q1.nfa
             if method == "shepherdson":
                 witness = find_accepted_word(
                     [left, LazyShepherdsonComplement(folded)],

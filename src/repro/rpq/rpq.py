@@ -10,10 +10,11 @@ Evaluation is a product construction over ``(node, automaton state)``
 configurations, run **set-at-a-time** against a compiled
 :class:`repro.graphdb.snapshot.GraphSnapshot`: the automaton and the
 per-symbol adjacency are compiled once per snapshot and memoized on it
-with the all-pairs answer, keyed by the automaton object, and a single
-multi-source frontier BFS answers the query for every source
-simultaneously.  Single-source queries and witness semipaths run on the
-same compiled context.
+with the all-pairs answer, keyed by the query's regex (or, for a raw
+automaton, by the automaton object), and a single multi-source frontier
+BFS answers the query for every source simultaneously.  Single-source
+queries and witness semipaths run on the same compiled context, and
+slice the all-pairs answer once it exists.
 """
 
 from __future__ import annotations
@@ -40,40 +41,78 @@ _EVAL_BFS_RUNS = counter("evaluation.bfs_runs")
 _EVAL_QUERIES = counter("evaluation.queries")
 
 
-def _compiled(regex: Regex) -> NFA:
-    """Reduced NFA for a regex (cached; regexes are frozen dataclasses)."""
-    return regex_nfa_cache.get_or_compute(regex, lambda: reduce_nfa(regex.to_nfa()))
+def _compiled(regex: Regex, meter=None, tracer=None) -> NFA:
+    """Reduced NFA for a regex (cached; regexes are frozen dataclasses).
+
+    The containment towers pass their request's meter, which both
+    compilation stages poll for its deadline, and their tracer, which
+    gets one ``compile`` span tagged with the trimmed NFA's states
+    (``nfa_states``), the subset construction's (``dfa_states``, None
+    when it stopped at the cap) and ``capped``; a cache hit tags only
+    ``cache="hit"`` and the result's ``states``.
+    """
+    if tracer is None:
+        return regex_nfa_cache.get_or_compute(
+            regex, lambda: reduce_nfa(regex.to_nfa(meter=meter), meter=meter)
+        )
+    stats: dict = {}
+    with tracer.span("compile") as span:
+        nfa = regex_nfa_cache.get_or_compute(
+            regex,
+            lambda: reduce_nfa(regex.to_nfa(meter=meter), meter=meter, stats=stats),
+        )
+        span.annotate(cache="miss" if stats else "hit", states=nfa.num_states, **stats)
+    return nfa
 
 
 class _EvalContext:
     """One automaton compiled against one snapshot, memoized on it.
 
-    Holds the NFA itself, so the memo key ``id(nfa)`` stays unique while
-    the entry lives, and no reference to the snapshot, so the memo forms
-    no cycle.  ``pairs`` is the all-pairs answer once computed.
+    Holds the NFA itself, so the memo key ``id(nfa)`` of a raw automaton
+    stays unique while the entry lives, and no reference to the
+    snapshot, so the memo forms no cycle.  Once the all-pairs answer is
+    computed, ``sources[y]`` is the bitset of node ids answering with
+    target ``y`` and ``pairs`` the answer set.
     """
 
-    __slots__ = ("nfa", "compiled", "adjacency", "pairs")
+    __slots__ = ("nfa", "compiled", "adjacency", "sources", "pairs")
 
     def __init__(self, nfa: NFA, snapshot: GraphSnapshot) -> None:
         self.nfa = nfa
         self.compiled = IndexedNFA.from_nfa(nfa)
         self.adjacency = snapshot.adjacency_for(self.compiled.symbols)
+        self.sources: list[int] | None = None
         self.pairs: frozenset[tuple[Node, Node]] | None = None
 
 
 def _context(nfa: NFA, snapshot: GraphSnapshot) -> _EvalContext:
-    """The compiled evaluation context for *nfa* on *snapshot* (memoized)."""
+    """The compiled evaluation context for a raw *nfa* on *snapshot*."""
     return snapshot.memoized(("context", id(nfa)), lambda: _EvalContext(nfa, snapshot))
+
+
+def _regex_context(regex: Regex, snapshot: GraphSnapshot) -> _EvalContext:
+    """The compiled evaluation context for a query's *regex* on *snapshot*.
+
+    Keyed by the regex, so a recompiled automaton for the same regex
+    (after ``clear_caches()`` or an LRU eviction) reuses the entry.
+    """
+    return snapshot.memoized(
+        ("regex-context", regex), lambda: _EvalContext(_compiled(regex), snapshot)
+    )
 
 
 def evaluate_nfa_on_graph(
     nfa: NFA, db: GraphDatabase, tracer=None, meter=None
 ) -> frozenset[tuple[Node, Node]]:
     """All pairs (x, y) connected by a semipath spelling a word of L(nfa)."""
-    _EVAL_QUERIES.inc()
     snapshot = db.snapshot(tracer=tracer)
-    context = _context(nfa, snapshot)
+    return _all_pairs(_context(nfa, snapshot), snapshot, tracer, meter)
+
+
+def _all_pairs(
+    context: _EvalContext, snapshot: GraphSnapshot, tracer, meter
+) -> frozenset[tuple[Node, Node]]:
+    _EVAL_QUERIES.inc()
     if context.pairs is not None:
         return context.pairs
     nodes = snapshot.nodes
@@ -89,6 +128,7 @@ def evaluate_nfa_on_graph(
         )
         span.count("configs", configs)
     _EVAL_BFS_RUNS.inc()
+    context.sources = answers
     context.pairs = frozenset(
         (nodes[source], nodes[target])
         for target in range(len(nodes))
@@ -102,15 +142,23 @@ def targets_from(
 ) -> frozenset[Node]:
     """Nodes reachable from *source* along words of L(nfa) (product BFS)."""
     snapshot = db.snapshot(tracer=tracer)
+    return _targets(_context(nfa, snapshot), snapshot, source, tracer, meter)
+
+
+def _targets(
+    context: _EvalContext, snapshot: GraphSnapshot, source: Node, tracer, meter
+) -> frozenset[Node]:
     source_id = snapshot.node_index.get(source)
     if source_id is None:
         return frozenset()
-    context = _context(nfa, snapshot)
-    if context.pairs is not None:
-        # The all-pairs answer is already memoized on this snapshot:
-        # slice it instead of re-running any BFS.
-        return frozenset(y for x, y in context.pairs if x == source)
     nodes = snapshot.nodes
+    sources = context.sources
+    if sources is not None:
+        # The all-pairs answer is already memoized on this snapshot:
+        # read the source's bit off every target's source bitset
+        # instead of re-running any BFS.
+        bit = 1 << source_id
+        return frozenset(nodes[target] for target, mask in enumerate(sources) if mask & bit)
     with maybe_span(tracer, "eval-bfs", mode="single-source", nodes=len(nodes)):
         mask = reach_from_source(
             context.compiled, context.adjacency, len(nodes), source_id, meter=meter
@@ -136,6 +184,10 @@ class TwoRPQ:
     def nfa(self) -> NFA:
         return _compiled(self.regex)
 
+    def compile(self, meter=None, tracer=None) -> NFA:
+        """:attr:`nfa`, compiled under a request's meter and tracer."""
+        return _compiled(self.regex, meter, tracer)
+
     def base_symbols(self) -> frozenset[str]:
         """The underlying database relations the query mentions."""
         return frozenset(base_symbol(symbol) for symbol in self.regex.symbols())
@@ -144,7 +196,8 @@ class TwoRPQ:
         self, db: GraphDatabase, tracer=None, meter=None
     ) -> frozenset[tuple[Node, Node]]:
         """The answer set Q(D) (pairs connected by a conforming semipath)."""
-        return evaluate_nfa_on_graph(self.nfa, db, tracer=tracer, meter=meter)
+        snapshot = db.snapshot(tracer=tracer)
+        return _all_pairs(_regex_context(self.regex, snapshot), snapshot, tracer, meter)
 
     def matches(
         self, db: GraphDatabase, source: Node, target: Node, tracer=None, meter=None
@@ -154,7 +207,8 @@ class TwoRPQ:
     def targets(
         self, db: GraphDatabase, source: Node, tracer=None, meter=None
     ) -> frozenset[Node]:
-        return targets_from(self.nfa, db, source, tracer=tracer, meter=meter)
+        snapshot = db.snapshot(tracer=tracer)
+        return _targets(_regex_context(self.regex, snapshot), snapshot, source, tracer, meter)
 
     def witness_semipath(
         self, db: GraphDatabase, source: Node, target: Node, tracer=None, meter=None
@@ -174,7 +228,7 @@ class TwoRPQ:
         target_id = snapshot.node_index.get(target)
         if source_id is None or target_id is None:
             return None
-        context = _context(self.nfa, snapshot)
+        context = _regex_context(self.regex, snapshot)
         with maybe_span(tracer, "eval-bfs", mode="witness", nodes=snapshot.num_nodes):
             steps = witness_path(
                 context.compiled,

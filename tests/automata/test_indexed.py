@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.automata.dfa import containment_counterexample, determinize
-from repro.automata.indexed import IndexedNFA, bits, epsilon_closures, minimize_dfa
+from repro.automata.indexed import IndexedNFA, bits, minimize_dfa
 from repro.automata.nfa import NFA
 from repro.automata.onthefly import find_accepted_word
 from repro.automata.regex import parse_regex
@@ -28,14 +28,6 @@ def test_bits_enumerates_set_positions():
     assert list(bits(0)) == []
     assert list(bits(0b1)) == [0]
     assert list(bits(0b101001)) == [0, 3, 5]
-
-
-def test_epsilon_closures_are_reflexive_transitive():
-    closures = epsilon_closures(4, [(0, 1), (1, 2), (3, 3)])
-    assert closures[0] == 0b0111
-    assert closures[1] == 0b0110
-    assert closures[2] == 0b0100
-    assert closures[3] == 0b1000
 
 
 def test_from_nfa_to_nfa_roundtrip_preserves_structure():

@@ -14,10 +14,16 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.automata.dfa import containment_counterexample, determinize
+from repro.automata.dfa import (
+    SUBSET_CAP_FACTOR,
+    containment_counterexample,
+    determinize,
+    nfa_equivalent,
+    reduce_nfa,
+)
 from repro.automata.indexed import IndexedNFA
 from repro.automata.nfa import NFA, from_epsilon_nfa
-from repro.automata.regex import Regex, random_regex
+from repro.automata.regex import Regex, parse_regex, random_regex
 from repro.cache import clear_caches
 from repro.graphdb.generators import random_graph
 from repro.rpq.rpq import evaluate_nfa_on_graph, targets_from
@@ -106,6 +112,52 @@ def test_epsilon_elimination_agrees_with_baseline(spec):
     fast = from_epsilon_nfa(ALPHABET, *spec)
     slow = oracle.from_epsilon_nfa(ALPHABET, *spec)
     assert fast == slow
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**9),
+    st.integers(min_value=2, max_value=5),
+)
+def test_reduce_nfa_agrees_with_object_pipeline(seed, depth):
+    """The indexed reduce_nfa against the object-level pipeline it
+    replaced, on random regexes with inverse letters: equal (state
+    numbering included) unless the subset cap fired, and then the
+    trimmed NFA, renumbered, with the same language."""
+    regex = random_regex(random.Random(seed), ("a", "b", "c"), depth, True)
+    nfa = regex.to_nfa()
+    stats: dict = {}
+    fast = reduce_nfa(nfa, stats=stats)
+    if not stats["capped"]:
+        assert fast == oracle.reduce_nfa(nfa)
+    else:
+        assert fast == nfa.trim().renumber()
+        assert nfa_equivalent(fast, oracle.reduce_nfa(nfa))
+
+
+def test_reduce_nfa_keeps_the_trimmed_nfa_past_the_subset_cap():
+    for n in (6, 8):
+        nfa = _blowup(n)
+        stats: dict = {}
+        reduced = reduce_nfa(nfa, stats=stats)
+        assert stats["capped"] and stats["dfa_states"] is None
+        assert reduced == nfa.trim().renumber()
+        assert nfa_equivalent(reduced, oracle.reduce_nfa(nfa))
+    stats = {}
+    reduce_nfa(_blowup(3), stats=stats)
+    assert not stats["capped"]
+    assert stats["dfa_states"] <= SUBSET_CAP_FACTOR * stats["nfa_states"]
+
+
+def _blowup(n: int) -> NFA:
+    return parse_regex("(a|b)* a " + " ".join(["(a|b)"] * n)).to_nfa()
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_lists())
+def test_hopcroft_minimize_agrees_with_baseline_on_edge_list_dfas(spec):
+    dfa = determinize(NFA.build(ALPHABET, *spec), ALPHABET)
+    assert dfa.minimize() == oracle.minimize(dfa)
 
 
 @settings(max_examples=40, deadline=None)

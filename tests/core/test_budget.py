@@ -421,3 +421,32 @@ class TestDeadlineSmoke:
         assert result.verdict is Verdict.INCONCLUSIVE
         assert result.details["budget"]["exhausted"] == "deadline"
         assert elapsed_ms <= deadline_ms * 1.1, elapsed_ms
+
+    #: What a compile-bound check may spend outside its meter, on top of
+    #: deadline + 10%: hashing and classifying both queries before the
+    #: tower starts its meter (about 20 ms for a 10,000-letter word), and
+    #: freeing what compilation built once the meter stops it.
+    COMPILE_SLACK_MS = 80.0
+
+    def _timed_check(self, q1, q2, deadline_ms: float):
+        clear_caches()
+        start = time.monotonic()
+        result = check_containment(q1, q2, budget=Budget(deadline_ms=deadline_ms))
+        return result, (time.monotonic() - start) * 1000.0
+
+    def test_blowup_family_pair_compiles_within_deadline(self):
+        """(a|b)* a (a|b)^12 against ^13: subset constructions of 2^13
+        and 2^14 states if compilation ran them to the end."""
+        window = " ".join(["(a|b)"] * 12)
+        q1 = RPQ.parse(f"(a|b)* a {window}")
+        q2 = RPQ.parse(f"(a|b)* a {window} (a|b)")
+        result, elapsed_ms = self._timed_check(q1, q2, 150.0)
+        assert result.verdict in (Verdict.REFUTED, Verdict.INCONCLUSIVE)
+        assert elapsed_ms <= 150.0 * 1.1 + self.COMPILE_SLACK_MS, elapsed_ms
+
+    def test_long_word_compiles_within_deadline(self):
+        """A 10,000-letter word: a Thompson automaton of 40,000 states."""
+        word = RPQ.parse(" ".join("ab"[i % 2] for i in range(10_000)))
+        result, elapsed_ms = self._timed_check(word, RPQ.parse("a"), 150.0)
+        assert result.verdict in (Verdict.REFUTED, Verdict.INCONCLUSIVE)
+        assert elapsed_ms <= 150.0 * 1.1 + self.COMPILE_SLACK_MS, elapsed_ms

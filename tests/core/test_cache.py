@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import threading
 
 import pytest
 
+from repro.budget import BudgetExhausted
 from repro.cache import (
     LRUCache,
     cache_stats,
@@ -62,6 +64,39 @@ class TestLRUCache:
         assert cache.get_or_compute("k", compute) == "value"
         assert cache.get_or_compute("k", compute) == "value"
         assert len(calls) == 1
+
+    def test_follower_computes_when_the_leader_runs_out_of_budget(self):
+        """A leader stopped by its own deadline says nothing about the
+        key: its follower computes the value instead of re-raising."""
+        cache = LRUCache("test-single-flight-budget", maxsize=4)
+        entered, follower_waiting = threading.Event(), threading.Event()
+        leader_errors = []
+
+        def leader_compute():
+            entered.set()
+            follower_waiting.wait(timeout=30)
+            raise BudgetExhausted(resource="deadline", spent=151.0, limit=150.0)
+
+        def leader():
+            try:
+                cache.get_or_compute("key", leader_compute)
+            except BudgetExhausted as exc:
+                leader_errors.append(exc.resource)
+
+        class SignallingEvent(threading.Event):
+            def wait(self, timeout=None):
+                follower_waiting.set()
+                return super().wait(timeout)
+
+        thread = threading.Thread(target=leader)
+        thread.start()
+        assert entered.wait(timeout=30)
+        # Release the leader only once this caller waits on its flight.
+        cache._inflight["key"].event = SignallingEvent()
+        assert cache.get_or_compute("key", lambda: "value") == "value"
+        thread.join(timeout=30)
+        assert leader_errors == ["deadline"]
+        assert cache.get("key") == "value"
 
     def test_clear_empties_and_optionally_resets_stats(self):
         cache = LRUCache("test-clear", maxsize=4)

@@ -275,8 +275,8 @@ class TestTracing:
     """``trace=True`` returns a span tree covering every pipeline stage."""
 
     STAGES = {
-        "rpq": {"emptiness-search"},
-        "2rpq": {"fold", "product-search"},
+        "rpq": {"compile", "emptiness-search"},
+        "2rpq": {"compile", "fold", "product-search"},
         "uc2rpq": {"disjunct-expansions"},
         "rq": {"translate-datalog", "expansion-loop"},
         "datalog": {"grq-membership", "expansion-loop"},
@@ -296,6 +296,22 @@ class TestTracing:
         assert self.STAGES[label] <= names, (label, sorted(names))
         assert any(e["name"] == "cache" for e in tree.get("events", ()))
         assert tree["tags"]["q1_class"]
+
+    def test_each_side_compiles_in_a_tagged_span(self):
+        from repro.cache import clear_caches
+
+        clear_caches()
+        window = " ".join(["(a|b)"] * 6)
+        q1, q2 = RPQ.parse("a b*"), RPQ.parse(f"(a|b)* a {window}")
+        tree = check_containment(q1, q2, trace=True).details["trace"]
+        spans = [child for child in tree["children"] if child["name"] == "compile"]
+        assert [span["tags"]["capped"] for span in spans] == [False, True]
+        small, blowup = (span["tags"] for span in spans)
+        assert small["cache"] == "miss" and small["dfa_states"] >= 1
+        assert blowup["dfa_states"] is None and blowup["states"] == blowup["nfa_states"]
+        again = check_containment(q2, q1, trace=True).details["trace"]
+        tags = [c["tags"] for c in again["children"] if c["name"] == "compile"]
+        assert [tag["cache"] for tag in tags] == ["hit", "hit"]
 
     def test_trace_is_never_cached(self):
         from repro.cache import clear_caches

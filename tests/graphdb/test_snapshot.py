@@ -174,6 +174,43 @@ class TestSnapshotMemo:
         assert query.targets(db, 1) == {2, 3}
         assert runs.value == before  # served from the memo, no BFS
 
+    def test_slices_read_source_bitsets_not_the_answer_set(self):
+        """Once the all-pairs answer exists, a single-source read takes
+        one pass over the per-target source bitsets; it never scans the
+        answer set, and it runs no BFS."""
+        from repro.obs.metrics import counter
+
+        class Unscannable(frozenset):
+            def __iter__(self):
+                raise AssertionError("a slice scanned the whole answer set")
+
+        query = TwoRPQ.parse("r+ r-?")
+        db = random_graph(30, 60, ("r",), seed=5)
+        query.evaluate(db)
+        (context,) = [
+            value for key, value in db.snapshot().memo.items() if "context" in key[0]
+        ]
+        context.pairs = Unscannable(context.pairs)
+        runs = counter("evaluation.bfs_runs")
+        before = runs.value
+        for source in db.nodes_in_order()[:10]:
+            expected = targets_from(query.nfa, db, source)
+            assert query.targets(db, source) == expected
+            for target in db.nodes_in_order()[:5]:
+                assert query.matches(db, source, target) == (target in expected)
+        assert runs.value == before
+
+    def test_a_recompiled_query_reuses_its_context(self):
+        """Query reads key the memo by regex: a fresh automaton for the
+        same regex (after clear_caches) adds no context entry."""
+        query = TwoRPQ.parse("knows knows")
+        db = path_graph(4, "knows")
+        for _ in range(5):
+            clear_caches()
+            assert query.evaluate(db) == {(0, 2), (1, 3), (2, 4)}
+        contexts = [key for key in db.snapshot().memo if "context" in key[0]]
+        assert len(contexts) == 1
+
     def test_memo_clear_forgets_derived_state_only(self):
         query = TwoRPQ.parse("r+")
         db = path_graph(3, "r")

@@ -17,6 +17,7 @@ from collections import deque
 from typing import Hashable, Iterable, Sequence
 
 from repro.automata.dfa import DFA
+from repro.automata.dfa import determinize as production_determinize
 from repro.automata.nfa import EPSILON, NFA, Word
 
 State = Hashable
@@ -95,6 +96,19 @@ def minimize(dfa: DFA) -> DFA:
         final_blocks,
         transitions,
     )
+
+
+def reduce_nfa(nfa: NFA) -> NFA:
+    """The object-level reduction pipeline :func:`repro.automata.dfa.reduce_nfa`
+    replaced: trim, determinize, minimize, trim again, keep the smaller
+    of the two automata, renumber.  Runs the full subset construction
+    (no cap)."""
+    trimmed = nfa.trim()
+    if trimmed.num_states == 0:
+        return trimmed
+    minimized = production_determinize(trimmed).minimize().to_nfa().trim()
+    chosen = minimized if minimized.num_states < trimmed.num_states else trimmed
+    return chosen.renumber()
 
 
 def _reachable(dfa: DFA) -> set:
