@@ -8,7 +8,8 @@ conjunctive query over this collection of relations."
 Set-at-a-time engineering on top of the recipe: each **distinct**
 regular atom is instantiated once — atoms sharing a regex share the
 materialized relation — and the whole ``(CQ, Instance)`` artifact is
-memoized on the database's snapshot, which a write drops.  That matters
+memoized on the database's snapshot, which a write replaces with one
+whose memo is empty.  That matters
 because :func:`satisfies_c2rpq` is the hot loop of expansion-based
 containment: the same query is tested against a stream of canonical
 databases, and each database is probed for many heads, so

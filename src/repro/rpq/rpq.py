@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from ..automata.alphabet import base_symbol
 from ..automata.dfa import reduce_nfa
-from ..automata.indexed import IndexedNFA, bits
+from ..automata.indexed import IndexedNFA, bits, select
 from ..automata.nfa import NFA, Word
 from ..cache import regex_nfa_cache
 from ..graphdb.database import GraphDatabase, Node
@@ -164,7 +164,7 @@ def _targets(
             context.compiled, context.adjacency, len(nodes), source_id, meter=meter
         )
     _EVAL_BFS_RUNS.inc()
-    return frozenset(nodes[i] for i in bits(mask))
+    return frozenset(select(nodes, mask))
 
 
 @dataclass(frozen=True)

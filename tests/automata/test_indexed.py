@@ -9,10 +9,12 @@ product), against the object-state oracle in
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.automata.dfa import containment_counterexample, determinize
-from repro.automata.indexed import IndexedNFA, bits, minimize_dfa
+from repro.automata.indexed import IndexedNFA, bits, minimize_dfa, select
 from repro.automata.nfa import NFA
 from repro.automata.onthefly import find_accepted_word
 from repro.automata.regex import parse_regex
@@ -28,6 +30,19 @@ def test_bits_enumerates_set_positions():
     assert list(bits(0)) == []
     assert list(bits(0b1)) == [0]
     assert list(bits(0b101001)) == [0, 3, 5]
+
+
+@pytest.mark.parametrize("length", [1, 15, 16, 17, 64, 200])
+def test_select_reads_sparse_and_dense_masks_alike(length):
+    """Both of select's readings (bit by bit below one set bit in 16,
+    binary digits above) pick exactly the items of the set bits."""
+    items = [f"n{i}" for i in range(length)]
+    rng = random.Random(length)
+    masks = [0, 1, 1 << (length - 1), (1 << length) - 1]
+    masks += [rng.getrandbits(length) & rng.getrandbits(length) for _ in range(20)]
+    masks += [1 << rng.randrange(length) | 1 << rng.randrange(length) for _ in range(20)]
+    for mask in masks:
+        assert list(select(items, mask)) == [items[i] for i in bits(mask)]
 
 
 def test_from_nfa_to_nfa_roundtrip_preserves_structure():
