@@ -15,7 +15,7 @@ The snapshot object is the only identity of that state: nothing hashes
 the graph's content, and derived state lives exactly as long as a
 caller holds the snapshot.
 
-The module also hosts the evaluation kernels that run against a
+The module also hosts the two evaluation kernels that run against a
 snapshot (the counterparts of the containment kernels in
 :mod:`repro.automata.indexed`):
 
@@ -25,10 +25,10 @@ snapshot (the counterparts of the containment kernels in
   scalar BFS per source (set-at-a-time in the Section 3.3 sense);
 - :func:`reach_from_source` — the single-source product BFS for
   ``targets``/``matches`` when no all-pairs answer is memoized, one
-  frontier layer at a time with one node bitset per automaton state;
-- :func:`witness_path` — shortest-witness extraction with parent
-  backtracking, the same scheme as the antichain kernel, so witness
-  search shares the compiled context with answering.
+  frontier layer at a time with one node bitset per automaton state.
+  :func:`witness_path` runs it with its layers kept and walks back
+  through them to a shortest witness, so a witness costs one
+  single-source read plus the walk, under the same meter contract.
 
 Lifecycle: :meth:`repro.graphdb.database.GraphDatabase.snapshot` builds
 a snapshot (:meth:`GraphSnapshot.from_database`) when it has none.  A
@@ -316,6 +316,7 @@ def reach_from_source(
     num_nodes: int,
     source: int,
     meter=None,
+    layers: list[list[int]] | None = None,
 ) -> int:
     """Single-source product BFS: bitset of nodes reachable from *source*
     along words of the language (the ``targets``/``matches`` kernel).
@@ -329,6 +330,11 @@ def reach_from_source(
     *meter* has its deadline checked once per (state, layer), before
     that state's ORs, and is charged one ``"configs"`` unit per (state,
     node) as the node is first reached in the state.
+
+    When *layers* is a list, it receives each depth's frontier in
+    order: ``layers[d][state]`` is the bitset of nodes first reached in
+    *state* by a semipath of length ``d`` (:func:`witness_path`
+    backtracks through them).
     """
     num_states = nfa.num_states
     # moves[state] = [(symbol_id, successor states), ...] it moves on.
@@ -343,6 +349,8 @@ def reach_from_source(
         visited[state] = frontier[state] = 1 << source
     active = nfa.initial
     while active:
+        if layers is not None:
+            layers.append(frontier)
         reached = [0] * num_states
         next_active = 0
         for state in bits(active):
@@ -379,59 +387,35 @@ def witness_path(
     """A shortest conforming semipath ``source -> target``, or None.
 
     Returns the step list ``[(symbol_id, node_id), ...]`` (the start
-    node is *source* itself), extracted by parent backtracking over the
-    BFS configuration graph — the same scheme the antichain containment
-    kernel uses, so witnesses are shortest by construction and the
-    search shares the compiled context with answering.
+    node is *source* itself).  :func:`reach_from_source` runs to the
+    end under *meter*, keeping its frontier layers; the first depth
+    whose final states hold *target* is the witness length.  Each step
+    back picks any configuration of the layer before that moves to the
+    current one.  One exists because every configuration of a layer was
+    first reached from the layer before, so the walk reaches *source*
+    in an initial state after exactly that many steps.
     """
-    num_symbols = len(nfa.symbols)
-    initial = [(source, state) for state in bits(nfa.initial)]
-    parents: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {
-        config: None for config in initial
-    }
-    hit = next(
-        (
-            config
-            for config in initial
-            if config[0] == target and nfa.is_final(config[1])
-        ),
-        None,
-    )
-    queue = deque(initial)
-    if meter is not None:
-        meter.charge("configs", len(initial))
-    while queue and hit is None:
-        config = queue.popleft()
-        node, state = config
-        if meter is not None:
-            meter.poll()
-        for row in range(num_symbols):
-            next_states = nfa.delta[row][state]
-            if not next_states:
-                continue
-            for neighbor in bits(adjacency[row][node]):
-                for next_state in bits(next_states):
-                    next_config = (neighbor, next_state)
-                    if next_config in parents:
-                        continue
-                    parents[next_config] = (config, row)
-                    if meter is not None:
-                        meter.charge("configs")
-                    if neighbor == target and nfa.is_final(next_state):
-                        hit = next_config
-                        break
-                    queue.append(next_config)
-                if hit is not None:
-                    break
-            if hit is not None:
-                break
-    if hit is None:
+    layers: list[list[int]] = []
+    reach_from_source(nfa, adjacency, num_nodes, source, meter, layers)
+    goal = 1 << target
+    for depth, frontier in enumerate(layers):
+        state = next((state for state in bits(nfa.final) if frontier[state] & goal), None)
+        if state is not None:
+            break
+    else:
         return None
     steps: list[tuple[int, int]] = []
-    cursor = hit
-    while parents[cursor] is not None:
-        previous, row = parents[cursor]  # type: ignore[misc]
-        steps.append((row, cursor[0]))
-        cursor = previous
+    node = target
+    for frontier in reversed(layers[:depth]):
+        row, state, previous = next(
+            (row, before, previous)
+            for row, successors in enumerate(nfa.delta)
+            for before, after in enumerate(successors)
+            if after >> state & 1
+            for previous in bits(frontier[before])
+            if adjacency[row][previous] >> node & 1
+        )
+        steps.append((row, node))
+        node = previous
     steps.reverse()
     return steps

@@ -8,11 +8,6 @@ from .containment import (
     two_rpq_equivalent,
     word_counterexample,
 )
-from .property_paths import (
-    PropertyPathError,
-    from_property_path,
-    to_property_path,
-)
 from .rpq import RPQ, TwoRPQ, evaluate_nfa_on_graph, targets_from
 from .views import Rewriting, answer_using_views, rewrite, view_graph
 
@@ -23,9 +18,6 @@ __all__ = [
     "two_rpq_contained",
     "two_rpq_equivalent",
     "word_counterexample",
-    "PropertyPathError",
-    "from_property_path",
-    "to_property_path",
     "Rewriting",
     "answer_using_views",
     "rewrite",

@@ -13,8 +13,10 @@ per-symbol adjacency are compiled once per snapshot and memoized on it
 with the all-pairs answer, keyed by the query's regex (or, for a raw
 automaton, by the automaton object), and a single multi-source frontier
 BFS answers the query for every source simultaneously.  Single-source
-queries and witness semipaths run on the same compiled context, and
-slice the all-pairs answer once it exists.
+queries run a layered BFS on the same compiled context, and slice the
+all-pairs answer once it exists; a witness semipath runs that layered
+BFS to the end and walks back through its layers, under the same meter
+contract.
 """
 
 from __future__ import annotations
@@ -220,8 +222,13 @@ class TwoRPQ:
         conforming semipaths — the explanation facility for query
         answers ("why is this pair in the result?").
 
-        It runs against the same compiled snapshot context as
-        ``targets``/``matches`` (shortest by BFS parent backtracking).
+        It runs the single-source kernel of ``targets``/``matches`` on
+        the same compiled snapshot context, keeping its frontier layers,
+        and walks back from the first layer that accepts *target*, so it
+        is shortest.  *meter* is charged as by an uncached ``targets``
+        read from *source*: its deadline is checked once per (state,
+        layer), and one ``configs`` unit is spent per (state, node)
+        first reached, initial configurations free.
         """
         snapshot = db.snapshot(tracer=tracer)
         source_id = snapshot.node_index.get(source)

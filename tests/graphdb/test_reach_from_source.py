@@ -1,11 +1,14 @@
 """The layered single-source kernel against the object-state oracle.
 
 ``reach_from_source`` answers ``targets``/``matches`` one frontier layer
-at a time over per-state node bitsets.  Its answers must equal
+at a time over per-state node bitsets, and ``witness_path`` walks back
+through those layers.  The answers must equal
 ``tests/oracles/evaluation.targets_from``'s per-configuration BFS on
 random graphs: for random 2RPQs, and for raw automata with several
-initial states, an empty language, or a source with no edges.  The meter
-contract is pinned too: one ``configs`` unit per newly reached
+initial states, an empty language, or a source with no edges; on the raw
+automata every witness must conform and be as short as
+``tests/oracles/evaluation.witness_semipath``'s.  The meter contract is
+pinned for both reads: one ``configs`` unit per newly reached
 (state, node), and ``BudgetExhausted`` under a small ``max_configs`` or
 an expired deadline.
 """
@@ -24,7 +27,7 @@ from repro.automata.regex import random_regex
 from repro.budget import Budget, BudgetExhausted
 from repro.graphdb.database import GraphDatabase
 from repro.graphdb.generators import path_graph, random_graph
-from repro.graphdb.snapshot import reach_from_source
+from repro.graphdb.snapshot import reach_from_source, witness_path
 from repro.rpq import rpq
 from repro.rpq.rpq import TwoRPQ
 from tests.oracles import evaluation as oracle
@@ -73,6 +76,26 @@ def _kernel_targets(nfa: NFA, db, source) -> frozenset:
     return frozenset(snapshot.nodes[node] for node in bits(mask))
 
 
+def _kernel_witness(nfa: NFA, db, source, target) -> tuple | None:
+    """``witness_path`` run directly on *db*'s snapshot, as a semipath
+    ``(y0, p1, y1, ..., pn, yn)``."""
+    snapshot = db.snapshot()
+    compiled = IndexedNFA.from_nfa(nfa)
+    steps = witness_path(
+        compiled,
+        snapshot.adjacency_for(compiled.symbols),
+        snapshot.num_nodes,
+        snapshot.node_index[source],
+        snapshot.node_index[target],
+    )
+    if steps is None:
+        return None
+    path = [source]
+    for row, node in steps:
+        path += [compiled.symbols[row], snapshot.nodes[node]]
+    return tuple(path)
+
+
 @SETTINGS
 @given(_graph, st.integers(0, 10**6), st.integers(0, 3))
 def test_random_2rpqs_agree_with_the_oracle(shape, seed, depth):
@@ -93,6 +116,43 @@ def test_raw_automata_agree_with_the_oracle(shape, nfa):
         assert rpq.targets_from(nfa, db, source) == expected
         assert _kernel_targets(nfa, db, source) == expected
     assert rpq.targets_from(nfa, db, "absent") == frozenset()
+
+
+@SETTINGS
+@given(_graph, _automata())
+def test_raw_automata_witnesses_agree_with_the_oracle(shape, nfa):
+    db = _database(shape)
+    for source in db.nodes_in_order():
+        answers = oracle.targets_from(nfa, db, source)
+        for target in db.nodes_in_order():
+            path = _kernel_witness(nfa, db, source, target)
+            if target not in answers:
+                assert path is None
+                continue
+            nodes, word = path[0::2], path[1::2]
+            assert nodes[0] == source and nodes[-1] == target
+            assert nfa.accepts(word)
+            for here, symbol, there in zip(nodes, word, nodes[1:]):
+                assert there in db.successors(here, symbol)
+            assert len(path) == len(oracle.witness_semipath(nfa, db, source, target))
+
+
+def test_witness_stops_at_the_first_accepting_depth():
+    """*y* is accepted at depth 1 and, through its self-loop, in a second
+    final state at depth 2: the witness takes one step.  An accepting
+    initial state gives the empty witness."""
+    db = GraphDatabase.from_edges([("x", "a", "y"), ("y", "a", "y")])
+    nfa = NFA.build(("a",), (0, 1, 2), (0,), (0, 1, 2), ((0, "a", 1), (1, "a", 2)))
+    assert _kernel_witness(nfa, db, "x", "y") == ("x", "a", "y")
+    assert _kernel_witness(nfa, db, "x", "x") == ("x",)
+
+
+def test_witness_steps_back_along_a_move_into_the_current_state():
+    """*y* is one step from *x* under both labels but final only under
+    ``b``: the witness reads ``b``, not the ``a`` checked first."""
+    db = GraphDatabase.from_edges([("x", "a", "y"), ("x", "b", "y")])
+    nfa = NFA.build(LABELS, (0, 1, 2), (0,), (1,), ((0, "a", 2), (0, "b", 1)))
+    assert _kernel_witness(nfa, db, "x", "y") == ("x", "b", "y")
 
 
 def test_branching_moves_from_several_initial_states():
@@ -122,27 +182,47 @@ def test_empty_language_and_edgeless_source():
     assert TwoRPQ.parse("a+").targets(db, "lonely") == frozenset()
 
 
-class TestMeter:
-    """A single-source read charges the meter it is given and checks its
-    deadline."""
+def _targets(db, target, meter):
+    return TwoRPQ.parse("r+").targets(db, 0, meter=meter)
 
-    def test_configs_charged_per_newly_reached_state_node(self):
+
+def _witness(db, target, meter):
+    return TwoRPQ.parse("r+").witness_semipath(db, 0, target, meter=meter)
+
+
+READS = pytest.mark.parametrize(
+    "read", [_targets, _witness], ids=["targets", "witness_semipath"]
+)
+
+
+class TestMeter:
+    """A single-source read, and a witness built on one, charges the
+    meter it is given and checks its deadline."""
+
+    @pytest.mark.parametrize(
+        "read, expected",
+        [(_targets, set(range(1, 11))), (_witness, (0, "r", 5, "r", 10))],
+        ids=["targets", "witness_semipath"],
+    )
+    def test_configs_charged_per_newly_reached_state_node(self, read, expected):
         # Two layers of five nodes: 0 -> 1..5, and i -> i + 5.
         db = GraphDatabase.from_edges(
             [(0, "r", i) for i in range(1, 6)] + [(i, "r", i + 5) for i in range(1, 6)]
         )
         meter = Budget(max_configs=100).start()
-        assert TwoRPQ.parse("r+").targets(db, 0, meter=meter) == set(range(1, 11))
+        assert read(db, 10, meter) == expected
         assert meter.spent["configs"] == 10
 
-    def test_small_max_configs_raises(self):
+    @READS
+    def test_small_max_configs_raises(self, read):
         db = path_graph(50, "r")
         meter = Budget(max_configs=5).start()
         with pytest.raises(BudgetExhausted) as caught:
-            TwoRPQ.parse("r+").targets(db, 0, meter=meter)
+            read(db, 50, meter)
         assert caught.value.resource == "configs"
 
-    def test_expired_deadline_raises(self):
+    @READS
+    def test_expired_deadline_raises(self, read):
         # One wide layer is a single charge, too few for the meter's
         # periodic poll to read the clock: only the kernel's own
         # deadline check can raise.
@@ -150,5 +230,5 @@ class TestMeter:
         meter = Budget(deadline_ms=1).start()
         time.sleep(0.01)
         with pytest.raises(BudgetExhausted) as caught:
-            TwoRPQ.parse("r+").targets(db, 0, meter=meter)
+            read(db, 299, meter)
         assert caught.value.resource == "deadline"
