@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..relational.instance import Instance
-from .evaluation import bindings, satisfies
+from .evaluation import _first_binding, satisfies
 from .syntax import CQ, Atom, Term, Var, is_var
 
 
@@ -22,21 +22,12 @@ def homomorphism_to_instance(
 ) -> dict[Var, Term] | None:
     """A homomorphism from *cq*'s body into *instance* hitting *head_image*.
 
-    Returns a full variable mapping, or None.  ``satisfies`` is the
-    boolean fast path; this variant materializes one witness mapping.
+    Returns a full variable mapping, or None.  The join runs with the
+    head variables bound to *head_image* up front, so it meets the same
+    first mapping as enumerating every binding and keeping those that hit
+    the head; ``satisfies`` is its boolean form.
     """
-    if len(head_image) != cq.arity:
-        return None
-    seed: dict[Var, Term] = {}
-    for var, value in zip(cq.head_vars, head_image):
-        if var in seed and seed[var] != value:
-            return None
-        seed[var] = value
-    constrained = cq.substitute({})  # defensive copy not needed; bindings rebinds
-    for binding in bindings(constrained, instance):
-        if all(binding[var] == seed[var] for var in seed):
-            return binding
-    return None
+    return _first_binding(cq, instance, head_image)
 
 
 def cq_homomorphism(source: CQ, target: CQ) -> dict[Var, Term] | None:

@@ -4,20 +4,28 @@ The paper defines the semantics operationally (Section 2.2):
 ``P^i(D)`` is what ``i`` rule applications can derive and
 ``P^inf(D) = U_i P^i(D)``.  The *naive* engine recomputes every rule
 body against the full instance each round — a direct transcription of
-that definition.  The *semi-naive* engine is the classical optimization:
-each round it only joins rule bodies in which at least one IDB atom is
-bound to the facts newly derived in the previous round, which avoids
-rediscovering old facts.  Both compute the same fixpoint; experiment
-E10 measures the difference.
+that definition, and :func:`bounded_evaluate` is the same round loop
+stopped after ``i`` rounds.  The *semi-naive* engine is the classical
+optimization: each round it only joins rule bodies in which at least one
+IDB atom is bound to the facts newly derived in the previous round,
+which avoids rediscovering old facts.  Both compute the same fixpoint;
+experiment E10 measures the difference.
+
+Every rule application is one run of the CQ join
+(:mod:`repro.cq.evaluation`) over one working instance: the EDB copied
+once, plus the IDB relations.  Semi-naive installs each round's delta
+relations in that instance under shadow names
+(:meth:`repro.relational.instance.Instance.install`), so no round copies
+the instance, and each relation's join indexes live until it gains a row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from itertools import count
 
-from ..cq.syntax import CQ, Var, is_var
-from ..cq.evaluation import bindings
+from ..cq.evaluation import _extend, _order_atoms, _plan
+from ..cq.syntax import Atom, is_var
 from ..relational.instance import Instance
 from .syntax import Program, Rule
 
@@ -32,20 +40,13 @@ class EvaluationStats:
     derivations_per_iteration: list[int] = field(default_factory=list)
 
 
-def _apply_rule(rule: Rule, instance: Instance) -> set[tuple]:
-    """All head tuples derivable by one application of *rule*."""
-    derived: set[tuple] = set()
-    if not rule.body:
-        derived.add(tuple(rule.head.args))
-        return derived
-    head_args = rule.head.args
-    # Reuse the CQ engine: a rule body is a conjunctive query.
-    body_query = CQ(tuple(sorted({v for a in rule.body for v in a.variables()})), rule.body)
-    for binding in bindings(body_query, instance):
-        derived.add(
-            tuple(binding[arg] if is_var(arg) else arg for arg in head_args)
-        )
-    return derived
+def _apply_rule(head: Atom, body: tuple[Atom, ...], instance: Instance) -> set[tuple]:
+    """All *head* tuples that one application of ``head :- body`` derives."""
+    binding: dict = {}
+    return {
+        tuple(binding[arg] if is_var(arg) else arg for arg in head.args)
+        for _ in _extend(_plan(_order_atoms(body, instance)), instance, binding)
+    }
 
 
 def _seed_instance(program: Program, edb: Instance) -> Instance:
@@ -63,70 +64,81 @@ def _seed_instance(program: Program, edb: Instance) -> Instance:
     return instance
 
 
+def _round(
+    rules: list[tuple[Rule, tuple[Atom, ...]]],
+    idb: dict[str, set[tuple]],
+    instance: Instance,
+    stats: EvaluationStats | None,
+) -> dict[str, set[tuple]]:
+    """One round: apply every ``(rule, body)`` to the facts of the rounds
+    before it, then commit; returns the new facts per IDB predicate."""
+    new: dict[str, set[tuple]] = {pred: set() for pred in idb}
+    for rule, body in rules:
+        for row in _apply_rule(rule.head, body, instance):
+            if row not in idb[rule.head.predicate]:
+                new[rule.head.predicate].add(row)
+    total = 0
+    for pred, rows in new.items():
+        idb[pred] |= rows
+        for row in rows:
+            instance.add(pred, row)
+        total += len(rows)
+    if stats is not None:
+        stats.iterations += 1
+        stats.rule_applications += len(rules)
+        stats.derivations_per_iteration.append(total)
+        stats.facts_derived += total
+    return new
+
+
+def _naive_rounds(
+    program: Program,
+    edb: Instance,
+    stats: EvaluationStats | None = None,
+    rounds: int | None = None,
+) -> dict[str, set[tuple]]:
+    """The naive round loop, to the fixpoint or for at most *rounds*:
+    after round ``i`` the IDB holds exactly ``P^i(D)``."""
+    instance = _seed_instance(program, edb)
+    idb: dict[str, set[tuple]] = {pred: set() for pred in program.idb_predicates}
+    rules = [(rule, rule.body) for rule in program.rules]
+    for _ in count() if rounds is None else range(rounds):
+        if not any(_round(rules, idb, instance, stats).values()):
+            break
+    return idb
+
+
 def naive_evaluate(
     program: Program, edb: Instance, stats: EvaluationStats | None = None
 ) -> dict[str, frozenset[tuple]]:
     """The textbook fixpoint: apply every rule to everything until stable."""
-    instance = _seed_instance(program, edb)
-    idb: dict[str, set[tuple]] = {pred: set() for pred in program.idb_predicates}
-    while True:
-        if stats is not None:
-            stats.iterations += 1
-        round_new: dict[str, set[tuple]] = {pred: set() for pred in idb}
-        for rule in program.rules:
-            if stats is not None:
-                stats.rule_applications += 1
-            for row in _apply_rule(rule, instance):
-                if row not in idb[rule.head.predicate]:
-                    round_new[rule.head.predicate].add(row)
-        total_new = _commit(round_new, idb, instance)
-        if stats is not None:
-            stats.derivations_per_iteration.append(total_new)
-            stats.facts_derived += total_new
-        if not total_new:
-            break
+    idb = _naive_rounds(program, edb, stats)
     return {pred: frozenset(rows) for pred, rows in idb.items()}
 
 
-def _delta_rules(program: Program) -> list[tuple[Rule, int | None]]:
-    """Semi-naive rewriting: one variant per IDB body atom (or None).
+def _shadow(predicate: str) -> str:
+    """The name under which a round's delta of *predicate* is installed."""
+    return f"__delta__{predicate}"
 
-    A variant ``(rule, k)`` evaluates the rule with body atom ``k``
-    restricted to the previous round's delta.  Rules with no IDB atom
-    only need to run once (round zero), flagged with ``k = None``.
-    """
+
+def _delta_rules(
+    program: Program,
+) -> tuple[list[tuple[Rule, tuple[Atom, ...]]], list[tuple[Rule, tuple[Atom, ...]]]]:
+    """Semi-naive rewriting: the rules with no IDB body atom, which only
+    need to run once (round zero), and one variant ``(rule, body)`` per
+    IDB body atom, with that atom renamed to its delta relation."""
     idb = program.idb_predicates
-    variants: list[tuple[Rule, int | None]] = []
+    base: list[tuple[Rule, tuple[Atom, ...]]] = []
+    variants: list[tuple[Rule, tuple[Atom, ...]]] = []
     for rule in program.rules:
-        idb_positions = [
-            index for index, atom in enumerate(rule.body) if atom.predicate in idb
-        ]
-        if not idb_positions:
-            variants.append((rule, None))
-        else:
-            for index in idb_positions:
-                variants.append((rule, index))
-    return variants
-
-
-def _apply_rule_with_delta(
-    rule: Rule, delta_position: int, full: Instance, delta: Mapping[str, frozenset[tuple]]
-) -> set[tuple]:
-    """Apply *rule* with body atom *delta_position* bound to the delta."""
-    delta_atom = rule.body[delta_position]
-    delta_rows = delta.get(delta_atom.predicate, frozenset())
-    if not delta_rows:
-        return set()
-    # Build a temporary instance where a fresh predicate name holds the
-    # delta, and rewrite the rule to use it at the delta position.
-    shadow = f"__delta__{delta_atom.predicate}"
-    scratch = full.copy()
-    for row in delta_rows:
-        scratch.add(shadow, row)
-    new_body = list(rule.body)
-    new_body[delta_position] = delta_atom.__class__(shadow, delta_atom.args)
-    rewritten = Rule(rule.head, tuple(new_body))
-    return _apply_rule(rewritten, scratch)
+        positions = [index for index, atom in enumerate(rule.body) if atom.predicate in idb]
+        if not positions:
+            base.append((rule, rule.body))
+        for index in positions:
+            body = list(rule.body)
+            body[index] = Atom(_shadow(body[index].predicate), body[index].args)
+            variants.append((rule, tuple(body)))
+    return base, variants
 
 
 def seminaive_evaluate(
@@ -135,85 +147,23 @@ def seminaive_evaluate(
     """Semi-naive (delta-driven) fixpoint; same result, fewer re-joins."""
     instance = _seed_instance(program, edb)
     idb: dict[str, set[tuple]] = {pred: set() for pred in program.idb_predicates}
-    variants = _delta_rules(program)
-
-    # Round zero: rules without IDB atoms, plus every rule evaluated on
-    # the EDB alone (IDB relations are empty, so IDB-containing rules
-    # derive nothing yet unless their IDB atoms are already satisfied).
-    delta: dict[str, frozenset[tuple]] = {}
-    round_new: dict[str, set[tuple]] = {pred: set() for pred in idb}
-    if stats is not None:
-        stats.iterations += 1
-    for rule, position in variants:
-        if position is not None:
-            continue
-        if stats is not None:
-            stats.rule_applications += 1
-        for row in _apply_rule(rule, instance):
-            if row not in idb[rule.head.predicate]:
-                round_new[rule.head.predicate].add(row)
-    total_new = _commit(round_new, idb, instance)
-    if stats is not None:
-        stats.derivations_per_iteration.append(total_new)
-        stats.facts_derived += total_new
-    delta = {pred: frozenset(rows) for pred, rows in round_new.items()}
-
-    while any(delta.values()):
-        if stats is not None:
-            stats.iterations += 1
-        round_new = {pred: set() for pred in idb}
-        for rule, position in variants:
-            if position is None:
-                continue
-            if stats is not None:
-                stats.rule_applications += 1
-            for row in _apply_rule_with_delta(rule, position, instance, delta):
-                if row not in idb[rule.head.predicate]:
-                    round_new[rule.head.predicate].add(row)
-        total_new = _commit(round_new, idb, instance)
-        if stats is not None:
-            stats.derivations_per_iteration.append(total_new)
-            stats.facts_derived += total_new
-        delta = {pred: frozenset(rows) for pred, rows in round_new.items()}
+    base, variants = _delta_rules(program)
+    # Round zero runs the rules with no IDB atom; every later round runs
+    # the variants over the delta relations: the round before's new facts.
+    new = _round(base, idb, instance, stats)
+    while any(new.values()):
+        for pred, rows in new.items():
+            instance.install(_shadow(pred), instance.arity(pred), rows)
+        new = _round(variants, idb, instance, stats)
     return {pred: frozenset(rows) for pred, rows in idb.items()}
 
 
-def _commit(
-    round_new: Mapping[str, set[tuple]],
-    idb: dict[str, set[tuple]],
-    instance: Instance,
-) -> int:
-    total = 0
-    for pred, rows in round_new.items():
-        for row in rows:
-            if row not in idb[pred]:
-                idb[pred].add(row)
-                instance.add(pred, row)
-                total += 1
-    return total
-
-
 def evaluate(
-    program: Program,
-    edb: Instance,
-    engine: str = "seminaive",
-    stats: EvaluationStats | None = None,
+    program: Program, edb: Instance, stats: EvaluationStats | None = None
 ) -> frozenset[tuple]:
-    """Evaluate the program's *goal* relation over *edb*.
-
-    Args:
-        program: the Datalog query.
-        edb: the extensional database.
-        engine: ``"seminaive"`` (default) or ``"naive"``.
-        stats: optional :class:`EvaluationStats` instrumentation.
-    """
-    if engine == "seminaive":
-        idb = seminaive_evaluate(program, edb, stats)
-    elif engine == "naive":
-        idb = naive_evaluate(program, edb, stats)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    return idb[program.goal]
+    """The program's *goal* relation over *edb*, by the semi-naive
+    fixpoint, with optional :class:`EvaluationStats` instrumentation."""
+    return seminaive_evaluate(program, edb, stats)[program.goal]
 
 
 def bounded_evaluate(program: Program, edb: Instance, rounds: int) -> frozenset[tuple]:
@@ -223,17 +173,4 @@ def bounded_evaluate(program: Program, edb: Instance, rounds: int) -> frozenset[
     ``P^inf = U_i P^i`` observably: ``bounded_evaluate`` is monotone in
     *rounds* and reaches the fixpoint value for large enough *rounds*.
     """
-    instance = _seed_instance(program, edb)
-    idb: dict[str, set[tuple]] = {pred: set() for pred in program.idb_predicates}
-    for _ in range(rounds):
-        # Immediate-consequence operator: derive from the *previous*
-        # round's facts only, so round i yields exactly P^i(D).
-        round_new: dict[str, set[tuple]] = {pred: set() for pred in idb}
-        for rule in program.rules:
-            for row in _apply_rule(rule, instance):
-                if row not in idb[rule.head.predicate]:
-                    round_new[rule.head.predicate].add(row)
-        if not any(round_new.values()):
-            break
-        _commit(round_new, idb, instance)
-    return frozenset(idb[program.goal])
+    return frozenset(_naive_rounds(program, edb, rounds=rounds)[program.goal])

@@ -15,20 +15,20 @@ The snapshot object is the only identity of that state: nothing hashes
 the graph's content, and derived state lives exactly as long as a
 caller holds the snapshot.
 
-The module also hosts the two evaluation kernels that run against a
-snapshot (the counterparts of the containment kernels in
-:mod:`repro.automata.indexed`):
+The module also hosts the evaluation kernel that runs against a
+snapshot (the counterpart of the containment kernels in
+:mod:`repro.automata.indexed`): one product search, :func:`_search`,
+from one source node, one frontier layer at a time with one node bitset
+per automaton state, over a move table built once per read.  Three
+reads share it, under one meter contract:
 
-- :func:`reach_all_sources` — the **multi-source frontier BFS**: one
-  product search answers the query for *every* source simultaneously by
-  propagating per-configuration *source bitsets* instead of replaying a
-  scalar BFS per source (set-at-a-time in the Section 3.3 sense);
-- :func:`reach_from_source` — the single-source product BFS for
-  ``targets``/``matches`` when no all-pairs answer is memoized, one
-  frontier layer at a time with one node bitset per automaton state.
-  :func:`witness_path` runs it with its layers kept and walks back
-  through them to a shortest witness, so a witness costs one
-  single-source read plus the walk, under the same meter contract.
+- :func:`reach_from_source` runs it once, for ``targets``/``matches``
+  when no all-pairs answer is memoized;
+- :func:`reach_all_sources` runs it once per source over one move
+  table and returns one target row per source, for ``evaluate``;
+- :func:`witness_path` runs :func:`reach_from_source` with its layers
+  kept and walks back through them to a shortest witness, so a witness
+  costs one single-source read plus the walk.
 
 Lifecycle: :meth:`repro.graphdb.database.GraphDatabase.snapshot` builds
 a snapshot (:meth:`GraphSnapshot.from_database`) when it has none.  A
@@ -48,13 +48,12 @@ running concurrently with a write.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import reduce
 from operator import or_
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Sequence
 
 from ..automata.alphabet import base_symbol, is_inverse
-from ..automata.indexed import IndexedNFA, bits, select
+from ..automata.indexed import IndexedNFA, bits, members, select
 from ..obs.metrics import counter
 from ..obs.trace import maybe_span
 
@@ -239,75 +238,102 @@ class GraphSnapshot:
 # --- evaluation kernels -----------------------------------------------------------
 
 
+#: Per automaton state, one ``(adjacency rows, successor states)`` pair
+#: for each symbol the state moves on, in symbol order.
+_Moves = list[list[tuple[Sequence[int], list[int]]]]
+
+
+def _move_table(nfa: IndexedNFA, adjacency: Sequence[Sequence[int]]) -> _Moves:
+    """What :func:`_search` reads, built once per read."""
+    num_states = nfa.num_states
+    moves: _Moves = [[] for _ in range(num_states)]
+    for rows, successors in zip(adjacency, nfa.delta):
+        for state in range(num_states):
+            if successors[state]:
+                moves[state].append((rows, members(successors[state])))
+    return moves
+
+
+def _search(
+    moves: _Moves,
+    initial: list[int],
+    source: int,
+    meter=None,
+    layers: list[list[int]] | None = None,
+) -> list[int]:
+    """The product search from *source*, one frontier layer at a time:
+    ``visited[state]`` is the bitset of nodes reached in *state*
+    (the initial configurations included).
+
+    For each state with a non-empty frontier and each symbol the state
+    moves on, the adjacency rows of the frontier nodes are ORed together
+    once (a one-node frontier reads its row directly) and the result
+    goes to every successor state.  *meter* has its deadline checked
+    once per (state, layer), before that state's ORs, and is charged one
+    ``"configs"`` unit per (state, node) as the node is first reached in
+    the state.  *layers*, when a list, receives each depth's frontier.
+    """
+    num_states = len(moves)
+    visited = [0] * num_states
+    frontier = [0] * num_states
+    for state in initial:
+        visited[state] = frontier[state] = 1 << source
+    active = initial
+    while active:
+        if layers is not None:
+            layers.append(frontier)
+        reached = [0] * num_states
+        next_active: list[int] = []
+        for state in active:
+            if meter is not None:
+                meter.check_deadline()
+            layer = frontier[state]
+            node = -1 if layer & (layer - 1) else layer.bit_length() - 1
+            for rows, successors in moves[state]:
+                step = rows[node] if node >= 0 else reduce(or_, select(rows, layer), 0)
+                if not step:
+                    continue
+                for next_state in successors:
+                    fresh = step & ~visited[next_state]
+                    if fresh:
+                        visited[next_state] |= fresh
+                        if not reached[next_state]:
+                            next_active.append(next_state)
+                        reached[next_state] |= fresh
+                        if meter is not None:
+                            meter.charge("configs", fresh.bit_count())
+        frontier, active = reached, next_active
+    return visited
+
+
 def reach_all_sources(
     nfa: IndexedNFA,
     adjacency: Sequence[Sequence[int]],
     num_nodes: int,
     meter=None,
 ) -> tuple[list[int], int]:
-    """Multi-source product BFS: per-target bitsets of answering sources.
+    """All-pairs answers: one :func:`_search` per source over one move
+    table, each under the single-source meter contract.
 
-    Args:
-        nfa: the compiled query automaton.
-        adjacency: ``adjacency[symbol_id][node_id]`` — successor bitsets
-            (inverse letters pre-resolved; see
-            :meth:`GraphSnapshot.adjacency_for`).
-        num_nodes: graph size.
-        meter: optional :class:`repro.budget.BudgetMeter`, charged one
-            ``"configs"`` unit per frontier entry.
-
-    Returns:
-        ``(answers, configs)`` where ``answers[target_id]`` is the
-        bitset of source ids ``x`` with a conforming semipath
-        ``x -> target``, and ``configs`` counts frontier entries
-        processed (the work measure the ``eval-bfs`` span reports).
-
-    Instead of one BFS per source (:func:`reach_from_source`),
-    every configuration ``(state, node)`` carries the bitset of sources
-    that reach it; frontier entries propagate only *newly added* source
-    bits, so each (state, node, source) triple is expanded at most once
-    and the inner loop is word-parallel over sources.
+    *adjacency* is ``adjacency[symbol_id][node_id]``, successor bitsets
+    with inverse letters pre-resolved (:meth:`GraphSnapshot.adjacency_for`).
+    Returns ``(rows, configs)``: ``rows[source_id]`` is the bitset of
+    target ids ``y`` with a conforming semipath ``source -> y``, and
+    ``configs`` the newly reached (state, node) pairs summed over
+    sources, initial configurations free (what *meter* was charged).
     """
-    num_states = nfa.num_states
-    num_symbols = len(nfa.symbols)
-    # reach[state][node] = bitset of sources reaching (node, state).
-    reach = [[0] * num_nodes for _ in range(num_states)]
-    queue: deque[tuple[int, int, int]] = deque()
-    for state in bits(nfa.initial):
-        row = reach[state]
-        for node in range(num_nodes):
-            row[node] = 1 << node
-            queue.append((state, node, 1 << node))
-    configs = 0
-    if meter is not None:
-        meter.charge("configs", len(queue))
-    while queue:
-        state, node, added = queue.popleft()
-        configs += 1
-        if meter is not None:
-            meter.poll()
-        for row in range(num_symbols):
-            next_states = nfa.delta[row][state]
-            if not next_states:
-                continue
-            neighbors = adjacency[row][node]
-            if not neighbors:
-                continue
-            for next_state in bits(next_states):
-                reach_row = reach[next_state]
-                for neighbor in bits(neighbors):
-                    fresh = added & ~reach_row[neighbor]
-                    if fresh:
-                        reach_row[neighbor] |= fresh
-                        queue.append((next_state, neighbor, fresh))
-                        if meter is not None:
-                            meter.charge("configs")
-    answers = [0] * num_nodes
-    for state in bits(nfa.final):
-        row = reach[state]
-        for node in range(num_nodes):
-            answers[node] |= row[node]
-    return answers, configs
+    moves = _move_table(nfa, adjacency)
+    initial, final = members(nfa.initial), members(nfa.final)
+    rows: list[int] = []
+    reached = 0
+    for source in range(num_nodes):
+        visited = _search(moves, initial, source, meter)
+        found = 0
+        for state in final:
+            found |= visited[state]
+        rows.append(found)
+        reached += sum(map(int.bit_count, visited))
+    return rows, reached - len(initial) * num_nodes
 
 
 def reach_from_source(
@@ -321,55 +347,14 @@ def reach_from_source(
     """Single-source product BFS: bitset of nodes reachable from *source*
     along words of the language (the ``targets``/``matches`` kernel).
 
-    The search runs one frontier layer at a time over a visited and a
-    frontier node bitset per automaton state.  For each state with a
-    non-empty frontier and each symbol the state moves on, the
-    adjacency rows of the frontier nodes are ORed together once and the
-    result goes to every successor state, so a layer costs one big-int
-    OR per (state, symbol, frontier node) instead of one step per edge.
-    *meter* has its deadline checked once per (state, layer), before
-    that state's ORs, and is charged one ``"configs"`` unit per (state,
-    node) as the node is first reached in the state.
-
-    When *layers* is a list, it receives each depth's frontier in
-    order: ``layers[d][state]`` is the bitset of nodes first reached in
-    *state* by a semipath of length ``d`` (:func:`witness_path`
-    backtracks through them).
+    One :func:`_search` under its meter contract.  When *layers* is a
+    list, it receives each depth's frontier in order: ``layers[d][state]``
+    is the bitset of nodes first reached in *state* by a semipath of
+    length ``d`` (:func:`witness_path` backtracks through them).
     """
-    num_states = nfa.num_states
-    # moves[state] = [(symbol_id, successor states), ...] it moves on.
-    moves = [[] for _ in range(num_states)]
-    for row, successors in enumerate(nfa.delta):
-        for state in range(num_states):
-            if successors[state]:
-                moves[state].append((row, successors[state]))
-    visited = [0] * num_states
-    frontier = [0] * num_states
-    for state in bits(nfa.initial):
-        visited[state] = frontier[state] = 1 << source
-    active = nfa.initial
-    while active:
-        if layers is not None:
-            layers.append(frontier)
-        reached = [0] * num_states
-        next_active = 0
-        for state in bits(active):
-            if meter is not None:
-                meter.check_deadline()
-            layer = frontier[state]
-            for row, successors in moves[state]:
-                step = reduce(or_, select(adjacency[row], layer), 0)
-                if not step:
-                    continue
-                for next_state in bits(successors):
-                    fresh = step & ~visited[next_state]
-                    if fresh:
-                        visited[next_state] |= fresh
-                        reached[next_state] |= fresh
-                        next_active |= 1 << next_state
-                        if meter is not None:
-                            meter.charge("configs", fresh.bit_count())
-        frontier, active = reached, next_active
+    visited = _search(
+        _move_table(nfa, adjacency), members(nfa.initial), source, meter, layers
+    )
     found = 0
     for state in bits(nfa.final):
         found |= visited[state]

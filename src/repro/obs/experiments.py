@@ -845,10 +845,13 @@ def _exp_evaluation(suite: str) -> dict[str, Any]:
     ]
     db = random_graph(14, 40, ALPHABET, seed=23)
 
-    # Differential answer agreement: the all-sources BFS
-    # (``query.evaluate``) and one single-source BFS per node
+    # Consistency of the two entry points: the all-pairs answer
+    # (``query.evaluate``) and one single-source read per node
     # (``query.targets``, after forgetting the snapshot memo so no
     # all-pairs answer can be sliced) must produce identical answer sets.
+    # Both run the one layered product search, so this checks the
+    # all-pairs loop and the row slicing, not the search itself: tier-1
+    # holds the search to the object-state oracle in tests/oracles/.
     def forget() -> None:  # a cold start: empty caches, empty memo
         clear_caches()
         db.snapshot().memo.clear()

@@ -4,13 +4,17 @@ A database is a finite set of facts ``p(a1, ..., ak)`` over a set of
 predicate names with fixed arities.  As the paper observes (Section
 3.1), a graph database *is* a relational structure whose schema consists
 of binary relations — conversions both ways live here.
+
+Joins read an instance through :meth:`Instance.matching`: a hash index
+per (predicate, bound positions), built on first use, stored only once
+complete and dropped when its predicate gains a row.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
+from operator import itemgetter
+from typing import Collection, Hashable, Iterable, Iterator
 
 Constant = Hashable
 Fact = tuple[str, tuple[Constant, ...]]
@@ -29,6 +33,8 @@ class Instance:
     def __init__(self) -> None:
         self._relations: dict[str, set[tuple[Constant, ...]]] = defaultdict(set)
         self._arities: dict[str, int] = {}
+        # predicate -> bound positions -> key -> rows, in relation order.
+        self._indexes: dict[str, dict[tuple[int, ...], dict[tuple, list]]] = {}
 
     @classmethod
     def from_facts(cls, facts: Iterable[Fact]) -> "Instance":
@@ -45,7 +51,10 @@ class Instance:
             raise ValueError(
                 f"{predicate} has arity {arity}, got tuple of length {len(row)}"
             )
-        self._relations[predicate].add(row)
+        rows = self._relations[predicate]
+        if row not in rows:
+            rows.add(row)
+            self._indexes.pop(predicate, None)
 
     def declare(self, predicate: str, arity: int) -> None:
         """Register a (possibly empty) relation with the given arity."""
@@ -54,8 +63,49 @@ class Instance:
             raise ValueError(f"{predicate} has arity {existing}, not {arity}")
         self._relations.setdefault(predicate, set())
 
+    def install(self, predicate: str, arity: int, rows: set[tuple[Constant, ...]]) -> None:
+        """Make *predicate* hold exactly *rows* (of *arity*), taking the
+        set over uncopied: semi-naive Datalog's per-round deltas."""
+        self.declare(predicate, arity)
+        self._relations[predicate] = rows
+        self._indexes.pop(predicate, None)
+
     def tuples(self, predicate: str) -> frozenset[tuple[Constant, ...]]:
+        """A copy of *predicate*'s rows (joins use :meth:`matching`)."""
         return frozenset(self._relations.get(predicate, ()))
+
+    def size(self, predicate: str) -> int:
+        """The number of rows of *predicate* (0 when unknown)."""
+        rows = self._relations.get(predicate)
+        return 0 if rows is None else len(rows)
+
+    def matching(
+        self, predicate: str, positions: tuple[int, ...], key: tuple
+    ) -> Collection[tuple[Constant, ...]]:
+        """The rows of *predicate* whose values at *positions* (ascending)
+        are *key*, in the relation's iteration order; read-only (with no
+        positions, the relation itself)."""
+        rows = self._relations.get(predicate)
+        if not rows:
+            return ()
+        if not positions:
+            return rows
+        if len(positions) == self._arities[predicate]:
+            return (key,) if key in rows else ()
+        indexes = self._indexes.setdefault(predicate, {})
+        index = indexes.get(positions)
+        if index is None:
+            index = {}
+            if len(positions) == 1:
+                (position,) = positions
+                for row in rows:
+                    index.setdefault((row[position],), []).append(row)
+            else:
+                key_of = itemgetter(*positions)
+                for row in rows:
+                    index.setdefault(key_of(row), []).append(row)
+            indexes[positions] = index
+        return index.get(key, ())
 
     def arity(self, predicate: str) -> int | None:
         return self._arities.get(predicate)

@@ -7,15 +7,16 @@ letters ``r-`` and is evaluated over *semipaths* — navigations that may
 traverse edges backwards.
 
 Evaluation is a product construction over ``(node, automaton state)``
-configurations, run **set-at-a-time** against a compiled
+configurations, run against a compiled
 :class:`repro.graphdb.snapshot.GraphSnapshot`: the automaton and the
 per-symbol adjacency are compiled once per snapshot and memoized on it
 with the all-pairs answer, keyed by the query's regex (or, for a raw
-automaton, by the automaton object), and a single multi-source frontier
-BFS answers the query for every source simultaneously.  Single-source
-queries run a layered BFS on the same compiled context, and slice the
-all-pairs answer once it exists; a witness semipath runs that layered
-BFS to the end and walks back through its layers, under the same meter
+automaton, by the automaton object).  Every read runs one layered
+product search per source node, set-at-a-time over node bitsets: the
+all-pairs answer runs it from every source and keeps one target row per
+source, a single-source read runs it once (or reads the source's row
+once the all-pairs answer exists), and a witness semipath runs it to
+the end and walks back through its layers, all under the same meter
 contract.
 """
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 from ..automata.alphabet import base_symbol
 from ..automata.dfa import reduce_nfa
-from ..automata.indexed import IndexedNFA, bits, select
+from ..automata.indexed import IndexedNFA, select
 from ..automata.nfa import NFA, Word
 from ..cache import regex_nfa_cache
 from ..graphdb.database import GraphDatabase, Node
@@ -73,17 +74,17 @@ class _EvalContext:
     Holds the NFA itself, so the memo key ``id(nfa)`` of a raw automaton
     stays unique while the entry lives, and no reference to the
     snapshot, so the memo forms no cycle.  Once the all-pairs answer is
-    computed, ``sources[y]`` is the bitset of node ids answering with
-    target ``y`` and ``pairs`` the answer set.
+    computed, ``rows[x]`` is the bitset of the target ids answering
+    source ``x`` and ``pairs`` the answer set.
     """
 
-    __slots__ = ("nfa", "compiled", "adjacency", "sources", "pairs")
+    __slots__ = ("nfa", "compiled", "adjacency", "rows", "pairs")
 
     def __init__(self, nfa: NFA, snapshot: GraphSnapshot) -> None:
         self.nfa = nfa
         self.compiled = IndexedNFA.from_nfa(nfa)
         self.adjacency = snapshot.adjacency_for(self.compiled.symbols)
-        self.sources: list[int] | None = None
+        self.rows: list[int] | None = None
         self.pairs: frozenset[tuple[Node, Node]] | None = None
 
 
@@ -125,16 +126,14 @@ def _all_pairs(
         nodes=len(nodes),
         states=context.compiled.num_states,
     ) as span:
-        answers, configs = reach_all_sources(
+        rows, configs = reach_all_sources(
             context.compiled, context.adjacency, len(nodes), meter=meter
         )
         span.count("configs", configs)
     _EVAL_BFS_RUNS.inc()
-    context.sources = answers
+    context.rows = rows
     context.pairs = frozenset(
-        (nodes[source], nodes[target])
-        for target in range(len(nodes))
-        for source in bits(answers[target])
+        (source, target) for source, row in zip(nodes, rows) for target in select(nodes, row)
     )
     return context.pairs
 
@@ -154,13 +153,11 @@ def _targets(
     if source_id is None:
         return frozenset()
     nodes = snapshot.nodes
-    sources = context.sources
-    if sources is not None:
+    rows = context.rows
+    if rows is not None:
         # The all-pairs answer is already memoized on this snapshot:
-        # read the source's bit off every target's source bitset
-        # instead of re-running any BFS.
-        bit = 1 << source_id
-        return frozenset(nodes[target] for target, mask in enumerate(sources) if mask & bit)
+        # read the source's target row instead of re-running any BFS.
+        return frozenset(select(nodes, rows[source_id]))
     with maybe_span(tracer, "eval-bfs", mode="single-source", nodes=len(nodes)):
         mask = reach_from_source(
             context.compiled, context.adjacency, len(nodes), source_id, meter=meter

@@ -8,9 +8,11 @@ random graphs: for random 2RPQs, and for raw automata with several
 initial states, an empty language, or a source with no edges; on the raw
 automata every witness must conform and be as short as
 ``tests/oracles/evaluation.witness_semipath``'s.  The meter contract is
-pinned for both reads: one ``configs`` unit per newly reached
-(state, node), and ``BudgetExhausted`` under a small ``max_configs`` or
-an expired deadline.
+pinned for the three reads that run the layered search, the all-pairs
+``evaluate`` included: one ``configs`` unit per newly reached
+(state, node), summed over sources for ``evaluate``, initial
+configurations free, and ``BudgetExhausted`` under a small
+``max_configs`` or an expired deadline.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from repro.budget import Budget, BudgetExhausted
 from repro.graphdb.database import GraphDatabase
 from repro.graphdb.generators import path_graph, random_graph
 from repro.graphdb.snapshot import reach_from_source, witness_path
+from repro.obs.trace import Tracer
 from repro.rpq import rpq
 from repro.rpq.rpq import TwoRPQ
 from tests.oracles import evaluation as oracle
@@ -190,28 +193,52 @@ def _witness(db, target, meter):
     return TwoRPQ.parse("r+").witness_semipath(db, 0, target, meter=meter)
 
 
+def _evaluate(db, target, meter):
+    return TwoRPQ.parse("r+").evaluate(db, meter=meter)
+
+
 READS = pytest.mark.parametrize(
-    "read", [_targets, _witness], ids=["targets", "witness_semipath"]
+    "read", [_targets, _witness, _evaluate], ids=["targets", "witness_semipath", "evaluate"]
 )
 
 
 class TestMeter:
-    """A single-source read, and a witness built on one, charges the
-    meter it is given and checks its deadline."""
+    """A single-source read, a witness built on one, and the all-pairs
+    answer (one search per source) charge the meter they are given and
+    check its deadline."""
 
     @pytest.mark.parametrize(
-        "read, expected",
-        [(_targets, set(range(1, 11))), (_witness, (0, "r", 5, "r", 10))],
-        ids=["targets", "witness_semipath"],
+        "read, expected, configs",
+        [
+            (_targets, set(range(1, 11)), 10),
+            (_witness, (0, "r", 5, "r", 10), 10),
+            # Source 0 reaches 10 nodes, sources 1..5 one each, 6..10 none.
+            (
+                _evaluate,
+                {(0, i) for i in range(1, 11)} | {(i, i + 5) for i in range(1, 6)},
+                15,
+            ),
+        ],
+        ids=["targets", "witness_semipath", "evaluate"],
     )
-    def test_configs_charged_per_newly_reached_state_node(self, read, expected):
+    def test_configs_charged_per_newly_reached_state_node(self, read, expected, configs):
         # Two layers of five nodes: 0 -> 1..5, and i -> i + 5.
         db = GraphDatabase.from_edges(
             [(0, "r", i) for i in range(1, 6)] + [(i, "r", i + 5) for i in range(1, 6)]
         )
         meter = Budget(max_configs=100).start()
         assert read(db, 10, meter) == expected
-        assert meter.spent["configs"] == 10
+        assert meter.spent["configs"] == configs
+
+    def test_evaluate_span_reports_what_it_charges(self):
+        db = GraphDatabase.from_edges(
+            [(0, "r", i) for i in range(1, 6)] + [(i, "r", i + 5) for i in range(1, 6)]
+        )
+        tracer, meter = Tracer(), Budget(max_configs=100).start()
+        TwoRPQ.parse("r+").evaluate(db, tracer=tracer, meter=meter)
+        (span,) = [span for root in tracer.roots for span in root.walk() if span.name == "eval-bfs"]
+        assert span.tags["mode"] == "all-sources"
+        assert span.counters["configs"] == meter.spent["configs"] == 15
 
     @READS
     def test_small_max_configs_raises(self, read):

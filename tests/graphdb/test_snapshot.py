@@ -259,8 +259,8 @@ class TestSnapshotMemo:
 
     def test_slices_read_source_bitsets_not_the_answer_set(self):
         """Once the all-pairs answer exists, a single-source read takes
-        one pass over the per-target source bitsets; it never scans the
-        answer set, and it runs no BFS."""
+        the source's memoized target row; it never scans the answer set,
+        and it runs no BFS."""
         from repro.obs.metrics import counter
 
         class Unscannable(frozenset):
