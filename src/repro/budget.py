@@ -29,14 +29,21 @@ procedure's own defaults fill only the fields a caller left unset
 (:meth:`Budget.merged`).
 
 Degradation contract (DESIGN.md "Resource governance"):
+:func:`bounded_result` is the one builder of an exhausted verdict, for
+the engine's procedures and for the batch and serving layers alike.
 
-- counter exhaustion (configs/states/expansions) yields
-  ``Verdict.HOLDS_UP_TO_BOUND`` — the explored part of the search is a
-  genuine bounded-exactness statement;
-- deadline exhaustion yields ``Verdict.INCONCLUSIVE`` — wall-clock says
-  nothing structural about the search space;
-- both carry ``details["budget"]`` recording which resource ran out and
-  the full spend snapshot (counters + elapsed ms).
+- an exhausted counter of :data:`RESOURCES` (configs/states/
+  expansions/...) yields ``Verdict.HOLDS_UP_TO_BOUND`` — the explored
+  part of the search is a genuine bounded-exactness statement;
+- any other exhausted resource yields ``Verdict.INCONCLUSIVE``: the
+  check's ``deadline``, the batch's ``pool_deadline`` and
+  ``start_deadline``, the server's ``admission:<reason>`` — wall-clock
+  and queue state say nothing structural about the search space;
+- both carry ``details["budget"]`` with exactly the keys ``exhausted``
+  (the resource), ``spent``, ``limit`` and ``spend`` (the spend
+  snapshot: counters + elapsed ms).  A verdict for a check that never
+  ran adds the :func:`not_run_details` blocks that it shares with the
+  batch layer's ``ERROR`` verdict.
 """
 
 from __future__ import annotations
@@ -342,30 +349,43 @@ def configured_budget(
     return Budget(deadline_ms=deadline_ms, max_expansions=max_expansions)
 
 
+def not_run_details(kernel: str) -> dict[str, Any]:
+    """The ``cache`` and ``kernel`` blocks of a verdict for a check that never ran.
+
+    Shed, starved and failed checks looked nothing up and selected no
+    kernel; recording that keeps every result's details the same shape
+    as the engine's.
+    """
+    return {"cache": "bypass", "kernel": {"requested": kernel, "selected": None}}
+
+
 def bounded_result(
     method: str,
     exc: BudgetExhausted,
     meter: BudgetMeter | None = None,
     details: Mapping[str, Any] | None = None,
+    *,
+    spend: Mapping[str, Any] | None = None,
 ) -> ContainmentResult:
-    """The structured verdict for a budget-exhausted containment check.
+    """The structured verdict for an exhausted check (see module docstring).
 
-    Counter exhaustion (configs/states/expansions/...) becomes
+    An exhausted counter of :data:`RESOURCES` becomes
     ``HOLDS_UP_TO_BOUND`` — no counterexample exists within the explored
-    part of the search, a genuine bounded statement.  Deadline
-    exhaustion becomes ``INCONCLUSIVE`` — elapsed time bounds nothing
-    structural.  Both always carry spend accounting in
-    ``details["budget"]``.
+    part of the search, a genuine bounded statement.  Any other resource
+    (a deadline of some stage, an admission shed) becomes
+    ``INCONCLUSIVE`` — elapsed time and queue state bound nothing
+    structural.  ``details["budget"]`` records the resource, its spent
+    amount and limit, and the spend snapshot: *meter*'s, else *spend*
+    (for a check that no meter ran).
     """
     accounting: dict[str, Any] = {
         "exhausted": exc.resource,
         "spent": exc.spent,
         "limit": exc.limit,
-        "spend": meter.spend() if meter is not None else {},
+        "spend": meter.spend() if meter is not None else dict(spend or {}),
     }
-    merged: dict[str, Any] = dict(details) if details else {}
-    merged["budget"] = accounting
-    if exc.resource == "deadline":
+    merged: dict[str, Any] = {**(details or {}), "budget": accounting}
+    if exc.resource not in RESOURCES:
         return ContainmentResult(Verdict.INCONCLUSIVE, method, details=merged)
     bound = exc.limit if exc.limit is not None else exc.spent
     return ContainmentResult(

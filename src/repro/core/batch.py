@@ -33,6 +33,14 @@ Semantics (DESIGN.md "Concurrency architecture"):
   pool deadline as the exhausted resource.  Items already running
   finish (their own per-item ``budget`` bounds them cooperatively —
   pass one if individual checks may be long).
+- **Start deadline.** An item submitted with a ``start_deadline`` that
+  a worker dequeues too late is not run: it comes back as the
+  ``"start-deadline"`` ``INCONCLUSIVE``, on either backend.  The
+  serving layer turns that verdict into its shed response on its own
+  event loop, so nothing but queries, budgets and options crosses into
+  a worker, and process workers import nothing from :mod:`repro.serve`.
+  Every degraded verdict here is built by
+  :func:`repro.budget.bounded_result`.
 - **Tracing.** ``trace=True`` gives every *item* its own
   :class:`repro.obs.trace.Tracer` (tracers are single-check objects by
   contract), so concurrent span trees never interleave; each item's
@@ -69,11 +77,6 @@ Backends:
     what moved (:attr:`BatchItem.telemetry`); the parent folds it in
     exactly once at completion, so ``repro top``, the ``metrics`` verb,
     and post-batch snapshots report true figures instead of zeros.
-  - **Picklable hooks.** The ``expired_result`` admission hook crosses
-    the boundary when it pickles — the serving layer uses a frozen
-    dataclass spec (:class:`repro.serve.admission.DeadlineShedSpec`),
-    so ``start_deadline`` sheds identically on both backends.  Plain
-    callables (closures, lambdas) remain fine on the thread backend.
 
 Batch metrics (parent process): ``batch.items`` (counter),
 ``batch.wall_ms`` (histogram), ``batch.workers`` and
@@ -95,7 +98,7 @@ import traceback
 from typing import Any, Iterable, Iterator, Sequence
 
 from ..automata.antichain import resolve_kernel
-from ..budget import Budget
+from ..budget import Budget, BudgetExhausted, bounded_result, not_run_details
 from ..obs.metrics import REGISTRY, counter as _metric_counter, \
     gauge as _metric_gauge, histogram as _metric_histogram, merge_snapshot_delta
 from ..obs.trace import Tracer
@@ -278,52 +281,7 @@ def error_result(
                 "index": index,
             },
             "budget": {"spend": {}},
-            "cache": "bypass",
-            "kernel": {"requested": kernel, "selected": None},
-        },
-    )
-
-
-def _degraded_result(
-    pool_deadline_ms: float, elapsed_ms: float, kernel: str = "auto"
-) -> ContainmentResult:
-    """The INCONCLUSIVE verdict for an item the pool deadline starved."""
-    return ContainmentResult(
-        Verdict.INCONCLUSIVE,
-        "batch-pool-deadline",
-        details={
-            "budget": {
-                "exhausted": "pool_deadline",
-                "spent": round(elapsed_ms, 3),
-                "limit": pool_deadline_ms,
-                "spend": {},
-            },
-            "cache": "bypass",
-            "kernel": {"requested": kernel, "selected": None},
-        },
-    )
-
-
-def _expired_start_result(
-    late_ms: float, start_deadline_ms: float, kernel: str = "auto"
-) -> ContainmentResult:
-    """Default degraded verdict for an item whose start deadline passed.
-
-    Same honest-accounting shape as the pool-deadline degradation; the
-    serving layer substitutes its own factory to add admission details.
-    """
-    return ContainmentResult(
-        Verdict.INCONCLUSIVE,
-        "start-deadline",
-        details={
-            "budget": {
-                "exhausted": "start_deadline",
-                "spent": round(late_ms, 3),
-                "limit": round(start_deadline_ms, 3),
-                "spend": {},
-            },
-            "cache": "bypass",
-            "kernel": {"requested": kernel, "selected": None},
+            **not_run_details(kernel),
         },
     )
 
@@ -359,6 +317,7 @@ def _warm_start(options: dict[str, Any]) -> None:
 
 
 def _run_one_item(
+    *,
     index: int,
     q1: Any,
     q2: Any,
@@ -366,29 +325,24 @@ def _run_one_item(
     trace: bool,
     options: dict[str, Any],
     start_deadline: float | None = None,
-    expired_result: Any = None,
     request_id: str | None = None,
     collect_telemetry: bool = False,
 ) -> BatchItem:
     """One worker-side check: isolate failures, label the worker.
 
-    Module-level (not a closure) so the process backend can pickle it.
-    Each traced item gets its *own* Tracer — the tracer contract is one
-    tracer per check, which is what keeps concurrent span trees from
-    interleaving.
+    Module-level (not a closure) so the process backend can pickle it;
+    the executor passes every argument by keyword.  Each traced item
+    gets its *own* Tracer — the tracer contract is one tracer per
+    check, which is what keeps concurrent span trees from interleaving.
 
     ``start_deadline`` is an absolute ``time.monotonic`` instant: if the
     pool dequeues the item after it, the check never starts and the item
-    degrades via ``expired_result(late_ms)`` (default: an
-    ``INCONCLUSIVE`` with method ``"start-deadline"``).  This is the
-    admission-control hook of the serving layer — queue wait counts
-    against a request's deadline even though the engine's own
-    ``BudgetMeter`` clock only starts when the check does.
-
-    ``expired_result`` may be any ``(late_ms) -> ContainmentResult``
-    callable on the thread backend; on the process backend it must
-    pickle (the serving layer's spec is a frozen dataclass —
-    :class:`repro.serve.admission.DeadlineShedSpec`).
+    is the ``"start-deadline"`` ``INCONCLUSIVE``, whose budget block
+    records how late the dequeue was (``spent``, ms) against the
+    instant (``limit``).  This is the admission-control hook of the
+    serving layer — queue wait counts against a request's deadline even
+    though the engine's own ``BudgetMeter`` clock only starts when the
+    check does.
 
     ``collect_telemetry`` (process backend) drains the worker's metrics
     registry once after the check and ships what moved as
@@ -398,13 +352,16 @@ def _run_one_item(
     """
     start = time.monotonic()
     if start_deadline is not None and start > start_deadline:
-        late_ms = (start - start_deadline) * 1000.0
-        if expired_result is not None:
-            result = expired_result(late_ms)
-        else:
-            result = _expired_start_result(
-                late_ms, start_deadline, kernel=options.get("kernel", "auto")
-            )
+        late = BudgetExhausted(
+            resource="start_deadline",
+            spent=round((start - start_deadline) * 1000.0, 3),
+            limit=round(start_deadline, 3),
+        )
+        result = bounded_result(
+            "start-deadline",
+            late,
+            details=not_run_details(options.get("kernel", "auto")),
+        )
         return BatchItem(index, result, 0.0, None, request_id)
     worker = f"pid:{os.getpid()}/{threading.current_thread().name}"
     try:
@@ -556,17 +513,14 @@ class ContainmentExecutor:
         budget: Budget | str | None = None,
         trace: bool = False,
         start_deadline: float | None = None,
-        expired_result: Any = None,
         request_id: str | None = None,
         options: dict[str, Any] | None = None,
     ) -> "concurrent.futures.Future[BatchItem]":
         """Submit one pair; the future resolves to its :class:`BatchItem`.
 
-        ``start_deadline`` / ``expired_result`` are the admission hook
-        of :func:`_run_one_item`; on the process backend
-        ``expired_result`` must pickle (a frozen-dataclass spec like
-        :class:`repro.serve.admission.DeadlineShedSpec` — plain
-        callables remain fine on the thread backend).  ``request_id``
+        ``start_deadline`` is the admission hook of
+        :func:`_run_one_item` (an item dequeued after it comes back as
+        the ``"start-deadline"`` ``INCONCLUSIVE``).  ``request_id``
         is carried through verbatim onto the resulting
         :class:`BatchItem` (including submit-time error items) so the
         serving layer's telemetry can correlate it.  ``options``
@@ -583,53 +537,52 @@ class ContainmentExecutor:
         if options:
             _validate_pool_args(self.workers, self.backend, dict(options))
             merged.update(options)
-        args = (
-            index,
-            q1,
-            q2,
-            budget,
-            trace,
-            merged,
-            start_deadline,
-            expired_result,
-            request_id,
-            self.backend == "process",
-        )
+        kwargs = {
+            "index": index,
+            "q1": q1,
+            "q2": q2,
+            "budget": budget,
+            "trace": trace,
+            "options": merged,
+            "start_deadline": start_deadline,
+            "request_id": request_id,
+            "collect_telemetry": self.backend == "process",
+        }
         outer = _ItemFuture()
-        self._dispatch(args, outer, attempt=1)
+        self._dispatch(kwargs, outer, attempt=1)
         return outer
 
     # --- dispatch / recovery internals -----------------------------------
 
-    def _dispatch(self, args: tuple, outer: _ItemFuture, attempt: int) -> None:
-        """Submit *args* to the current pool, wiring completion to *outer*."""
+    def _dispatch(self, kwargs: dict, outer: _ItemFuture, attempt: int) -> None:
+        """Submit one :func:`_run_one_item` call, wiring completion to *outer*."""
         with self._lock:
             pool = self._pool
             generation = self._generation
         try:
-            inner = pool.submit(_run_one_item, *args)
+            inner = pool.submit(_run_one_item, **kwargs)
         except concurrent.futures.BrokenExecutor as exc:
             # The pool broke between submissions (a previous item's
             # worker died).  Rebuild once and resubmit; a second break
             # resolves to an isolated ERROR rather than looping.
             if attempt >= _MAX_ATTEMPTS or self._closed:
-                self._resolve_error(outer, args, exc)
+                self._resolve_error(outer, kwargs, exc)
                 return
             self._rebuild(generation)
-            self._dispatch(args, outer, attempt + 1)
+            self._dispatch(kwargs, outer, attempt + 1)
             return
         except Exception as exc:  # e.g. pool shut down
-            self._resolve_error(outer, args, exc)
+            self._resolve_error(outer, kwargs, exc)
             return
         outer.inner = inner
         inner.add_done_callback(
-            lambda f: self._on_done(f, args, outer, attempt, generation)
+            lambda f: self._on_done(f, kwargs, outer, attempt, generation)
         )
 
     def _on_done(
         self,
         inner: concurrent.futures.Future,
-        args: tuple,
+        kwargs: dict,
         outer: _ItemFuture,
         attempt: int,
         generation: int,
@@ -656,9 +609,9 @@ class ContainmentExecutor:
             # its own item, maybe an innocent bystander's.  Rebuild the
             # pool and quarantine-retry to find out.
             self._rebuild(generation)
-            self._enqueue_retry(args, outer, attempt + 1)
+            self._enqueue_retry(kwargs, outer, attempt + 1)
             return
-        self._resolve_error(outer, args, exc)
+        self._resolve_error(outer, kwargs, exc)
 
     def _rebuild(self, broken_generation: int) -> None:
         """Replace the broken pool (once per break, however many see it)."""
@@ -671,7 +624,7 @@ class ContainmentExecutor:
         _BATCH_POOL_REBUILDS.inc()
         broken.shutdown(wait=False)
 
-    def _enqueue_retry(self, args: tuple, outer: _ItemFuture, attempt: int) -> None:
+    def _enqueue_retry(self, kwargs: dict, outer: _ItemFuture, attempt: int) -> None:
         with self._lock:
             if self._retry_thread is None:
                 self._retry_queue = _queue.SimpleQueue()
@@ -683,7 +636,7 @@ class ContainmentExecutor:
                 self._retry_thread.start()
             retry_queue = self._retry_queue
         assert retry_queue is not None
-        retry_queue.put((args, outer, attempt))
+        retry_queue.put((kwargs, outer, attempt))
 
     def _retry_loop(self) -> None:
         assert self._retry_queue is not None
@@ -693,7 +646,7 @@ class ContainmentExecutor:
                 return
             self._retry_one(*entry)
 
-    def _retry_one(self, args: tuple, outer: _ItemFuture, attempt: int) -> None:
+    def _retry_one(self, kwargs: dict, outer: _ItemFuture, attempt: int) -> None:
         """Quarantined re-run: one retry in flight at a time.
 
         Serialization is the blame mechanism — if the pool breaks again
@@ -705,9 +658,9 @@ class ContainmentExecutor:
             pool = self._pool
             generation = self._generation
         try:
-            inner = pool.submit(_run_one_item, *args)
+            inner = pool.submit(_run_one_item, **kwargs)
         except Exception as exc:
-            self._resolve_error(outer, args, exc)
+            self._resolve_error(outer, kwargs, exc)
             return
         outer.inner = inner
         try:
@@ -715,12 +668,12 @@ class ContainmentExecutor:
         except concurrent.futures.BrokenExecutor as exc:
             # Crashed again, alone in the pool: this item is the poison.
             self._rebuild(generation)
-            self._resolve_error(outer, args, exc)
+            self._resolve_error(outer, kwargs, exc)
         except concurrent.futures.CancelledError as exc:
             # Shutdown cancelled the retry under us; still answer.
-            self._resolve_error(outer, args, exc)
+            self._resolve_error(outer, kwargs, exc)
         except Exception as exc:
-            self._resolve_error(outer, args, exc)
+            self._resolve_error(outer, kwargs, exc)
         else:
             self._resolve_item(outer, item)
 
@@ -736,10 +689,10 @@ class ContainmentExecutor:
                 pass
 
     def _resolve_error(
-        self, outer: _ItemFuture, args: tuple, exc: BaseException
+        self, outer: _ItemFuture, kwargs: dict, exc: BaseException
     ) -> None:
-        index, request_id = args[0], args[8]
-        kernel = args[5].get("kernel", "auto")
+        index, request_id = kwargs["index"], kwargs["request_id"]
+        kernel = kwargs["options"].get("kernel", "auto")
         item = BatchItem(
             index, error_result(index, exc, kernel=kernel), 0.0, None, request_id
         )
@@ -837,15 +790,17 @@ def check_containment_many(
                 for future, index in futures.items():
                     if future.cancel():
                         # Never started: degrade, with honest accounting.
-                        elapsed_ms = (time.monotonic() - start) * 1000.0
-                        slots[index] = BatchItem(
-                            index,
-                            _degraded_result(
-                                pool_deadline_ms, elapsed_ms, kernel=kernels[index]
-                            ),
-                            0.0,
-                            None,
+                        starved = BudgetExhausted(
+                            resource="pool_deadline",
+                            spent=round((time.monotonic() - start) * 1000.0, 3),
+                            limit=pool_deadline_ms,
                         )
+                        result = bounded_result(
+                            "batch-pool-deadline",
+                            starved,
+                            details=not_run_details(kernels[index]),
+                        )
+                        slots[index] = BatchItem(index, result, 0.0, None)
             for future, index in futures.items():
                 if slots[index] is not None:
                     continue  # degraded above

@@ -18,16 +18,19 @@ Datalog               expansion semi-decision                    refutation-soun
 ====================  =========================================  ========
 
 Graph queries may also be checked against Datalog programs whose EDB is
-binary: the graph query is translated through the Section 4.1 embedding.
+binary: the graph query is translated through the Section 4.1 embedding
+and the pair is dispatched in the same call, so a cross-tower check
+passes the front door (metrics, cache, ``check-containment`` span) once.
 
 Resource governance (DESIGN.md "Resource governance"): every dispatch
 accepts an optional ``budget`` — a :class:`repro.budget.Budget` or the
 string ``"auto"`` — threaded down to the kernels.  Exhaustion never
 raises out of the engine: counter exhaustion degrades to
 ``HOLDS_UP_TO_BOUND``, deadline exhaustion to ``INCONCLUSIVE``, both
-with spend accounting in ``details["budget"]``.  ``budget="auto"`` (or
-any Budget with ``escalate=True``) runs staged escalation: geometrically
-larger bounds until the verdict is exact or the deadline is spent.
+with spend accounting in ``details["budget"]``, written by
+:func:`repro.budget.bounded_result`.  ``budget="auto"`` (or any Budget
+with ``escalate=True``) runs staged escalation: geometrically larger
+bounds until the verdict is exact or the deadline is spent.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ import time
 from typing import Any
 
 from ..automata.antichain import resolve_kernel
-from ..budget import Budget, deadline_scope
+from ..budget import Budget, BudgetExhausted, bounded_result, deadline_scope, \
+    not_run_details
 from ..cache import containment_cache, query_cache_key
 from ..obs.metrics import counter as _metric_counter, histogram as _metric_histogram
 from ..obs.trace import Tracer, maybe_span
@@ -45,15 +49,13 @@ from ..cq.containment import ucq_contained
 from ..cq.syntax import CQ, UCQ
 from ..crpq.containment import uc2rpq_contained
 from ..datalog.containment import datalog_in_datalog, datalog_in_ucq, ucq_in_datalog
-from ..datalog.syntax import Program
 from ..grq.containment import grq_contained
 from ..grq.membership import is_grq
-from ..rpq.rpq import RPQ, TwoRPQ
+from ..rpq.rpq import RPQ
 from ..rpq.containment import rpq_contained, two_rpq_contained
 from ..rq.containment import rq_contained
-from ..rq.syntax import RQ
-from .classify import QueryClass, classify, least_common_class, promote
-from ..report import ContainmentResult, Counterexample, EquivalenceResult, Verdict
+from .classify import GRAPH_TOWER, QueryClass, classify, least_common_class, promote
+from ..report import ContainmentResult, EquivalenceResult, Verdict
 
 #: Every option name any dispatch target understands.  Anything else is
 #: a typo and raises TypeError at the engine boundary instead of being
@@ -208,9 +210,12 @@ def _run_uncached(
     """One fresh dispatch, with metrics and the budget-details guarantee.
 
     Every result leaving here carries ``details["budget"]`` (spend
-    accounting, or the empty ``{"spend": {}}`` for unmetered runs) —
-    normalized *before* the caller stores it in the cache, so hits
-    inherit the key for free.
+    accounting, or the empty ``{"spend": {}}`` for unmetered runs) and
+    ``details["kernel"]`` — procedures that run no language-inclusion
+    search (expansion towers, homomorphism checks) select no kernel,
+    which is recorded as ``selected: None``.  Both are normalized, in
+    one copy, *before* the caller stores the result in the cache, so
+    hits inherit them for free.
     """
     # time.monotonic throughout: the same clock BudgetMeter and the
     # escalation loop read, so details["budget"]["elapsed_ms"], the
@@ -218,25 +223,13 @@ def _run_uncached(
     start = time.monotonic()
     with deadline_scope(budget):
         result = _check_containment_uncached(q1, q2, budget, options, tracer)
-    if "budget" not in result.details:
-        result = dataclasses.replace(
-            result, details={**dict(result.details), "budget": {"spend": {}}}
+    if "budget" not in result.details or "kernel" not in result.details:
+        details = dict(result.details)
+        details.setdefault("budget", {"spend": {}})
+        details.setdefault(
+            "kernel", {"requested": options.get("kernel", "auto"), "selected": None}
         )
-    if "kernel" not in result.details:
-        # Procedures that run no language-inclusion search (expansion
-        # towers, homomorphism checks) select no kernel; record that
-        # honestly so every engine result carries the key — normalized
-        # before caching, so hits inherit it for free.
-        result = dataclasses.replace(
-            result,
-            details={
-                **dict(result.details),
-                "kernel": {
-                    "requested": options.get("kernel", "auto"),
-                    "selected": None,
-                },
-            },
-        )
+        result = dataclasses.replace(result, details=details)
     _CHECK_MS.observe((time.monotonic() - start) * 1000.0)
     _VERDICT_COUNTERS[result.verdict].inc()
     return result
@@ -318,17 +311,15 @@ def _escalate(
             break  # deadline spent mid-round; the next round has no time
     if result is None:
         # The deadline was already spent before the first round could run.
-        result = ContainmentResult(
-            Verdict.INCONCLUSIVE,
+        no_time = BudgetExhausted(
+            resource="deadline",
+            spent=round((time.monotonic() - start) * 1000.0, 3),
+            limit=budget.deadline_ms,
+        )
+        result = bounded_result(
             "escalation",
-            details={
-                "budget": {"exhausted": "deadline", "spend": {}},
-                "cache": "bypass",
-                "kernel": {
-                    "requested": options.get("kernel", "auto"),
-                    "selected": None,
-                },
-            },
+            no_time,
+            details=not_run_details(options.get("kernel", "auto")),
         )
     escalation = {
         "rounds": rounds,
@@ -344,22 +335,17 @@ def _check_containment_uncached(
 ) -> ContainmentResult:
     class1, class2 = classify(q1), classify(q2)
     common = least_common_class(class1, class2)
+    if common is None:
+        # Cross-tower: route the graph side through the Datalog embedding
+        # (RQ -> GRQ, Section 4.1) and dispatch the promoted pair here.
+        if class1 in GRAPH_TOWER:
+            q1 = promote(promote(q1, QueryClass.RQ), QueryClass.DATALOG)
+        else:
+            q2 = promote(promote(q2, QueryClass.RQ), QueryClass.DATALOG)
+        common = least_common_class(classify(q1), classify(q2))
     if tracer is not None:
         tracer.annotate(
-            q1_class=class1.name,
-            q2_class=class2.name,
-            common_class=common.name if common is not None else "cross-tower",
-        )
-    if common is None:
-        # Cross-tower: route graph queries through the Datalog embedding.
-        graph_side = class1 in (QueryClass.RPQ, QueryClass.TWO_RPQ, QueryClass.UC2RPQ, QueryClass.RQ)
-        q1 = promote(promote(q1, QueryClass.RQ), QueryClass.DATALOG) if graph_side else q1
-        q2 = q2 if graph_side else q2
-        if not graph_side:
-            q2 = promote(promote(q2, QueryClass.RQ), QueryClass.DATALOG)
-        return check_containment(
-            q1, q2, budget=budget, trace=tracer if tracer is not None else False,
-            **options,
+            q1_class=class1.name, q2_class=class2.name, common_class=common.name
         )
 
     # Only the RPQ and 2RPQ pipelines run a language-inclusion search,
@@ -400,13 +386,7 @@ def _dispatch(
     if left_ucq and right_ucq:
         # Chandra-Merlin is exact and terminating: no budget to thread.
         with maybe_span(tracer, "ucq-homomorphism"):
-            result = ucq_contained(q1, q2)
-        if result.holds:
-            return ContainmentResult(Verdict.HOLDS, "ucq-homomorphism")
-        instance, head = result.counterexample  # type: ignore[misc]
-        return ContainmentResult(
-            Verdict.REFUTED, "ucq-homomorphism", Counterexample(instance, head)
-        )
+            return ucq_contained(q1, q2)
     # A program on at least one side (recursive, or a nonrecursive one
     # classified as a UCQ).  Against a (U)CQ, the canonical-database /
     # expansion procedures are stronger than promoting the (U)CQ to a

@@ -1,13 +1,7 @@
 """Conjunctive queries and unions (Section 2.1): syntax, evaluation,
 Chandra-Merlin / Sagiv-Yannakakis containment, and core minimization."""
 
-from .containment import (
-    CQContainmentResult,
-    cq_contained,
-    cq_equivalent,
-    ucq_contained,
-    ucq_equivalent,
-)
+from .containment import cq_contained, ucq_contained
 from .evaluation import (
     bindings,
     evaluate_cq,
@@ -17,7 +11,6 @@ from .evaluation import (
 )
 from .homomorphism import (
     cq_homomorphism,
-    endomorphism_image,
     has_homomorphism,
     homomorphism_to_instance,
 )
@@ -25,18 +18,14 @@ from .minimization import is_minimal, minimize_cq, minimize_ucq
 from .syntax import CQ, UCQ, Atom, Term, Var, cq_from_strings, is_var
 
 __all__ = [
-    "CQContainmentResult",
     "cq_contained",
-    "cq_equivalent",
     "ucq_contained",
-    "ucq_equivalent",
     "bindings",
     "evaluate_cq",
     "evaluate_ucq",
     "satisfies",
     "satisfies_ucq",
     "cq_homomorphism",
-    "endomorphism_image",
     "has_homomorphism",
     "homomorphism_to_instance",
     "is_minimal",

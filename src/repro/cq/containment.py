@@ -15,25 +15,9 @@ differ, so every negative verdict is independently replayable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..relational.instance import Instance
+from ..report import ContainmentResult, Counterexample, Verdict
 from .evaluation import satisfies_ucq, satisfies
-from .syntax import CQ, UCQ, Term
-
-
-@dataclass(frozen=True)
-class CQContainmentResult:
-    """Outcome of a (U)CQ containment test.
-
-    Attributes:
-        holds: the verdict (always exact for this class).
-        counterexample: for negative verdicts, an instance plus head
-            tuple in ``Q1(D) - Q2(D)``.
-    """
-
-    holds: bool
-    counterexample: tuple[Instance, tuple[Term, ...]] | None = None
+from .syntax import CQ, UCQ
 
 
 def cq_contained(q1: CQ, q2: CQ) -> bool:
@@ -42,12 +26,12 @@ def cq_contained(q1: CQ, q2: CQ) -> bool:
     return satisfies(q2, instance, head)
 
 
-def cq_equivalent(q1: CQ, q2: CQ) -> bool:
-    return cq_contained(q1, q2) and cq_contained(q2, q1)
+def ucq_contained(u1: UCQ | CQ, u2: UCQ | CQ) -> ContainmentResult:
+    """Sagiv-Yannakakis UCQ containment with counterexample extraction.
 
-
-def ucq_contained(u1: UCQ | CQ, u2: UCQ | CQ) -> CQContainmentResult:
-    """Sagiv-Yannakakis UCQ containment with counterexample extraction."""
+    Exact: ``HOLDS``, or ``REFUTED`` by the canonical database and frozen
+    head of the first disjunct of *u1* that *u2* does not cover.
+    """
     left = u1 if isinstance(u1, UCQ) else UCQ((u1,))
     right = u2 if isinstance(u2, UCQ) else UCQ((u2,))
     if left.arity != right.arity:
@@ -57,9 +41,7 @@ def ucq_contained(u1: UCQ | CQ, u2: UCQ | CQ) -> CQContainmentResult:
     for disjunct in left:
         instance, head = disjunct.canonical_instance()
         if not satisfies_ucq(right, instance, head):
-            return CQContainmentResult(False, (instance, head))
-    return CQContainmentResult(True)
-
-
-def ucq_equivalent(u1: UCQ | CQ, u2: UCQ | CQ) -> bool:
-    return ucq_contained(u1, u2).holds and ucq_contained(u2, u1).holds
+            return ContainmentResult(
+                Verdict.REFUTED, "ucq-homomorphism", Counterexample(instance, head)
+            )
+    return ContainmentResult(Verdict.HOLDS, "ucq-homomorphism")

@@ -5,16 +5,14 @@ there is a homomorphism from ``Q2`` to ``Q1`` that is the identity on
 distinguished variables — equivalently, iff the head of ``Q1`` is in
 ``Q2`` evaluated over ``Q1``'s canonical database.  We implement the
 search by exactly that reduction, reusing the evaluation engine, and
-also expose the mapping itself for the minimization code.
+also expose the mapping itself.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from ..relational.instance import Instance
 from .evaluation import _first_binding, satisfies
-from .syntax import CQ, Atom, Term, Var, is_var
+from .syntax import CQ, Term, Var
 
 
 def homomorphism_to_instance(
@@ -45,30 +43,3 @@ def has_homomorphism(source: CQ, target: CQ) -> bool:
     """Boolean version of :func:`cq_homomorphism` (early exit)."""
     instance, head = target.canonical_instance()
     return satisfies(source, instance, head)
-
-
-def endomorphism_image(cq: CQ, mapping: Mapping[Var, Term]) -> CQ:
-    """Apply an endomorphism given as variable -> frozen-constant map.
-
-    Frozen constants ``("_frozen", name)`` are translated back to the
-    variables they froze, yielding the image query (used by core
-    computation).
-    """
-    unfreeze: dict[Term, Var] = {
-        ("_frozen", var.name): var for var in cq.variables()
-    }
-    substitution: dict[Var, Term] = {}
-    for var, value in mapping.items():
-        substitution[var] = unfreeze.get(value, value)
-    atoms = tuple(atom.substitute(substitution) for atom in cq.body)
-    new_head = tuple(substitution.get(var, var) for var in cq.head_vars)
-    if not all(is_var(term) for term in new_head):
-        raise ValueError("endomorphism must keep head variables as variables")
-    # Deduplicate atoms while keeping order stable.
-    seen: set[Atom] = set()
-    unique: list[Atom] = []
-    for atom in atoms:
-        if atom not in seen:
-            seen.add(atom)
-            unique.append(atom)
-    return CQ(new_head, tuple(unique))  # type: ignore[arg-type]

@@ -1,7 +1,7 @@
 """C2RPQ / UC2RPQ (Section 3.3): syntax, evaluation, expansions,
 containment (Theorem 6 class)."""
 
-from .containment import uc2rpq_contained, uc2rpq_equivalent
+from .containment import uc2rpq_contained
 from .evaluation import (
     evaluate_c2rpq,
     evaluate_uc2rpq,
@@ -25,7 +25,6 @@ __all__ = [
     "minimize_uc2rpq",
     "uc2rpq_to_datalog",
     "uc2rpq_contained",
-    "uc2rpq_equivalent",
     "evaluate_c2rpq",
     "evaluate_uc2rpq",
     "satisfies_c2rpq",

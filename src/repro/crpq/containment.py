@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from ..budget import UNLIMITED, Budget, BudgetExhausted, bounded_result
 from ..obs.trace import maybe_span
-from ..report import ContainmentResult, Counterexample, EquivalenceResult, Verdict
+from ..report import ContainmentResult, Counterexample, Verdict
 from .evaluation import satisfies_uc2rpq
 from .expansion import (
     enumerate_expansions,
@@ -171,23 +171,4 @@ def uc2rpq_contained(
         "uc2rpq-expansion",
         bound=min(bounds_used) if bounds_used else length_bound,
         details=details,
-    )
-
-
-def uc2rpq_equivalent(
-    q1: UC2RPQ | C2RPQ,
-    q2: UC2RPQ | C2RPQ,
-    exact: bool = False,
-    budget: Budget | None = None,
-) -> EquivalenceResult:
-    """Equivalence via both containment directions.
-
-    Returns an :class:`repro.report.EquivalenceResult` (truthy like the
-    bool this used to return); with ``exact=True`` bounded directions do
-    not count and are surfaced via ``bounded_directions``.
-    """
-    return EquivalenceResult(
-        uc2rpq_contained(q1, q2, budget=budget),
-        uc2rpq_contained(q2, q1, budget=budget),
-        exact=exact,
     )

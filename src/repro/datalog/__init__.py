@@ -13,7 +13,6 @@ from .analysis import (
 )
 from .containment import (
     cq_in_datalog,
-    datalog_equivalent_bounded,
     datalog_in_datalog,
     datalog_in_ucq,
     ucq_in_datalog,
@@ -46,7 +45,6 @@ __all__ = [
     "recursive_components",
     "recursive_predicates",
     "cq_in_datalog",
-    "datalog_equivalent_bounded",
     "datalog_in_datalog",
     "datalog_in_ucq",
     "ucq_in_datalog",

@@ -19,6 +19,7 @@ shortcut.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable
 
 from ..budget import UNLIMITED, Budget, BudgetExhausted, bounded_result
@@ -26,7 +27,7 @@ from ..cq.containment import ucq_contained
 from ..cq.evaluation import satisfies_ucq
 from ..cq.syntax import CQ, UCQ
 from ..obs.trace import maybe_span
-from ..report import ContainmentResult, Counterexample, EquivalenceResult, Verdict
+from ..report import ContainmentResult, Counterexample, Verdict
 from ..relational.instance import Instance
 from .analysis import is_nonrecursive
 from .evaluation import evaluate
@@ -169,12 +170,7 @@ def datalog_in_ucq(
             unfolded = unfold_nonrecursive(program)
             span.count("disjuncts", len(tuple(unfolded)))
             result = ucq_contained(unfolded, union)
-        if result.holds:
-            return ContainmentResult(Verdict.HOLDS, "unfold-to-ucq")
-        instance, head = result.counterexample  # type: ignore[misc]
-        return ContainmentResult(
-            Verdict.REFUTED, "unfold-to-ucq", Counterexample(instance, head)
-        )
+        return dataclasses.replace(result, method="unfold-to-ucq")
 
     def refute(instance: Instance, head: tuple) -> Counterexample | None:
         held = satisfies_ucq(union, instance, head)
@@ -229,23 +225,4 @@ def datalog_in_datalog(
         default_applications=None,
         default_expansions=DEFAULT_EXPANSION_BUDGET,
         tracer=tracer,
-    )
-
-
-def datalog_equivalent_bounded(
-    left: Program,
-    right: Program,
-    exact: bool = False,
-    budget: Budget | None = None,
-) -> EquivalenceResult:
-    """Bounded equivalence check via both containment directions.
-
-    Returns an :class:`repro.report.EquivalenceResult` (truthy like the
-    bool this used to return); with ``exact=True`` bounded directions do
-    not count and are surfaced via ``bounded_directions``.
-    """
-    return EquivalenceResult(
-        datalog_in_datalog(left, right, budget=budget),
-        datalog_in_datalog(right, left, budget=budget),
-        exact=exact,
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from ..budget import Budget
 from ..obs.trace import maybe_span
-from ..report import ContainmentResult, EquivalenceResult
+from ..report import ContainmentResult
 from ..datalog.containment import evaluation_refuter, expansion_containment
 from ..datalog.syntax import Program
 from .membership import check_grq
@@ -69,20 +69,4 @@ def grq_contained(
         default_applications=DEFAULT_APPLICATION_BOUND,
         default_expansions=DEFAULT_EXPANSION_BUDGET,
         tracer=tracer,
-    )
-
-
-def grq_equivalent(
-    left: Program, right: Program, exact: bool = False, budget: Budget | None = None
-) -> EquivalenceResult:
-    """Equivalence via both containment directions.
-
-    Returns an :class:`repro.report.EquivalenceResult` (truthy like the
-    bool this used to return); with ``exact=True`` bounded directions do
-    not count and are surfaced via ``bounded_directions``.
-    """
-    return EquivalenceResult(
-        grq_contained(left, right, budget=budget),
-        grq_contained(right, left, budget=budget),
-        exact=exact,
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from ..cq.syntax import CQ, UCQ, Atom, Var, is_var
+from ..cq.syntax import CQ, Atom, Var, is_var
 from ..graphdb.database import GraphDatabase
 from ..relational.instance import Instance
 
@@ -57,10 +57,6 @@ def encode_cq(cq: CQ) -> CQ:
     # encode_instance, which wraps constants in ("c", _).  Variables map
     # to variables, so the head is unchanged.
     return CQ(cq.head_vars, tuple(atoms))
-
-
-def encode_ucq(ucq: UCQ) -> UCQ:
-    return UCQ(tuple(encode_cq(cq) for cq in ucq))
 
 
 def encode_head(head: tuple) -> tuple:

@@ -132,7 +132,17 @@ class Instance:
         return frozenset(domain)
 
     def copy(self) -> "Instance":
-        return Instance.from_facts(self.facts())
+        """An independent copy, with every relation and its arity, empty
+        ones included.  Rows go in one at a time, as :meth:`from_facts`
+        adds them, so the copy iterates them as an instance built from
+        ``self.facts()`` would."""
+        copied = Instance()
+        copied._arities = dict(self._arities)
+        for predicate, rows in self._relations.items():
+            copied_rows = copied._relations[predicate]
+            for row in rows:
+                copied_rows.add(row)
+        return copied
 
     def union(self, other: "Instance") -> "Instance":
         merged = self.copy()

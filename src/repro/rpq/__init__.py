@@ -5,7 +5,6 @@ from .containment import (
     paper_divergence_example,
     rpq_contained,
     two_rpq_contained,
-    two_rpq_equivalent,
     word_counterexample,
 )
 from .rpq import RPQ, TwoRPQ, evaluate_nfa_on_graph, targets_from
@@ -16,7 +15,6 @@ __all__ = [
     "paper_divergence_example",
     "rpq_contained",
     "two_rpq_contained",
-    "two_rpq_equivalent",
     "word_counterexample",
     "Rewriting",
     "answer_using_views",

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from ..automata.alphabet import Alphabet, base_symbol
+from ..automata.alphabet import Alphabet
 from ..automata.complement import LazyComplement, complement_two_nfa
 from ..automata.dfa import containment_counterexample
 from ..automata.fold import fold_two_nfa
@@ -30,7 +30,7 @@ from ..automata.onthefly import find_accepted_word
 from ..automata.shepherdson import LazyShepherdsonComplement
 from ..budget import Budget, BudgetExhausted, bounded_result, deadline_scope
 from ..obs.trace import maybe_span
-from ..report import ContainmentResult, Counterexample, EquivalenceResult, Verdict
+from ..report import ContainmentResult, Counterexample, Verdict
 from ..graphdb.database import canonical_database_of_word
 from .rpq import RPQ, TwoRPQ
 
@@ -187,27 +187,6 @@ def two_rpq_contained(
         method_name,
         word_counterexample(witness),
         details={"kernel": kstats},
-    )
-
-
-def two_rpq_equivalent(
-    q1: TwoRPQ,
-    q2: TwoRPQ,
-    method: TwoRPQMethod = "shepherdson",
-    exact: bool = False,
-    budget: Budget | None = None,
-) -> EquivalenceResult:
-    """Equivalence of 2RPQs, both directions via :func:`two_rpq_contained`.
-
-    Returns an :class:`repro.report.EquivalenceResult` (truthy like the
-    bool this used to return).  With ``exact=True``, a direction that
-    was only established up to a bound does not count as holding; the
-    result's ``bounded_directions`` names any such direction.
-    """
-    return EquivalenceResult(
-        two_rpq_contained(q1, q2, method, budget=budget),
-        two_rpq_contained(q2, q1, method, budget=budget),
-        exact=exact,
     )
 
 

@@ -1,7 +1,7 @@
 """Regular Queries (Section 3.4): algebra, evaluation, Datalog embedding
 (Section 4.1), and containment (Theorem 7 class)."""
 
-from .containment import rq_contained, rq_equivalent
+from .containment import rq_contained
 from .parser import RQSyntaxError, parse_rq
 from .evaluation import evaluate_rq, satisfies_rq, transitive_closure_pairs
 from .syntax import (
@@ -27,7 +27,6 @@ __all__ = [
     "RQSyntaxError",
     "parse_rq",
     "rq_contained",
-    "rq_equivalent",
     "evaluate_rq",
     "satisfies_rq",
     "transitive_closure_pairs",

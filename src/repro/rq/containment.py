@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from ..budget import Budget
 from ..obs.trace import maybe_span
-from ..report import ContainmentResult, Counterexample, EquivalenceResult
+from ..report import ContainmentResult, Counterexample
 from ..datalog.containment import expansion_containment
 from ..relational.instance import instance_to_graph
 from .evaluation import satisfies_rq
@@ -72,20 +72,4 @@ def rq_contained(
         default_applications=DEFAULT_APPLICATION_BOUND,
         default_expansions=DEFAULT_EXPANSION_BUDGET,
         tracer=tracer,
-    )
-
-
-def rq_equivalent(
-    q1: RQ, q2: RQ, exact: bool = False, budget: Budget | None = None
-) -> EquivalenceResult:
-    """Equivalence via both containment directions.
-
-    Returns an :class:`repro.report.EquivalenceResult` (truthy like the
-    bool this used to return); with ``exact=True`` bounded directions do
-    not count and are surfaced via ``bounded_directions``.
-    """
-    return EquivalenceResult(
-        rq_contained(q1, q2, budget=budget),
-        rq_contained(q2, q1, budget=budget),
-        exact=exact,
     )

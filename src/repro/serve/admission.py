@@ -13,9 +13,10 @@ reasons:
   bounded: a bounded queue in front of a fixed pool is the whole
   admission policy.
 - ``deadline`` — the request was admitted but no worker picked it up
-  before its wall-clock deadline expired (the batch layer's
-  ``start_deadline`` hook fires).  Running it anyway could only return
-  after the caller stopped caring.
+  before its wall-clock deadline expired: the worker returns the batch
+  layer's ``start-deadline`` verdict without running the check, and the
+  server turns it into this shed on its event loop.  Running it anyway
+  could only return after the caller stopped caring.
 - ``draining`` — the frame arrived after the server began graceful
   drain (SIGTERM/SIGINT).  It is still *answered* — drain sheds, it
   never drops.
@@ -24,24 +25,26 @@ The controller itself is deliberately small: an admitted-but-unfinished
 counter against a capacity, mutated only from the event-loop thread
 (admit on dispatch, release when the response future resolves, deadline
 sheds recorded via :meth:`AdmissionController.record_shed` at the same
-point), so it needs no lock.  The shed verdicts reuse the engine's honest-accounting
-shape — ``details["budget"]`` records ``admission:<reason>`` as the
-exhausted resource alongside the admission block — so downstream
-tooling that reads batch results reads shed responses unchanged.
+point), so it needs no lock.  Every shed verdict, of any reason, is
+built on the event loop by :func:`shed_result` through
+:func:`repro.budget.bounded_result`, the engine's one builder of
+exhausted verdicts — ``details["budget"]`` records ``admission:<reason>``
+as the exhausted resource alongside the admission block — so
+downstream tooling that reads batch results reads shed responses
+unchanged.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any
 
-from ..report import ContainmentResult, Verdict
+from ..budget import BudgetExhausted, bounded_result, not_run_details
+from ..report import ContainmentResult
 
 __all__ = [
     "SHED_REASONS",
     "AdmissionController",
     "AdmissionPolicy",
-    "DeadlineShedSpec",
     "shed_result",
 ]
 
@@ -111,9 +114,10 @@ class AdmissionController:
     def record_shed(self) -> None:
         """Count a shed decided outside :meth:`try_admit`.
 
-        Dequeue-deadline sheds are detected on a worker thread but
-        *recorded* here, from the event loop when the response future
-        resolves — keeping every mutation single-threaded and the
+        Dequeue-deadline sheds are detected in a worker (which returns
+        the batch layer's ``start-deadline`` verdict) but *recorded*
+        here, from the event loop when the response future resolves —
+        keeping every mutation single-threaded and the
         ``shed_total`` surfaced by the health verb consistent with the
         ``serve.shed`` metrics.
         """
@@ -132,38 +136,6 @@ class AdmissionController:
         return min(requested, self.policy.default_deadline_ms)
 
 
-@dataclasses.dataclass(frozen=True)
-class DeadlineShedSpec:
-    """Picklable start-deadline degradation hook for the worker pool.
-
-    The batch layer's ``expired_result`` contract is a callable
-    ``(late_ms) -> ContainmentResult`` that fires at worker dequeue
-    when a request missed its start deadline.  A closure satisfies it
-    on the thread backend but cannot cross the process boundary; this
-    frozen dataclass pickles by class reference plus fields, so the
-    serving layer sheds identically on ``backend="thread"`` and
-    ``backend="process"``.  Fields capture the queue state at dispatch
-    time (the state that *admitted* the request — by dequeue time the
-    event loop's live numbers are out of reach of a worker process
-    anyway).
-    """
-
-    queue_depth: int
-    queue_limit: int
-    deadline_ms: float | None = None
-    kernel: str = "auto"
-
-    def __call__(self, late_ms: float) -> ContainmentResult:
-        return shed_result(
-            "deadline",
-            queue_depth=self.queue_depth,
-            queue_limit=self.queue_limit,
-            waited_ms=(self.deadline_ms or 0.0) + late_ms,
-            deadline_ms=self.deadline_ms,
-            kernel=self.kernel,
-        )
-
-
 def shed_result(
     reason: str,
     *,
@@ -178,30 +150,29 @@ def shed_result(
     Always carries ``details["admission"]`` — the shed reason, the
     queue state that forced it, and spend accounting (how long the
     request waited before being shed) — plus the engine's standard
-    ``details["budget"]`` block so shed responses degrade exactly like
-    budget-exhausted checks.
+    ``details["budget"]`` block, written by
+    :func:`~repro.budget.bounded_result`, so shed responses degrade
+    exactly like budget-exhausted checks.
     """
     if reason not in SHED_REASONS:
         raise ValueError(f"unknown shed reason {reason!r}; use one of {SHED_REASONS}")
-    spend = {"queued_ms": round(waited_ms, 3), "elapsed_ms": round(waited_ms, 3)}
-    return ContainmentResult(
-        Verdict.INCONCLUSIVE,
+    waited = round(waited_ms, 3)
+    spend = {"queued_ms": waited, "elapsed_ms": waited}
+    shed = BudgetExhausted(
+        resource=f"admission:{reason}",
+        spent=waited,
+        limit=deadline_ms if reason == "deadline" else queue_limit,
+    )
+    admission = {
+        "shed": reason,
+        "queue_depth": queue_depth,
+        "queue_limit": queue_limit,
+        "deadline_ms": deadline_ms,
+        "spend": spend,
+    }
+    return bounded_result(
         "serve-admission",
-        details={
-            "admission": {
-                "shed": reason,
-                "queue_depth": queue_depth,
-                "queue_limit": queue_limit,
-                "deadline_ms": deadline_ms,
-                "spend": spend,
-            },
-            "budget": {
-                "exhausted": f"admission:{reason}",
-                "spent": round(waited_ms, 3),
-                "limit": deadline_ms if reason == "deadline" else queue_limit,
-                "spend": spend,
-            },
-            "cache": "bypass",
-            "kernel": {"requested": kernel, "selected": None},
-        },
+        shed,
+        details={"admission": admission, **not_run_details(kernel)},
+        spend=spend,
     )

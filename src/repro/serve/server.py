@@ -16,10 +16,11 @@ The serving contract (DESIGN.md "Serving architecture"):
 - **Deadlines are two-stage.**  A request's effective deadline (its
   own ``deadline_ms``, tightened against the server default) bounds
   *both* stages independently: the request must start within it (else
-  admission sheds it at dequeue) and, once started, the same deadline
-  is inherited into the check's Budget, which the engine enforces
-  cooperatively.  End-to-end latency is therefore bounded by roughly
-  twice the deadline.
+  the worker returns it unrun and :meth:`ContainmentServer._finish`
+  sheds it, on the event loop, with the queue depth taken at dispatch)
+  and, once started, the same deadline is inherited into the check's
+  Budget, which the engine enforces cooperatively.  End-to-end latency
+  is therefore bounded by roughly twice the deadline.
 - **Graceful drain.**  SIGTERM/SIGINT stops the listener, sheds every
   frame that arrives afterwards (reason ``draining``), finishes work
   already admitted (bounded by the per-request budgets), flushes all
@@ -33,8 +34,9 @@ pair answered for one client is a cache hit for every other; the
 multi-core parallelism and crash isolation — workers warm-start
 (caches pre-seeded at spin-up), a worker crash resolves to an isolated
 ``ERROR`` response while the pool rebuilds underneath the running
-server, per-request deadline sheds use the picklable
-:class:`~repro.serve.admission.DeadlineShedSpec`, and each worker's
+server, nothing from this package crosses into a worker (a late
+dequeue comes back as the batch layer's ``start-deadline`` verdict and
+is shed here, exactly as on the thread backend), and each worker's
 metrics registry (cache counters included) is drained per item and
 folded into the server's, so the ``metrics`` verb and ``repro top``
 report true figures.  The health verb names the active
@@ -74,13 +76,7 @@ from ..obs.metrics import counter as _metric_counter, gauge as _metric_gauge, \
 from ..obs.promtext import http_exposition
 from ..obs.telemetry import Telemetry, TelemetryConfig, access_record
 from . import protocol
-from .admission import (
-    SHED_REASONS,
-    AdmissionController,
-    AdmissionPolicy,
-    DeadlineShedSpec,
-    shed_result,
-)
+from .admission import SHED_REASONS, AdmissionController, AdmissionPolicy, shed_result
 
 __all__ = ["ServeConfig", "ContainmentServer"]
 
@@ -435,20 +431,10 @@ class ContainmentServer:
             admitted_at + deadline_ms / 1000.0 if deadline_ms is not None else None
         )
         budget = frame.budget(self._base_budget)
-        # Snapshot the queue depth on the event loop now: the spec
-        # fires in a worker (a thread here, a separate *process* on
-        # backend="process"), and the controller's state is
-        # event-loop-only by contract.  The frozen dataclass pickles,
-        # so deadline sheds are backend-agnostic; it only builds the
-        # result object — metrics are counted back on the event loop
-        # in _finish.
-        expired = DeadlineShedSpec(
-            queue_depth=self._admission.pending,
-            queue_limit=self.config.queue_limit,
-            deadline_ms=deadline_ms,
-            kernel=kernel,
-        )
-
+        # The queue depth that admitted the request, taken now: a
+        # dequeue-deadline shed reports it, and _finish builds that
+        # shed after the controller's numbers have moved on.
+        queue_depth = self._admission.pending
         sampled = self._telemetry.sample()
         future = self._executor.submit(
             frame.left,
@@ -457,12 +443,13 @@ class ContainmentServer:
             budget=budget,
             trace=sampled,
             start_deadline=start_deadline,
-            expired_result=expired,
             request_id=request_id,
             options=dict(frame.options) or None,
         )
         return asyncio.ensure_future(
-            self._finish(frame, future, admitted_at, sampled=sampled)
+            self._finish(
+                frame, future, admitted_at, queue_depth, deadline_ms, sampled=sampled
+            )
         )
 
     def _invalid_payload(self, exc: BaseException, index: int) -> dict[str, Any]:
@@ -485,6 +472,8 @@ class ContainmentServer:
         frame: protocol.ContainRequest,
         future: Any,
         admitted_at: float,
+        queue_depth: int,
+        deadline_ms: float | None,
         *,
         sampled: bool = False,
     ) -> dict[str, Any]:
@@ -493,7 +482,10 @@ class ContainmentServer:
         Runs as its own task from the moment of dispatch (not when the
         in-order writer reaches it), so the admission slot is always
         released at completion — even if the peer disconnects and the
-        writer dies with responses still queued.
+        writer dies with responses still queued.  A worker that
+        dequeued the request past its start deadline returns the
+        ``start-deadline`` verdict unrun, which becomes the ``deadline``
+        shed here, reporting the *queue_depth* taken at dispatch.
         """
         try:
             item: BatchItem = await asyncio.wrap_future(future)
@@ -506,10 +498,22 @@ class ContainmentServer:
         _RESPONSES.inc()
         self._frames_answered += 1
         shed: str | None = None
-        if item.result.method == "serve-admission":
-            # A dequeue-deadline shed: counted here, on the event loop,
-            # both on the serve.* instruments and on the controller so
-            # health/drain totals agree with the metrics registry.
+        if item.result.method == "start-deadline":
+            # A dequeue-deadline shed: built and counted here, on the
+            # event loop, both on the serve.* instruments and on the
+            # controller so health/drain totals agree with the metrics
+            # registry.  The request waited its whole deadline plus
+            # however late the worker dequeued it.
+            late = item.result.details
+            result = shed_result(
+                "deadline",
+                queue_depth=queue_depth,
+                queue_limit=self.config.queue_limit,
+                waited_ms=deadline_ms + late["budget"]["spent"],
+                deadline_ms=deadline_ms,
+                kernel=late["kernel"]["requested"],
+            )
+            item = dataclasses.replace(item, result=result)
             self._admission.record_shed()
             _SHED.inc()
             _SHED_BY["deadline"].inc()

@@ -517,22 +517,6 @@ class TestContainmentExecutor:
             assert item.result.details["budget"]["exhausted"] == "start_deadline"
             assert item.worker is None and item.wall_ms == 0.0
 
-    def test_expired_result_factory_overrides_default(self):
-        import time as _time
-
-        marker = ContainmentResult(
-            Verdict.INCONCLUSIVE, "custom-shed", details={"admission": {}}
-        )
-        with ContainmentExecutor(workers=1) as executor:
-            q1, q2 = self.pair()
-            item = executor.submit(
-                q1,
-                q2,
-                start_deadline=_time.monotonic() - 1.0,
-                expired_result=lambda late_ms: marker,
-            ).result(timeout=60)
-            assert item.result is marker
-
     def test_per_call_options_override_defaults(self):
         with ContainmentExecutor(workers=1, kernel="antichain") as executor:
             q1, q2 = self.pair()
@@ -588,16 +572,15 @@ def _trace_shape(trace: dict) -> dict:
 
 
 class TestProcessBackend:
-    """The process pool as a first-class substrate: picklable shed
-    hooks, trace round-trips, crash isolation, telemetry repatriation."""
+    """The process pool as a first-class substrate: start-deadline
+    sheds, trace round-trips, crash isolation, telemetry repatriation."""
 
     def pair(self, left="a a", right="a+"):
         return RPQ(parse_regex(left)), RPQ(parse_regex(right))
 
     def test_expired_start_deadline_sheds_on_process_backend(self):
-        # Regression: the default expired_result path used to be a
-        # thread-only contract; a queue-expired item on the process
-        # backend must degrade identically, not crash on pickling.
+        # A queue-expired item on the process backend degrades exactly
+        # as on the thread backend.
         import time as _time
 
         with ContainmentExecutor(workers=1, backend="process") as executor:
@@ -609,31 +592,6 @@ class TestProcessBackend:
             assert item.result.method == "start-deadline"
             assert item.result.details["budget"]["exhausted"] == "start_deadline"
             assert item.worker is None and item.wall_ms == 0.0
-
-    def test_deadline_shed_spec_pickles_across_the_pool_boundary(self):
-        # The serving layer's shed hook is a frozen dataclass precisely
-        # so it crosses the process boundary; assert the worker-side
-        # invocation produces the serve-admission degraded shape.
-        import time as _time
-
-        from repro.serve.admission import DeadlineShedSpec
-
-        spec = DeadlineShedSpec(
-            queue_depth=3, queue_limit=64, deadline_ms=5.0, kernel="auto"
-        )
-        with ContainmentExecutor(workers=1, backend="process") as executor:
-            q1, q2 = self.pair()
-            item = executor.submit(
-                q1,
-                q2,
-                start_deadline=_time.monotonic() - 1.0,
-                expired_result=spec,
-            ).result(timeout=60)
-            assert item.result.method == "serve-admission"
-            admission = item.result.details["admission"]
-            assert admission["shed"] == "deadline"
-            assert admission["queue_depth"] == 3
-            assert item.result.details["budget"]["exhausted"] == "admission:deadline"
 
     def test_trace_structure_identical_across_backends(self):
         # Same pair, same cache state (cold both times — under fork a

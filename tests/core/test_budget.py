@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro.budget import (
+    RESOURCES,
     UNLIMITED,
     Budget,
     BudgetExhausted,
@@ -23,7 +24,7 @@ from repro.crpq.containment import uc2rpq_contained
 from repro.crpq.syntax import paper_example_1
 from repro.datalog.syntax import transitive_closure_program
 from repro.report import EquivalenceResult, Verdict
-from repro.rpq.containment import rpq_contained, two_rpq_contained, two_rpq_equivalent
+from repro.rpq.containment import rpq_contained, two_rpq_contained
 from repro.rpq.rpq import RPQ, TwoRPQ
 from repro.rq.syntax import TransitiveClosure, edge
 
@@ -107,6 +108,38 @@ class TestBoundedResult:
         assert result.verdict is Verdict.INCONCLUSIVE
         assert not result.holds  # falsy: wall clock bounds nothing structural
         assert not result.is_exact
+
+    @pytest.mark.parametrize("resource", RESOURCES)
+    def test_every_counter_is_holds_up_to_bound(self, resource):
+        meter = Budget().start()
+        exc = BudgetExhausted(resource=resource, spent=8, limit=7)
+        result = bounded_result("m", exc, meter, details={"kept": 1})
+        assert result.verdict is Verdict.HOLDS_UP_TO_BOUND and result.bound == 7
+        assert result.details["kept"] == 1
+        budget = result.details["budget"]
+        assert set(budget) == {"exhausted", "spent", "limit", "spend"}
+        assert budget["exhausted"] == resource
+        assert "elapsed_ms" in budget["spend"]
+
+    @pytest.mark.parametrize(
+        "resource",
+        [
+            "deadline",
+            "pool_deadline",
+            "start_deadline",
+            "admission:queue_full",
+            "admission:deadline",
+            "admission:draining",
+        ],
+    )
+    def test_every_other_resource_is_inconclusive(self, resource):
+        spend = {"queued_ms": 3.0, "elapsed_ms": 3.0}
+        exc = BudgetExhausted(resource=resource, spent=3.0, limit=2.0)
+        result = bounded_result("m", exc, spend=spend)
+        assert result.verdict is Verdict.INCONCLUSIVE and result.bound is None
+        assert result.details["budget"] == {
+            "exhausted": resource, "spent": 3.0, "limit": 2.0, "spend": spend
+        }
 
 
 class TestSearchBudgetNoLongerLeaks:
@@ -372,7 +405,7 @@ class TestEquivalenceStrictness:
         assert set(strict.bounded_directions) == {"forward", "backward"}
 
     def test_two_rpq_equivalent_surfaces_directions(self):
-        eq = two_rpq_equivalent(
+        eq = check_equivalence(
             TwoRPQ.parse("p"),
             TwoRPQ.parse("p p- p"),
             exact=True,

@@ -85,6 +85,37 @@ class TestMixedClassDispatch:
         )
         assert result.verdict is Verdict.REFUTED
 
+    def test_cross_tower_pair_passes_the_front_door_once(self):
+        from repro.cache import cache_stats, clear_caches
+        from repro.obs.metrics import metrics_snapshot
+
+        def delta(name, field="value"):
+            return after.get(name, {}).get(field, 0) - before.get(name, {}).get(field, 0)
+
+        def spans_named(tree, name):
+            own = 1 if tree["name"] == name else 0
+            return own + sum(spans_named(c, name) for c in tree.get("children", ()))
+
+        clear_caches()
+        tc = transitive_closure_program("a", "tc")
+        before = metrics_snapshot()
+        result = check_containment(RPQ.parse("a a"), tc, trace=True)
+        after = metrics_snapshot()
+        assert result.verdict is Verdict.HOLDS
+        assert delta("engine.checks") == 1
+        assert delta("engine.check_ms", "count") == 1
+        assert delta("engine.verdict.holds") == 1
+        assert delta("cache.containment.misses") == 1
+        assert cache_stats()["containment"]["size"] == 1
+        tree = result.details["trace"]
+        assert spans_named(tree, "check-containment") == 1
+        assert tree["tags"] == {
+            "q1_class": "RPQ", "q2_class": "GRQ", "common_class": "GRQ"
+        }
+        # What the pass cached carries no trace for a later hit to return.
+        again = check_containment(RPQ.parse("a a"), tc)
+        assert again.details["cache"] == "hit" and "trace" not in again.details
+
     def test_cq_vs_datalog(self):
         tc = transitive_closure_program("e", "tc")
         path2 = cq_from_strings("x,z", ["e(x,y)", "e(y,z)"])

@@ -2,15 +2,12 @@
 
 import pytest
 
-from repro.cq.containment import (
-    cq_contained,
-    cq_equivalent,
-    ucq_contained,
-    ucq_equivalent,
-)
+from repro.core.engine import check_equivalence
+from repro.cq.containment import cq_contained, ucq_contained
 from repro.cq.evaluation import evaluate_cq, evaluate_ucq
 from repro.cq.syntax import UCQ, cq_from_strings
 from repro.relational.generators import random_instance
+from repro.report import Verdict
 
 
 class TestCQContainment:
@@ -46,7 +43,7 @@ class TestCQContainment:
     def test_equivalent_renamings(self):
         a = cq_from_strings("x", ["E(x,y)"])
         b = cq_from_strings("x", ["E(x,z)"])
-        assert cq_equivalent(a, b)
+        assert check_equivalence(a, b)
 
     def test_containment_implies_answers_subset(self):
         """Semantic soundness on random instances."""
@@ -76,11 +73,13 @@ class TestUCQContainment:
         e = cq_from_strings("x,y", ["E(x,y)"])
         union = UCQ((e, p2))
         result = ucq_contained(union, UCQ((e,)))
-        assert not result.holds
-        instance, head = result.counterexample
+        assert result.verdict is Verdict.REFUTED
+        counterexample = result.counterexample
         # Replay: the counterexample separates the queries.
-        assert head in evaluate_ucq(union, instance)
-        assert head not in evaluate_ucq(UCQ((e,)), instance)
+        assert counterexample.output in evaluate_ucq(union, counterexample.database)
+        assert counterexample.output not in evaluate_ucq(
+            UCQ((e,)), counterexample.database
+        )
 
     def test_arity_mismatch_raises(self):
         a = cq_from_strings("x", ["E(x,y)"])
@@ -91,7 +90,7 @@ class TestUCQContainment:
     def test_equivalence(self):
         e = cq_from_strings("x,y", ["E(x,y)"])
         e_twice = UCQ((e, cq_from_strings("x,y", ["E(x,y)", "E(x,w)"])))
-        assert ucq_equivalent(UCQ((e,)), e_twice)
+        assert check_equivalence(UCQ((e,)), e_twice)
 
     def test_counterexamples_always_replay(self):
         """Every refutation this module produces must be replayable."""
@@ -104,7 +103,7 @@ class TestUCQContainment:
         ]
         for q1, q2 in pairs:
             result = ucq_contained(q1, q2)
-            assert not result.holds
-            instance, head = result.counterexample
-            assert head in evaluate_cq(q1, instance)
-            assert head not in evaluate_cq(q2, instance)
+            assert result.verdict is Verdict.REFUTED
+            database, head = result.counterexample.database, result.counterexample.output
+            assert head in evaluate_cq(q1, database)
+            assert head not in evaluate_cq(q2, database)

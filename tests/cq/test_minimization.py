@@ -1,6 +1,6 @@
 """Tests for CQ core computation (minimization)."""
 
-from repro.cq.containment import cq_equivalent
+from repro.core.engine import check_equivalence
 from repro.cq.minimization import is_minimal, minimize_cq
 from repro.cq.syntax import cq_from_strings
 
@@ -10,7 +10,7 @@ class TestMinimize:
         redundant = cq_from_strings("x", ["E(x,y)", "E(x,z)"])
         core = minimize_cq(redundant)
         assert len(core.body) == 1
-        assert cq_equivalent(core, redundant)
+        assert check_equivalence(core, redundant)
 
     def test_already_minimal_untouched(self):
         path2 = cq_from_strings("x,z", ["E(x,y)", "E(y,z)"])
@@ -26,7 +26,7 @@ class TestMinimize:
         )
         core = minimize_cq(six)
         assert len(core.body) < len(six.body)
-        assert cq_equivalent(core, six)
+        assert check_equivalence(core, six)
 
     def test_head_variables_protected(self):
         """Atoms carrying the only occurrence of a head variable stay."""
@@ -35,7 +35,7 @@ class TestMinimize:
         head_vars = set(core.head_vars)
         body_vars = {v for atom in core.body for v in atom.variables()}
         assert head_vars <= body_vars
-        assert cq_equivalent(core, cq)
+        assert check_equivalence(core, cq)
 
     def test_core_is_unique_in_size(self):
         """Minimizing twice (or from different orders) gives the same size."""

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.budget import Budget
-from repro.crpq.containment import uc2rpq_contained, uc2rpq_equivalent
+from repro.core.engine import check_equivalence
+from repro.crpq.containment import uc2rpq_contained
 from repro.crpq.evaluation import satisfies_uc2rpq
 from repro.crpq.syntax import C2RPQ, UC2RPQ, paper_example_1, two_rpq_as_uc2rpq
 from repro.report import Verdict
@@ -110,7 +111,7 @@ class TestConjunctionVsIntersection:
     def test_equivalence_helper(self):
         a = C2RPQ.from_strings("x,y", [("a a*", "x", "y")])
         b = C2RPQ.from_strings("x,y", [("a+", "x", "y")])
-        assert uc2rpq_equivalent(a, b, budget=Budget(max_total_length=4))
+        assert check_equivalence(a, b, budget=Budget(max_total_length=4))
 
 
 def _unpack(result):

@@ -7,7 +7,6 @@ from repro.report import Verdict
 from repro.cq.syntax import UCQ, cq_from_strings
 from repro.datalog.containment import (
     cq_in_datalog,
-    datalog_equivalent_bounded,
     datalog_in_datalog,
     datalog_in_ucq,
     ucq_in_datalog,
@@ -82,8 +81,12 @@ class TestDatalogInUCQ:
 
 class TestDatalogInDatalog:
     def test_left_and_right_linear_tc_agree(self, tc):
+        # Called directly: the engine routes two GRQ programs to the GRQ
+        # tower, not to this procedure.
         right = transitive_closure_program("edge", "tc", left_linear=False)
-        assert datalog_equivalent_bounded(tc, right, budget=Budget(max_expansions=25))
+        budget = Budget(max_expansions=25)
+        assert datalog_in_datalog(tc, right, budget=budget)
+        assert datalog_in_datalog(right, tc, budget=budget)
 
     def test_tc_contains_squared_tc(self, tc):
         """tc over edge ⊑ tc over (edge ∪ edge²) — and not conversely."""

@@ -162,3 +162,13 @@ class TestSeedInstance:
             evaluate(program, edb)
         with pytest.raises(ValueError, match="arity"):
             bounded_evaluate(program, edb, 3)
+
+    def test_arity_clash_with_an_edb_relation_declared_empty(self):
+        # The clashing EDB relation has no rows, only a declared arity,
+        # which the seed copy must keep.
+        program = parse_program("P(x,y) :- E(x,y).")
+        edb = Instance.from_facts([("E", (1, 2))])
+        edb.declare("P", 1)
+        for engine in (evaluate, naive_evaluate, seminaive_evaluate):
+            with pytest.raises(ValueError, match="arity"):
+                engine(program, edb)

@@ -4,7 +4,6 @@ import itertools
 
 import pytest
 
-from repro.cq.containment import ucq_equivalent
 from repro.cq.evaluation import evaluate_ucq
 from repro.cq.syntax import Var
 from repro.datalog.evaluation import evaluate

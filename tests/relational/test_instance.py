@@ -57,6 +57,15 @@ class TestInstance:
         b.add("r", (2,))
         assert a.tuples("r") == {(1,)}
 
+    def test_copy_keeps_empty_relations_and_their_arities(self):
+        a = Instance.from_facts([("r", (1, 2))])
+        a.declare("p", 1)
+        b = a.copy()
+        assert b.predicates == {"r", "p"}
+        assert b.arity("p") == 1 and b.arity("r") == 2
+        with pytest.raises(ValueError, match="arity"):
+            b.add("p", (1, 2))
+
     def test_contains(self):
         db = Instance.from_facts([("r", (1, 2))])
         assert ("r", (1, 2)) in db

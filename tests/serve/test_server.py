@@ -376,6 +376,44 @@ class TestLoadShedding:
 
         asyncio.run(run())
 
+    def test_start_deadline_sheds_on_the_process_backend(self):
+        # One process worker, held by a 6,000-letter word (a few hundred
+        # ms of bitset work); the 20 ms frame behind it is dequeued late,
+        # and the shed is built on the event loop exactly as on threads.
+        word = " ".join("ab"[i % 2] for i in range(6000))
+        slow = json.dumps({"id": "slow", "left": f"rpq:{word}", "right": "rpq:a"})
+        late = json.dumps(
+            {"id": "late", "left": "rpq:a a", "right": "rpq:a+", "deadline_ms": 20}
+        )
+
+        async def run():
+            async with running_server(
+                workers=1, backend="process", queue_limit=8
+            ) as (server, port):
+                # Warm the pool first, so pool start-up delays neither frame.
+                assert (await roundtrip(port, [HOLDS_FRAME]))[0]["verdict"] == "holds"
+                responses = await roundtrip(port, [slow, late])
+                assert [r["id"] for r in responses] == ["slow", "late"]
+                assert responses[0]["verdict"] == "refuted"
+                shed = responses[1]
+                assert shed["verdict"] == "inconclusive"
+                assert shed["method"] == "serve-admission"
+                assert shed["admission"]["shed"] == "deadline"
+                assert shed["admission"]["queue_depth"] == 2
+                assert shed["admission"]["spend"]["queued_ms"] >= 20
+                assert shed["budget"]["exhausted"] == "admission:deadline"
+                assert server._admission.shed_total == 1
+                # Only queries, budgets and options crossed into the
+                # worker: it never imported the serving layer.
+                loaded = server._executor._pool.submit(
+                    eval,
+                    "[m for m in __import__('sys').modules if m.startswith('repro.serve')]",
+                    {},
+                ).result(timeout=60)
+                assert loaded == []
+
+        asyncio.run(run())
+
 
 class TestWriterFailure:
     """A peer that stops reading must never wedge admission."""
