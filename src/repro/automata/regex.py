@@ -39,7 +39,25 @@ class RegexSyntaxError(ValueError):
 
 @dataclass(frozen=True)
 class Regex:
-    """Base class for regular-expression AST nodes."""
+    """Base class for regular-expression AST nodes.
+
+    Each node class is a frozen dataclass (:func:`_node`) whose hash, the
+    hash of its field tuple, is computed once per node, on first use, from
+    its children's cached hashes: the engine hashes a query's tree several
+    times per check (cache keys, the compile cache, the snapshot memo), and
+    after the first time each is one attribute read.  A node that is never
+    hashed, such as a query's tree while the server parses its frame,
+    costs nothing extra.  The cached value is not pickled, so a process
+    whose string hashes use another seed computes its own.
+    """
+
+    #: Not a field (no annotation): a node's own value shadows it once set.
+    _hash = None
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def symbols(self) -> frozenset[str]:
         """All letters (from Sigma±) occurring in the expression."""
@@ -85,7 +103,24 @@ class Regex:
         return Optional_(self)
 
 
-@dataclass(frozen=True)
+def _node(cls: type) -> type:
+    """``@dataclass(frozen=True)``, with the generated ``__hash__`` run once
+    per node and its value kept on the node."""
+    cls = dataclass(frozen=True)(cls)
+    fields_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = fields_hash(self)
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class EmptySet(Regex):
     """The empty language."""
 
@@ -99,7 +134,7 @@ class EmptySet(Regex):
         return "{}"
 
 
-@dataclass(frozen=True)
+@_node
 class Epsilon(Regex):
     """The language containing only the empty word."""
 
@@ -113,7 +148,7 @@ class Epsilon(Regex):
         return "()"
 
 
-@dataclass(frozen=True)
+@_node
 class Sym(Regex):
     """A single letter of Sigma±."""
 
@@ -129,7 +164,7 @@ class Sym(Regex):
         return self.symbol
 
 
-@dataclass(frozen=True)
+@_node
 class Concat(Regex):
     left: Regex
     right: Regex
@@ -144,7 +179,7 @@ class Concat(Regex):
         return f"{_wrap(self.left)} {_wrap(self.right)}"
 
 
-@dataclass(frozen=True)
+@_node
 class Union(Regex):
     left: Regex
     right: Regex
@@ -159,7 +194,7 @@ class Union(Regex):
         return f"{self.left}|{self.right}"
 
 
-@dataclass(frozen=True)
+@_node
 class Star(Regex):
     body: Regex
 
@@ -173,7 +208,7 @@ class Star(Regex):
         return f"{_wrap(self.body)}*"
 
 
-@dataclass(frozen=True)
+@_node
 class Plus(Regex):
     body: Regex
 
@@ -187,7 +222,7 @@ class Plus(Regex):
         return f"{_wrap(self.body)}+"
 
 
-@dataclass(frozen=True)
+@_node
 class Optional_(Regex):
     body: Regex
 

@@ -339,10 +339,10 @@ def _run_one_item(
     pool dequeues the item after it, the check never starts and the item
     is the ``"start-deadline"`` ``INCONCLUSIVE``, whose budget block
     records how late the dequeue was (``spent``, ms) against the
-    instant (``limit``).  This is the admission-control hook of the
-    serving layer — queue wait counts against a request's deadline even
-    though the engine's own ``BudgetMeter`` clock only starts when the
-    check does.
+    lateness allowed (``limit``, 0 ms).  This is the admission-control
+    hook of the serving layer — queue wait counts against a request's
+    deadline even though the engine's own ``BudgetMeter`` clock only
+    starts when the check does.
 
     ``collect_telemetry`` (process backend) drains the worker's metrics
     registry once after the check and ships what moved as
@@ -355,7 +355,7 @@ def _run_one_item(
         late = BudgetExhausted(
             resource="start_deadline",
             spent=round((start - start_deadline) * 1000.0, 3),
-            limit=round(start_deadline, 3),
+            limit=0,
         )
         result = bounded_result(
             "start-deadline",

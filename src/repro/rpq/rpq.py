@@ -17,7 +17,10 @@ all-pairs answer runs it from every source and keeps one target row per
 source, a single-source read runs it once (or reads the source's row
 once the all-pairs answer exists), and a witness semipath runs it to
 the end and walks back through its layers, all under the same meter
-contract.
+contract.  Only the single-source read uses the snapshot's loop-closure
+index: a state that loops on a symbol set whose closure the snapshot
+has bought closes its frontier with one OR of the closure rows, and the
+read pays rent towards the sets not bought yet.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from ..cache import regex_nfa_cache
 from ..graphdb.database import GraphDatabase, Node
 from ..graphdb.snapshot import (
     GraphSnapshot,
+    loop_symbols,
     reach_all_sources,
     reach_from_source,
     witness_path,
@@ -73,17 +77,22 @@ class _EvalContext:
 
     Holds the NFA itself, so the memo key ``id(nfa)`` of a raw automaton
     stays unique while the entry lives, and no reference to the
-    snapshot, so the memo forms no cycle.  Once the all-pairs answer is
-    computed, ``rows[x]`` is the bitset of the target ids answering
-    source ``x`` and ``pairs`` the answer set.
+    snapshot, so the memo forms no cycle.  ``loops[state]`` is the
+    symbol set *state* loops on (None when it has no self-loop), the key
+    of its closure rows in the snapshot's loop-closure index, and
+    ``looping`` tells whether any state has one.  Once the all-pairs
+    answer is computed, ``rows[x]`` is the bitset of the target ids
+    answering source ``x`` and ``pairs`` the answer set.
     """
 
-    __slots__ = ("nfa", "compiled", "adjacency", "rows", "pairs")
+    __slots__ = ("nfa", "compiled", "adjacency", "loops", "looping", "rows", "pairs")
 
     def __init__(self, nfa: NFA, snapshot: GraphSnapshot) -> None:
         self.nfa = nfa
         self.compiled = IndexedNFA.from_nfa(nfa)
         self.adjacency = snapshot.adjacency_for(self.compiled.symbols)
+        self.loops = loop_symbols(self.compiled)
+        self.looping = any(self.loops)
         self.rows: list[int] | None = None
         self.pairs: frozenset[tuple[Node, Node]] | None = None
 
@@ -158,11 +167,28 @@ def _targets(
         # The all-pairs answer is already memoized on this snapshot:
         # read the source's target row instead of re-running any BFS.
         return frozenset(select(nodes, rows[source_id]))
-    with maybe_span(tracer, "eval-bfs", mode="single-source", nodes=len(nodes)):
+    # Looping states whose set the snapshot has built close their
+    # frontiers with its rows; the others pay rent towards a build.
+    closures = visited = None
+    closed: list[int] = []
+    if context.looping:
+        closures, visited = snapshot.loop_closures(context.loops), []
+        closed = [state for state, closure in enumerate(closures) if closure is not None]
+    with maybe_span(
+        tracer, "eval-bfs", mode="single-source", nodes=len(nodes), closed=closed
+    ):
         mask = reach_from_source(
-            context.compiled, context.adjacency, len(nodes), source_id, meter=meter
+            context.compiled,
+            context.adjacency,
+            len(nodes),
+            source_id,
+            meter=meter,
+            closures=closures,
+            visited=visited,
         )
     _EVAL_BFS_RUNS.inc()
+    if visited:
+        snapshot.pay_rent(context.loops, visited)
     return frozenset(select(nodes, mask))
 
 

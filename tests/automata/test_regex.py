@@ -1,6 +1,10 @@
 """Unit tests for the regex AST, parser, and Thompson construction."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -137,6 +141,65 @@ class TestLongAndDeepInput:
         with pytest.raises(RegexSyntaxError) as caught:
             parse_regex(bad)
         assert len(str(caught.value)) < 200
+
+
+class TestCachedHash:
+    """Each node hashes once, on first use; the value is the frozen
+    dataclass hash of its fields and is never pickled."""
+
+    def test_hash_is_the_field_tuple_hash(self):
+        regex = parse_regex("(a|b-)* c? d+")
+        assert hash(regex) == hash((regex.left, regex.right))
+        assert hash(Sym("a")) == hash(("a",))
+        assert hash(Epsilon()) == hash(EmptySet()) == hash(())
+        assert hash(Star(Sym("a"))) == hash((Sym("a"),))
+
+    def test_every_node_class_caches_its_hash(self):
+        nodes = (EmptySet(), Epsilon(), Sym("a"), Concat(Sym("a"), Sym("b")),
+                 Union(Sym("a"), Sym("b")), Star(Sym("a")), Plus(Sym("a")),
+                 Optional_(Sym("a")))
+        for node in nodes:
+            assert node._hash is None, type(node)
+            assert hash(node) == node._hash == hash(node), type(node)
+
+    def test_the_cached_hash_is_not_pickled(self):
+        regex = parse_regex("(a|b)* c")
+        hash(regex)
+        assert regex._hash is not None and regex.left._hash is not None
+        again = pickle.loads(pickle.dumps(regex))
+        assert again._hash is None and again.left._hash is None
+        assert again == regex and hash(again) == hash(regex)
+        assert {regex: 1}[again] == 1
+
+    def test_a_pickled_regex_hashes_under_the_unpickling_seed(self):
+        """A regex pickled here and unpickled in a process whose string
+        hashes use another seed hashes there like a freshly parsed one."""
+        text = "(knows|knows-)* worksAt (a b)+"
+        ours = os.environ.get("PYTHONHASHSEED")
+        seed = "1" if ours != "1" else "2"
+        script = (
+            "import pickle, sys\n"
+            "from repro.automata.regex import parse_regex\n"
+            "regex = pickle.loads(sys.stdin.buffer.read())\n"
+            f"fresh = parse_regex({text!r})\n"
+            "assert hash(regex) == hash(fresh), (hash(regex), hash(fresh))\n"
+            "assert {fresh: 'entry'}[regex] == 'entry'\n"
+            "print(hash(fresh))\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        regex = parse_regex(text)
+        hash(regex)  # cache it here, under this process's seed
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            input=pickle.dumps(regex),
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        # The seeds differ, so a cached value carried over would be wrong.
+        assert int(done.stdout) != hash(parse_regex(text))
 
 
 class TestThompson:

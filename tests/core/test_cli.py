@@ -133,6 +133,8 @@ class TestCommands:
         assert "a\tc" in captured.out
         assert "# evaluation stats" in captured.err
         assert "evaluation.snapshot_builds" in captured.err
+        assert "evaluation.closure_builds = 0" in captured.err
+        assert "evaluation.closure_patches = 0" in captured.err
         assert "cache regex-nfa:" in captured.err
         assert "eval-bfs" in captured.err
 

@@ -7,12 +7,15 @@ against the object-state oracle on a database freshly rebuilt from the
 same writes, so an answer memoized on a snapshot that a write dropped
 can never pass.  A second property checks the snapshot each write
 leaves, whether it patched a snapshot that was read or dropped it: the
-live snapshot equals one rebuilt from the database, and a snapshot
-captured before a write keeps its rows, its memo and its answers.  Another test bounds the snapshots
-alive across such a loop with the cyclic collector off: what a read
-memoizes on a snapshot must not keep the snapshot alive once a write
-has replaced it.  A last one races readers on one snapshot's unlocked
-memo.
+live snapshot equals one rebuilt from the database, each loop closure
+it holds equals one built from scratch on that rebuild, and a snapshot
+captured before a write keeps its rows, its closures, its memo and its
+answers.  A third makes every write patch a snapshot that holds loop
+closures on forward, inverse and mixed symbol sets, and checks each
+against a rebuild.  Another test bounds the snapshots alive across such
+a loop with the cyclic collector off: what a read memoizes on a
+snapshot must not keep the snapshot alive once a write has replaced
+it.  A last one races readers on one snapshot's unlocked memo.
 """
 
 from __future__ import annotations
@@ -23,18 +26,20 @@ import threading
 
 from hypothesis import given, settings, strategies as st
 
-from repro.automata.indexed import bits
+from repro.automata.indexed import IndexedNFA, bits
 from repro.crpq.evaluation import evaluate_c2rpq, satisfies_c2rpq
 from repro.crpq.syntax import C2RPQ
 from repro.graphdb import GraphSnapshot
 from repro.graphdb.database import GraphDatabase
 from repro.graphdb.generators import random_graph
-from repro.graphdb.snapshot import reach_from_source
+from repro.graphdb.snapshot import loop_symbols, reach_from_source
 from repro.rpq.rpq import TwoRPQ
 from tests.oracles import evaluation as oracle
 
+#: Loops on ``a``, on ``b``, on ``(a, b)`` and on ``(a, b-)``.
 QUERIES = [
-    TwoRPQ.parse(text) for text in ("a+", "a b-", "(a|b)* b", "a- (a|b)*", "b (a b-)*")
+    TwoRPQ.parse(text)
+    for text in ("a+", "a b-", "(a|b)* b", "a- (a|b)*", "b (a b-)*", "b (a|b-)*")
 ]
 CRPQS = [
     C2RPQ.from_strings("x,y", [("a+", "x", "z"), ("b", "z", "y")]),
@@ -114,12 +119,14 @@ _SNAPSHOT_FIELDS = (
     "nodes", "node_index", "labels", "label_index", "forward", "backward",
     "num_nodes", "num_edges",
 )
-#: The start graph has labels a and d, so b and c are new labels that
-#: sort between existing ones; nodes 3-9 are new nodes.
-_START = ((0, "a", 1), (1, "d", 2))
+#: The start graph has labels a, b and d, so c is a new label that
+#: sorts between existing ones; nodes 6-9 are new nodes.  With its
+#: a-edges 0 -> 1 and 2 -> 3 -> 4, a new edge often grows closure rows
+#: besides its source's.
+_START = ((0, "a", 1), (1, "d", 2), (2, "a", 3), (3, "a", 4), (4, "b", 5))
 _patch_op = st.one_of(
     st.tuples(
-        st.just("edge"), st.integers(0, 5), st.sampled_from("abcd"), st.integers(0, 5)
+        st.just("edge"), st.integers(0, 7), st.sampled_from("abcd"), st.integers(0, 7)
     ),
     st.tuples(st.just("node"), st.integers(0, 9)),
     st.tuples(st.just("read"), _query, _node),
@@ -128,7 +135,8 @@ _patch_op = st.one_of(
 
 def _targets_on(snapshot: GraphSnapshot, query: TwoRPQ, source) -> frozenset:
     """*query*'s targets from *source*, answered on *snapshot* itself
-    through the evaluation context memoized on it."""
+    through the evaluation context memoized on it, with the closures the
+    snapshot holds for its looping states."""
     if source not in snapshot.node_index:
         return frozenset()
     context = snapshot.memo[("regex-context", query.regex)]
@@ -137,6 +145,7 @@ def _targets_on(snapshot: GraphSnapshot, query: TwoRPQ, source) -> frozenset:
         context.adjacency,
         snapshot.num_nodes,
         snapshot.node_index[source],
+        closures=snapshot.loop_closures(context.loops),
     )
     return frozenset(snapshot.nodes[node] for node in bits(mask))
 
@@ -146,7 +155,9 @@ def _targets_on(snapshot: GraphSnapshot, query: TwoRPQ, source) -> frozenset:
 def test_patched_snapshots_equal_a_rebuild_and_leave_old_ones_intact(ops):
     db = GraphDatabase.from_edges(_START)
     edges, nodes = list(_START), []
-    # One record per read: [snapshot, rows, node_index, memo, query, source, answer].
+    # One record per read: [snapshot, rows, node_index, memo, closures,
+    # query, source, answer]; memo and closures as the first effective
+    # write after the read finds them.
     kept = []
     for op in ops:
         if op[0] == "read":
@@ -155,16 +166,28 @@ def test_patched_snapshots_equal_a_rebuild_and_leave_old_ones_intact(ops):
             for field in _SNAPSHOT_FIELDS:
                 assert getattr(live, field) == getattr(rebuilt, field), field
             query, source = QUERIES[op[1]], op[2]
+            # Every set the query loops on gets built, so writes patch
+            # closures from the first read on, not only once rent is due.
+            for symbols in loop_symbols(IndexedNFA.from_nfa(query.nfa)):
+                if symbols is not None:
+                    live.closure(symbols)
             answer = query.targets(db, source)
             fresh = GraphDatabase.from_edges(edges, nodes=nodes)
             assert answer == oracle.targets_from(query.nfa, fresh, source)
+            for symbols, closure in live.closures.items():
+                assert closure == rebuilt.closure(symbols), symbols
             rows = [
                 [list(row) for row in table] for table in (live.forward, live.backward)
             ]
-            kept.append([live, rows, dict(live.node_index), None, query, source, answer])
+            kept.append(
+                [live, rows, dict(live.node_index), None, None, query, source, answer]
+            )
             continue
-        # Each read snapshot's memo as the first effective write finds it.
-        unsealed = [(record, dict(record[0].memo)) for record in kept if record[3] is None]
+        unsealed = [
+            (record, dict(record[0].memo), dict(record[0].closures))
+            for record in kept
+            if record[3] is None
+        ]
         revision = db.revision
         if op[0] == "edge":
             db.add_edge(*op[1:])
@@ -173,15 +196,53 @@ def test_patched_snapshots_equal_a_rebuild_and_leave_old_ones_intact(ops):
             db.add_node(op[1])
             nodes.append(op[1])
         if db.revision != revision:
-            for record, memo in unsealed:
+            for record, memo, closures in unsealed:
                 record[3] = memo
-    for snapshot, rows, node_index, memo, query, source, answer in kept:
+                record[4] = {
+                    symbols: (closure, list(closure))
+                    for symbols, closure in closures.items()
+                }
+    for snapshot, rows, node_index, memo, closures, query, source, answer in kept:
         assert [snapshot.forward, snapshot.backward] == rows
         assert snapshot.node_index == node_index
         if memo is not None:
             assert snapshot.memo.keys() == memo.keys()
             assert all(snapshot.memo[key] is value for key, value in memo.items())
+            assert snapshot.closures.keys() == closures.keys()
+            for symbols, (closure, copied) in closures.items():
+                assert snapshot.closures[symbols] is closure and closure == copied
         assert _targets_on(snapshot, query, source) == answer
+
+
+#: Closure sets a write can grow forward, backward, through two symbols
+#: or not at all.
+_LOOP_SETS = (("a",), ("a-",), ("a", "b"), ("a", "b-"), ("b-",), ("c",))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 10**6),
+    st.lists(st.tuples(st.integers(0, 6), st.sampled_from("ab"), st.integers(0, 6)),
+             min_size=1, max_size=25),
+)
+def test_every_write_patches_closures_to_equal_a_rebuild(seed, writes):
+    """Each write follows a read, so each one patches: every closure set,
+    inverse letters included, equals its rebuild after every write, and
+    the snapshot before the write keeps the rows it had."""
+    db = random_graph(7, 8, ("a", "b"), seed=seed)
+    db.add_edge(5, "a", 6)  # nodes 0-6 and both labels exist, so no write
+    db.add_edge(6, "b", 0)  # brings a node or a label and drops the snapshot
+    for symbols in _LOOP_SETS:
+        db.snapshot().closure(symbols)
+    for source, label, target in writes:
+        before = db.snapshot()
+        rows = {symbols: list(closure) for symbols, closure in before.closures.items()}
+        db.add_edge(source, label, target)
+        after, rebuilt = db.snapshot(), GraphSnapshot.from_database(db)
+        assert after.closures.keys() == rows.keys()
+        for symbols, closure in after.closures.items():
+            assert closure == rebuilt.closure(symbols), (symbols, source, label, target)
+        assert before.closures == rows
 
 
 def test_writes_leave_at_most_two_snapshots_alive():

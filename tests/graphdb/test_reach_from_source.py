@@ -5,14 +5,17 @@ at a time over per-state node bitsets, and ``witness_path`` walks back
 through those layers.  The answers must equal
 ``tests/oracles/evaluation.targets_from``'s per-configuration BFS on
 random graphs: for random 2RPQs, and for raw automata with several
-initial states, an empty language, or a source with no edges; on the raw
-automata every witness must conform and be as short as
-``tests/oracles/evaluation.witness_semipath``'s.  The meter contract is
-pinned for the three reads that run the layered search, the all-pairs
-``evaluate`` included: one ``configs`` unit per newly reached
-(state, node), summed over sources for ``evaluate``, initial
-configurations free, and ``BudgetExhausted`` under a small
-``max_configs`` or an expired deadline.
+initial states, an empty language, or a source with no edges, searched
+both plainly and with the snapshot's loop closure for every looping
+state (loops on inverse letters, on two symbols, and on a symbol that
+also moves to another state); on the raw automata every witness must
+conform and be as short as ``tests/oracles/evaluation.witness_semipath``'s.
+The meter contract is pinned for the three reads that run the layered
+search, the all-pairs ``evaluate`` included: one ``configs`` unit per
+newly reached (state, node), summed over sources for ``evaluate``,
+initial configurations free, the same total with closures as without,
+and ``BudgetExhausted`` under a small ``max_configs`` or an expired
+deadline.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from repro.automata.regex import random_regex
 from repro.budget import Budget, BudgetExhausted
 from repro.graphdb.database import GraphDatabase
 from repro.graphdb.generators import path_graph, random_graph
-from repro.graphdb.snapshot import reach_from_source, witness_path
+from repro.graphdb.snapshot import loop_symbols, reach_from_source, witness_path
 from repro.obs.trace import Tracer
 from repro.rpq import rpq
 from repro.rpq.rpq import TwoRPQ
@@ -66,8 +69,18 @@ def _automata(draw):
     )
 
 
-def _kernel_targets(nfa: NFA, db, source) -> frozenset:
-    """The kernel run directly on *db*'s snapshot, answers as nodes."""
+def _closures(compiled: IndexedNFA, snapshot) -> list:
+    """Per state, the snapshot's closure rows of the set it loops on,
+    built for every looping state."""
+    return [
+        None if symbols is None else snapshot.closure(symbols)
+        for symbols in loop_symbols(compiled)
+    ]
+
+
+def _kernel_targets(nfa: NFA, db, source, closed: bool = False, meter=None) -> frozenset:
+    """The kernel run directly on *db*'s snapshot, answers as nodes;
+    *closed* closes every looping state's frontiers."""
     snapshot = db.snapshot()
     compiled = IndexedNFA.from_nfa(nfa)
     mask = reach_from_source(
@@ -75,6 +88,8 @@ def _kernel_targets(nfa: NFA, db, source) -> frozenset:
         snapshot.adjacency_for(compiled.symbols),
         snapshot.num_nodes,
         snapshot.node_index[source],
+        meter=meter,
+        closures=_closures(compiled, snapshot) if closed else None,
     )
     return frozenset(snapshot.nodes[node] for node in bits(mask))
 
@@ -118,7 +133,33 @@ def test_raw_automata_agree_with_the_oracle(shape, nfa):
         expected = oracle.targets_from(nfa, db, source)
         assert rpq.targets_from(nfa, db, source) == expected
         assert _kernel_targets(nfa, db, source) == expected
+        assert _kernel_targets(nfa, db, source, closed=True) == expected
     assert rpq.targets_from(nfa, db, "absent") == frozenset()
+
+
+@pytest.mark.parametrize(
+    "moves, loops",
+    [
+        # A loop on an inverse letter, then a forward step.
+        (((0, "a-", 0), (0, "b", 1)), [("a-",), None]),
+        # A loop on two symbols, one of them inverse, in a final state.
+        (((0, "a", 1), (1, "a", 1), (1, "b-", 1)), [None, ("a", "b-")]),
+        # The loop symbol also moves on: a reads into state 0 and state 1,
+        # and state 1 loops on b- and b.
+        (((0, "a", 0), (0, "a", 1), (1, "b", 1), (1, "b-", 1), (1, "a", 2)),
+         [("a",), ("b", "b-"), None]),
+    ],
+    ids=["inverse-loop", "two-symbol-loop", "loop-symbol-moves-on"],
+)
+def test_closed_search_agrees_with_the_oracle(moves, loops):
+    db = random_graph(9, 22, LABELS, seed=6)
+    db.add_node("lonely")
+    states = len(loops)
+    nfa = NFA.build(SYMBOLS, range(states), (0,), range(states), moves)
+    assert loop_symbols(IndexedNFA.from_nfa(nfa)) == loops
+    for source in db.nodes_in_order():
+        expected = oracle.targets_from(nfa, db, source)
+        assert _kernel_targets(nfa, db, source, closed=True) == expected
 
 
 @SETTINGS
@@ -172,6 +213,7 @@ def test_branching_moves_from_several_initial_states():
         expected = oracle.targets_from(nfa, db, source)
         assert rpq.targets_from(nfa, db, source) == expected
         assert _kernel_targets(nfa, db, source) == expected
+        assert _kernel_targets(nfa, db, source, closed=True) == expected
 
 
 def test_empty_language_and_edgeless_source():
@@ -247,6 +289,30 @@ class TestMeter:
         with pytest.raises(BudgetExhausted) as caught:
             read(db, 50, meter)
         assert caught.value.resource == "configs"
+
+    @pytest.mark.parametrize("text", ["r+", "(r|s)* s", "r- (r|s-)+", "s (r r-)* r+"])
+    def test_closed_search_charges_what_the_plain_one_does(self, text):
+        """Closures change how a search reaches its (state, node) pairs,
+        not which: the same answers for the same ``configs`` total."""
+        db = random_graph(12, 30, ("r", "s"), seed=8)
+        nfa = TwoRPQ.parse(text).nfa
+        charged = 0
+        for source in db.nodes_in_order():
+            plain, closed = (Budget(max_configs=10_000).start() for _ in range(2))
+            expected = _kernel_targets(nfa, db, source, meter=plain)
+            assert _kernel_targets(nfa, db, source, closed=True, meter=closed) == expected
+            assert closed.spent.get("configs", 0) == plain.spent.get("configs", 0)
+            charged += plain.spent.get("configs", 0)
+        assert charged > 0
+
+    def test_closed_search_raises_on_an_expired_deadline(self):
+        db = GraphDatabase.from_edges([(0, "r", i) for i in range(1, 300)])
+        nfa = TwoRPQ.parse("r+").nfa
+        meter = Budget(deadline_ms=1).start()
+        time.sleep(0.01)
+        with pytest.raises(BudgetExhausted) as caught:
+            _kernel_targets(nfa, db, 0, closed=True, meter=meter)
+        assert caught.value.resource == "deadline"
 
     @READS
     def test_expired_deadline_raises(self, read):

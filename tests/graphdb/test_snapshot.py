@@ -2,17 +2,19 @@
 
 Covers the snapshot lifecycle (stable insertion-order ids, a new
 snapshot object after every write, the patch-or-drop write rule), the
-adjacency/relation compilers, and the contract that evaluation state
-memoized on a snapshot can never serve answers for a database that has
-since changed.
+adjacency/relation compilers, the loop-closure index (its rows, its
+patches, and which reads build it), and the contract that evaluation
+state memoized on a snapshot can never serve answers for a database
+that has since changed.
 """
 
 import pytest
 
+from repro.automata.indexed import bits
 from repro.cache import clear_caches
 from repro.graphdb import GraphSnapshot
 from repro.graphdb.database import GraphDatabase
-from repro.graphdb.generators import path_graph, random_graph
+from repro.graphdb.generators import path_graph, random_graph, social_network
 from repro.rpq.rpq import RPQ, TwoRPQ
 from tests.oracles.evaluation import evaluate_nfa_on_graph, targets_from
 
@@ -329,3 +331,134 @@ class TestSnapshotExport:
     def test_repr_mentions_sizes(self):
         db = GraphDatabase.from_edges([("a", "r", "b")])
         assert "nodes=2" in repr(db.snapshot())
+
+
+class TestLoopClosures:
+    """The loop-closure index: one row list per symbol set some automaton
+    state loops on, built by rent-or-buy in single-source reads only and
+    patched by each write like the adjacency rows."""
+
+    @staticmethod
+    def _counts() -> tuple[int, int]:
+        from repro.obs.metrics import counter
+
+        return (
+            counter("evaluation.closure_builds").value,
+            counter("evaluation.closure_patches").value,
+        )
+
+    def _delta(self, before: tuple[int, int]) -> tuple[int, int]:
+        after = self._counts()
+        return after[0] - before[0], after[1] - before[1]
+
+    @pytest.mark.parametrize(
+        "symbols", [("a",), ("a-",), ("a", "b"), ("a", "b-"), ("ghost",)]
+    )
+    def test_rows_are_the_reflexive_transitive_closure(self, symbols):
+        db = random_graph(14, 30, ("a", "b"), seed=12)
+        snap = db.snapshot()
+        rows = snap.closure(symbols)
+        for node in db.nodes_in_order():
+            reached, todo = {node}, [node]
+            while todo:
+                here = todo.pop()
+                for symbol in symbols:
+                    for there in db.successors(here, symbol):
+                        if there not in reached:
+                            reached.add(there)
+                            todo.append(there)
+            assert {snap.nodes[i] for i in bits(rows[snap.node_index[node]])} == reached
+
+    def test_a_component_shares_one_row(self):
+        db = GraphDatabase.from_edges(
+            [(0, "r", 1), (1, "r", 2), (2, "r", 0), (2, "r", 3), (4, "r", 0)]
+        )
+        rows = db.snapshot().closure(("r",))
+        assert rows[0] is rows[1] is rows[2] and rows[0] == 0b1111
+        assert rows[3] == 0b1000 and rows[4] == 0b11111
+
+    def test_a_write_patches_closures_and_keeps_the_old_ones(self):
+        db = GraphDatabase.from_edges([(0, "r", 1), (2, "r", 3), (3, "t", 0)])
+        old = db.snapshot()
+        r_rows, t_rows = old.closure(("r",)), old.closure(("t",))
+        before = self._counts()
+        db.add_edge(1, "r", 2)  # 0 and 1 now reach 2 and 3
+        new = db.snapshot()
+        assert new.closures[("r",)] == [0b1111, 0b1110, 0b1100, 0b1000]
+        assert new.closures[("t",)] is t_rows  # not read by an r edge
+        assert old.closures == {("r",): r_rows, ("t",): t_rows}
+        assert r_rows == [0b11, 0b10, 0b1100, 0b1000]
+        db.add_edge(0, "r", 2)  # 0 already reaches 2: nothing grows
+        assert db.snapshot().closures[("r",)] is new.closures[("r",)]
+        assert self._delta(before) == (0, 1)
+
+    def test_memo_clear_keeps_the_closures(self):
+        db = path_graph(3, "r")
+        snap = db.snapshot()
+        rows = snap.closure(("r",))
+        snap.memo.clear()
+        assert snap.closures == {("r",): rows}
+
+    def test_a_fresh_databases_first_read_builds_nothing(self):
+        db = social_network(200, seed=4)
+        person = db.nodes_in_order()[0]
+        before = self._counts()
+        for text in ("knows+", "knows* worksAt", "livesIn partOf+"):
+            TwoRPQ.parse(text).targets(db, person)
+        assert self._delta(before) == (0, 0)
+        assert db.snapshot().closures == {}
+
+    def test_reads_and_writes_build_each_set_once(self):
+        """A loop of star reads and writes between known nodes buys the
+        knows closure and the partOf closure once each, then carries them
+        through every write: after both are bought, 0 builds per write."""
+        import random
+
+        db = social_network(200, seed=4)
+        nodes = db.nodes_in_order()
+        people = [node for node in nodes if node.startswith("p")]
+        cities = [node for node in nodes if node.startswith("city")]
+        queries = [TwoRPQ.parse(text) for text in ("knows+", "knows* worksAt", "livesIn partOf+")]
+        rng = random.Random(1)
+        before = self._counts()
+        builds = []  # total builds as each write finds them
+        for step in range(3000):
+            if step % 10 == 9:
+                if step % 20 == 9:
+                    db.add_edge(rng.choice(people), "knows", rng.choice(people))
+                else:
+                    db.add_edge(rng.choice(people), "livesIn", rng.choice(cities))
+                builds.append(self._delta(before)[0])
+                continue
+            query, source = queries[step % 3], rng.choice(people)
+            answer = query.targets(db, source)
+            if step % 11 == 0:
+                assert answer == targets_from(query.nfa, db, source)
+        assert set(db.snapshot().closures) == {("knows",), ("partOf",)}
+        assert builds[-1] == 2
+        first = builds.index(2)
+        assert set(builds[first:]) == {2} and len(builds) - first >= 50
+        assert self._delta(before)[1] > 0  # some writes grew the knows rows
+
+    def test_evaluate_and_witness_stay_on_the_plain_search(self):
+        db = random_graph(20, 50, ("r",), seed=3)
+        query = TwoRPQ.parse("r+")
+        before = self._counts()
+        for source in db.nodes_in_order():
+            query.witness_semipath(db, source, db.nodes_in_order()[0])
+        query.evaluate(db)
+        for source in db.nodes_in_order():
+            query.targets(db, source)  # sliced from the all-pairs answer
+        assert self._delta(before) == (0, 0)
+
+    def test_the_single_source_span_tags_the_closed_states(self):
+        from repro.obs.trace import Tracer
+
+        db = path_graph(4, "r")
+        query = TwoRPQ.parse("r+")
+        tracer = Tracer()
+        query.targets(db, 0, tracer=tracer)
+        db.snapshot().closure(("r",))
+        query.targets(db, 1, tracer=tracer)
+        spans = [span for root in tracer.roots for span in root.walk() if span.name == "eval-bfs"]
+        assert [span.tags["closed"] for span in spans] == [[], [0]]

@@ -71,6 +71,9 @@ def test_start_deadline():
     assert item.result.method == "start-deadline"
     assert item.result.verdict is Verdict.INCONCLUSIVE
     assert_budget_block(item.result.details, "start_deadline")
+    # Both in milliseconds: how late the dequeue was, against none allowed.
+    assert item.result.details["budget"]["limit"] == 0
+    assert item.result.details["budget"]["spent"] > 0
 
 
 def test_escalation_with_no_time_for_a_round():
