@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import itertools
 import re as _re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterator
 
 from .alphabet import inverse, is_inverse
@@ -47,17 +48,13 @@ class Regex:
     times per check (cache keys, the compile cache, the snapshot memo), and
     after the first time each is one attribute read.  A node that is never
     hashed, such as a query's tree while the server parses its frame,
-    costs nothing extra.  The cached value is not pickled, so a process
-    whose string hashes use another seed computes its own.
+    costs nothing extra.  A node pickles as a call of its class on its
+    field values, so the cached value is not pickled and a process whose
+    string hashes use another seed computes its own.
     """
 
     #: Not a field (no annotation): a node's own value shadows it once set.
     _hash = None
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
 
     def symbols(self) -> frozenset[str]:
         """All letters (from Sigma±) occurring in the expression."""
@@ -105,9 +102,14 @@ class Regex:
 
 def _node(cls: type) -> type:
     """``@dataclass(frozen=True)``, with the generated ``__hash__`` run once
-    per node and its value kept on the node."""
+    per node and its value kept on the node, pickled as ``cls(*fields)``."""
     cls = dataclass(frozen=True)(cls)
     fields_hash = cls.__hash__
+    names = [field.name for field in fields(cls)]
+    values = attrgetter(*names) if names else (lambda node: ())
+    if len(names) == 1:
+        value_of = values
+        values = lambda node: (value_of(node),)  # noqa: E731
 
     def __hash__(self) -> int:
         value = self._hash
@@ -116,7 +118,11 @@ def _node(cls: type) -> type:
             object.__setattr__(self, "_hash", value)
         return value
 
+    def __reduce__(self) -> tuple:
+        return cls, values(self)
+
     cls.__hash__ = __hash__
+    cls.__reduce__ = __reduce__
     return cls
 
 

@@ -589,9 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=("thread", "process"), default="thread",
         help="worker-pool substrate: thread (default; shares the hot "
         "caches across requests) or process (multi-core, crash-isolated: "
-        "workers warm-start, a crashing check yields an isolated error "
-        "response while the pool rebuilds, and worker metrics/cache "
-        "stats are repatriated to the metrics verb)",
+        "workers warm-start, a dead worker is respawned and only the "
+        "check it held can yield an isolated error response, and worker "
+        "metrics/cache stats are repatriated to the metrics verb)",
     )
     serve_p.add_argument(
         "--queue-limit", type=int, default=64,

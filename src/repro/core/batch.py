@@ -54,24 +54,32 @@ Backends:
   build the speedup on pure-Python checks is bounded; it is the right
   backend when checks hit caches, block on I/O, or run on free-threaded
   builds.
-- ``"process"`` — :class:`~concurrent.futures.ProcessPoolExecutor`.
-  True parallelism on multi-core machines; queries and results cross
-  the process boundary by pickling.  The process backend is
-  first-class (DESIGN.md "Concurrency architecture"):
+- ``"process"`` — ``workers`` processes that the executor starts itself
+  when it is built, each with one duplex pipe.  True parallelism on
+  multi-core machines; queries and results cross the process boundary by
+  pickling.  :meth:`ContainmentExecutor.submit` writes an item straight
+  to an idle worker's pipe from the caller's thread, items beyond the
+  idle workers wait in one queue in the parent, and one collector thread
+  reads every answer, hands that worker the next queued item and
+  resolves the finished one.  The process backend is first-class
+  (DESIGN.md "Concurrency architecture"):
 
-  - **Warm start.** Every worker runs a pool initializer that imports
-    the tower dispatch path and seeds the regex→NFA and containment
-    caches with tiny checks, so the first real item never pays
+  - **Warm start.** Every worker imports the tower dispatch path and
+    seeds the regex→NFA and containment caches with tiny checks before
+    it reads its first item, so the first real item never pays
     cold-compile latency.
   - **Crash isolation.** A worker that dies mid-item (segfault,
-    ``os._exit``) breaks the pool for *every* in-flight future; the
-    executor quarantines the casualties — each is retried exactly once,
-    serially, against a rebuilt pool, so innocent items recompute and
-    only the poison item resolves to an ``ERROR`` verdict with the
-    crash under ``details["error"]``.  The pool is rebuilt
-    (``batch.pool_rebuilds`` counts it) and subsequent submits
-    succeed: a crashing check never aborts a batch or takes down
-    ``repro serve``.
+    ``os._exit``, SIGKILL) costs only the item it held: the collector
+    respawns the worker (``batch.pool_rebuilds`` counts respawns) and
+    retries that one item once on the new worker; if the retry dies
+    too, the item resolves to an ``ERROR`` verdict with the crash under
+    ``details["error"]``.  No other item is touched: a crashing check
+    never aborts a batch or takes down ``repro serve``.  An argument or
+    result that fails to pickle or unpickle without killing the worker
+    is that item's ``ERROR``, with its own exception type.  Two workers
+    in a row that die idle before their first item stop the pool:
+    workers cannot start here, so every outstanding and later item is
+    a ``BrokenProcessPool`` ``ERROR`` instead of a respawn loop.
   - **Telemetry repatriation.** After each check the worker drains its
     metrics registry (cache counters included) and the item carries
     what moved (:attr:`BatchItem.telemetry`); the parent folds it in
@@ -82,16 +90,19 @@ Batch metrics (parent process): ``batch.items`` (counter),
 ``batch.wall_ms`` (histogram), ``batch.workers`` and
 ``batch.worker_utilization`` (gauges; utilization is the mean fraction
 of the pool's worker-seconds spent inside checks), and
-``batch.pool_rebuilds`` (counter; broken process pools replaced).
+``batch.pool_rebuilds`` (counter; process workers respawned after a
+death).
 """
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import dataclasses
 import multiprocessing
 import os
-import queue as _queue
+import pickle
+import selectors
 import threading
 import time
 import traceback
@@ -132,9 +143,15 @@ _BATCH_UTILIZATION = _metric_gauge("batch.worker_utilization")
 _BATCH_POOL_REBUILDS = _metric_counter("batch.pool_rebuilds")
 
 #: Attempts per item on the process backend: the original submission
-#: plus one quarantined retry after a pool break.  An item that breaks
-#: the pool twice is the poison and resolves to ``ERROR``.
+#: plus one retry on a respawned worker.  An item whose worker dies on
+#: both attempts is the poison and resolves to ``ERROR``.
 _MAX_ATTEMPTS = 2
+
+#: Seconds a stopping worker gets to exit on its own (it flushes its
+#: finalizers) before it is killed.
+_WORKER_EXIT_S = 30.0
+
+_PICKLE = pickle.HIGHEST_PROTOCOL
 
 #: Longest error message a wire payload carries: a response stays
 #: bounded whatever the exception says (a parser may quote its input).
@@ -287,10 +304,10 @@ def error_result(
 
 
 def _warm_start(options: dict[str, Any]) -> None:
-    """Process-pool initializer: pay the cold-start cost at spin-up.
+    """A process worker's first act: pay the cold-start cost at spin-up.
 
-    Runs once in every worker process before it accepts items.  Two
-    jobs, both best-effort: importing :func:`check_containment`'s
+    Runs once in every worker process before it reads its first item.
+    Two jobs, both best-effort: importing :func:`check_containment`'s
     dispatch path pulls every tower module into the worker (the
     fork-server preloads this module, so under ``forkserver`` the
     import is inherited and under ``spawn`` front-loaded here), and a
@@ -330,8 +347,9 @@ def _run_one_item(
 ) -> BatchItem:
     """One worker-side check: isolate failures, label the worker.
 
-    Module-level (not a closure) so the process backend can pickle it;
-    the executor passes every argument by keyword.  Each traced item
+    Module-level (not a closure): a thread worker gets it from the
+    executor and a process worker calls it by name, in both cases with
+    every argument by keyword.  Each traced item
     gets its *own* Tracer — the tracer contract is one tracer per
     check, which is what keeps concurrent span trees from interleaving.
 
@@ -400,17 +418,327 @@ def _validate_pool_args(
         resolve_kernel(options["kernel"])
 
 
-class _ItemFuture(concurrent.futures.Future):
-    """The future :meth:`ContainmentExecutor.submit` hands back.
+class _RemoteTraceback(Exception):
+    """A worker-side traceback, attached as the cause of the exception
+    a process worker sent back, so the parent's ``ERROR`` keeps it."""
 
-    A thin outer future decoupled from any one pool future, so the
-    executor can replace the pool (crash recovery) without invalidating
-    what callers hold.  ``cancel()`` delegates to the live inner
-    future: it succeeds only when the underlying item never started,
-    preserving the pool-deadline contract ("only unstarted items
-    degrade") across rebuilds.  An item queued for a quarantined retry
-    counts as started (its original pool future is already done), so it
-    is not cancellable.
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _failure(exc: Exception) -> bytes:
+    """The pickled answer for an item whose arguments or result did not
+    (un)pickle in the worker: the exception and its traceback text."""
+    text = "".join(traceback.format_exception(exc))
+    try:
+        return pickle.dumps((exc, text), _PICKLE)
+    except Exception:  # an exception that cannot travel: keep its words
+        return pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), text), _PICKLE)
+
+
+def _worker_main(conn: Any, options: dict[str, Any]) -> None:
+    """A process worker: warm up, then answer one item at a time.
+
+    Each item is the pickled keyword arguments of :func:`_run_one_item`;
+    the answer is the pickled :class:`BatchItem`, or :func:`_failure`.
+    ``_run_one_item`` is looked up in this module's globals on every
+    call, so a wrapper installed over that name reaches the worker.  The
+    loop ends when the parent closes its end of the pipe.
+    """
+    _warm_start(options)
+    while True:
+        try:
+            payload = conn.recv_bytes()
+        except EOFError:
+            return
+        try:
+            answer = pickle.dumps(_run_one_item(**pickle.loads(payload)), _PICKLE)
+        except Exception as exc:
+            answer = _failure(exc)
+        conn.send_bytes(answer)
+
+
+def _process_context() -> Any:
+    """The multiprocessing context for process workers: never ``fork``.
+
+    A forked worker inherits every open file descriptor — including a
+    live server's accepted connection sockets, so the peer never sees
+    EOF while a worker holds the duplicate — and forking a
+    multi-threaded parent (the asyncio server, the collector thread) can
+    deadlock the child.  ``forkserver`` forks from a clean helper
+    process instead (preloaded with this module so worker start-up does
+    not pay the full import), falling back to ``spawn`` where the fork
+    server is unavailable.
+    """
+    if "forkserver" in multiprocessing.get_all_start_methods():
+        context = multiprocessing.get_context("forkserver")
+        try:
+            context.set_forkserver_preload(["repro.core.batch"])
+        except Exception:  # pragma: no cover - preload is best-effort
+            pass
+        return context
+    return multiprocessing.get_context("spawn")
+
+
+class _Job:
+    """One item on the process backend: its future, its keyword
+    arguments, their pickle, and how many workers it was sent to."""
+
+    __slots__ = ("future", "kwargs", "payload", "attempts")
+
+    def __init__(self, kwargs: dict[str, Any], payload: bytes) -> None:
+        self.future: concurrent.futures.Future = concurrent.futures.Future()
+        self.kwargs = kwargs
+        self.payload = payload
+        self.attempts = 1
+
+
+class _Worker:
+    """One worker process, the parent's end of its pipe, its job, and
+    whether it has answered yet."""
+
+    __slots__ = ("process", "conn", "job", "answered")
+
+    def __init__(self, process: Any, conn: Any) -> None:
+        self.process = process
+        self.conn = conn
+        self.job: _Job | None = None
+        self.answered = False
+
+
+def _reap(process: Any) -> None:
+    """Wait for a worker to exit, killing it if it will not."""
+    process.join(_WORKER_EXIT_S)
+    if process.exitcode is None:
+        process.kill()
+        process.join()
+
+
+class _ProcessPool:
+    """The process backend: ``workers`` processes, one pipe each, and one
+    collector thread (module docstring).
+
+    Locking: ``_lock`` guards the queue, the idle list, each worker's
+    ``job`` and every write to or close of a worker's pipe, so a pipe is
+    never closed under a writer.  Only the collector thread reads pipes,
+    touches the selector and replaces workers.  A job's future is marked
+    running when the job is first written to a worker, so ``cancel()``
+    succeeds for exactly the items still queued.
+    """
+
+    def __init__(self, workers: int, options: dict[str, Any],
+                 resolve_item: Any, resolve_error: Any) -> None:
+        self._context = _process_context()
+        self._options = options
+        self._resolve_item = resolve_item
+        self._resolve_error = resolve_error
+        self._lock = threading.Lock()
+        self._queue: collections.deque[_Job] = collections.deque()
+        self._closed = False
+        self._broken: BaseException | None = None
+        self._failed_starts = 0
+        self._selector = selectors.DefaultSelector()
+        self._wake_r, self._wake_w = os.pipe()
+        self._selector.register(self._wake_r, selectors.EVENT_READ, None)
+        self._workers = [self._spawn() for _ in range(workers)]
+        self._idle = list(self._workers)
+        self._collector = threading.Thread(
+            target=self._collect, name="batch-collector", daemon=True
+        )
+        self._collector.start()
+
+    def _spawn(self) -> _Worker:
+        conn, child = self._context.Pipe()
+        process = self._context.Process(
+            target=_worker_main, args=(child, self._options), daemon=True
+        )
+        process.start()
+        child.close()
+        worker = _Worker(process, conn)
+        self._selector.register(conn, selectors.EVENT_READ, (worker, False))
+        self._selector.register(process.sentinel, selectors.EVENT_READ, (worker, True))
+        return worker
+
+    def submit(self, kwargs: dict[str, Any]) -> concurrent.futures.Future:
+        """Queue one :func:`_run_one_item` call; raises if *kwargs* does
+        not pickle or the pool is shut down."""
+        job = _Job(kwargs, pickle.dumps(kwargs, _PICKLE))
+        with self._lock:
+            if self._broken is not None:
+                from concurrent.futures.process import BrokenProcessPool
+
+                raise BrokenProcessPool(f"the process pool stopped: {self._broken}")
+            if self._closed:
+                raise RuntimeError("cannot submit to a process pool after shutdown")
+            if self._idle:
+                job.future.set_running_or_notify_cancel()
+                self._send(self._idle.pop(), job)
+            else:
+                self._queue.append(job)
+        return job.future
+
+    def _send(self, worker: _Worker, job: _Job) -> None:
+        """Write *job* to *worker* (caller holds the lock)."""
+        worker.job = job
+        try:
+            worker.conn.send_bytes(job.payload)
+        except OSError:
+            pass  # the worker died: _replace retries the job it holds
+
+    def _feed(self, worker: _Worker) -> None:
+        """Give *worker* the next queued item, or mark it idle (caller
+        holds the lock)."""
+        while self._queue:
+            job = self._queue.popleft()
+            if job.future.set_running_or_notify_cancel():
+                self._send(worker, job)
+                return
+        self._idle.append(worker)
+
+    def _collect(self) -> None:
+        """The collector thread: answers and deaths until shut down."""
+        try:
+            while True:
+                with self._lock:
+                    if self._closed and not self._queue and not any(
+                        worker.job for worker in self._workers
+                    ):
+                        break
+                # Answers first: a worker that answered and then died
+                # has its answer read before its death is handled.
+                events = sorted(
+                    self._selector.select(),
+                    key=lambda event: bool(event[0].data and event[0].data[1]),
+                )
+                for key, _ in events:
+                    if key.data is None:
+                        os.read(self._wake_r, 64)
+                        continue
+                    worker, died = key.data
+                    if worker not in self._workers:
+                        continue  # already replaced in this round
+                    if died:
+                        self._replace(worker)
+                    else:
+                        self._on_answer(worker)
+        except BaseException as exc:
+            self._abandon(exc)
+            raise
+        finally:
+            self._stop()
+
+    def _on_answer(self, worker: _Worker) -> None:
+        try:
+            data = worker.conn.recv_bytes()
+        except (EOFError, OSError):
+            self._replace(worker)
+            return
+        worker.answered = True
+        self._failed_starts = 0
+        with self._lock:
+            job, worker.job = worker.job, None
+            self._feed(worker)
+        try:
+            answer = pickle.loads(data)
+            if isinstance(answer, BatchItem):
+                self._resolve_item(job.future, answer)
+                return
+            exc, text = answer
+            exc.__cause__ = _RemoteTraceback(text)
+        except Exception as error:  # the answer does not unpickle here
+            exc = error
+        self._resolve_error(job.future, job.kwargs, exc)
+
+    def _replace(self, dead: _Worker) -> None:
+        """Respawn a dead worker and retry the one item it held, once."""
+        self._selector.unregister(dead.conn)
+        self._selector.unregister(dead.process.sentinel)
+        _reap(dead.process)
+        with self._lock:
+            self._workers.remove(dead)
+            if dead in self._idle:
+                self._idle.remove(dead)
+            dead.conn.close()
+            job, dead.job = dead.job, None
+        from concurrent.futures.process import BrokenProcessPool
+
+        crash = BrokenProcessPool(
+            f"worker pid:{dead.process.pid} died (exit code {dead.process.exitcode})"
+        )
+        dead.process.close()
+        if job is None and not dead.answered:
+            # Two workers in a row that die before their first item mean
+            # workers cannot start here: respawning would only loop.
+            self._failed_starts += 1
+            if self._failed_starts >= _MAX_ATTEMPTS:
+                self._abandon(crash)
+                return
+        elif job is not None and job.attempts >= _MAX_ATTEMPTS:
+            self._resolve_error(job.future, job.kwargs, crash)
+            job = None
+        try:
+            worker = self._spawn()
+        except BaseException as exc:
+            if job is not None:
+                self._resolve_error(job.future, job.kwargs, exc)
+            raise
+        _BATCH_POOL_REBUILDS.inc()
+        with self._lock:
+            self._workers.append(worker)
+            if job is not None:
+                job.attempts += 1
+                self._send(worker, job)
+            else:
+                self._feed(worker)
+
+    def _abandon(self, exc: BaseException) -> None:
+        """Stop for good (workers cannot start, or the collector failed):
+        refuse new items and answer every outstanding one with *exc*."""
+        with self._lock:
+            self._closed = True
+            self._broken = exc
+            jobs = list(self._queue) + [w.job for w in self._workers if w.job]
+            self._queue.clear()
+            for worker in self._workers:
+                worker.job = None
+        for job in jobs:
+            self._resolve_error(job.future, job.kwargs, exc)
+
+    def _stop(self) -> None:
+        """Close every pipe, so each worker exits its loop; join them."""
+        with self._lock:
+            workers = list(self._workers)
+            for worker in workers:
+                worker.conn.close()
+        for worker in workers:
+            _reap(worker.process)
+            worker.process.close()
+        self._selector.close()
+        os.close(self._wake_r)
+        os.close(self._wake_w)
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        """Stop taking items; the collector finishes what was sent (and,
+        unless *cancel_futures*, what is queued), then stops the workers."""
+        with self._lock:
+            if not self._closed:
+                self._closed = True
+                os.write(self._wake_w, b"\0")
+            cancelled = list(self._queue) if cancel_futures else []
+            if cancel_futures:
+                self._queue.clear()
+        for job in cancelled:
+            job.future.cancel()
+        if wait and threading.current_thread() is not self._collector:
+            self._collector.join()
+
+
+class _ItemFuture(concurrent.futures.Future):
+    """The future a thread-backend :meth:`ContainmentExecutor.submit`
+    hands back: resolved through :meth:`ContainmentExecutor._resolve_item`
+    when the pool's own future completes.  ``cancel()`` delegates to that
+    inner future, so it succeeds only when the item never started
+    (the pool-deadline contract: "only unstarted items degrade").
     """
 
     def __init__(self) -> None:
@@ -440,13 +768,12 @@ class ContainmentExecutor:
     owns its tracer, and budgets bound items cooperatively.
 
     On the process backend the executor is additionally the
-    crash-isolation and telemetry boundary (module docstring): worker
-    processes warm-start via a pool initializer, a broken pool is
-    rebuilt and its casualties retried in quarantine (serially, one at
-    a time, so a repeat offender is unambiguously the poison and only
-    *it* resolves to ``ERROR``), and each completed item's repatriated
-    worker telemetry is merged into the parent registry exactly once,
-    here.
+    crash-isolation and telemetry boundary (module docstring): its
+    workers warm-start as they are spawned, a dead worker is respawned
+    and the one item it held retried once (a repeat death makes that
+    item, and only it, the ``ERROR``), and each completed item's
+    repatriated worker telemetry is merged into the parent registry
+    exactly once, in :meth:`_resolve_item`.
 
     Caller errors (bad backend/workers, unknown options, bad kernel)
     still raise eagerly from the constructor, never per item.
@@ -463,46 +790,15 @@ class ContainmentExecutor:
         self.workers = workers
         self.backend = backend
         self._options = dict(options)
-        self._lock = threading.Lock()
-        self._generation = 0
-        self._closed = False
-        self._retry_queue: _queue.SimpleQueue | None = None
-        self._retry_thread: threading.Thread | None = None
-        self._pool = self._make_pool()
-
-    @staticmethod
-    def _process_context() -> Any:
-        """The multiprocessing context for worker pools: never ``fork``.
-
-        A forked worker inherits every open file descriptor — including
-        a live server's accepted connection sockets, so the peer never
-        sees EOF while a worker holds the duplicate — and forking a
-        multi-threaded parent (the asyncio server, the retry thread) can
-        deadlock the child.  ``forkserver`` forks from a clean helper
-        process instead (preloaded with this module so worker start-up
-        does not pay the full import), falling back to ``spawn`` where
-        the fork server is unavailable.
-        """
-        if "forkserver" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("forkserver")
-            try:
-                context.set_forkserver_preload(["repro.core.batch"])
-            except Exception:  # pragma: no cover - preload is best-effort
-                pass
-            return context
-        return multiprocessing.get_context("spawn")
-
-    def _make_pool(self) -> concurrent.futures.Executor:
-        if self.backend == "process":
-            return concurrent.futures.ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=self._process_context(),
-                initializer=_warm_start,
-                initargs=(self._options,),
+        self._pool: Any
+        if backend == "process":
+            self._pool = _ProcessPool(
+                workers, self._options, self._resolve_item, self._resolve_error
             )
-        return concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="batch-worker"
-        )
+        else:
+            self._pool = concurrent.futures.ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="batch-worker"
+            )
 
     def submit(
         self,
@@ -530,8 +826,8 @@ class ContainmentExecutor:
         bug, not an item failure).  A submit-time exception comes back
         as an already-resolved future holding the item's ``ERROR``
         verdict, so callers never need a second error path; a worker
-        crash mid-item likewise resolves (after one quarantined retry)
-        instead of raising.
+        crash mid-item likewise resolves (after one retry on a
+        respawned worker) instead of raising.
         """
         merged = dict(self._options)
         if options:
@@ -548,136 +844,37 @@ class ContainmentExecutor:
             "request_id": request_id,
             "collect_telemetry": self.backend == "process",
         }
+        if self.backend == "process":
+            try:
+                return self._pool.submit(kwargs)
+            except Exception as exc:  # an unpicklable argument, or shut down
+                future: concurrent.futures.Future = concurrent.futures.Future()
+                self._resolve_error(future, kwargs, exc)
+                return future
         outer = _ItemFuture()
-        self._dispatch(kwargs, outer, attempt=1)
+        try:
+            inner = self._pool.submit(_run_one_item, **kwargs)
+        except RuntimeError as exc:  # shut down
+            self._resolve_error(outer, kwargs, exc)
+            return outer
+        outer.inner = inner
+        inner.add_done_callback(lambda f: self._on_done(f, kwargs, outer))
         return outer
 
-    # --- dispatch / recovery internals -----------------------------------
-
-    def _dispatch(self, kwargs: dict, outer: _ItemFuture, attempt: int) -> None:
-        """Submit one :func:`_run_one_item` call, wiring completion to *outer*."""
-        with self._lock:
-            pool = self._pool
-            generation = self._generation
-        try:
-            inner = pool.submit(_run_one_item, **kwargs)
-        except concurrent.futures.BrokenExecutor as exc:
-            # The pool broke between submissions (a previous item's
-            # worker died).  Rebuild once and resubmit; a second break
-            # resolves to an isolated ERROR rather than looping.
-            if attempt >= _MAX_ATTEMPTS or self._closed:
-                self._resolve_error(outer, kwargs, exc)
-                return
-            self._rebuild(generation)
-            self._dispatch(kwargs, outer, attempt + 1)
-            return
-        except Exception as exc:  # e.g. pool shut down
-            self._resolve_error(outer, kwargs, exc)
-            return
-        outer.inner = inner
-        inner.add_done_callback(
-            lambda f: self._on_done(f, kwargs, outer, attempt, generation)
-        )
-
     def _on_done(
-        self,
-        inner: concurrent.futures.Future,
-        kwargs: dict,
-        outer: _ItemFuture,
-        attempt: int,
-        generation: int,
+        self, inner: concurrent.futures.Future, kwargs: dict, outer: _ItemFuture
     ) -> None:
-        """Completion fan-in (runs on the pool's management/worker thread).
-
-        Must never block: a broken-pool casualty is handed to the retry
-        thread instead of being retried here.
-        """
+        """Thread-backend completion (runs on the finishing worker thread)."""
         if inner.cancelled():
-            if not outer.cancelled():
-                outer.cancel()
+            outer.cancel()
             return
         exc = inner.exception()
         if exc is None:
             self._resolve_item(outer, inner.result())
-            return
-        if (
-            isinstance(exc, concurrent.futures.BrokenExecutor)
-            and attempt < _MAX_ATTEMPTS
-            and not self._closed
-        ):
-            # This future is a casualty of *some* worker crash — maybe
-            # its own item, maybe an innocent bystander's.  Rebuild the
-            # pool and quarantine-retry to find out.
-            self._rebuild(generation)
-            self._enqueue_retry(kwargs, outer, attempt + 1)
-            return
-        self._resolve_error(outer, kwargs, exc)
-
-    def _rebuild(self, broken_generation: int) -> None:
-        """Replace the broken pool (once per break, however many see it)."""
-        with self._lock:
-            if self._closed or self._generation != broken_generation:
-                return
-            broken = self._pool
-            self._generation += 1
-            self._pool = self._make_pool()
-        _BATCH_POOL_REBUILDS.inc()
-        broken.shutdown(wait=False)
-
-    def _enqueue_retry(self, kwargs: dict, outer: _ItemFuture, attempt: int) -> None:
-        with self._lock:
-            if self._retry_thread is None:
-                self._retry_queue = _queue.SimpleQueue()
-                self._retry_thread = threading.Thread(
-                    target=self._retry_loop,
-                    name="batch-quarantine-retry",
-                    daemon=True,
-                )
-                self._retry_thread.start()
-            retry_queue = self._retry_queue
-        assert retry_queue is not None
-        retry_queue.put((kwargs, outer, attempt))
-
-    def _retry_loop(self) -> None:
-        assert self._retry_queue is not None
-        while True:
-            entry = self._retry_queue.get()
-            if entry is None:
-                return
-            self._retry_one(*entry)
-
-    def _retry_one(self, kwargs: dict, outer: _ItemFuture, attempt: int) -> None:
-        """Quarantined re-run: one retry in flight at a time.
-
-        Serialization is the blame mechanism — if the pool breaks again
-        while a quarantined item runs alone, that item *is* the poison
-        and resolves to ``ERROR``; innocent casualties of someone
-        else's crash recompute successfully.
-        """
-        with self._lock:
-            pool = self._pool
-            generation = self._generation
-        try:
-            inner = pool.submit(_run_one_item, **kwargs)
-        except Exception as exc:
-            self._resolve_error(outer, kwargs, exc)
-            return
-        outer.inner = inner
-        try:
-            item = inner.result()
-        except concurrent.futures.BrokenExecutor as exc:
-            # Crashed again, alone in the pool: this item is the poison.
-            self._rebuild(generation)
-            self._resolve_error(outer, kwargs, exc)
-        except concurrent.futures.CancelledError as exc:
-            # Shutdown cancelled the retry under us; still answer.
-            self._resolve_error(outer, kwargs, exc)
-        except Exception as exc:
-            self._resolve_error(outer, kwargs, exc)
         else:
-            self._resolve_item(outer, item)
+            self._resolve_error(outer, kwargs, exc)
 
-    def _resolve_item(self, outer: _ItemFuture, item: BatchItem) -> None:
+    def _resolve_item(self, outer: concurrent.futures.Future, item: BatchItem) -> None:
         if item.telemetry is not None:
             # The single merge point for repatriated worker telemetry:
             # every completion path funnels through here exactly once.
@@ -689,7 +886,7 @@ class ContainmentExecutor:
                 pass
 
     def _resolve_error(
-        self, outer: _ItemFuture, kwargs: dict, exc: BaseException
+        self, outer: concurrent.futures.Future, kwargs: dict, exc: BaseException
     ) -> None:
         index, request_id = kwargs["index"], kwargs["request_id"]
         kernel = kwargs["options"].get("kernel", "auto")
@@ -703,18 +900,7 @@ class ContainmentExecutor:
                 pass
 
     def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
-        with self._lock:
-            self._closed = True
-            retry_queue = self._retry_queue
-            retry_thread = self._retry_thread
-            pool = self._pool
-        if retry_queue is not None:
-            retry_queue.put(None)
-        pool.shutdown(wait=wait, cancel_futures=cancel_futures)
-        if retry_thread is not None and wait:
-            # Bounded: by now the pool has drained, so any in-flight
-            # quarantined retry has already resolved its item.
-            retry_thread.join(timeout=10.0)
+        self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
 
     def __enter__(self) -> "ContainmentExecutor":
         return self

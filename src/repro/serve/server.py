@@ -32,9 +32,12 @@ Backend: ``--backend`` selects the pool substrate.  The default
 pair answered for one client is a cache hit for every other; the
 ``process`` backend trades per-request cache sharing for true
 multi-core parallelism and crash isolation — workers warm-start
-(caches pre-seeded at spin-up), a worker crash resolves to an isolated
-``ERROR`` response while the pool rebuilds underneath the running
-server, nothing from this package crosses into a worker (a late
+(caches pre-seeded at spin-up), each admitted frame is written from the
+event loop straight to an idle worker's pipe and resolved by the
+executor's one collector thread, a worker that dies is respawned
+underneath the running server and the one frame it held is retried
+once (only a frame whose retry dies too becomes an isolated ``ERROR``
+response), nothing from this package crosses into a worker (a late
 dequeue comes back as the batch layer's ``start-deadline`` verdict and
 is shed here, exactly as on the thread backend), and each worker's
 metrics registry (cache counters included) is drained per item and

@@ -21,8 +21,14 @@ as in the concurrency CI job).
 
 from __future__ import annotations
 
+import collections
+import concurrent.futures
+import os
 import random
+import signal
+import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -645,6 +651,163 @@ class TestProcessBackend:
             after = executor.submit(q1, q2, index=1).result(timeout=60)
             assert after.result.verdict is Verdict.HOLDS
 
+    def test_an_innocent_check_survives_a_crash_on_its_own_worker(self):
+        # A slow innocent check runs beside a poison pill: only the
+        # pill's worker dies (twice: the pill is retried once), and the
+        # innocent check finishes on its first attempt, on a worker that
+        # was there before the crash.
+        from repro.obs.experiments import _PoisonPill
+
+        word = " ".join("ab"[i % 2] for i in range(6000))
+        slow = (RPQ(parse_regex(word)), RPQ(parse_regex("a")))
+        with ContainmentExecutor(workers=2, backend="process") as executor:
+            warm = [executor.submit(*self.pair(), index=i) for i in range(2)]
+            pids = {_pid(future.result(timeout=60)) for future in warm}
+            assert len(pids) == 2
+            rebuilds = REGISTRY.counter("batch.pool_rebuilds").value
+            innocent = executor.submit(*slow, index=2)
+            poison = executor.submit(_PoisonPill(), _PoisonPill(), index=3)
+            crashed = poison.result(timeout=60)
+            item = innocent.result(timeout=120)
+        assert crashed.result.verdict is Verdict.ERROR
+        assert crashed.result.details["error"]["type"] == "BrokenProcessPool"
+        assert item.result.verdict is Verdict.REFUTED
+        assert _pid(item) in pids
+        assert REGISTRY.counter("batch.pool_rebuilds").value == rebuilds + 2
+
+    def test_a_worker_killed_while_idle_is_replaced(self):
+        with ContainmentExecutor(workers=1, backend="process") as executor:
+            pid = _pid(executor.submit(*self.pair(), index=0).result(timeout=60))
+            os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 60
+            while REGISTRY.counter("batch.pool_rebuilds").value < 1:
+                assert time.monotonic() < deadline, "the dead worker was not replaced"
+                time.sleep(0.01)
+            after = executor.submit(*self.pair(), index=1).result(timeout=60)
+        assert after.result.verdict is Verdict.HOLDS
+        assert _pid(after) != pid
+        assert REGISTRY.counter("batch.pool_rebuilds").value == 1
+
+    def test_an_argument_that_fails_to_unpickle_is_its_own_error(self):
+        # The worker survives: the item is an ERROR at its index, with the
+        # unpickler's own exception type, and nothing is respawned.
+        with ContainmentExecutor(workers=1, backend="process") as executor:
+            pid = _pid(executor.submit(*self.pair(), index=0).result(timeout=60))
+            bad = executor.submit(
+                _UnpicklesToValueError(), RPQ(parse_regex("a")),
+                index=5, request_id="r5",
+            ).result(timeout=60)
+            after = executor.submit(*self.pair(), index=6).result(timeout=60)
+        error = bad.result.details["error"]
+        assert bad.result.verdict is Verdict.ERROR
+        assert (bad.index, bad.request_id) == (5, "r5")
+        assert (error["type"], error["index"]) == ("ValueError", 5)
+        assert "not a number" in error["message"]
+        assert after.result.verdict is Verdict.HOLDS and _pid(after) == pid
+        assert REGISTRY.counter("batch.pool_rebuilds").value == 0
+
+    def test_workers_that_die_at_start_up_are_not_respawned_forever(self):
+        # An option that kills the worker when it unpickles its start-up
+        # arguments: the first worker and its replacement die before
+        # their first item, so the pool stops instead of looping, and
+        # items are refused as isolated errors.
+        from repro.obs.experiments import _PoisonPill
+
+        executor = ContainmentExecutor(
+            workers=1, backend="process", method=_PoisonPill()
+        )
+        try:
+            executor._pool._collector.join(timeout=60)
+            assert not executor._pool._collector.is_alive()
+            item = executor.submit(*self.pair(), index=1).result(timeout=60)
+        finally:
+            executor.shutdown(wait=True)
+        error = item.result.details["error"]
+        assert (error["type"], error["index"]) == ("BrokenProcessPool", 1)
+        assert "died" in error["message"]
+        assert REGISTRY.counter("batch.pool_rebuilds").value == 1
+
+    def test_concurrent_submitters_get_each_answer_exactly_once(self):
+        # More workers than cores, four submitting threads and a short
+        # switch interval: every future resolves once, to its own index
+        # and the sequential verdict, and the pool ends idle.
+        pairs = e1_workload()[:12]
+        expected = [result.verdict for result in sequential_baseline(pairs)]
+        resolutions: collections.Counter = collections.Counter()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ContainmentExecutor(workers=3, backend="process") as executor:
+                pool = executor._pool
+                resolve_item, resolve_error = pool._resolve_item, pool._resolve_error
+
+                def counted_item(future, item):
+                    resolutions[item.request_id] += 1
+                    resolve_item(future, item)
+
+                def counted_error(future, kwargs, exc):
+                    resolutions[kwargs["request_id"]] += 1
+                    resolve_error(future, kwargs, exc)
+
+                pool._resolve_item, pool._resolve_error = counted_item, counted_error
+                stop = time.monotonic() + 5.0
+                submitted: dict[int, object] = {}
+                lock = threading.Lock()
+
+                def submitter(offset):
+                    # Bursts of three, each awaited, so the pool keeps
+                    # passing between all-busy and all-idle: a job left
+                    # queued beside an idle worker would never finish.
+                    for burst in range(40):
+                        if time.monotonic() > stop:
+                            return
+                        futures = []
+                        for index in range(burst * 12 + offset, burst * 12 + 12, 4):
+                            future = executor.submit(
+                                *pairs[index % len(pairs)], index=index,
+                                request_id=f"r{index}",
+                            )
+                            futures.append(future)
+                            with lock:
+                                submitted[index] = future
+                        concurrent.futures.wait(futures, timeout=30)
+
+                threads = [
+                    threading.Thread(target=submitter, args=(offset,))
+                    for offset in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                for index, future in submitted.items():
+                    item = future.result(timeout=0)
+                    assert (item.index, item.request_id) == (index, f"r{index}")
+                    assert item.result.verdict is expected[index % len(pairs)]
+                with pool._lock:
+                    assert not pool._queue
+                    assert all(worker.job is None for worker in pool._workers)
+                    assert len(pool._idle) == 3
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(submitted) >= 4
+        assert resolutions == collections.Counter(f"r{index}" for index in submitted)
+
+    def test_pool_deadline_degrades_only_unsent_items(self):
+        # The first item is written to the idle worker at submit, so it
+        # runs; the rest wait in the queue, and only those degrade.
+        batch = check_containment_many(
+            e1_workload(), workers=1, backend="process", pool_deadline_ms=0.01
+        )
+        degraded = [
+            item.result.method == "batch-pool-deadline" for item in batch.items
+        ]
+        assert not degraded[0] and any(degraded)
+        assert degraded == sorted(degraded)  # the queue is first in, first out
+        for item, starved in zip(batch.items, degraded):
+            assert (item.worker is None) == starved
+
     def test_worker_telemetry_repatriates_exactly(self):
         # Worker processes mutate their own registries; the executor
         # merges each item's drained window exactly once, so the
@@ -700,3 +863,16 @@ class TestProcessBackend:
         )
         assert all(item.telemetry is None for item in batch.items)
         assert REGISTRY.counter("engine.checks").value == 4
+
+
+def _pid(item: BatchItem) -> int:
+    """The pid in a process item's ``pid:<n>/<thread>`` worker label."""
+    return int(item.worker.split("/")[0].removeprefix("pid:"))
+
+
+class _UnpicklesToValueError:
+    """An argument whose unpickling raises ``ValueError`` (and nothing
+    worse) in the worker."""
+
+    def __reduce__(self):
+        return int, ("not a number",)

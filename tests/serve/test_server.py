@@ -404,15 +404,69 @@ class TestLoadShedding:
                 assert shed["budget"]["exhausted"] == "admission:deadline"
                 assert server._admission.shed_total == 1
                 # Only queries, budgets and options crossed into the
-                # worker: it never imported the serving layer.
-                loaded = server._executor._pool.submit(
-                    eval,
-                    "[m for m in __import__('sys').modules if m.startswith('repro.serve')]",
-                    {},
+                # worker: it never imported the serving layer.  The probe
+                # is an argument whose unpickling in the worker raises
+                # with the worker's repro.serve* modules as its message.
+                probe = server._executor.submit(
+                    _ServeModulesProbe(), _ServeModulesProbe(), index=3
                 ).result(timeout=60)
-                assert loaded == []
+                error = probe.result.details["error"]
+                assert (error["type"], error["index"]) == ("LookupError", 3)
+                assert error["message"] == "[]"
 
         asyncio.run(run())
+
+    def test_a_worker_killed_mid_frame_is_retried_and_answered_once(self):
+        # One process worker, SIGKILLed while it holds a slow frame: the
+        # frame is retried on the respawned worker and answered exactly
+        # once, admission slots come back, and the next frame is served.
+        word = " ".join("ab"[i % 2] for i in range(6000))
+        slow = json.dumps({"id": "slow", "left": f"rpq:{word}", "right": "rpq:a"})
+
+        async def run():
+            async with running_server(
+                workers=1, backend="process", queue_limit=8
+            ) as (server, port):
+                [warm] = await roundtrip(port, [HOLDS_FRAME])
+                pid = int(warm["worker"].split("/")[0].removeprefix("pid:"))
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write((slow + "\n").encode())
+                await writer.drain()
+                for _ in range(500):
+                    if server._admission.pending == 1:
+                        break
+                    await asyncio.sleep(0.01)
+                await asyncio.sleep(0.05)
+                os.kill(pid, signal.SIGKILL)
+                response = json.loads(await asyncio.wait_for(reader.readline(), 60))
+                assert (response["id"], response["verdict"]) == ("slow", "refuted")
+                assert not response["worker"].startswith(f"pid:{pid}/")
+                metrics = '{"op": "metrics", "id": "m"}'
+                writer.write((HOLDS_FRAME + "\n" + metrics + "\n").encode())
+                writer.write_eof()
+                rest = [json.loads(line) async for line in reader]
+                writer.close()
+                with contextlib.suppress(Exception):
+                    await writer.wait_closed()
+                assert [(r["id"], r.get("verdict")) for r in rest] == [
+                    ("p1", "holds"), ("m", None)
+                ]
+                assert rest[1]["metrics"]["batch.pool_rebuilds"]["value"] >= 1
+                assert server._admission.pending == 0
+
+        asyncio.run(run())
+
+
+class _ServeModulesProbe:
+    """Unpickles into a ``LookupError`` listing the ``repro.serve*``
+    modules loaded in the unpickling process."""
+
+    def __reduce__(self):
+        return exec, (
+            "raise LookupError(sorted(m for m in __import__('sys').modules"
+            " if m.startswith('repro.serve')))",
+            {},
+        )
 
 
 class TestWriterFailure:
