@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import math
 import threading
 import time
 from dataclasses import dataclass, fields, replace
@@ -177,15 +178,15 @@ class Budget:
         request deadline tighter than the server's (or a server with no
         deadline at all) adopts the request's.
 
-        Raises ValueError on a non-positive deadline — a wire request
-        asking for 0 ms is a protocol error to surface, not a budget to
-        run.
+        Raises ValueError on a non-positive or non-finite deadline — a
+        wire request asking for 0 ms (or NaN, which no comparison
+        tightens) is a protocol error to surface, not a budget to run.
         """
         if deadline_ms is None:
             return self
-        if deadline_ms <= 0:
+        if not 0 < deadline_ms < math.inf:
             raise ValueError(
-                f"deadline_ms must be > 0, not {deadline_ms!r}"
+                f"deadline_ms must be a finite number > 0, not {deadline_ms!r}"
             )
         if self.deadline_ms is not None:
             deadline_ms = min(self.deadline_ms, deadline_ms)
@@ -349,14 +350,14 @@ def configured_budget(
     return Budget(deadline_ms=deadline_ms, max_expansions=max_expansions)
 
 
-def not_run_details(kernel: str) -> dict[str, Any]:
+def not_run_details() -> dict[str, Any]:
     """The ``cache`` and ``kernel`` blocks of a verdict for a check that never ran.
 
     Shed, starved and failed checks looked nothing up and selected no
     kernel; recording that keeps every result's details the same shape
     as the engine's.
     """
-    return {"cache": "bypass", "kernel": {"requested": kernel, "selected": None}}
+    return {"cache": "bypass", "kernel": {"selected": None}}
 
 
 def bounded_result(

@@ -153,14 +153,11 @@ def _cmd_contain(args: argparse.Namespace) -> int:
 
     q1 = parse_query(args.left)
     q2 = parse_query(args.right)
-    options: dict[str, Any] = {}
-    if args.kernel is not None:
-        options["kernel"] = args.kernel
     budget = configured_budget(
         args.deadline_ms, escalate=args.auto_budget, max_expansions=args.max_expansions
     )
     want_trace = args.trace or args.trace_json is not None
-    result = check_containment(q1, q2, budget=budget, trace=want_trace, **options)
+    result = check_containment(q1, q2, budget=budget, trace=want_trace)
     print(result.describe())
     if want_trace:
         from .obs.export import render_trace, trace_to_ndjson
@@ -195,20 +192,15 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     budget = configured_budget(
         args.deadline_ms, escalate=args.auto_budget, max_expansions=args.max_expansions
     )
-    options: dict[str, Any] = {}
-    if args.kernel is not None:
-        options["kernel"] = args.kernel
 
     # Parse the workload on the shared wire-protocol path: malformed
     # lines are isolated exactly like item failures — a bad line yields
     # an ERROR result line at its input position, not an abort.  Each
-    # line's deadline_ms, kernel and max_expansions apply exactly as
-    # on the server.
+    # line's deadline_ms and max_expansions apply exactly as on the
+    # server.
     text = pathlib.Path(args.workload).read_text()
     parsed = parse_workload(text)
-    items = [
-        (r.left, r.right, r.budget(budget), dict(r.options)) for r in parsed.requests
-    ]
+    items = [(r.left, r.right, r.budget(budget)) for r in parsed.requests]
     pair_ids = {
         position: request.id
         for position, request in enumerate(parsed.requests)
@@ -220,7 +212,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         backend=args.backend,
         trace=args.trace,
         pool_deadline_ms=args.pool_deadline_ms,
-        **options,
     )
 
     # Re-interleave parse failures at their original line positions.
@@ -269,7 +260,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         deadline_ms=args.deadline_ms,
         auto_budget=args.auto_budget,
         drain_grace_ms=args.drain_grace_ms,
-        kernel=args.kernel,
         max_expansions=args.max_expansions,
         access_log=args.access_log,
         slow_ms=args.slow_ms,
@@ -485,12 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="budget for expansion-based procedures",
     )
     contain_p.add_argument(
-        "--kernel", choices=("subset", "antichain", "auto"), default=None,
-        help="language-inclusion search kernel for automata-backed "
-        "procedures (default auto = antichain; subset is the ablation "
-        "baseline)",
-    )
-    contain_p.add_argument(
         "--deadline-ms", type=float, default=None,
         help="wall-clock deadline; exhaustion reports INCONCLUSIVE "
         "instead of running forever",
@@ -540,10 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch_p.add_argument(
         "--max-expansions", type=int, default=None,
         help="per-item budget for expansion-based procedures",
-    )
-    batch_p.add_argument(
-        "--kernel", choices=("subset", "antichain", "auto"), default=None,
-        help="per-item language-inclusion kernel (see `contain --kernel`)",
     )
     batch_p.add_argument(
         "--deadline-ms", type=float, default=None,
@@ -611,10 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--drain-grace-ms", type=float, default=5000.0,
         help="after SIGTERM/SIGINT, how long connections may keep sending "
         "(each frame shed) before the server closes them (default 5000)",
-    )
-    serve_p.add_argument(
-        "--kernel", choices=("subset", "antichain", "auto"), default=None,
-        help="default language-inclusion kernel (see `contain --kernel`)",
     )
     serve_p.add_argument(
         "--max-expansions", type=int, default=None,

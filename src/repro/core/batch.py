@@ -37,8 +37,8 @@ Semantics (DESIGN.md "Concurrency architecture"):
   a worker dequeues too late is not run: it comes back as the
   ``"start-deadline"`` ``INCONCLUSIVE``, on either backend.  The
   serving layer turns that verdict into its shed response on its own
-  event loop, so nothing but queries, budgets and options crosses into
-  a worker, and process workers import nothing from :mod:`repro.serve`.
+  event loop, so nothing but queries and budgets crosses into a
+  worker, and process workers import nothing from :mod:`repro.serve`.
   Every degraded verdict here is built by
   :func:`repro.budget.bounded_result`.
 - **Tracing.** ``trace=True`` gives every *item* its own
@@ -108,13 +108,12 @@ import time
 import traceback
 from typing import Any, Iterable, Iterator, Sequence
 
-from ..automata.antichain import resolve_kernel
 from ..budget import Budget, BudgetExhausted, bounded_result, not_run_details
 from ..obs.metrics import REGISTRY, counter as _metric_counter, \
     gauge as _metric_gauge, histogram as _metric_histogram, merge_snapshot_delta
 from ..obs.trace import Tracer
 from ..report import ContainmentResult, Verdict
-from .engine import _OPTION_UNIVERSE, check_containment
+from .engine import check_containment
 
 __all__ = [
     "BatchItem",
@@ -281,9 +280,7 @@ class BatchResult:
         )
 
 
-def error_result(
-    index: int, exc: BaseException, kernel: str = "auto"
-) -> ContainmentResult:
+def error_result(index: int, exc: BaseException) -> ContainmentResult:
     """Failure isolation: the structured ERROR verdict for one item."""
     return ContainmentResult(
         Verdict.ERROR,
@@ -298,12 +295,12 @@ def error_result(
                 "index": index,
             },
             "budget": {"spend": {}},
-            **not_run_details(kernel),
+            **not_run_details(),
         },
     )
 
 
-def _warm_start(options: dict[str, Any]) -> None:
+def _warm_start() -> None:
     """A process worker's first act: pay the cold-start cost at spin-up.
 
     Runs once in every worker process before it reads its first item.
@@ -326,8 +323,8 @@ def _warm_start(options: dict[str, Any]) -> None:
     try:
         q1 = RPQ(parse_regex("a b a b"))
         q2 = RPQ(parse_regex("(a b)*"))
-        check_containment(q1, q2, **options)
-        check_containment(q2, q1, **options)
+        check_containment(q1, q2)
+        check_containment(q2, q1)
     except Exception:
         pass
     REGISTRY.drain()
@@ -340,7 +337,6 @@ def _run_one_item(
     q2: Any,
     budget: Budget | str | None,
     trace: bool,
-    options: dict[str, Any],
     start_deadline: float | None = None,
     request_id: str | None = None,
     collect_telemetry: bool = False,
@@ -375,47 +371,27 @@ def _run_one_item(
             spent=round((start - start_deadline) * 1000.0, 3),
             limit=0,
         )
-        result = bounded_result(
-            "start-deadline",
-            late,
-            details=not_run_details(options.get("kernel", "auto")),
-        )
+        result = bounded_result("start-deadline", late, details=not_run_details())
         return BatchItem(index, result, 0.0, None, request_id)
     worker = f"pid:{os.getpid()}/{threading.current_thread().name}"
     try:
         if trace:
-            result = check_containment(
-                q1, q2, budget=budget, trace=Tracer(), **options
-            )
+            result = check_containment(q1, q2, budget=budget, trace=Tracer())
         else:
-            result = check_containment(q1, q2, budget=budget, **options)
+            result = check_containment(q1, q2, budget=budget)
     except Exception as exc:
-        result = error_result(index, exc, kernel=options.get("kernel", "auto"))
+        result = error_result(index, exc)
     wall_ms = (time.monotonic() - start) * 1000.0
     telemetry = (REGISTRY.drain() or None) if collect_telemetry else None
     return BatchItem(index, result, wall_ms, worker, request_id, telemetry)
 
 
-def _validate_pool_args(
-    workers: int, backend: str, options: dict[str, Any]
-) -> None:
+def _validate_pool_args(workers: int, backend: str) -> None:
     """Eager caller-error checks shared by the executor and the batch."""
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; use one of {BACKENDS}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, not {workers}")
-    unknown = sorted(set(options) - _OPTION_UNIVERSE)
-    if unknown:
-        # Fail fast in the caller's frame, exactly as the sequential
-        # loop would on its first item — a typo is not an item failure.
-        raise TypeError(
-            f"unknown option(s) {', '.join(map(repr, unknown))}; "
-            f"valid options are {', '.join(sorted(_OPTION_UNIVERSE))}"
-        )
-    if "kernel" in options:
-        # Same fail-fast contract: a bad kernel value is a caller typo,
-        # not a per-item failure to isolate as an ERROR verdict.
-        resolve_kernel(options["kernel"])
 
 
 class _RemoteTraceback(Exception):
@@ -436,7 +412,7 @@ def _failure(exc: Exception) -> bytes:
         return pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), text), _PICKLE)
 
 
-def _worker_main(conn: Any, options: dict[str, Any]) -> None:
+def _worker_main(conn: Any) -> None:
     """A process worker: warm up, then answer one item at a time.
 
     Each item is the pickled keyword arguments of :func:`_run_one_item`;
@@ -445,7 +421,7 @@ def _worker_main(conn: Any, options: dict[str, Any]) -> None:
     call, so a wrapper installed over that name reaches the worker.  The
     loop ends when the parent closes its end of the pipe.
     """
-    _warm_start(options)
+    _warm_start()
     while True:
         try:
             payload = conn.recv_bytes()
@@ -526,10 +502,8 @@ class _ProcessPool:
     succeeds for exactly the items still queued.
     """
 
-    def __init__(self, workers: int, options: dict[str, Any],
-                 resolve_item: Any, resolve_error: Any) -> None:
+    def __init__(self, workers: int, resolve_item: Any, resolve_error: Any) -> None:
         self._context = _process_context()
-        self._options = options
         self._resolve_item = resolve_item
         self._resolve_error = resolve_error
         self._lock = threading.Lock()
@@ -550,7 +524,7 @@ class _ProcessPool:
     def _spawn(self) -> _Worker:
         conn, child = self._context.Pipe()
         process = self._context.Process(
-            target=_worker_main, args=(child, self._options), daemon=True
+            target=_worker_main, args=(child,), daemon=True
         )
         process.start()
         child.close()
@@ -775,26 +749,19 @@ class ContainmentExecutor:
     repatriated worker telemetry is merged into the parent registry
     exactly once, in :meth:`_resolve_item`.
 
-    Caller errors (bad backend/workers, unknown options, bad kernel)
-    still raise eagerly from the constructor, never per item.
+    Caller errors (bad backend or workers) still raise eagerly from the
+    constructor, never per item.
     """
 
     def __init__(
-        self,
-        *,
-        workers: int = DEFAULT_WORKERS,
-        backend: str = "thread",
-        **options: Any,
+        self, *, workers: int = DEFAULT_WORKERS, backend: str = "thread"
     ) -> None:
-        _validate_pool_args(workers, backend, options)
+        _validate_pool_args(workers, backend)
         self.workers = workers
         self.backend = backend
-        self._options = dict(options)
         self._pool: Any
         if backend == "process":
-            self._pool = _ProcessPool(
-                workers, self._options, self._resolve_item, self._resolve_error
-            )
+            self._pool = _ProcessPool(workers, self._resolve_item, self._resolve_error)
         else:
             self._pool = concurrent.futures.ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="batch-worker"
@@ -810,7 +777,6 @@ class ContainmentExecutor:
         trace: bool = False,
         start_deadline: float | None = None,
         request_id: str | None = None,
-        options: dict[str, Any] | None = None,
     ) -> "concurrent.futures.Future[BatchItem]":
         """Submit one pair; the future resolves to its :class:`BatchItem`.
 
@@ -819,27 +785,18 @@ class ContainmentExecutor:
         the ``"start-deadline"`` ``INCONCLUSIVE``).  ``request_id``
         is carried through verbatim onto the resulting
         :class:`BatchItem` (including submit-time error items) so the
-        serving layer's telemetry can correlate it.  ``options``
-        overrides the executor's defaults for this submission only
-        (same option universe, validated eagerly — wire-level
-        validation is the caller's job, so a raise here is a caller
-        bug, not an item failure).  A submit-time exception comes back
-        as an already-resolved future holding the item's ``ERROR``
-        verdict, so callers never need a second error path; a worker
-        crash mid-item likewise resolves (after one retry on a
-        respawned worker) instead of raising.
+        serving layer's telemetry can correlate it.  A submit-time
+        exception comes back as an already-resolved future holding the
+        item's ``ERROR`` verdict, so callers never need a second error
+        path; a worker crash mid-item likewise resolves (after one retry
+        on a respawned worker) instead of raising.
         """
-        merged = dict(self._options)
-        if options:
-            _validate_pool_args(self.workers, self.backend, dict(options))
-            merged.update(options)
         kwargs = {
             "index": index,
             "q1": q1,
             "q2": q2,
             "budget": budget,
             "trace": trace,
-            "options": merged,
             "start_deadline": start_deadline,
             "request_id": request_id,
             "collect_telemetry": self.backend == "process",
@@ -889,10 +846,7 @@ class ContainmentExecutor:
         self, outer: concurrent.futures.Future, kwargs: dict, exc: BaseException
     ) -> None:
         index, request_id = kwargs["index"], kwargs["request_id"]
-        kernel = kwargs["options"].get("kernel", "auto")
-        item = BatchItem(
-            index, error_result(index, exc, kernel=kernel), 0.0, None, request_id
-        )
+        item = BatchItem(index, error_result(index, exc), 0.0, None, request_id)
         if not outer.cancelled():
             try:
                 outer.set_result(item)
@@ -917,16 +871,14 @@ def check_containment_many(
     budget: Budget | str | None = None,
     trace: bool = False,
     pool_deadline_ms: float | None = None,
-    **options: Any,
 ) -> BatchResult:
     """Check ``Q1 ⊆ Q2`` for every pair concurrently; see module docstring.
 
     Args:
         pairs: an iterable of ``(q1, q2)`` query pairs, or of
-            ``(q1, q2, budget, options)`` items carrying their own
-            budget (replacing *budget*) and options (overriding
-            *options*); materialized up front, results preserve this
-            order.
+            ``(q1, q2, budget)`` items carrying their own budget
+            (replacing *budget*); materialized up front, results
+            preserve this order.
         workers: pool width (default: core count, capped at 8).
         backend: ``"thread"`` or ``"process"`` (see module docstring
             for the sharing/parallelism trade-off).
@@ -937,38 +889,24 @@ def check_containment_many(
         pool_deadline_ms: wall-clock bound on the whole batch; items
             not started when it expires come back ``INCONCLUSIVE``
             (method ``"batch-pool-deadline"``).
-        **options: forwarded to every check (same surface as
-            :func:`~repro.core.engine.check_containment`; unknown names
-            raise TypeError from the first item that runs).
 
     Returns:
         A :class:`BatchResult` with one :class:`BatchItem` per input
         pair, in input order.
     """
-    _validate_pool_args(workers, backend, options)
+    _validate_pool_args(workers, backend)
     if pool_deadline_ms is not None and pool_deadline_ms < 0:
         raise ValueError("pool_deadline_ms must be >= 0")
-    items = [pair if len(pair) == 4 else (*pair, budget, None) for pair in pairs]
-    kernels = [
-        {**options, **(item_options or {})}.get("kernel", "auto")
-        for _, _, _, item_options in items
-    ]
+    items = [pair if len(pair) == 3 else (*pair, budget) for pair in pairs]
     start = time.monotonic()
     slots: list[BatchItem | None] = [None] * len(items)
     if items:
-        with ContainmentExecutor(
-            workers=workers, backend=backend, **options
-        ) as executor:
+        with ContainmentExecutor(workers=workers, backend=backend) as executor:
             futures: dict["concurrent.futures.Future[BatchItem]", int] = {
                 executor.submit(
-                    q1,
-                    q2,
-                    index=index,
-                    budget=item_budget,
-                    trace=trace,
-                    options=item_options,
+                    q1, q2, index=index, budget=item_budget, trace=trace
                 ): index
-                for index, (q1, q2, item_budget, item_options) in enumerate(items)
+                for index, (q1, q2, item_budget) in enumerate(items)
             }
             if pool_deadline_ms is not None:
                 remaining = pool_deadline_ms / 1000.0 - (time.monotonic() - start)
@@ -982,9 +920,7 @@ def check_containment_many(
                             limit=pool_deadline_ms,
                         )
                         result = bounded_result(
-                            "batch-pool-deadline",
-                            starved,
-                            details=not_run_details(kernels[index]),
+                            "batch-pool-deadline", starved, details=not_run_details()
                         )
                         slots[index] = BatchItem(index, result, 0.0, None)
             for future, index in futures.items():
@@ -996,12 +932,7 @@ def check_containment_many(
                     # Worker-side infrastructure failure the in-worker
                     # isolation could not catch (e.g. a result that fails
                     # to pickle back, or a crashed worker process).
-                    slots[index] = BatchItem(
-                        index,
-                        error_result(index, exc, kernel=kernels[index]),
-                        0.0,
-                        None,
-                    )
+                    slots[index] = BatchItem(index, error_result(index, exc), 0.0, None)
 
     # One exit path for loaded, degraded, and zero-item batches alike:
     # wall_ms is always the measured elapsed time (a zero-item batch is
@@ -1026,15 +957,11 @@ def check_containment_many(
 
 
 def sequential_baseline(
-    pairs: Sequence[tuple[Any, Any]],
-    budget: Budget | str | None = None,
-    **options: Any,
+    pairs: Sequence[tuple[Any, Any]], budget: Budget | str | None = None
 ) -> list[ContainmentResult]:
     """The plain sequential loop the batch must agree with, verbatim.
 
     Exists so differential tests and the scaling benchmark compare
     against one canonical implementation instead of re-spelling it.
     """
-    return [
-        check_containment(q1, q2, budget=budget, **options) for q1, q2 in pairs
-    ]
+    return [check_containment(q1, q2, budget=budget) for q1, q2 in pairs]

@@ -39,7 +39,6 @@ import dataclasses
 import time
 from typing import Any
 
-from ..automata.antichain import resolve_kernel
 from ..budget import Budget, BudgetExhausted, bounded_result, deadline_scope, \
     not_run_details
 from ..cache import containment_cache, query_cache_key
@@ -56,12 +55,6 @@ from ..rpq.containment import rpq_contained, two_rpq_contained
 from ..rq.containment import rq_contained
 from .classify import GRAPH_TOWER, QueryClass, classify, least_common_class, promote
 from ..report import ContainmentResult, EquivalenceResult, Verdict
-
-#: Every option name any dispatch target understands.  Anything else is
-#: a typo and raises TypeError at the engine boundary instead of being
-#: silently discarded.  Options select an algorithm; limits travel only
-#: in the ``budget``.
-_OPTION_UNIVERSE = frozenset({"method", "kernel"})
 
 #: Staged-escalation schedule: round k gets geometrically larger limits.
 _ESCALATION_CONFIG_BASE = 4096
@@ -85,7 +78,6 @@ def check_containment(
     q2: Any,
     budget: Budget | str | None = None,
     trace: "bool | Tracer" = False,
-    **options: Any,
 ) -> ContainmentResult:
     """Decide ``Q1 ⊆ Q2`` with the strongest applicable procedure.
 
@@ -107,53 +99,39 @@ def check_containment(
             accumulate several checks into one tree.  The default
             ``False`` costs one pointer test — tracing is strictly
             pay-for-what-you-use.
-        **options: forwarded to the underlying procedure (``method=``
-            for 2RPQs, ``kernel=`` for RPQs and 2RPQs; every result
-            reports the requested kernel).  Unknown
-            names raise TypeError; names valid for *some* procedure but
-            not the dispatched one are dropped and recorded in
-            ``details["ignored_options"]``.
 
     Returns:
         A :class:`repro.report.ContainmentResult`; see its module
         for the exactness contract.  Its ``details`` always carry a
         ``"cache"`` key (outcome) and a ``"budget"`` key (spend
-        accounting; ``{"spend": {}}`` for unmetered runs).
+        accounting; ``{"spend": {}}`` for unmetered runs).  Which
+        search ran is the engine's choice, not the caller's:
+        ``details["kernel"]["selected"]`` names it (``None`` for
+        procedures that run no language-inclusion search).
 
-    Repeated calls with the same queries and options are served from
-    the containment cache in :mod:`repro.cache`; the returned result's
+    Repeated calls with the same queries are served from the
+    containment cache in :mod:`repro.cache`; the returned result's
     ``details["cache"]`` records ``"hit"``, ``"miss"``, or ``"bypass"``
-    (unhashable queries or options opt out of caching rather than
-    risking a stale or shared value).
+    (unhashable queries opt out of caching rather than risking a stale
+    or shared value).
     Caching is bound-aware: exact verdicts are stored under a key that
     ignores budgets and serve any later budget, while bounded verdicts
     are keyed by their budget, so a cached small-budget result never
     shadows a larger-budget recomputation.  Traces are never cached:
     ``details["trace"]`` always describes the current call.
     """
-    unknown = sorted(set(options) - _OPTION_UNIVERSE)
-    if unknown:
-        raise TypeError(
-            f"unknown option(s) {', '.join(map(repr, unknown))}; "
-            f"valid options are {', '.join(sorted(_OPTION_UNIVERSE))}"
-        )
-    if "kernel" in options:
-        # Reject bad kernel values at the boundary, before classification
-        # or caching can swallow them (a typo must never silently fall
-        # back to the default kernel).
-        resolve_kernel(options["kernel"])
     budget = _normalize_budget(budget)
     _CHECKS.inc()  # locked: unsynchronized += loses events under batch workers
     if not trace:
         if budget is not None and budget.escalate:
-            return _escalate(q1, q2, budget, options, None)
-        return _check_with_cache(q1, q2, budget, options, None)
+            return _escalate(q1, q2, budget, None)
+        return _check_with_cache(q1, q2, budget, None)
     tracer = trace if isinstance(trace, Tracer) else Tracer()
     with tracer.span("check-containment"):
         if budget is not None and budget.escalate:
-            result = _escalate(q1, q2, budget, options, tracer)
+            result = _escalate(q1, q2, budget, tracer)
         else:
-            result = _check_with_cache(q1, q2, budget, options, tracer)
+            result = _check_with_cache(q1, q2, budget, tracer)
     return dataclasses.replace(
         result, details={**dict(result.details), "trace": tracer.to_dict()}
     )
@@ -168,13 +146,13 @@ def _normalize_budget(budget: Budget | str | None) -> Budget | None:
 
 
 def _check_with_cache(
-    q1: Any, q2: Any, budget: Budget | None, options: dict, tracer
+    q1: Any, q2: Any, budget: Budget | None, tracer
 ) -> ContainmentResult:
-    exact_key, full_key = _cache_keys(q1, q2, budget, options)
+    exact_key, full_key = _cache_keys(q1, q2, budget)
     if exact_key is None:
         if tracer is not None:
             tracer.event("cache", outcome="bypass")
-        return _annotate(_run_uncached(q1, q2, budget, options, tracer), "bypass")
+        return _annotate(_run_uncached(q1, q2, budget, tracer), "bypass")
     # Probe the exact key without counting: the two keys serve one
     # logical request, and only the authoritative lookup below should
     # move the hit/miss counters.
@@ -192,7 +170,7 @@ def _check_with_cache(
         return _annotate(cached, "hit")
     if tracer is not None:
         tracer.event("cache", outcome="miss")
-    result = _run_uncached(q1, q2, budget, options, tracer)
+    result = _run_uncached(q1, q2, budget, tracer)
     if result.is_exact:
         containment_cache.put(exact_key, result)
     elif budget is None or budget.deadline_ms is None:
@@ -205,7 +183,7 @@ def _check_with_cache(
 
 
 def _run_uncached(
-    q1: Any, q2: Any, budget: Budget | None, options: dict, tracer
+    q1: Any, q2: Any, budget: Budget | None, tracer
 ) -> ContainmentResult:
     """One fresh dispatch, with metrics and the budget-details guarantee.
 
@@ -222,13 +200,11 @@ def _run_uncached(
     # remaining-deadline math, and the check_ms histogram can't drift.
     start = time.monotonic()
     with deadline_scope(budget):
-        result = _check_containment_uncached(q1, q2, budget, options, tracer)
+        result = _check_containment_uncached(q1, q2, budget, tracer)
     if "budget" not in result.details or "kernel" not in result.details:
         details = dict(result.details)
         details.setdefault("budget", {"spend": {}})
-        details.setdefault(
-            "kernel", {"requested": options.get("kernel", "auto"), "selected": None}
-        )
+        details.setdefault("kernel", {"selected": None})
         result = dataclasses.replace(result, details=details)
     _CHECK_MS.observe((time.monotonic() - start) * 1000.0)
     _VERDICT_COUNTERS[result.verdict].inc()
@@ -236,7 +212,7 @@ def _run_uncached(
 
 
 def _cache_keys(
-    q1: Any, q2: Any, budget: Budget | None, options: dict
+    q1: Any, q2: Any, budget: Budget | None
 ) -> tuple[Any | None, Any | None]:
     """(exact_key, full_key) for the containment cache, or (None, None).
 
@@ -247,14 +223,7 @@ def _cache_keys(
     left, right = query_cache_key(q1), query_cache_key(q2)
     if left is None or right is None:
         return None, None
-    try:
-        all_options = tuple(sorted(options.items()))
-        hash(all_options)
-    except TypeError:
-        return None, None
-    exact_key = (left, right, all_options, "exact")
-    full_key = (left, right, all_options, budget)
-    return exact_key, full_key
+    return (left, right, "exact"), (left, right, budget)
 
 
 def _annotate(result: ContainmentResult, outcome: str) -> ContainmentResult:
@@ -264,9 +233,7 @@ def _annotate(result: ContainmentResult, outcome: str) -> ContainmentResult:
     )
 
 
-def _escalate(
-    q1: Any, q2: Any, budget: Budget, options: dict, tracer
-) -> ContainmentResult:
+def _escalate(q1: Any, q2: Any, budget: Budget, tracer) -> ContainmentResult:
     """Staged escalation: geometrically larger bounds until exact or spent.
 
     Each round shares the overall wall-clock deadline (rounds get the
@@ -294,7 +261,7 @@ def _escalate(
         )
         if tracer is not None:
             tracer.event("escalation-round", round=k)
-        result = _check_with_cache(q1, q2, round_budget, options, tracer)
+        result = _check_with_cache(q1, q2, round_budget, tracer)
         rounds.append(
             {
                 "round": k,
@@ -316,11 +283,7 @@ def _escalate(
             spent=round((time.monotonic() - start) * 1000.0, 3),
             limit=budget.deadline_ms,
         )
-        result = bounded_result(
-            "escalation",
-            no_time,
-            details=not_run_details(options.get("kernel", "auto")),
-        )
+        result = bounded_result("escalation", no_time, details=not_run_details())
     escalation = {
         "rounds": rounds,
         "elapsed_ms": (time.monotonic() - start) * 1000.0,
@@ -331,7 +294,7 @@ def _escalate(
 
 
 def _check_containment_uncached(
-    q1: Any, q2: Any, budget: Budget | None, options: dict, tracer=None
+    q1: Any, q2: Any, budget: Budget | None, tracer=None
 ) -> ContainmentResult:
     class1, class2 = classify(q1), classify(q2)
     common = least_common_class(class1, class2)
@@ -347,33 +310,20 @@ def _check_containment_uncached(
         tracer.annotate(
             q1_class=class1.name, q2_class=class2.name, common_class=common.name
         )
-
-    # Only the RPQ and 2RPQ pipelines run a language-inclusion search,
-    # so only they take a kernel (the rest record ``selected: None``
-    # through the details["kernel"] normalization); only the 2RPQ
-    # pipeline selects by method.
-    allowed = {QueryClass.RPQ: ("kernel",), QueryClass.TWO_RPQ: ("method", "kernel")}
-    picked, ignored = _pick(options, *allowed.get(common, ()))
-    result = _dispatch(q1, q2, common, budget, picked, tracer)
-    if ignored:
-        result = dataclasses.replace(
-            result, details={**dict(result.details), "ignored_options": ignored}
-        )
-    return result
+    return _dispatch(q1, q2, common, budget, tracer)
 
 
 def _dispatch(
-    q1: Any, q2: Any, common: QueryClass, budget: Budget | None, picked: dict, tracer
+    q1: Any, q2: Any, common: QueryClass, budget: Budget | None, tracer
 ) -> ContainmentResult:
-    """Run the procedure for *common* with the options it understands."""
+    """Run the procedure for *common*: the towers' defaults pick the
+    search (the Shepherdson fold for 2RPQs, the antichain kernel for
+    both language-inclusion searches)."""
     if common is QueryClass.RPQ:
-        return rpq_contained(
-            RPQ(q1.regex), RPQ(q2.regex), budget=budget, tracer=tracer, **picked
-        )
+        return rpq_contained(RPQ(q1.regex), RPQ(q2.regex), budget=budget, tracer=tracer)
     if common is QueryClass.TWO_RPQ:
         return two_rpq_contained(
-            promote(q1, common), promote(q2, common), budget=budget,
-            tracer=tracer, **picked,
+            promote(q1, common), promote(q2, common), budget=budget, tracer=tracer
         )
     # Looked up per call: wrappers that patch these module attributes
     # (perfbench's span tracing) must see every dispatch.
@@ -404,29 +354,11 @@ def _dispatch(
     return datalog_in_datalog(left, right, budget=budget, tracer=tracer)
 
 
-def _pick(options: dict, *allowed: str) -> tuple[dict, tuple[str, ...]]:
-    """Split options into those the chosen procedure understands and the rest.
-
-    The engine's **options surface is a union across procedures; an
-    option meant for the 2RPQ pipeline must not crash the expansion
-    path it did not end up taking — but neither may it vanish silently,
-    so the dropped names are returned for ``details["ignored_options"]``.
-    ``kernel`` is never among them: the engine validates it for every
-    procedure and reports it in ``details["kernel"]``.
-    """
-    picked = {key: options[key] for key in allowed if key in options}
-    ignored = tuple(
-        sorted(key for key in options if key not in allowed and key != "kernel")
-    )
-    return picked, ignored
-
-
 def check_equivalence(
     q1: Any,
     q2: Any,
     exact: bool = False,
     budget: Budget | str | None = None,
-    **options: Any,
 ) -> EquivalenceResult:
     """Equivalence via both containment directions.
 
@@ -437,7 +369,7 @@ def check_equivalence(
     such direction either way.
     """
     return EquivalenceResult(
-        check_containment(q1, q2, budget=budget, **options),
-        check_containment(q2, q1, budget=budget, **options),
+        check_containment(q1, q2, budget=budget),
+        check_containment(q2, q1, budget=budget),
         exact=exact,
     )

@@ -407,20 +407,21 @@ class _PoisonPill:
         return (os._exit, (1,))
 
 
-def _blowup_pairs() -> list[tuple[RPQ, RPQ]]:
-    """A10's CPU-bound pairs: ``(a|b)* a (a|b)^12`` against the ``^13``
-    suffix behind a distinct 4-letter prefix each.  Checked on the
-    subset kernel, whose search explores about 2^13 configurations per
-    pair (A8's blow-up family at n = 12); compilation stops at the
-    subset cap, so the search is what keeps each check busy."""
-    window = " ".join(["(a|b)"] * 12)
+def _blowup_pairs() -> list[tuple[TwoRPQ, TwoRPQ]]:
+    """A10's CPU-bound pairs: the 2RPQ window family
+    ``P (a|b)* a (a|b)^9`` against ``P (a|b)* a (a|b)^10 (a- a)*``,
+    behind a distinct 4-letter prefix ``P`` each.  The inverse loop
+    sends every pair through the Theorem 5 fold on the engine's default
+    path, whose product search against the lazily determinized fold is
+    what keeps each check busy."""
+    window = " ".join(["(a|b)"] * 9)
     pairs = []
     for index in range(12):
         prefix = " ".join("a" if (index >> bit) & 1 else "b" for bit in range(4))
         pairs.append(
             (
-                RPQ(parse_regex(f"{prefix} (a|b)* a {window}")),
-                RPQ(parse_regex(f"{prefix} (a|b)* a (a|b) {window}")),
+                TwoRPQ.parse(f"{prefix} (a|b)* a {window}"),
+                TwoRPQ.parse(f"{prefix} (a|b)* a (a|b) {window} (a- a)*"),
             )
         )
     return pairs
@@ -522,15 +523,13 @@ def _exp_process(suite: str) -> dict[str, Any]:
     )
     check(all(crash.values()), f"crash isolation broke: {crash}")
 
-    def run_pool(batch_pairs, workers: int | None, **options) -> Callable[[], None]:
+    def run_pool(batch_pairs, workers: int | None) -> Callable[[], None]:
         def thunk() -> None:
             clear_caches()
             if workers is None:
-                sequential_baseline(batch_pairs, **options)
+                sequential_baseline(batch_pairs)
             else:
-                check_containment_many(
-                    batch_pairs, workers=workers, backend="process", **options
-                )
+                check_containment_many(batch_pairs, workers=workers, backend="process")
 
         return thunk
 
@@ -542,12 +541,9 @@ def _exp_process(suite: str) -> dict[str, Any]:
         # Multi-core throughput on pairs CPU-bound enough to amortize
         # pool startup; the speedup gate needs >= 2 cores.
         blowup = _blowup_pairs()
-        kernel = "subset"
-        blowup_expected = _verdicts(sequential_baseline(blowup, kernel=kernel))
+        blowup_expected = _verdicts(sequential_baseline(blowup))
         clear_caches()
-        batch = check_containment_many(
-            blowup, workers=4, backend="process", kernel=kernel
-        )
+        batch = check_containment_many(blowup, workers=4, backend="process")
         exact["blowup"] = {
             "pairs": len(blowup),
             "agreement_process_4": (
@@ -555,8 +551,8 @@ def _exp_process(suite: str) -> dict[str, Any]:
             ),
         }
         check(exact["blowup"]["agreement_process_4"], "process-4 diverged on blow-ups")
-        timed["blowup-sequential"] = run_pool(blowup, None, kernel=kernel)
-        timed["blowup-process-4workers"] = run_pool(blowup, 4, kernel=kernel)
+        timed["blowup-sequential"] = run_pool(blowup, None)
+        timed["blowup-process-4workers"] = run_pool(blowup, 4)
     return {"exact": exact, "timed": timed}
 
 
@@ -761,9 +757,9 @@ def _exp_antichain(suite: str) -> dict[str, Any]:
         for depth, depth_pairs in random_suites.items():
             for kernel in ("subset", "antichain"):
                 timed[f"random-d{depth}-{kernel}"] = run_kernel(kernel, depth_pairs)
-        # The same family through the engine, compilation included: the
-        # cap keeps reduce_nfa from building the 2^n-state DFA, so the
-        # subset kernel's search is what grows.
+        # The same family through the Lemma 1 tower, compilation
+        # included: the cap keeps reduce_nfa from building the
+        # 2^n-state DFA, so the subset kernel's search is what grows.
         for n in _BLOWUP_SIZES[1:]:
             suffix = " ".join(["(a|b)"] * n)
             pair = (
@@ -771,7 +767,7 @@ def _exp_antichain(suite: str) -> dict[str, Any]:
                 RPQ(parse_regex(f"(a|b)* a (a|b) {suffix}")),
             )
             for kernel in ("subset", "antichain"):
-                run = lambda p=pair, k=kernel: check_containment(*p, kernel=k)  # noqa: E731
+                run = lambda p=pair, k=kernel: rpq_contained(*p, kernel=k)  # noqa: E731
                 timed[f"blowup-check-{kernel}-n{n}"] = _arm(clear_caches, True, [run])
     return {
         "exact": {

@@ -63,16 +63,18 @@ def rpq_contained(
     exception.  An optional *tracer* records one span per
     automata-pipeline stage (a ``compile`` span per side).  *kernel*
     selects the language-inclusion search
-    (``"subset" | "antichain" | "auto"``); the choice and its
-    frontier statistics are reported in ``details["kernel"]`` on every
-    return path.
+    (``"subset" | "antichain" | "auto"``); the choice (``selected``,
+    None if compilation ran out of budget first) and its frontier
+    statistics are reported in ``details["kernel"]`` on every return
+    path.  Only the ablation experiments pass it: the engine keeps the
+    default.
     """
     for query in (q1, q2):
         if not query.is_one_way():
             raise ValueError("rpq_contained expects one-way queries; use two_rpq_contained")
     alphabet = _combined_alphabet(q1, q2).symbols
     meter = None if budget is None or budget.is_null else budget.start()
-    kstats: dict = {"requested": kernel}
+    kstats: dict = {"selected": None}
     try:
         left, right = q1.compile(meter, tracer), q2.compile(meter, tracer)
         witness = containment_counterexample(
@@ -137,9 +139,9 @@ def two_rpq_contained(
     meter = None if budget is None or budget.is_null else budget.start()
     method_name = f"2rpq-fold-{method}"
     sigma_pm = _combined_alphabet(q1, q2).two_way
-    kstats: dict = {"requested": kernel}
-    try:
-        with deadline_scope(budget):
+    kstats: dict = {"selected": None}
+    with deadline_scope(budget):
+        try:
             left, right = q1.compile(meter, tracer), q2.compile(meter, tracer)
             with maybe_span(tracer, "fold", nfa_states=right.num_states) as span:
                 folded = fold_two_nfa(right, sigma_pm)
@@ -176,8 +178,11 @@ def two_rpq_contained(
                     witness = product.shortest_word()
             else:
                 raise ValueError(f"unknown method {method!r}")
-    except BudgetExhausted as exc:
-        return bounded_result(method_name, exc, meter, details={"kernel": kstats})
+        except BudgetExhausted as exc:
+            # Answered inside the scope: the traceback keeps the spent
+            # search's structures alive until this clause ends, and a
+            # cyclic-GC pass over them would overrun the deadline.
+            return bounded_result(method_name, exc, meter, details={"kernel": kstats})
     if witness is None:
         return ContainmentResult(
             Verdict.HOLDS, method_name, details={"kernel": kstats}

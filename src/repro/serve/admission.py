@@ -143,7 +143,6 @@ def shed_result(
     queue_limit: int,
     waited_ms: float = 0.0,
     deadline_ms: float | None = None,
-    kernel: str = "auto",
 ) -> ContainmentResult:
     """The degraded INCONCLUSIVE verdict for a shed request.
 
@@ -173,6 +172,6 @@ def shed_result(
     return bounded_result(
         "serve-admission",
         shed,
-        details={"admission": admission, **not_run_details(kernel)},
+        details={"admission": admission, **not_run_details()},
         spend=spend,
     )

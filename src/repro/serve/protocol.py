@@ -9,7 +9,7 @@ Request frames::
 
     {"id": "p1", "left": "rpq:a a", "right": "rpq:a+"}
     {"id": "p2", "left": "rpq:a+", "right": "rpq:a a",
-     "deadline_ms": 500, "kernel": "antichain", "max_expansions": 64}
+     "deadline_ms": 500, "max_expansions": 64}
     {"id": "p3", "left": "rpq:a", "right": "rpq:a+",
      "request_id": "trace-me-0007"}
     {"op": "health"}
@@ -26,11 +26,14 @@ Request frames::
   verbatim (the frame index is the fallback identity).
 - ``deadline_ms`` is the per-request wall-clock deadline inherited into
   the check's :class:`repro.budget.Budget` (it can only *tighten* the
-  operator's default, never extend it); ``max_expansions`` sets that
-  budget's expansion limit; ``kernel`` is a per-request engine option.
-  All three are validated here, so a bad value is an error *response*,
-  not a dropped connection, and :meth:`ContainRequest.budget` applies
-  them identically on the server and in ``repro batch``.
+  operator's default, never extend it; it must be a finite positive
+  number, so JSON's ``NaN`` and ``Infinity`` are rejected);
+  ``max_expansions`` sets that budget's expansion limit.  Both are
+  validated here, so a bad value is an error *response*, not a dropped
+  connection, and :meth:`ContainRequest.budget` applies them
+  identically on the server and in ``repro batch``.  A frame carries
+  limits only: the engine picks the search, and any other key (an old
+  client's ``kernel``, say) is ignored.
 - ``request_id`` is the request-scoped telemetry identity: if a client
   supplies one it is propagated verbatim into the access log, flight
   recorder, and response payload; otherwise the server assigns a unique
@@ -59,10 +62,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import pathlib
 from typing import Any, Mapping
 
-from ..automata.antichain import resolve_kernel
 from ..budget import Budget
 from ..core.batch import BatchItem, error_result
 from ..datalog.parser import parse_program
@@ -142,8 +145,6 @@ class ContainRequest:
         left / right: the parsed query objects.
         deadline_ms: per-request wall-clock deadline, or None.
         max_expansions: per-request expansion limit, or None.
-        options: validated per-request engine options (``kernel``
-            only).
         request_id: client-supplied telemetry identity (None = the
             server assigns one).
     """
@@ -153,7 +154,6 @@ class ContainRequest:
     left: Any
     right: Any
     deadline_ms: float | None = None
-    options: Mapping[str, Any] = dataclasses.field(default_factory=dict)
     request_id: str | None = None
     max_expansions: int | None = None
 
@@ -242,17 +242,9 @@ def parse_frame(
     if deadline_ms is not None:
         if not isinstance(deadline_ms, (int, float)) or isinstance(
             deadline_ms, bool
-        ) or deadline_ms <= 0:
-            raise ProtocolError("deadline_ms must be a positive number")
+        ) or not 0 < deadline_ms < math.inf:
+            raise ProtocolError("deadline_ms must be a finite positive number")
         deadline_ms = float(deadline_ms)
-    options: dict[str, Any] = {}
-    if record.get("kernel") is not None:
-        kernel = record["kernel"]
-        try:
-            resolve_kernel(kernel)
-        except Exception as exc:
-            raise ProtocolError(str(exc)) from None
-        options["kernel"] = kernel
     max_expansions = record.get("max_expansions")
     if max_expansions is not None:
         if not isinstance(max_expansions, int) or isinstance(
@@ -265,7 +257,6 @@ def parse_frame(
         left=parse_query_spec(record["left"], allow_files=allow_files),
         right=parse_query_spec(record["right"], allow_files=allow_files),
         deadline_ms=deadline_ms,
-        options=options,
         request_id=request_id,
         max_expansions=max_expansions,
     )

@@ -118,8 +118,6 @@ class ServeConfig:
         drain_grace_ms: after drain starts, how long connections may
             keep sending frames (each shed immediately) before the
             server stops reading and closes them.
-        kernel: default engine kernel (frames may override it per
-            request).
         max_expansions: default expansion limit of every check's
             budget (frames may override it per request; it stays
             pinned across ``auto_budget`` escalation rounds).
@@ -147,7 +145,6 @@ class ServeConfig:
     deadline_ms: float | None = None
     auto_budget: bool = False
     drain_grace_ms: float = 5000.0
-    kernel: str | None = None
     max_expansions: int | None = None
     access_log: str | None = None
     slow_ms: float = 250.0
@@ -241,14 +238,11 @@ class ContainmentServer:
 
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
-        options: dict[str, Any] = {}
-        if config.kernel is not None:
-            options["kernel"] = config.kernel
-        # Constructing the executor validates workers/backend/options
+        # Constructing the executor validates workers and backend
         # eagerly — a bad server config fails at startup, never per
         # request.
         self._executor = ContainmentExecutor(
-            workers=config.workers, backend=config.backend, **options
+            workers=config.workers, backend=config.backend
         )
         self._admission = AdmissionController(
             AdmissionPolicy(
@@ -313,10 +307,6 @@ class ContainmentServer:
 
     # ------------------------------------------------------------- dispatch
 
-    def _request_kernel(self, options: dict[str, Any] | None = None) -> str:
-        merged = options or {}
-        return merged.get("kernel", self.config.kernel or "auto")
-
     def _next_request_id(self, supplied: str | None = None) -> str:
         """Propagate the client's request_id or assign a fresh one.
 
@@ -338,7 +328,6 @@ class ContainmentServer:
         request_id: str,
         waited_ms: float = 0.0,
         deadline_ms: float | None = None,
-        kernel: str = "auto",
     ) -> dict[str, Any]:
         """Build (and count, and log) one shed response payload."""
         _SHED.inc()
@@ -349,7 +338,6 @@ class ContainmentServer:
             queue_limit=self.config.queue_limit,
             waited_ms=waited_ms,
             deadline_ms=deadline_ms,
-            kernel=kernel,
         )
         item = BatchItem(frame_index, result, 0.0, None, request_id)
         self._telemetry.observe(
@@ -412,7 +400,6 @@ class ContainmentServer:
                 return payload
 
             return control()
-        kernel = self._request_kernel(dict(frame.options))
         reason = self._admission.try_admit(draining=self.draining)
         if reason is not None:
             _RESPONSES.inc()
@@ -425,7 +412,6 @@ class ContainmentServer:
                 deadline_ms=self._admission.effective_deadline_ms(
                     frame.deadline_ms
                 ),
-                kernel=kernel,
             )
         _QUEUE_DEPTH.set(self._admission.pending)
         admitted_at = time.monotonic()
@@ -447,7 +433,6 @@ class ContainmentServer:
             trace=sampled,
             start_deadline=start_deadline,
             request_id=request_id,
-            options=dict(frame.options) or None,
         )
         return asyncio.ensure_future(
             self._finish(
@@ -507,14 +492,12 @@ class ContainmentServer:
             # controller so health/drain totals agree with the metrics
             # registry.  The request waited its whole deadline plus
             # however late the worker dequeued it.
-            late = item.result.details
             result = shed_result(
                 "deadline",
                 queue_depth=queue_depth,
                 queue_limit=self.config.queue_limit,
-                waited_ms=deadline_ms + late["budget"]["spent"],
+                waited_ms=deadline_ms + item.result.details["budget"]["spent"],
                 deadline_ms=deadline_ms,
-                kernel=late["kernel"]["requested"],
             )
             item = dataclasses.replace(item, result=result)
             self._admission.record_shed()

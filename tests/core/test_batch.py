@@ -46,6 +46,7 @@ from repro.core.batch import (
 )
 from repro.obs.metrics import REGISTRY, reset_metrics
 from repro.report import ContainmentResult, Verdict
+from repro.rpq.containment import rpq_contained
 from repro.rpq.rpq import RPQ
 
 pytestmark = pytest.mark.timeout(120)
@@ -115,25 +116,23 @@ class TestDifferentialOracle:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_items_carry_their_own_budget_and_options(self, backend):
+        # An item is (q1, q2) or (q1, q2, budget); the engine picks the
+        # search, so a budget is all an item can carry.
         from repro.datalog.parser import parse_program
 
         program = parse_program("t(x,y) :- e(x,y). t(x,z) :- t(x,y), e(y,z).")
         holds = (RPQ(parse_regex("a a")), RPQ(parse_regex("a+")))
         batch = check_containment_many(
-            [
-                (program, program, Budget(max_expansions=5), None),
-                (*holds, None, {"kernel": "subset"}),
-                holds,
-            ],
+            [(program, program, Budget(max_expansions=5)), (program, program), holds],
             workers=2,
             backend=backend,
             budget=Budget(max_expansions=7),
-            kernel="antichain",
         )
         first, second, third = batch.results
         assert first.bound == 5  # the item's budget replaces the batch's
-        assert second.details["kernel"]["requested"] == "subset"
-        assert third.details["kernel"]["requested"] == "antichain"
+        assert second.bound == 7  # a pair takes the batch's
+        assert third.verdict is Verdict.HOLDS
+        assert third.details["kernel"]["selected"] == "antichain"
 
     def test_empty_batch(self):
         batch = check_containment_many([], workers=4)
@@ -182,7 +181,7 @@ class TestFailureIsolation:
     def test_unknown_option_raises_eagerly(self):
         # A typo is caller error, exactly as in the sequential loop —
         # not something to bury in per-item ERROR results.
-        with pytest.raises(TypeError, match="unknown option"):
+        with pytest.raises(TypeError, match="bogus"):
             check_containment_many(e1_workload()[:2], workers=1, bogus=1)
 
     def test_bad_backend_and_workers_raise(self):
@@ -226,56 +225,56 @@ class TestPoolDeadline:
 
 
 class TestKernelOption:
-    """The ``kernel`` option threads through the pool to every item."""
+    """Every item carries the engine's kernel block through the pool."""
 
     def test_kernels_agree_on_batch_verdicts(self):
+        # The kernels are a tower parameter: on every RPQ pair of the
+        # workload the Lemma 1 tower gives one verdict under both, and
+        # the batch (the engine's default path) gives it too.
         pairs = e1_workload()
-        verdicts = {}
+        towers = {}
         for kernel in ("subset", "antichain"):
             clear_caches(reset_stats=True)
-            batch = check_containment_many(pairs, workers=4, kernel=kernel)
-            verdicts[kernel] = [item.result.verdict for item in batch.items]
-            for item in batch.items:
-                info = item.result.details["kernel"]
-                assert info["requested"] == kernel
-                assert info["selected"] == kernel  # RPQ pairs all search
-        assert verdicts["subset"] == verdicts["antichain"]
+            towers[kernel] = [
+                rpq_contained(q1, q2, kernel=kernel).verdict for q1, q2 in pairs
+            ]
+        clear_caches(reset_stats=True)
+        batch = check_containment_many(pairs, workers=4)
+        for item in batch.items:
+            assert item.result.details["kernel"]["selected"] == "antichain"
+        assert towers["subset"] == towers["antichain"]
+        assert [item.result.verdict for item in batch.items] == towers["antichain"]
 
     def test_to_dict_carries_kernel_details(self):
-        batch = check_containment_many(
-            e1_workload()[:3], workers=1, kernel="antichain"
-        )
+        batch = check_containment_many(e1_workload()[:3], workers=1)
         for item in batch.items:
             payload = item.to_dict()
-            assert payload["kernel"]["requested"] == "antichain"
+            assert payload["kernel"]["selected"] == "antichain"
+            assert "requested" not in payload["kernel"]
 
     def test_unknown_kernel_raises_in_caller_frame(self):
-        # A bad kernel value is caller error like any unknown option —
-        # rejected before the pool spins up, not buried per-item.
-        with pytest.raises(ValueError, match="unknown kernel"):
+        # The batch takes no kernel: the keyword is caller error like
+        # any unknown option, rejected before the pool spins up, not
+        # buried per-item.
+        with pytest.raises(TypeError, match="kernel"):
             check_containment_many(e1_workload()[:2], workers=1, kernel="bogus")
 
     def test_error_items_carry_requested_kernel(self):
         poisoned = [("not a query", RPQ(parse_regex("a")))]
-        batch = check_containment_many(poisoned, workers=1, kernel="subset")
+        batch = check_containment_many(poisoned, workers=1)
         details = batch.items[0].result.details
         assert batch.items[0].result.verdict is Verdict.ERROR
-        assert details["kernel"] == {"requested": "subset", "selected": None}
+        assert details["kernel"] == {"selected": None}
 
     def test_pool_deadline_items_carry_requested_kernel(self):
-        batch = check_containment_many(
-            e1_workload(), workers=1, pool_deadline_ms=0.01, kernel="antichain"
-        )
+        batch = check_containment_many(e1_workload(), workers=1, pool_deadline_ms=0.01)
         degraded = [
             item for item in batch.items
             if item.result.method == "batch-pool-deadline"
         ]
         assert degraded
         for item in degraded:
-            assert item.result.details["kernel"] == {
-                "requested": "antichain",
-                "selected": None,
-            }
+            assert item.result.details["kernel"] == {"selected": None}
 
 
 class TestTraceIsolation:
@@ -523,25 +522,6 @@ class TestContainmentExecutor:
             assert item.result.details["budget"]["exhausted"] == "start_deadline"
             assert item.worker is None and item.wall_ms == 0.0
 
-    def test_per_call_options_override_defaults(self):
-        with ContainmentExecutor(workers=1, kernel="antichain") as executor:
-            q1, q2 = self.pair()
-            item = executor.submit(
-                q1, q2, options={"kernel": "subset"}
-            ).result(timeout=60)
-            assert item.result.details["kernel"]["requested"] == "subset"
-            # And the executor default still applies when not overridden.
-            item = executor.submit(q1, q2).result(timeout=60)
-            assert item.result.details["kernel"]["requested"] == "antichain"
-
-    def test_bad_per_call_option_raises_eagerly(self):
-        with ContainmentExecutor(workers=1) as executor:
-            q1, q2 = self.pair()
-            with pytest.raises(TypeError):
-                executor.submit(q1, q2, options={"no_such_option": 1})
-            with pytest.raises(ValueError):
-                executor.submit(q1, q2, options={"kernel": "warp"})
-
     def test_constructor_validates_eagerly(self):
         with pytest.raises(ValueError):
             ContainmentExecutor(workers=0)
@@ -549,6 +529,8 @@ class TestContainmentExecutor:
             ContainmentExecutor(backend="fiber")
         with pytest.raises(TypeError):
             ContainmentExecutor(bogus_option=1)
+        with pytest.raises(TypeError):
+            ContainmentExecutor(kernel="subset")
 
     def test_budget_deadline_bounds_submission(self):
         q1, q2 = self.pair("(a|b)*", "(a b|b a)*")
@@ -706,16 +688,27 @@ class TestProcessBackend:
         assert after.result.verdict is Verdict.HOLDS and _pid(after) == pid
         assert REGISTRY.counter("batch.pool_rebuilds").value == 0
 
-    def test_workers_that_die_at_start_up_are_not_respawned_forever(self):
-        # An option that kills the worker when it unpickles its start-up
-        # arguments: the first worker and its replacement die before
-        # their first item, so the pool stops instead of looping, and
-        # items are refused as isolated errors.
+    def test_workers_that_die_at_start_up_are_not_respawned_forever(self, monkeypatch):
+        # A start-up argument that kills the worker when it unpickles:
+        # the first worker and its replacement die before their first
+        # item, so the pool stops instead of looping, and items are
+        # refused as isolated errors.
+        from repro.core import batch
         from repro.obs.experiments import _PoisonPill
 
-        executor = ContainmentExecutor(
-            workers=1, backend="process", method=_PoisonPill()
-        )
+        context = batch._process_context()
+
+        class PoisonedContext:
+            Pipe = staticmethod(context.Pipe)
+
+            @staticmethod
+            def Process(*, target, args, daemon):
+                return context.Process(
+                    target=target, args=(*args, _PoisonPill()), daemon=daemon
+                )
+
+        monkeypatch.setattr(batch, "_process_context", PoisonedContext)
+        executor = ContainmentExecutor(workers=1, backend="process")
         try:
             executor._pool._collector.join(timeout=60)
             assert not executor._pool._collector.is_alive()

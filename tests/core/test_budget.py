@@ -268,45 +268,20 @@ class TestDeadlineNeverRaises:
 
 
 class TestOptionValidation:
-    """Satellite 3: unknown options are a TypeError at the boundary;
-    valid-but-ignored options are recorded, not silently dropped."""
+    """Unknown keywords are a TypeError at the boundary: the engine takes
+    queries, a budget and a trace flag, and picks the search itself."""
 
     def test_unknown_option_raises(self):
-        # A typo, a limit (limits travel only in the budget), and the
-        # deleted search-instrumentation option.
-        for option in ("max_expnasions", "max_expansions", "stats"):
+        # A typo, a limit (limits travel only in the budget), the
+        # deleted search-instrumentation option, and the deleted
+        # algorithm options (the towers keep theirs).
+        for option in ("max_expnasions", "max_expansions", "stats", "kernel", "method"):
             with pytest.raises(TypeError, match=option):
                 check_containment(RPQ.parse("a"), RPQ.parse("a|b"), **{option: 5})
 
     def test_unknown_budget_type_raises(self):
         with pytest.raises(TypeError, match="budget"):
             check_containment(RPQ.parse("a"), RPQ.parse("a|b"), budget=42)
-
-    def test_ignored_options_are_recorded(self):
-        # method belongs to the 2RPQ procedure; a one-way RPQ pair
-        # dispatches past it.
-        result = check_containment(
-            RPQ.parse("a"), RPQ.parse("a|b"), method="shepherdson"
-        )
-        assert result.details["ignored_options"] == ("method",)
-
-    def test_applicable_options_are_not_recorded_as_ignored(self):
-        result = check_containment(
-            TwoRPQ.parse("p"), TwoRPQ.parse("p p- p"), method="shepherdson"
-        )
-        assert "ignored_options" not in result.details
-
-    def test_kernel_on_a_non_searching_pair_is_reported_not_ignored(self):
-        # UC2RPQ containment runs no inclusion search: the tower takes
-        # no kernel, and the engine still validates and reports it.
-        triangle, union = paper_example_1()
-        result = check_containment(
-            triangle, union, budget=Budget(max_expansions=50), kernel="subset"
-        )
-        assert "ignored_options" not in result.details
-        assert result.details["kernel"] == {"requested": "subset", "selected": None}
-        with pytest.raises(TypeError):
-            uc2rpq_contained(triangle, union, kernel="subset")
 
 
 class TestBoundAwareCache:
@@ -377,12 +352,14 @@ class TestEscalation:
         assert all(r["limits"]["expansions"] == 5 for r in rounds)
 
     def test_escalation_respects_overall_deadline(self):
-        q1 = TwoRPQ.parse("(a|b)* b")
-        q2 = TwoRPQ.parse("(a|b)* a (a|b) (a|b) (a|b) (a|b) (a|b) (a|b) a a-")
+        # The 2RPQ window family at n = 12 on the default path: every
+        # round runs out of configurations or time, never to an exact
+        # verdict within 500 ms.
+        window = " ".join(["(a|b)"] * 12)
+        q1 = TwoRPQ.parse(f"(a|b)* a {window}")
+        q2 = TwoRPQ.parse(f"(a|b)* a (a|b) {window} (a- a)*")
         start = time.monotonic()
-        result = check_containment(
-            q1, q2, method="lemma4-materialized", budget=Budget.auto(deadline_ms=500.0)
-        )
+        result = check_containment(q1, q2, budget=Budget.auto(deadline_ms=500.0))
         elapsed_ms = (time.monotonic() - start) * 1000.0
         assert elapsed_ms <= 500.0 * 1.4  # generous slack for slow CI machines
         assert result.verdict in (Verdict.INCONCLUSIVE, Verdict.HOLDS_UP_TO_BOUND)
@@ -442,12 +419,13 @@ class TestUC2RPQBoundReporting:
 class TestDeadlineSmoke:
     def test_pathological_pair_returns_within_deadline(self):
         """A Lemma 4 complement blow-up pair (the E4 family's failure
-        mode) must come back within deadline + 10%."""
+        mode) must come back within deadline + 10%.  The tower opens its
+        own deadline scope, as the engine would."""
         q1 = TwoRPQ.parse("(a|b)* b")
         q2 = TwoRPQ.parse("(a|b)* a (a|b) (a|b) (a|b) (a|b) (a|b) (a|b) a a-")
         deadline_ms = 2000.0
         start = time.monotonic()
-        result = check_containment(
+        result = two_rpq_contained(
             q1, q2, method="lemma4-materialized", budget=Budget(deadline_ms=deadline_ms)
         )
         elapsed_ms = (time.monotonic() - start) * 1000.0

@@ -175,18 +175,17 @@ class TestCommands:
         assert code == 0
         assert "holds up to bound 5" in capsys.readouterr().out
 
-    def test_contain_kernel_flag_agreement(self, capsys):
-        for kernel in ("subset", "antichain", "auto"):
-            assert main(["contain", "rpq:a a", "rpq:a+", "--kernel", kernel]) == 0
-            assert "HOLDS" in capsys.readouterr().out
-            assert main(["contain", "rpq:a+", "rpq:a a", "--kernel", kernel]) == 1
-            assert "REFUTED" in capsys.readouterr().out
-
-    def test_contain_kernel_flag_rejects_unknown(self, capsys):
+    @pytest.mark.parametrize(
+        "command",
+        [["contain", "rpq:a", "rpq:a"], ["batch", "w.ndjson"], ["serve", "--pipe"]],
+        ids=["contain", "batch", "serve"],
+    )
+    def test_no_command_takes_a_kernel(self, command, capsys):
+        # The engine picks the search: a kernel flag is a usage error.
         with pytest.raises(SystemExit) as excinfo:
-            main(["contain", "rpq:a", "rpq:a", "--kernel", "bogus"])
-        assert excinfo.value.code == 2  # argparse choices rejection
-        assert "invalid choice" in capsys.readouterr().err
+            main([*command, "--kernel", "subset"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
 
 
 class TestRewriteCommand:
@@ -421,20 +420,23 @@ class TestBatchCommand:
         assert "1 line(s) failed to parse" in captured.err
 
     def test_line_limits_and_kernel_apply(self, tmp_path, capsys):
-        """Regression: each line's max_expansions and kernel used to be
-        dropped (bound 3000, requested "auto"); they apply as on the
-        server."""
+        """Regression: each line's max_expansions used to be dropped
+        (bound 3000); it applies as on the server.  A line that still
+        names a kernel has the key ignored: the engine picks the
+        search, and the line reports the kernel it selected."""
         tc = "datalog:t(x,y) :- e(x,y). t(x,z) :- t(x,y), e(y,z)."
         text = (
             json.dumps({"left": tc, "right": tc, "max_expansions": 5}) + "\n"
+            + json.dumps({"left": tc, "right": tc, "max_expansions": 7}) + "\n"
             + '{"left": "rpq:a a", "right": "rpq:a+", "kernel": "subset"}\n'
         )
         assert self.run_batch(tmp_path, text) == 0
-        first, second = map(json.loads, capsys.readouterr().out.splitlines())
-        assert first["verdict"] == "holds_up_to_bound"
-        assert first["bound"] == 5
-        assert second["kernel"]["requested"] == "subset"
-        assert second["kernel"]["selected"] == "subset"
+        first, second, third = map(json.loads, capsys.readouterr().out.splitlines())
+        assert (first["verdict"], first["bound"]) == ("holds_up_to_bound", 5)
+        assert (second["verdict"], second["bound"]) == ("holds_up_to_bound", 7)
+        assert third["verdict"] == "holds"
+        assert third["kernel"]["selected"] == "antichain"
+        assert "requested" not in third["kernel"]
 
     def test_line_deadline_applies(self, tmp_path, capsys):
         tc = "datalog:t(x,y) :- e(x,y). t(x,z) :- t(x,y), e(y,z)."

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.automata.antichain import resolve_kernel
 from repro.budget import Budget
 from repro.core.engine import check_containment, check_equivalence
 from repro.core.witness import verify_counterexample
@@ -10,6 +11,7 @@ from repro.crpq.syntax import C2RPQ, paper_example_1
 from repro.datalog.parser import parse_program
 from repro.datalog.syntax import transitive_closure_program
 from repro.report import Verdict
+from repro.rpq.containment import rpq_contained, two_rpq_contained
 from repro.rpq.rpq import RPQ, TwoRPQ
 from repro.rq.syntax import TransitiveClosure, edge, triangle_plus
 
@@ -140,10 +142,14 @@ class TestEquivalence:
 
 class TestOptionsForwarding:
     def test_method_option(self):
-        result = check_containment(
-            TwoRPQ.parse("p"), TwoRPQ.parse("p p- p"), method="lemma4-onthefly"
-        )
+        # The engine always runs the Shepherdson fold and takes no
+        # method; the 2RPQ tower still forwards the one it is given.
+        q1, q2 = TwoRPQ.parse("p"), TwoRPQ.parse("p p- p")
+        assert check_containment(q1, q2).method == "2rpq-fold-shepherdson"
+        result = two_rpq_contained(q1, q2, method="lemma4-onthefly")
         assert result.method == "2rpq-fold-lemma4-onthefly"
+        with pytest.raises(TypeError, match="method"):
+            check_containment(q1, q2, method="lemma4-onthefly")
 
     def test_expansion_budget_option(self):
         tc = transitive_closure_program("e", "tc")
@@ -152,7 +158,7 @@ class TestOptionsForwarding:
 
 
 def _class_matrix():
-    """One containment pair per query class, with any arguments it needs."""
+    """One containment pair per query class, with any budget it needs."""
     triangle, union = paper_example_1()
     return {
         "rpq": (RPQ.parse("a a"), RPQ.parse("a+"), {}),
@@ -179,107 +185,116 @@ class TestDetailsNormalization:
         "budget", [None, Budget(max_expansions=50)], ids=["no-budget", "budget"]
     )
     def test_details_carry_cache_and_budget(self, label, budget):
-        q1, q2, options = _class_matrix()[label]
+        q1, q2, kwargs = _class_matrix()[label]
         if budget is not None:
-            options = {**options, "budget": budget}
-        result = check_containment(q1, q2, **options)
+            kwargs = {**kwargs, "budget": budget}
+        result = check_containment(q1, q2, **kwargs)
         assert "cache" in result.details, label
         assert "budget" in result.details, label
         assert "spend" in result.details["budget"], label
 
 
 class TestKernelDetails:
-    """Every engine result reports the requested/selected kernel."""
+    """Every engine result reports the kernel the engine selected."""
 
     #: Classes whose dispatch actually runs a language-inclusion search;
-    #: the rest accept the option for uniformity and select nothing.
-    SEARCHING = {"rpq", "2rpq"}
+    #: the rest select nothing.
+    SEARCHING = {"rpq": rpq_contained, "2rpq": two_rpq_contained}
 
     @pytest.mark.parametrize("label", list(_class_matrix()))
     @pytest.mark.parametrize("kernel", ["subset", "antichain", "auto"])
     def test_kernel_details_matrix(self, label, kernel):
+        # The kernel is a tower parameter: a searching class's tower
+        # reports the kernel it resolved and its counters, and gives the
+        # engine's verdict.  The other classes take a kernel nowhere,
+        # and the engine's result selects none.
         from repro.cache import clear_caches
 
         clear_caches()
-        q1, q2, options = _class_matrix()[label]
-        result = check_containment(q1, q2, kernel=kernel, **options)
-        info = result.details["kernel"]
-        assert info["requested"] == kernel, label
+        q1, q2, kwargs = _class_matrix()[label]
+        engine = check_containment(q1, q2, **kwargs)
         if label in self.SEARCHING:
-            expected = "antichain" if kernel == "auto" else kernel
-            assert info["selected"] == expected, label
+            clear_caches()
+            result = self.SEARCHING[label](q1, q2, kernel=kernel, **kwargs)
+            info = result.details["kernel"]
+            assert info["selected"] == resolve_kernel(kernel), label
             assert info["configs"] >= 0, label
+            assert result.verdict is engine.verdict, label
         else:
-            assert info["selected"] is None, label
+            assert engine.details["kernel"] == {"selected": None}, label
 
     @pytest.mark.parametrize("label", list(_class_matrix()))
     def test_kernel_defaults_to_auto(self, label):
+        # The engine takes no kernel: it runs what ``auto`` resolves to
+        # and reports only that choice.
         from repro.cache import clear_caches
 
         clear_caches()
-        q1, q2, options = _class_matrix()[label]
-        result = check_containment(q1, q2, **options)
-        assert result.details["kernel"]["requested"] == "auto", label
+        q1, q2, kwargs = _class_matrix()[label]
+        result = check_containment(q1, q2, **kwargs)
+        info = result.details["kernel"]
+        assert "requested" not in info, label
+        if label in self.SEARCHING:
+            assert info["selected"] == resolve_kernel("auto") == "antichain", label
+            assert info["configs"] >= 0, label
+        else:
+            assert info == {"selected": None}, label
+
+    def test_unknown_kernel_rejected_eagerly(self):
+        # A kernel typo fails in the caller's frame: the towers reject
+        # the value, and the engine rejects the keyword itself.
+        with pytest.raises(ValueError, match="unknown kernel"):
+            rpq_contained(RPQ.parse("a"), RPQ.parse("a"), kernel="bogus")
+        with pytest.raises(ValueError, match="unknown kernel"):
+            two_rpq_contained(TwoRPQ.parse("a"), TwoRPQ.parse("a"), kernel="bogus")
+        with pytest.raises(TypeError, match="kernel"):
+            check_containment(RPQ.parse("a"), RPQ.parse("a"), kernel="bogus")
 
     def test_cache_hits_inherit_kernel_details(self):
         from repro.cache import clear_caches
 
         clear_caches()
         q1, q2 = RPQ.parse("a a"), RPQ.parse("a+")
-        cold = check_containment(q1, q2, kernel="antichain")
-        warm = check_containment(q1, q2, kernel="antichain")
+        cold = check_containment(q1, q2)
+        warm = check_containment(q1, q2)
         assert cold.details["cache"] == "miss"
         assert warm.details["cache"] == "hit"
         assert warm.details["kernel"] == cold.details["kernel"]
-
-    def test_cached_results_are_keyed_by_kernel(self):
-        from repro.cache import clear_caches
-
-        clear_caches()
-        q1, q2 = RPQ.parse("a a"), RPQ.parse("a+")
-        anti = check_containment(q1, q2, kernel="antichain")
-        sub = check_containment(q1, q2, kernel="subset")
-        assert anti.verdict == sub.verdict
-        # A subset request must never be served a cached antichain
-        # result (its kernel stats would lie about what ran).
-        assert sub.details["kernel"]["selected"] == "subset"
-
-    def test_unknown_kernel_rejected_eagerly(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            check_containment(RPQ.parse("a"), RPQ.parse("a"), kernel="bogus")
+        assert warm.details["kernel"]["selected"] == "antichain"
 
     def test_subset_and_antichain_verdicts_agree_across_matrix(self):
+        # The kernels are a tower parameter: each searching tower gives
+        # the same verdict under both, and the engine's verdict with it.
         from repro.cache import clear_caches
 
-        for label, (q1, q2, options) in _class_matrix().items():
-            verdicts = {}
+        for label, tower in self.SEARCHING.items():
+            q1, q2, _ = _class_matrix()[label]
+            clear_caches()
+            verdicts = {"engine": check_containment(q1, q2).verdict}
             for kernel in ("subset", "antichain"):
                 clear_caches()
-                verdicts[kernel] = check_containment(
-                    q1, q2, kernel=kernel, **options
-                ).verdict
-            assert verdicts["subset"] == verdicts["antichain"], label
+                result = tower(q1, q2, kernel=kernel)
+                assert result.details["kernel"]["selected"] == kernel, label
+                assert result.details["kernel"]["configs"] >= 0, label
+                verdicts[kernel] = result.verdict
+            assert len(set(verdicts.values())) == 1, (label, verdicts)
 
     def test_inconclusive_escalation_result_carries_kernel(self):
         # A zero deadline spends the escalation budget before round 0:
         # the engine fabricates the INCONCLUSIVE result itself, which
         # must carry the kernel key like every other result.
         tc = transitive_closure_program("e", "tc")
-        result = check_containment(
-            tc, tc, budget=Budget.auto(deadline_ms=0.0), kernel="antichain"
-        )
+        result = check_containment(tc, tc, budget=Budget.auto(deadline_ms=0.0))
         assert result.verdict is Verdict.INCONCLUSIVE
-        assert result.details["kernel"]["requested"] == "antichain"
-        assert result.details["kernel"]["selected"] is None
+        assert result.details["kernel"] == {"selected": None}
 
     def test_bounded_rpq_result_carries_kernel(self):
         q1 = RPQ.parse("(a|b)* a (a|b) (a|b) (a|b)")
         q2 = RPQ.parse("(a|b)* a (a|b) (a|b) (a|b) (a|b)")
-        result = check_containment(
-            q1, q2, budget=Budget(max_configs=2), kernel="antichain"
-        )
+        result = check_containment(q1, q2, budget=Budget(max_configs=2))
+        assert result.verdict is Verdict.HOLDS_UP_TO_BOUND
         info = result.details["kernel"]
-        assert info["requested"] == "antichain"
+        assert "requested" not in info
         assert info["selected"] == "antichain"
 
 
@@ -319,8 +334,8 @@ class TestTracing:
         from repro.obs.export import flatten_trace
 
         clear_caches()  # a cache hit would (correctly) skip the tower stages
-        q1, q2, options = _class_matrix()[label]
-        result = check_containment(q1, q2, trace=True, **options)
+        q1, q2, kwargs = _class_matrix()[label]
+        result = check_containment(q1, q2, trace=True, **kwargs)
         tree = result.details["trace"]
         assert tree["name"] == "check-containment"
         names = {key.rsplit("/", 1)[-1].split("#")[0] for key in flatten_trace(tree)}

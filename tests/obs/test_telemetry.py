@@ -37,7 +37,7 @@ class TestAccessRecord:
             op="contain",
             index=3,
             client_id="p1",
-            item=_item(kernel={"requested": "auto", "selected": "antichain"}),
+            item=_item(kernel={"selected": "antichain", "configs": 3}),
             queued_ms=1.0,
             exec_ms=2.5,
             total_ms=3.5,

@@ -132,3 +132,12 @@ class TestBudgetTightening:
             Budget().tightened(0.0)
         with pytest.raises(ValueError):
             Budget().tightened(-10.0)
+
+    @pytest.mark.parametrize("deadline_ms", [float("nan"), float("inf")])
+    def test_nonfinite_deadline_rejected(self, deadline_ms):
+        # NaN compares false with everything, so it would otherwise
+        # "tighten" nothing and leave the request without a deadline.
+        with pytest.raises(ValueError):
+            Budget(deadline_ms=500.0).tightened(deadline_ms)
+        with pytest.raises(ValueError):
+            Budget().tightened(deadline_ms)

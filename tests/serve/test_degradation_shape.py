@@ -6,7 +6,9 @@ keys ``exhausted``, ``spent``, ``limit`` and ``spend``.  Each producer
 is driven end to end here: a meter inside the engine (a counter and a
 deadline), the batch layer's pool deadline and start deadline, the
 server's door shed and dequeue shed, and staged escalation that had no
-time for a single round.
+time for a single round.  A verdict for a check that never ran also
+carries the same kernel block, ``{"selected": None}``, as the batch
+layer's ``ERROR`` verdict.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from repro.rpq.rpq import RPQ, TwoRPQ
 from tests.serve.test_server import HOLDS_FRAME, blocking_check, running_server
 
 BUDGET_KEYS = {"exhausted", "spent", "limit", "spend"}
+NOT_RUN_KERNEL = {"selected": None}
 
 
 def assert_budget_block(details, exhausted):
@@ -42,11 +45,11 @@ def test_meter_counter_exhaustion():
 
 
 def test_meter_deadline_exhaustion():
-    # A Lemma 4 complement blow-up (the deadline smoke test's pair).
+    # The 2RPQ window family at n = 12, on the engine's default path.
+    window = " ".join(["(a|b)"] * 12)
     result = check_containment(
-        TwoRPQ.parse("(a|b)* b"),
-        TwoRPQ.parse("(a|b)* a (a|b) (a|b) (a|b) (a|b) (a|b) (a|b) a a-"),
-        method="lemma4-materialized",
+        TwoRPQ.parse(f"(a|b)* a {window}"),
+        TwoRPQ.parse(f"(a|b)* a (a|b) {window} (a- a)*"),
         budget=Budget(deadline_ms=30.0),
     )
     assert result.verdict is Verdict.INCONCLUSIVE
@@ -61,6 +64,15 @@ def test_pool_deadline():
     for item in starved:
         assert item.result.verdict is Verdict.INCONCLUSIVE
         assert_budget_block(item.result.details, "pool_deadline")
+        assert item.result.details["kernel"] == NOT_RUN_KERNEL
+
+
+def test_error():
+    batch = check_containment_many([("not a query", RPQ.parse("a"))], workers=1)
+    result = batch.items[0].result
+    assert result.verdict is Verdict.ERROR
+    assert result.details["budget"] == {"spend": {}}
+    assert result.details["kernel"] == NOT_RUN_KERNEL
 
 
 def test_start_deadline():
@@ -74,6 +86,7 @@ def test_start_deadline():
     # Both in milliseconds: how late the dequeue was, against none allowed.
     assert item.result.details["budget"]["limit"] == 0
     assert item.result.details["budget"]["spent"] > 0
+    assert item.result.details["kernel"] == NOT_RUN_KERNEL
 
 
 def test_escalation_with_no_time_for_a_round():
@@ -85,6 +98,7 @@ def test_escalation_with_no_time_for_a_round():
     assert_budget_block(result.details, "deadline")
     assert result.details["budget"]["limit"] == 0
     assert result.details["escalation"]["rounds"] == []
+    assert result.details["kernel"] == NOT_RUN_KERNEL
 
 
 def _serve(frames, monkeypatch, **config):
@@ -119,6 +133,7 @@ def test_door_shed(monkeypatch):
     assert shed["method"] == "serve-admission"
     assert shed["admission"]["shed"] == "queue_full"
     assert_budget_block(shed, "admission:queue_full")
+    assert shed["kernel"] == NOT_RUN_KERNEL
 
 
 def test_dequeue_shed(monkeypatch):
@@ -132,3 +147,4 @@ def test_dequeue_shed(monkeypatch):
     assert shed["admission"]["queue_depth"] == 2
     assert_budget_block(shed, "admission:deadline")
     assert shed["budget"]["limit"] == 20
+    assert shed["kernel"] == NOT_RUN_KERNEL

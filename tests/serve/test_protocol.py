@@ -50,7 +50,8 @@ MALFORMED_FRAMES = (
     '{"left": "rpq:a", "right": "rpq:a", "op": "explode"}',
     '{"left": "rpq:a", "right": "rpq:a", "deadline_ms": -5}',
     '{"left": "rpq:a", "right": "rpq:a", "deadline_ms": true}',
-    '{"left": "rpq:a", "right": "rpq:a", "kernel": "warp"}',
+    '{"left": "rpq:a", "right": "rpq:a", "deadline_ms": NaN}',
+    '{"left": "rpq:a", "right": "rpq:a", "deadline_ms": Infinity}',
     '{"left": "rpq:a", "right": "rpq:a", "max_expansions": 0}',
 )
 
@@ -72,7 +73,6 @@ valid_records = st.fixed_dictionaries(
         "id": identifiers,
         "deadline_ms": st.floats(min_value=1.0, max_value=1e6,
                                  allow_nan=False, allow_infinity=False),
-        "kernel": st.sampled_from(("subset", "antichain", "auto")),
         "max_expansions": st.integers(min_value=1, max_value=512),
         "unknown_extra": st.integers(),  # unknown keys are ignored
     },
@@ -97,9 +97,7 @@ class TestFrameParsing:
             assert frame.deadline_ms == pytest.approx(record["deadline_ms"])
         else:
             assert frame.deadline_ms is None
-        assert frame.options.get("kernel") == record.get("kernel")
         assert frame.max_expansions == record.get("max_expansions")
-        assert set(frame.options) <= {"kernel"}
 
     def test_request_budget_inherits_the_base(self):
         frame = protocol.parse_frame(

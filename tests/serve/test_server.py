@@ -241,6 +241,26 @@ class TestBudgetFields:
 
         asyncio.run(run())
 
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_a_kernel_key_is_ignored(self, backend):
+        # The engine picks the search: a frame that still names a kernel
+        # gets the same answer as one that does not.
+        pair = {"left": "rpq:(a|b)* a (a|b) (a|b)", "right": "rpq:(a|b)* a (a|b)"}
+        frames = [
+            json.dumps({"id": "legacy", **pair, "kernel": "subset"}),
+            json.dumps({"id": "plain", **pair}),
+        ]
+
+        async def run():
+            async with running_server(workers=1, backend=backend) as (server, port):
+                return await roundtrip(port, frames)
+
+        legacy, plain = asyncio.run(run())
+        assert "error" not in legacy
+        assert legacy["verdict"] == plain["verdict"] == "refuted"
+        assert legacy["kernel"] == plain["kernel"]
+        assert legacy["kernel"]["selected"] == "antichain"
+
 
 class TestOversizedFrames:
     """A frame over the reader's line limit is answered in place."""
@@ -403,10 +423,10 @@ class TestLoadShedding:
                 assert shed["admission"]["spend"]["queued_ms"] >= 20
                 assert shed["budget"]["exhausted"] == "admission:deadline"
                 assert server._admission.shed_total == 1
-                # Only queries, budgets and options crossed into the
-                # worker: it never imported the serving layer.  The probe
-                # is an argument whose unpickling in the worker raises
-                # with the worker's repro.serve* modules as its message.
+                # Only queries and budgets crossed into the worker: it
+                # never imported the serving layer.  The probe is an
+                # argument whose unpickling in the worker raises with
+                # the worker's repro.serve* modules as its message.
                 probe = server._executor.submit(
                     _ServeModulesProbe(), _ServeModulesProbe(), index=3
                 ).result(timeout=60)
