@@ -184,10 +184,7 @@ class Budget:
         """
         if deadline_ms is None:
             return self
-        if not 0 < deadline_ms < math.inf:
-            raise ValueError(
-                f"deadline_ms must be a finite number > 0, not {deadline_ms!r}"
-            )
+        _check_deadline(deadline_ms)
         if self.deadline_ms is not None:
             deadline_ms = min(self.deadline_ms, deadline_ms)
         return replace(self, deadline_ms=deadline_ms)
@@ -200,8 +197,10 @@ class Budget:
 
     @property
     def is_null(self) -> bool:
-        """True when no limit at all is configured."""
-        return all(getattr(self, f.name) in (None, False) for f in fields(self))
+        """True when no limit at all is configured (a zero limit is a limit)."""
+        return not self.escalate and all(
+            getattr(self, f.name) is None for f in fields(self) if f.name != "escalate"
+        )
 
     def start(self) -> "BudgetMeter":
         """Begin a run: the deadline clock starts ticking now."""
@@ -210,6 +209,19 @@ class Budget:
 
 #: The do-nothing budget (never exhausts).
 UNLIMITED = Budget()
+
+
+def _check_deadline(deadline_ms: float) -> None:
+    """Reject a deadline that is not a finite number > 0.
+
+    NaN compares false with everything, so it would tighten nothing and
+    never fire; 0 ms, a negative or an infinite deadline bounds nothing
+    a caller could mean.
+    """
+    if not 0 < deadline_ms < math.inf:
+        raise ValueError(
+            f"deadline_ms must be a finite number > 0, not {deadline_ms!r}"
+        )
 
 
 class BudgetMeter:
@@ -340,7 +352,15 @@ def configured_budget(
     With *escalate* it is a :meth:`Budget.auto` budget (default deadline
     when *deadline_ms* is None), whose *max_expansions* stays pinned
     across every round.
+
+    Raises ValueError on a *deadline_ms* that is not a finite number > 0
+    or a *max_expansions* below 1, the limits ``parse_frame`` rejects in
+    a frame: an operator's limit is checked here, where it is used.
     """
+    if deadline_ms is not None:
+        _check_deadline(deadline_ms)
+    if max_expansions is not None and max_expansions < 1:
+        raise ValueError(f"max_expansions must be >= 1, not {max_expansions}")
     if escalate:
         if deadline_ms is None:
             return Budget.auto(max_expansions=max_expansions)

@@ -40,7 +40,7 @@ from .rpq.rpq import RPQ, TwoRPQ
 
 
 def _input_error(error: Exception) -> SystemExit:
-    """A malformed query or unreadable file: one stderr line, exit 2.
+    """A malformed query, unreadable file or bad limit: one stderr line, exit 2.
 
     Exit 2 is argparse's usage-error code, so it never reads as a
     containment verdict (``contain`` exits 1 on a refutation).
@@ -148,14 +148,25 @@ def _print_evaluation_stats(tracer) -> None:
             print(render_trace(root.to_dict()), file=sys.stderr)
 
 
-def _cmd_contain(args: argparse.Namespace) -> int:
+def _operator_budget(args: argparse.Namespace) -> Any:
+    """The ``--deadline-ms`` / ``--auto-budget`` / ``--max-expansions``
+    budget (exits 2 on a limit ``configured_budget`` rejects)."""
     from .budget import configured_budget
 
+    try:
+        return configured_budget(
+            args.deadline_ms,
+            escalate=args.auto_budget,
+            max_expansions=args.max_expansions,
+        )
+    except ValueError as error:
+        raise _input_error(error) from None
+
+
+def _cmd_contain(args: argparse.Namespace) -> int:
     q1 = parse_query(args.left)
     q2 = parse_query(args.right)
-    budget = configured_budget(
-        args.deadline_ms, escalate=args.auto_budget, max_expansions=args.max_expansions
-    )
+    budget = _operator_budget(args)
     want_trace = args.trace or args.trace_json is not None
     result = check_containment(q1, q2, budget=budget, trace=want_trace)
     print(result.describe())
@@ -185,13 +196,10 @@ def _cmd_contain(args: argparse.Namespace) -> int:
 def _cmd_batch(args: argparse.Namespace) -> int:
     import json
 
-    from .budget import configured_budget
     from .core.batch import BatchItem, check_containment_many
     from .serve.protocol import parse_workload, response_payload
 
-    budget = configured_budget(
-        args.deadline_ms, escalate=args.auto_budget, max_expansions=args.max_expansions
-    )
+    budget = _operator_budget(args)
 
     # Parse the workload on the shared wire-protocol path: malformed
     # lines are isolated exactly like item failures — a bad line yields
@@ -268,7 +276,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         flight_dump=args.flight_dump,
         prom_port=args.prom_port,
     )
-    server = ContainmentServer(config)
+    try:
+        server = ContainmentServer(config)
+    except ValueError as error:  # each component checks its own values
+        raise _input_error(error) from None
     if args.pipe:
         asyncio.run(server.serve_pipe())
     else:

@@ -86,12 +86,10 @@ Backends:
     exactly once at completion, so ``repro top``, the ``metrics`` verb,
     and post-batch snapshots report true figures instead of zeros.
 
-Batch metrics (parent process): ``batch.items`` (counter),
-``batch.wall_ms`` (histogram), ``batch.workers`` and
-``batch.worker_utilization`` (gauges; utilization is the mean fraction
-of the pool's worker-seconds spent inside checks), and
-``batch.pool_rebuilds`` (counter; process workers respawned after a
-death).
+Batch metrics (parent process): ``batch.pool_rebuilds`` (counter;
+process workers respawned after a death).  A batch's item count,
+errors, wall time and worker utilization are fields of the
+:class:`BatchResult` it returns, not instruments.
 """
 
 from __future__ import annotations
@@ -109,8 +107,7 @@ import traceback
 from typing import Any, Iterable, Iterator, Sequence
 
 from ..budget import Budget, BudgetExhausted, bounded_result, not_run_details
-from ..obs.metrics import REGISTRY, counter as _metric_counter, \
-    gauge as _metric_gauge, histogram as _metric_histogram, merge_snapshot_delta
+from ..obs.metrics import REGISTRY, counter as _metric_counter, merge_snapshot_delta
 from ..obs.trace import Tracer
 from ..report import ContainmentResult, Verdict
 from .engine import check_containment
@@ -133,12 +130,6 @@ BACKENDS = ("thread", "process")
 #: scheduling noise (floor of 1 worker keeps 1-core boxes working).
 DEFAULT_WORKERS = max(1, min(8, os.cpu_count() or 1))
 
-_BATCH_ITEMS = _metric_counter("batch.items")
-_BATCH_ERRORS = _metric_counter("batch.errors")
-_BATCH_DEGRADED = _metric_counter("batch.degraded")
-_BATCH_WALL_MS = _metric_histogram("batch.wall_ms")
-_BATCH_WORKERS = _metric_gauge("batch.workers")
-_BATCH_UTILIZATION = _metric_gauge("batch.worker_utilization")
 _BATCH_POOL_REBUILDS = _metric_counter("batch.pool_rebuilds")
 
 #: Attempts per item on the process backend: the original submission
@@ -936,24 +927,13 @@ def check_containment_many(
 
     # One exit path for loaded, degraded, and zero-item batches alike:
     # wall_ms is always the measured elapsed time (a zero-item batch is
-    # an *instant* batch, not an unmeasured one) and the batch metrics
-    # are recorded uniformly, so utilization gauges never go stale.
-    wall_ms = (time.monotonic() - start) * 1000.0
-    batch = BatchResult(
+    # an *instant* batch, not an unmeasured one).
+    return BatchResult(
         items=tuple(slot for slot in slots if slot is not None),
-        wall_ms=wall_ms,
+        wall_ms=(time.monotonic() - start) * 1000.0,
         workers=workers,
         backend=backend,
     )
-    _BATCH_ITEMS.inc(len(batch.items))
-    _BATCH_ERRORS.inc(len(batch.errors))
-    _BATCH_DEGRADED.inc(
-        sum(1 for item in batch.items if item.result.method == "batch-pool-deadline")
-    )
-    _BATCH_WALL_MS.observe(wall_ms)
-    _BATCH_WORKERS.set(workers)
-    _BATCH_UTILIZATION.set(round(batch.worker_utilization, 4))
-    return batch
 
 
 def sequential_baseline(

@@ -66,7 +66,6 @@ _MAX_ESCALATION_ROUNDS = 32
 #: Module-level metric handles (hoisted so the hot path pays one method
 #: call per event, never a registry lookup).
 _CHECKS = _metric_counter("engine.checks")
-_CACHE_HITS = _metric_counter("engine.cache_hits")
 _CHECK_MS = _metric_histogram("engine.check_ms")
 _VERDICT_COUNTERS = {
     verdict: _metric_counter(f"engine.verdict.{verdict.value}") for verdict in Verdict
@@ -158,13 +157,11 @@ def _check_with_cache(
     # move the hit/miss counters.
     cached = containment_cache.peek(exact_key)
     if cached is not None and cached.is_exact:
-        _CACHE_HITS.inc()
         if tracer is not None:
             tracer.event("cache", outcome="hit")
         return _annotate(containment_cache.get(exact_key), "hit")
     cached = containment_cache.get(full_key)
     if cached is not None:
-        _CACHE_HITS.inc()
         if tracer is not None:
             tracer.event("cache", outcome="hit")
         return _annotate(cached, "hit")

@@ -68,7 +68,6 @@ from .telemetry import (
     FlightRecorder,
     Sampler,
     Telemetry,
-    TelemetryConfig,
     access_record,
     validate_access_record,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "FlightRecorder",
     "Sampler",
     "Telemetry",
-    "TelemetryConfig",
     "access_record",
     "validate_access_record",
 ]

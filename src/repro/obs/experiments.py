@@ -92,7 +92,7 @@ from ..rq.syntax import (
 from ..rq.to_datalog import rq_to_datalog
 from ..serve.protocol import parse_workload
 from .perf import CALIBRATION, SUITES, Gate, _experiment, check
-from .telemetry import Telemetry, TelemetryConfig, access_record
+from .telemetry import Telemetry, access_record
 from .trace import Tracer
 
 ALPHABET = ("a", "b")
@@ -1893,7 +1893,7 @@ def _exp_a06_engine(suite: str) -> dict[str, Any]:
 )
 def _exp_a06_telemetry(suite: str) -> dict[str, Any]:
     pairs = _compiled_pairs(4, 6, 29)
-    telemetry = Telemetry(TelemetryConfig(sample_rate=0.0, access_log=None))
+    telemetry = Telemetry()
 
     def bare() -> None:
         for q1, q2 in pairs:

@@ -40,7 +40,6 @@ This module must not import :mod:`repro.cache`: that imports
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import pathlib
 import queue
@@ -60,7 +59,6 @@ __all__ = [
     "FlightRecorder",
     "Sampler",
     "Telemetry",
-    "TelemetryConfig",
     "access_record",
     "validate_access_record",
 ]
@@ -277,7 +275,9 @@ class FlightRecorder:
 
     def __init__(self, capacity: int = 256, *, slow_ms: float = 250.0) -> None:
         if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, not {capacity}")
+            raise ValueError(f"flight recorder capacity must be >= 1, not {capacity}")
+        if not slow_ms >= 0:
+            raise ValueError(f"slow_ms must be >= 0, not {slow_ms}")
         self.capacity = capacity
         self.slow_ms = slow_ms
         self.recorded_total = 0
@@ -370,34 +370,6 @@ class Sampler:
         return position % self._stride == 0
 
 
-@dataclasses.dataclass(frozen=True)
-class TelemetryConfig:
-    """Operator configuration for one :class:`Telemetry` instance.
-
-    Attributes:
-        access_log: NDJSON access-log path (None = no log).
-        slow_ms: flight-recorder slow threshold — requests at or above
-            it retain their span trees.
-        sample_rate: fraction of requests traced live ([0, 1]; 0 = off).
-        flight_capacity: ring-buffer size of the flight recorder.
-    """
-
-    access_log: str | None = None
-    slow_ms: float = 250.0
-    sample_rate: float = 0.0
-    flight_capacity: int = 256
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.sample_rate <= 1.0:
-            raise ValueError(
-                f"sample_rate must be within [0, 1], not {self.sample_rate}"
-            )
-        if self.slow_ms < 0:
-            raise ValueError("slow_ms must be >= 0")
-        if self.flight_capacity < 1:
-            raise ValueError("flight_capacity must be >= 1")
-
-
 class Telemetry:
     """The serving layer's telemetry fan-out: log + ring + profile.
 
@@ -405,19 +377,29 @@ class Telemetry:
     the record to the access log (if configured), the flight recorder
     (always), and — when the frame carried a sampled span tree — the
     hotspot :class:`SpanProfile` surfaced by the ``metrics`` verb.
+
+    Keywords: ``access_log`` (NDJSON path; None = no log), ``slow_ms``
+    (the flight recorder's slow threshold: requests at or above it keep
+    their span trees), ``sample_rate`` (fraction of requests traced
+    live, in [0, 1]; 0 = off) and ``flight_capacity`` (the recorder's
+    ring size).
     """
 
-    def __init__(self, config: TelemetryConfig | None = None) -> None:
-        self.config = config if config is not None else TelemetryConfig()
+    def __init__(
+        self,
+        *,
+        access_log: str | None = None,
+        slow_ms: float = 250.0,
+        sample_rate: float = 0.0,
+        flight_capacity: int = 256,
+    ) -> None:
+        # The recorder and the sampler check their own values; they come
+        # first so a bad value raises before the log's thread starts.
+        self.recorder = FlightRecorder(flight_capacity, slow_ms=slow_ms)
+        self.sampler = Sampler(sample_rate)
         self.log: AccessLogWriter | None = (
-            AccessLogWriter(self.config.access_log)
-            if self.config.access_log is not None
-            else None
+            AccessLogWriter(access_log) if access_log is not None else None
         )
-        self.recorder = FlightRecorder(
-            self.config.flight_capacity, slow_ms=self.config.slow_ms
-        )
-        self.sampler = Sampler(self.config.sample_rate)
         self.profile = SpanProfile()
 
     def sample(self) -> bool:
@@ -448,9 +430,9 @@ class Telemetry:
     def stats(self) -> dict[str, Any]:
         """Accounting block for the ``metrics`` verb / health surfaces."""
         out: dict[str, Any] = {
-            "sample_rate": self.config.sample_rate,
+            "sample_rate": self.sampler.rate,
             "sampled": self.profile.traces,
-            "slow_ms": self.config.slow_ms,
+            "slow_ms": self.recorder.slow_ms,
             "flight_recorder": {
                 "capacity": self.recorder.capacity,
                 "recorded_total": self.recorder.recorded_total,

@@ -12,7 +12,7 @@ and quantiles); the server side's access log / flight recorder live in
 :mod:`repro.obs.telemetry`.  See DESIGN.md "Operational telemetry".
 """
 
-from .admission import AdmissionController, AdmissionPolicy, shed_result
+from .admission import AdmissionController, shed_result
 from .monitor import fetch_control, fetch_metrics, parse_addr, render_top, top_deltas
 from .protocol import (
     ContainRequest,
@@ -28,7 +28,6 @@ from .server import ContainmentServer, ServeConfig
 
 __all__ = [
     "AdmissionController",
-    "AdmissionPolicy",
     "ContainRequest",
     "ContainmentServer",
     "ControlRequest",

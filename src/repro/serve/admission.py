@@ -36,15 +36,12 @@ unchanged.
 
 from __future__ import annotations
 
-import dataclasses
-
 from ..budget import BudgetExhausted, bounded_result, not_run_details
 from ..report import ContainmentResult
 
 __all__ = [
     "SHED_REASONS",
     "AdmissionController",
-    "AdmissionPolicy",
     "shed_result",
 ]
 
@@ -52,39 +49,22 @@ __all__ = [
 SHED_REASONS = ("queue_full", "deadline", "draining")
 
 
-@dataclasses.dataclass(frozen=True)
-class AdmissionPolicy:
-    """Operator-chosen limits for the admission controller.
-
-    Attributes:
-        capacity: maximum requests admitted but not yet finished
-            (running + queued).  With ``workers`` pool threads, at most
-            ``capacity - workers`` requests ever wait in the queue.
-        default_deadline_ms: per-request wall-clock deadline applied
-            when a frame names none (None = requests without a
-            deadline wait and run unbounded).
-    """
-
-    capacity: int = 64
-    default_deadline_ms: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError(f"capacity must be >= 1, not {self.capacity}")
-        if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
-            raise ValueError("default_deadline_ms must be > 0")
-
-
 class AdmissionController:
     """Bounded-queue admission: admit, count, shed; see module docstring.
+
+    *capacity* is the most requests admitted but not yet finished
+    (running + queued), the server's ``queue_limit``: with ``workers``
+    pool workers, at most ``capacity - workers`` ever wait in the queue.
 
     Single-threaded by contract: every mutation happens on the event
     loop (the worker pool never touches it), so reads are always
     consistent without a lock.
     """
 
-    def __init__(self, policy: AdmissionPolicy) -> None:
-        self.policy = policy
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError(f"queue limit must be >= 1, not {capacity}")
+        self.capacity = capacity
         self.pending = 0
         self.admitted_total = 0
         self.shed_total = 0
@@ -98,7 +78,7 @@ class AdmissionController:
         if draining:
             self.shed_total += 1
             return "draining"
-        if self.pending >= self.policy.capacity:
+        if self.pending >= self.capacity:
             self.shed_total += 1
             return "queue_full"
         self.pending += 1
@@ -122,18 +102,6 @@ class AdmissionController:
         ``serve.shed`` metrics.
         """
         self.shed_total += 1
-
-    def effective_deadline_ms(self, requested: float | None) -> float | None:
-        """The deadline a request runs under: its own, or the default.
-
-        A request deadline only *tightens* the policy default, matching
-        :meth:`repro.budget.Budget.tightened`.
-        """
-        if requested is None:
-            return self.policy.default_deadline_ms
-        if self.policy.default_deadline_ms is None:
-            return requested
-        return min(requested, self.policy.default_deadline_ms)
 
 
 def shed_result(

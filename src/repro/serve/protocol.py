@@ -27,7 +27,8 @@ Request frames::
 - ``deadline_ms`` is the per-request wall-clock deadline inherited into
   the check's :class:`repro.budget.Budget` (it can only *tighten* the
   operator's default, never extend it; it must be a finite positive
-  number, so JSON's ``NaN`` and ``Infinity`` are rejected);
+  number that fits a float, so JSON's ``NaN`` and ``Infinity`` and a
+  400-digit integer are rejected);
   ``max_expansions`` sets that budget's expansion limit.  Both are
   validated here, so a bad value is an error *response*, not a dropped
   connection, and :meth:`ContainRequest.budget` applies them
@@ -62,8 +63,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import pathlib
+import sys
 from typing import Any, Mapping
 
 from ..budget import Budget
@@ -240,9 +241,11 @@ def parse_frame(
             raise ProtocolError(f"{key!r} must be a kind:spec string")
     deadline_ms = record.get("deadline_ms")
     if deadline_ms is not None:
+        # Bounded by the largest float, not by infinity: a JSON integer
+        # too large for a float is finite, and float() would overflow.
         if not isinstance(deadline_ms, (int, float)) or isinstance(
             deadline_ms, bool
-        ) or not 0 < deadline_ms < math.inf:
+        ) or not 0 < deadline_ms <= sys.float_info.max:
             raise ProtocolError("deadline_ms must be a finite positive number")
         deadline_ms = float(deadline_ms)
     max_expansions = record.get("max_expansions")

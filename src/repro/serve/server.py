@@ -13,19 +13,22 @@ The serving contract (DESIGN.md "Serving architecture"):
   responses; overload and deadlines shed with degraded responses
   carrying ``details["admission"]``; a connection is never reset with
   work outstanding.
-- **Deadlines are two-stage.**  A request's effective deadline (its
-  own ``deadline_ms``, tightened against the server default) bounds
-  *both* stages independently: the request must start within it (else
-  the worker returns it unrun and :meth:`ContainmentServer._finish`
-  sheds it, on the event loop, with the queue depth taken at dispatch)
-  and, once started, the same deadline is inherited into the check's
-  Budget, which the engine enforces cooperatively.  End-to-end latency
-  is therefore bounded by roughly twice the deadline.
+- **One deadline, two stages.**  A request's budget
+  (:meth:`~repro.serve.protocol.ContainRequest.budget`: the server's,
+  with the frame's ``deadline_ms`` only tightening it) holds its one
+  deadline, and that deadline bounds *both* stages independently: the
+  request must start within it (else the worker returns it unrun and
+  :meth:`ContainmentServer._finish` sheds it, on the event loop, with
+  the queue depth taken at dispatch) and, once started, the engine
+  enforces the same budget cooperatively.  End-to-end latency is
+  therefore bounded by roughly twice the deadline; an ``--auto-budget``
+  server without ``--deadline-ms`` bounds both by ``Budget.auto``'s.
 - **Graceful drain.**  SIGTERM/SIGINT stops the listener, sheds every
   frame that arrives afterwards (reason ``draining``), finishes work
   already admitted (bounded by the per-request budgets), flushes all
-  responses, and exits 0.  Connections still open when the drain grace
-  period expires are closed after a final flush.
+  responses, and exits 0.  When the drain grace period expires, one
+  timer ends reading on every connection still open; each is closed
+  after a final flush.
 
 Backend: ``--backend`` selects the pool substrate.  The default
 ``thread`` backend shares the process-wide result/NFA caches, so a hot
@@ -77,9 +80,10 @@ from ..obs.env import environment_fingerprint
 from ..obs.metrics import counter as _metric_counter, gauge as _metric_gauge, \
     histogram as _metric_histogram, metrics_snapshot
 from ..obs.promtext import http_exposition
-from ..obs.telemetry import Telemetry, TelemetryConfig, access_record
+from ..obs.telemetry import Telemetry, access_record
+from ..report import ContainmentResult
 from . import protocol
-from .admission import SHED_REASONS, AdmissionController, AdmissionPolicy, shed_result
+from .admission import SHED_REASONS, AdmissionController, shed_result
 
 __all__ = ["ServeConfig", "ContainmentServer"]
 
@@ -112,12 +116,14 @@ class ServeConfig:
         queue_limit: admission capacity — max requests admitted but not
             yet finished; the ``queue_full`` shed threshold.
         deadline_ms: default per-request wall-clock deadline (frames
-            may only tighten it).  None = no default deadline.
+            may only tighten it); it bounds both the wait for a worker
+            and the check.  None = no default deadline, except under
+            ``auto_budget``, whose default is ``Budget.auto``'s.
         auto_budget: run checks under staged escalation
             (``Budget.auto``) instead of a plain deadline budget.
         drain_grace_ms: after drain starts, how long connections may
             keep sending frames (each shed immediately) before the
-            server stops reading and closes them.
+            server stops reading and closes them (>= 0).
         max_expansions: default expansion limit of every check's
             budget (frames may override it per request; it stays
             pinned across ``auto_budget`` escalation rounds).
@@ -167,19 +173,31 @@ def _pipe_watchable(stream: Any) -> bool:
     return stat.S_ISFIFO(mode) or stat.S_ISSOCK(mode) or stat.S_ISCHR(mode)
 
 
+class _ReadsEnded(Exception):
+    """Set on every open connection's reader when the drain grace ends."""
+
+
 class _ThreadLineReader:
     """Readline adapter for pipe-mode stdin that epoll cannot watch.
 
     ``connect_read_pipe`` fails when stdin is a regular file (selector
     event loops cannot register them); regular files never block
     indefinitely, so reading them on the default thread executor is
-    safe — a pipe or tty keeps the cancellable StreamReader path.
+    safe — a pipe or tty keeps the StreamReader path.  Like a
+    StreamReader, it raises the exception given to
+    :meth:`set_exception` from every read after it.
     """
 
     def __init__(self, stream: Any) -> None:
         self._stream = stream
+        self._exception: BaseException | None = None
+
+    def set_exception(self, exc: BaseException) -> None:
+        self._exception = exc
 
     async def readline(self) -> bytes:
+        if self._exception is not None:
+            raise self._exception
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(None, self._stream.readline)
 
@@ -238,25 +256,37 @@ class ContainmentServer:
 
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
-        # Constructing the executor validates workers and backend
-        # eagerly — a bad server config fails at startup, never per
-        # request.
-        self._executor = ContainmentExecutor(
-            workers=config.workers, backend=config.backend
-        )
-        self._admission = AdmissionController(
-            AdmissionPolicy(
-                capacity=config.queue_limit,
-                default_deadline_ms=config.deadline_ms,
+        # Each component checks the values it consumes, so a bad server
+        # config raises ValueError here, at startup, never per request.
+        # The pool comes last: nothing is left running when a check fails.
+        if not config.drain_grace_ms >= 0:
+            raise ValueError(
+                f"drain_grace_ms must be >= 0, not {config.drain_grace_ms}"
             )
-        )
+        self._admission = AdmissionController(config.queue_limit)
         self._base_budget = configured_budget(
             config.deadline_ms,
             escalate=config.auto_budget,
             max_expansions=config.max_expansions,
         )
+        self._telemetry = Telemetry(
+            access_log=config.access_log,
+            slow_ms=config.slow_ms,
+            sample_rate=config.trace_sample_rate,
+            flight_capacity=config.flight_recorder_size,
+        )
+        try:
+            self._executor = ContainmentExecutor(
+                workers=config.workers, backend=config.backend
+            )
+        except ValueError:
+            self._telemetry.close()
+            raise
         self._draining = asyncio.Event()
-        self._drain_deadline: float | None = None
+        # The drain grace timer; once it has run, every reader raises.
+        self._grace_timer: asyncio.TimerHandle | None = None
+        self._reads_ended = False
+        self._readers: set[Any] = set()
         self._started = time.monotonic()
         self._busy_ms = 0.0
         self._server: asyncio.AbstractServer | None = None
@@ -264,14 +294,6 @@ class ContainmentServer:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._connections: set[asyncio.Task] = set()
         self._frames_answered = 0
-        self._telemetry = Telemetry(
-            TelemetryConfig(
-                access_log=config.access_log,
-                slow_ms=config.slow_ms,
-                sample_rate=config.trace_sample_rate,
-                flight_capacity=config.flight_recorder_size,
-            )
-        )
         # Cached at startup: the fingerprint shells out to git once,
         # which must never happen per health probe.
         self._environment = environment_fingerprint()
@@ -288,22 +310,35 @@ class ContainmentServer:
         """Begin graceful drain (idempotent; the SIGTERM/SIGINT handler).
 
         Stops the listener so no new connection is accepted; frames on
-        existing connections are shed from now on; the grace clock for
-        closing lingering connections starts ticking.
+        existing connections are shed from now on; one timer ends every
+        connection's reading when the grace period runs out.  Call it on
+        the server's event loop.
         """
         if self._draining.is_set():
             return
-        self._drain_deadline = (
-            time.monotonic() + self.config.drain_grace_ms / 1000.0
-        )
         self._draining.set()
+        self._grace_timer = asyncio.get_running_loop().call_later(
+            self.config.drain_grace_ms / 1000.0, self._end_reads
+        )
         if self._server is not None:
             self._server.close()
 
+    def _end_reads(self) -> None:
+        """The grace is over: every open connection's next read raises.
+
+        A StreamReader that was fed EOF fails its transport on the next
+        bytes a peer sends, responses still queued; one holding an
+        exception buffers them and stops reading once full.
+        """
+        self._reads_ended = True
+        for reader in self._readers:
+            reader.set_exception(_ReadsEnded())
+
     def _grace_remaining(self) -> float:
-        if self._drain_deadline is None:
+        if self._grace_timer is None:
             return self.config.drain_grace_ms / 1000.0
-        return max(0.0, self._drain_deadline - time.monotonic())
+        loop_now = asyncio.get_running_loop().time()
+        return max(0.0, self._grace_timer.when() - loop_now)
 
     # ------------------------------------------------------------- dispatch
 
@@ -319,6 +354,25 @@ class ContainmentServer:
         self._request_seq += 1
         return f"{self._rid_prefix}-{self._request_seq:06d}"
 
+    def _shed(
+        self,
+        reason: str,
+        *,
+        queue_depth: int,
+        deadline_ms: float | None,
+        waited_ms: float = 0.0,
+    ) -> ContainmentResult:
+        """Count a door or dequeue shed on ``serve.shed(.reason)``; its verdict."""
+        _SHED.inc()
+        _SHED_BY[reason].inc()
+        return shed_result(
+            reason,
+            queue_depth=queue_depth,
+            queue_limit=self.config.queue_limit,
+            waited_ms=waited_ms,
+            deadline_ms=deadline_ms,
+        )
+
     def _shed_payload(
         self,
         frame_index: int,
@@ -326,18 +380,11 @@ class ContainmentServer:
         reason: str,
         *,
         request_id: str,
-        waited_ms: float = 0.0,
-        deadline_ms: float | None = None,
+        deadline_ms: float | None,
     ) -> dict[str, Any]:
-        """Build (and count, and log) one shed response payload."""
-        _SHED.inc()
-        _SHED_BY[reason].inc()
-        result = shed_result(
-            reason,
-            queue_depth=self._admission.pending,
-            queue_limit=self.config.queue_limit,
-            waited_ms=waited_ms,
-            deadline_ms=deadline_ms,
+        """Build (and count, and log) one door-shed response payload."""
+        result = self._shed(
+            reason, queue_depth=self._admission.pending, deadline_ms=deadline_ms
         )
         item = BatchItem(frame_index, result, 0.0, None, request_id)
         self._telemetry.observe(
@@ -348,8 +395,6 @@ class ContainmentServer:
                 client_id=identifier,
                 item=item,
                 shed=reason,
-                queued_ms=waited_ms,
-                total_ms=waited_ms,
             )
         )
         return protocol.response_payload(identifier, item, index=frame_index)
@@ -400,6 +445,10 @@ class ContainmentServer:
                 return payload
 
             return control()
+        # The request's one deadline: its budget's, which bounds both the
+        # wait for a worker (the start deadline) and the check itself.
+        budget = frame.budget(self._base_budget)
+        deadline_ms = budget.deadline_ms if budget is not None else None
         reason = self._admission.try_admit(draining=self.draining)
         if reason is not None:
             _RESPONSES.inc()
@@ -409,17 +458,13 @@ class ContainmentServer:
                 frame.id,
                 reason,
                 request_id=request_id,
-                deadline_ms=self._admission.effective_deadline_ms(
-                    frame.deadline_ms
-                ),
+                deadline_ms=deadline_ms,
             )
         _QUEUE_DEPTH.set(self._admission.pending)
         admitted_at = time.monotonic()
-        deadline_ms = self._admission.effective_deadline_ms(frame.deadline_ms)
         start_deadline = (
             admitted_at + deadline_ms / 1000.0 if deadline_ms is not None else None
         )
-        budget = frame.budget(self._base_budget)
         # The queue depth that admitted the request, taken now: a
         # dequeue-deadline shed reports it, and _finish builds that
         # shed after the controller's numbers have moved on.
@@ -492,17 +537,14 @@ class ContainmentServer:
             # controller so health/drain totals agree with the metrics
             # registry.  The request waited its whole deadline plus
             # however late the worker dequeued it.
-            result = shed_result(
+            result = self._shed(
                 "deadline",
                 queue_depth=queue_depth,
-                queue_limit=self.config.queue_limit,
                 waited_ms=deadline_ms + item.result.details["budget"]["spent"],
                 deadline_ms=deadline_ms,
             )
             item = dataclasses.replace(item, result=result)
             self._admission.record_shed()
-            _SHED.inc()
-            _SHED_BY["deadline"].inc()
             shed = "deadline"
         self._busy_ms += item.wall_ms
         uptime_ms = (time.monotonic() - self._started) * 1000.0
@@ -576,42 +618,6 @@ class ContainmentServer:
 
     # ---------------------------------------------------------- connections
 
-    async def _read_frame(self, reader: asyncio.StreamReader) -> bytes | None:
-        """One line from the peer; None means stop (EOF or grace over).
-
-        Raises :class:`~repro.serve.protocol.ProtocolError` for a line
-        over the reader's limit, already discarded (see
-        :func:`_read_line`).
-
-        Before drain, wake on *either* a line or the drain event so an
-        idle connection starts its grace clock the moment drain begins;
-        after drain, reads are bounded by the remaining grace.
-        """
-        if not self.draining:
-            read_task = asyncio.ensure_future(_read_line(reader))
-            drain_task = asyncio.ensure_future(self._draining.wait())
-            try:
-                done, _ = await asyncio.wait(
-                    {read_task, drain_task},
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-            finally:
-                drain_task.cancel()
-            if read_task in done:
-                return read_task.result()
-            # Drain began while blocked: fall through to a bounded read.
-            try:
-                return await asyncio.wait_for(read_task, self._grace_remaining())
-            except asyncio.TimeoutError:
-                return None
-        remaining = self._grace_remaining()
-        if remaining <= 0:
-            return None
-        try:
-            return await asyncio.wait_for(_read_line(reader), remaining)
-        except asyncio.TimeoutError:
-            return None
-
     async def _write_responses(
         self, queue: "asyncio.Queue[Any]", writer: Any
     ) -> None:
@@ -644,20 +650,26 @@ class ContainmentServer:
             writer.write(protocol.encode_frame(payload).encode("utf-8"))
             await writer.drain()
 
-    async def _handle_stream(
-        self, reader: asyncio.StreamReader, writer: Any
-    ) -> None:
-        """One connection: read frames, answer each, in input order."""
+    async def _handle_stream(self, reader: Any, writer: Any) -> None:
+        """One connection: read frames, answer each, in input order.
+
+        Reads until EOF, or until the drain grace runs out: then
+        :meth:`_end_reads` makes the pending read raise, and a partial
+        line still buffered is dropped.
+        """
         _CONNECTIONS.inc()
         responses: asyncio.Queue[Any] = asyncio.Queue()
         writer_task = asyncio.ensure_future(
             self._write_responses(responses, writer)
         )
+        self._readers.add(reader)
+        if self._reads_ended:
+            reader.set_exception(_ReadsEnded())
         index = 0
         try:
             while True:
                 try:
-                    line = await self._read_frame(reader)
+                    line = await _read_line(reader)
                 except protocol.ProtocolError as exc:
                     # An oversized frame, discarded through its newline:
                     # answered in place, and the connection lives on.
@@ -665,20 +677,25 @@ class ContainmentServer:
                     await responses.put(self._invalid_payload(exc, index))
                     index += 1
                     continue
-                if not line:  # EOF, or drain grace expired
+                if not line:  # EOF
                     break
                 text = line.decode("utf-8", errors="replace")
                 if not text.strip():
                     continue
                 await responses.put(self._dispatch(text, index))
                 index += 1
-        except OSError:
-            # The peer vanished (connection reset/aborted mid-read).  A
-            # dead transport is a normal way for a connection to end,
-            # not a server error to propagate — the finally still runs
-            # every accepted frame's accounting.
+                # A line already buffered comes back without yielding, so
+                # without this a burst would run ahead of completions,
+                # other peers and the SIGTERM handler.
+                await asyncio.sleep(0)
+        except (OSError, _ReadsEnded):
+            # The peer vanished (connection reset/aborted mid-read), or
+            # the drain grace ran out.  Either is a normal way for a
+            # connection to end, not a server error to propagate — the
+            # finally still runs every accepted frame's accounting.
             pass
         finally:
+            self._readers.discard(reader)
             # Always flush what was accepted, even on a reader error:
             # the sentinel lands after every queued response.
             await responses.put(None)

@@ -315,10 +315,9 @@ class TestCounterExactness:
 
     def test_engine_checks_counter_sums(self):
         pairs = e1_workload()
-        check_containment_many(pairs, workers=4, backend="thread")
+        batch = check_containment_many(pairs, workers=4, backend="thread")
         assert REGISTRY.counter("engine.checks").value == len(pairs)
-        assert REGISTRY.counter("batch.items").value == len(pairs)
-        assert REGISTRY.histogram("batch.wall_ms").count == 1
+        assert len(batch.items) == len(pairs)
 
     def test_cache_stats_sum_over_cold_distinct_pairs(self):
         pairs = e1_workload()
@@ -343,10 +342,10 @@ class TestCounterExactness:
         assert len({item.result.verdict for item in batch.items}) == 1
         assert containment_cache.hits.value + containment_cache.misses.value == 12
 
-    def test_worker_utilization_gauge_in_unit_range(self):
-        check_containment_many(e1_workload()[:6], workers=2)
-        utilization = REGISTRY.gauge("batch.worker_utilization").value
-        assert 0.0 <= utilization <= 1.0
+    def test_worker_utilization_in_unit_range(self):
+        batch = check_containment_many(e1_workload()[:6], workers=2)
+        assert 0.0 <= batch.worker_utilization <= 1.0
+        assert batch.wall_ms > 0.0
 
 
 class TestSingleFlight:
@@ -458,15 +457,13 @@ class TestUtilizationAccounting:
         batch = self.make_batch([100.0, 100.0], 10.0, 2)
         assert batch.worker_utilization == 1.0
 
-    def test_empty_batch_records_wall_and_gauges(self):
+    def test_empty_batch_records_wall_and_pool_facts(self):
         batch = check_containment_many([], workers=3)
         assert len(batch) == 0
         assert batch.wall_ms >= 0.0
         assert batch.worker_utilization == 0.0
-        # The common exit path still runs: pool facts + metrics land.
+        # The common exit path still runs: the pool facts land.
         assert (batch.workers, batch.backend) == (3, "thread")
-        assert REGISTRY.gauge("batch.workers").value == 3
-        assert 0.0 <= REGISTRY.gauge("batch.worker_utilization").value <= 1.0
 
 
 class TestContainmentExecutor:

@@ -16,6 +16,7 @@ from repro.budget import (
     Budget,
     BudgetExhausted,
     bounded_result,
+    configured_budget,
 )
 from repro.cache import cache_stats, clear_caches
 from repro.core.engine import check_containment, check_equivalence
@@ -42,6 +43,42 @@ class TestBudgetSpec:
         assert not Budget(max_configs=10).is_null
         assert not Budget(deadline_ms=5).is_null
         assert not Budget(escalate=True).is_null
+
+    @pytest.mark.parametrize(
+        "budget",
+        [Budget(deadline_ms=0.0), Budget(max_configs=0), Budget(max_expansions=0)],
+        ids=["deadline", "configs", "expansions"],
+    )
+    def test_zero_limit_is_a_limit(self, budget):
+        # 0 == False in Python: a zero limit once read as no limit at
+        # all, and the check ran unmetered.
+        assert not budget.is_null
+
+    def test_zero_configs_bound_the_search(self):
+        result = rpq_contained(
+            RPQ.parse("a a"), RPQ.parse("a+"), budget=Budget(max_configs=0)
+        )
+        assert result.verdict is Verdict.HOLDS_UP_TO_BOUND
+        assert result.details["budget"]["exhausted"] == "configs"
+
+    @pytest.mark.parametrize(
+        "deadline_ms", [float("nan"), float("inf"), 0.0, -5.0]
+    )
+    def test_configured_budget_rejects_a_deadline_that_bounds_nothing(
+        self, deadline_ms
+    ):
+        for escalate in (False, True):
+            with pytest.raises(ValueError, match="deadline_ms"):
+                configured_budget(
+                    deadline_ms, escalate=escalate, max_expansions=None
+                )
+
+    def test_configured_budget_rejects_zero_expansions(self):
+        with pytest.raises(ValueError, match="max_expansions"):
+            configured_budget(None, escalate=False, max_expansions=0)
+        assert configured_budget(
+            None, escalate=False, max_expansions=1
+        ) == Budget(max_expansions=1)
 
     def test_budget_is_hashable_and_cacheable(self):
         assert hash(Budget(deadline_ms=10)) == hash(Budget(deadline_ms=10))

@@ -95,6 +95,62 @@ class TestMalformedInput:
         assert main(["contain", "rpq:a a", "rpq:a"]) == 1
 
 
+class TestOperatorLimits:
+    """A limit that bounds nothing exits 2 with one stderr line on every
+    command that takes it, as a malformed query does: the values
+    ``parse_frame`` rejects in a frame are rejected on the command line
+    too (a NaN deadline never fires; 0 == False once ran unmetered)."""
+
+    @staticmethod
+    def argv(command, tmp_path):
+        if command == "contain":
+            return ["contain", "rpq:a", "rpq:a"]
+        if command == "batch":
+            workload = tmp_path / "w.ndjson"
+            workload.write_text('{"left": "rpq:a", "right": "rpq:a"}\n')
+            return ["batch", str(workload)]
+        return ["serve", "--port", "0"]
+
+    def assert_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
+    @pytest.mark.parametrize("command", ["contain", "batch", "serve"])
+    def test_deadline_that_bounds_nothing_exits_2(
+        self, command, value, tmp_path, capsys
+    ):
+        argv = self.argv(command, tmp_path) + ["--deadline-ms", value]
+        self.assert_exits_2(argv, capsys)
+        self.assert_exits_2(argv + ["--auto-budget"], capsys)
+
+    @pytest.mark.parametrize("command", ["contain", "batch", "serve"])
+    def test_zero_max_expansions_exits_2(self, command, tmp_path, capsys):
+        argv = self.argv(command, tmp_path) + ["--max-expansions", "0"]
+        self.assert_exits_2(argv, capsys)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--queue-limit", "0"],
+            ["--drain-grace-ms", "-1"],
+            ["--trace-sample-rate", "2"],
+            ["--slow-ms", "-1"],
+            ["--flight-recorder-size", "0"],
+            ["--workers", "0"],
+        ],
+        ids=lambda flags: flags[0],
+    )
+    def test_bad_server_value_exits_2(self, flags, tmp_path, capsys):
+        self.assert_exits_2(self.argv("serve", tmp_path) + flags, capsys)
+
+
 class TestCommands:
     def test_classify(self, capsys):
         assert main(["classify", "rpq:a+"]) == 0

@@ -254,7 +254,7 @@ class TestDefaultRegistry:
         check_containment(RPQ.parse("a"), RPQ.parse("a|b"))
         snap = metrics_snapshot()
         assert snap["engine.checks"]["value"] == 2
-        assert snap["engine.cache_hits"]["value"] == 1
+        assert snap["cache.containment.hits"]["value"] == 1
         assert snap["engine.check_ms"]["count"] == 1
         assert snap["engine.verdict.holds"]["value"] == 1
         reset_metrics()

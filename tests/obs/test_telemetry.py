@@ -16,7 +16,6 @@ from repro.obs.telemetry import (
     FlightRecorder,
     Sampler,
     Telemetry,
-    TelemetryConfig,
     access_record,
     validate_access_record,
 )
@@ -330,11 +329,7 @@ class TestSampler:
 class TestTelemetryFacade:
     def test_observe_fans_out_to_log_ring_and_profile(self, tmp_path):
         path = tmp_path / "access.ndjson"
-        telemetry = Telemetry(
-            TelemetryConfig(
-                access_log=str(path), slow_ms=0.0, sample_rate=1.0
-            )
-        )
+        telemetry = Telemetry(access_log=str(path), slow_ms=0.0, sample_rate=1.0)
         trace = {"name": "check-containment", "duration_ms": 2.0,
                  "children": []}
         record = access_record(
@@ -354,7 +349,7 @@ class TestTelemetryFacade:
 
     def test_only_the_flight_recorder_keeps_the_traceback(self, tmp_path):
         path = tmp_path / "access.ndjson"
-        telemetry = Telemetry(TelemetryConfig(access_log=str(path)))
+        telemetry = Telemetry(access_log=str(path))
         error = {"type": "ValueError", "message": "boom", "index": 0,
                  "traceback": "Traceback (most recent call last): ..."}
         item = _item(verdict=Verdict.ERROR, method="batch-isolated", error=error)
@@ -367,7 +362,7 @@ class TestTelemetryFacade:
         }
 
     def test_no_log_no_sampling_is_the_cheap_path(self):
-        telemetry = Telemetry(TelemetryConfig())
+        telemetry = Telemetry()
         assert telemetry.log is None
         assert telemetry.sample() is False
         telemetry.observe(
@@ -378,9 +373,12 @@ class TestTelemetryFacade:
         telemetry.close()  # no-op without a log
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="sample_rate"):
-            TelemetryConfig(sample_rate=2.0)
+        # Each value is checked by the component that consumes it.
+        with pytest.raises(ValueError, match="sample rate"):
+            Telemetry(sample_rate=2.0)
         with pytest.raises(ValueError, match="slow_ms"):
-            TelemetryConfig(slow_ms=-1.0)
-        with pytest.raises(ValueError, match="flight_capacity"):
-            TelemetryConfig(flight_capacity=0)
+            Telemetry(slow_ms=-1.0)
+        with pytest.raises(ValueError, match="slow_ms"):
+            Telemetry(slow_ms=float("nan"))
+        with pytest.raises(ValueError, match="capacity"):
+            Telemetry(flight_capacity=0)

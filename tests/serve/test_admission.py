@@ -7,19 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.budget import Budget
 from repro.report import Verdict
-from repro.serve.admission import (
-    SHED_REASONS,
-    AdmissionController,
-    AdmissionPolicy,
-    shed_result,
-)
+from repro.serve.admission import SHED_REASONS, AdmissionController, shed_result
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 class TestController:
     def test_admits_until_capacity_then_sheds_queue_full(self):
-        controller = AdmissionController(AdmissionPolicy(capacity=3))
+        controller = AdmissionController(capacity=3)
         assert [controller.try_admit() for _ in range(3)] == [None, None, None]
         assert controller.try_admit() == "queue_full"
         assert controller.pending == 3
@@ -29,43 +24,20 @@ class TestController:
         assert controller.shed_total == 1
 
     def test_draining_sheds_regardless_of_load(self):
-        controller = AdmissionController(AdmissionPolicy(capacity=8))
+        controller = AdmissionController(capacity=8)
         assert controller.try_admit(draining=True) == "draining"
         assert controller.pending == 0
 
     def test_release_without_admission_is_a_bug(self):
-        controller = AdmissionController(AdmissionPolicy(capacity=1))
+        controller = AdmissionController(capacity=1)
         with pytest.raises(RuntimeError):
             controller.release()
 
     def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            AdmissionPolicy(capacity=0)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(default_deadline_ms=0)
-
-    @SETTINGS
-    @given(
-        requested=st.one_of(
-            st.none(), st.floats(min_value=1.0, max_value=1e6, allow_nan=False)
-        ),
-        default=st.one_of(
-            st.none(), st.floats(min_value=1.0, max_value=1e6, allow_nan=False)
-        ),
-    )
-    def test_effective_deadline_only_tightens(self, requested, default):
-        controller = AdmissionController(
-            AdmissionPolicy(default_deadline_ms=default)
-        )
-        effective = controller.effective_deadline_ms(requested)
-        bounds = [d for d in (requested, default) if d is not None]
-        assert effective == (min(bounds) if bounds else None)
-        # Matches Budget.tightened's inheritance rule exactly.
-        if default is not None and requested is not None:
-            assert (
-                Budget(deadline_ms=default).tightened(requested).deadline_ms
-                == effective
-            )
+        # The controller checks the one value it consumes.
+        for capacity in (0, -3):
+            with pytest.raises(ValueError, match="queue limit"):
+                AdmissionController(capacity=capacity)
 
 
 class TestShedResult:

@@ -120,6 +120,18 @@ class TestFrameParsing:
         with pytest.raises(Exception):
             protocol.parse_frame(line, 0)
 
+    @pytest.mark.parametrize(
+        "deadline",
+        ["1" + "0" * 400, "-1" + "0" * 400, "NaN", "Infinity", "0", "-5"],
+        ids=["401-digits", "negative-401-digits", "nan", "inf", "zero", "negative"],
+    )
+    def test_deadline_that_bounds_nothing_is_a_protocol_error(self, deadline):
+        # A 401-digit integer is finite but too large for a float; it is
+        # rejected by name, not by float()'s OverflowError.
+        line = '{"left": "rpq:a", "right": "rpq:a", "deadline_ms": %s}' % deadline
+        with pytest.raises(protocol.ProtocolError, match="deadline_ms"):
+            protocol.parse_frame(line, 0)
+
     def test_control_verbs_parse(self):
         for verb in protocol.CONTROL_VERBS:
             frame = protocol.parse_frame(json.dumps({"op": verb, "id": "x"}), 7)

@@ -15,6 +15,7 @@ import json
 import os
 import signal
 import threading
+import time
 
 import pytest
 
@@ -581,6 +582,124 @@ class TestDrain:
                     await asyncio.open_connection("127.0.0.1", port)
 
         asyncio.run(run())
+
+
+    def test_idle_connection_reads_eof_when_the_grace_ends(self):
+        async def run():
+            server = ContainmentServer(
+                ServeConfig(port=0, workers=1, drain_grace_ms=200)
+            )
+            task = asyncio.create_task(server.serve_tcp())
+            for _ in range(500):
+                if server._server is not None and server._server.sockets:
+                    break
+                await asyncio.sleep(0.01)
+            port = server._server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            await asyncio.sleep(0.05)  # the connection is being read
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            server.initiate_drain()
+            assert await asyncio.wait_for(reader.readline(), 5) == b""
+            waited = loop.time() - started
+            await asyncio.wait_for(task, 5)  # serve_tcp returns
+            writer.close()
+            with contextlib.suppress(Exception):
+                await writer.wait_closed()
+            assert 0.19 <= waited < 2.0
+
+        asyncio.run(run())
+
+    def test_peer_still_sending_after_the_grace_gets_its_answers(
+        self, monkeypatch
+    ):
+        # Reading ends at the grace, but bytes that keep arriving must
+        # not break the connection: the admitted frame is still answered.
+        gate = threading.Event()
+        monkeypatch.setattr(
+            "repro.core.batch.check_containment", blocking_check(gate)
+        )
+
+        async def run():
+            async with running_server(workers=1, drain_grace_ms=50) as (
+                server,
+                port,
+            ):
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write((HOLDS_FRAME + "\n").encode())
+                await writer.drain()
+                for _ in range(500):
+                    if server._admission.pending == 1:
+                        break
+                    await asyncio.sleep(0.01)
+                server.initiate_drain()
+                await asyncio.sleep(0.2)  # the grace is over
+                for _ in range(20):
+                    writer.write((REFUTED_FRAME + "\n").encode() * 50)
+                    await writer.drain()
+                    await asyncio.sleep(0.005)
+                gate.set()
+                responses = []
+                while True:
+                    line = await asyncio.wait_for(reader.readline(), 10)
+                    if not line:
+                        break
+                    responses.append(json.loads(line))
+                writer.close()
+                assert [(r["id"], r["verdict"]) for r in responses] == [
+                    ("p1", "holds")
+                ]
+
+        asyncio.run(run())
+
+
+class TestOneDeadline:
+    """The request's budget holds its one deadline, and the same deadline
+    bounds the wait for a worker (the start deadline)."""
+
+    @pytest.mark.parametrize(
+        "config, frame_deadline, expected_ms",
+        [
+            ({"auto_budget": True}, None, 2000.0),
+            ({"auto_budget": True}, 300, 300.0),
+            ({"deadline_ms": 500.0}, 200, 200.0),
+            ({"deadline_ms": 500.0}, 900, 500.0),
+            ({}, 250, 250.0),
+            ({}, None, None),
+        ],
+        ids=["auto", "auto-frame", "tightened", "never-extended", "frame", "none"],
+    )
+    def test_start_deadline_is_the_budget_deadline(
+        self, config, frame_deadline, expected_ms
+    ):
+        calls = []
+
+        async def run():
+            async with running_server(**config) as (server, port):
+                submit = server._executor.submit
+
+                def recording_submit(*args, **kwargs):
+                    calls.append((time.monotonic(), kwargs))
+                    return submit(*args, **kwargs)
+
+                server._executor.submit = recording_submit
+                frame = {"id": "d", "left": "rpq:a a", "right": "rpq:a+"}
+                if frame_deadline is not None:
+                    frame["deadline_ms"] = frame_deadline
+                [response] = await roundtrip(port, [json.dumps(frame)])
+                assert response["verdict"] == "holds"
+
+        asyncio.run(run())
+        [(called_at, kwargs)] = calls
+        budget = kwargs["budget"]
+        if expected_ms is None:
+            assert budget is None
+            assert kwargs["start_deadline"] is None
+            return
+        assert budget.deadline_ms == expected_ms
+        assert kwargs["start_deadline"] == pytest.approx(
+            called_at + expected_ms / 1000.0, abs=0.05
+        )
 
 
 class TestRequestIds:
