@@ -214,13 +214,16 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         for position, request in enumerate(parsed.requests)
     }
 
-    batch = check_containment_many(
-        items,
-        workers=args.workers,
-        backend=args.backend,
-        trace=args.trace,
-        pool_deadline_ms=args.pool_deadline_ms,
-    )
+    try:
+        batch = check_containment_many(
+            items,
+            workers=args.workers,
+            backend=args.backend,
+            trace=args.trace,
+            pool_deadline_ms=args.pool_deadline_ms,
+        )
+    except ValueError as error:  # a pool setting it rejects, before any check
+        raise _input_error(error) from None
 
     # Re-interleave parse failures at their original line positions.
     merged: list[tuple[Any, BatchItem]] = []
@@ -542,8 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch_p.add_argument(
         "--pool-deadline-ms", type=float, default=None,
-        help="whole-batch deadline; unstarted items degrade to "
-        "INCONCLUSIVE with budget accounting",
+        help="whole-batch deadline (>= 0); items not yet sent to a worker "
+        "degrade to INCONCLUSIVE with budget accounting",
     )
     batch_p.add_argument(
         "--auto-budget", action="store_true",

@@ -1,4 +1,4 @@
-"""Concurrent batch containment: the engine's thread-safe front door.
+"""Concurrent batch containment: the engine's front door for many pairs.
 
 Containment workloads are embarrassingly parallel across query pairs —
 each ``check(Q1, Q2)`` is an independent run of the per-pair automata
@@ -28,9 +28,9 @@ Semantics (DESIGN.md "Concurrency architecture"):
   flight recorder keeps it).  Budget exhaustion is *not* an error: it
   degrades inside the engine exactly as in sequential use.
 - **Pool deadline.** ``pool_deadline_ms`` bounds the whole batch:
-  when it expires, items that have not started are degraded to
+  when it expires, items never sent to a worker are degraded to
   ``Verdict.INCONCLUSIVE`` with ``details["budget"]`` recording the
-  pool deadline as the exhausted resource.  Items already running
+  pool deadline as the exhausted resource.  Items already sent
   finish (their own per-item ``budget`` bounds them cooperatively —
   pass one if individual checks may be long).
 - **Start deadline.** An item submitted with a ``start_deadline`` that
@@ -46,41 +46,52 @@ Semantics (DESIGN.md "Concurrency architecture"):
   contract), so concurrent span trees never interleave; each item's
   tree is in its result's ``details["trace"]``.
 
+The pool (:class:`ContainmentExecutor`) is an object of the running
+event loop, the same on both backends: :meth:`ContainmentExecutor.submit`
+hands an item to an idle worker or appends it to one queue, and every
+answer reaches the loop, which gives that worker the next queued item
+and resolves the finished one through one funnel,
+:meth:`ContainmentExecutor._resolve_item`.  Only the loop touches the
+queue, the idle list and the futures, so the pool holds no lock.
+:func:`check_containment_many` runs a pool under :func:`asyncio.run`.
+
 Backends:
 
-- ``"thread"`` — :class:`~concurrent.futures.ThreadPoolExecutor`.
-  Workers share the process-wide caches (a pair computed by one worker
-  is a hit for every other) and the metrics registry.  Under a GIL
-  build the speedup on pure-Python checks is bounded; it is the right
-  backend when checks hit caches, block on I/O, or run on free-threaded
-  builds.
-- ``"process"`` — ``workers`` processes that the executor starts itself
-  when it is built, each with one duplex pipe.  True parallelism on
-  multi-core machines; queries and results cross the process boundary by
-  pickling.  :meth:`ContainmentExecutor.submit` writes an item straight
-  to an idle worker's pipe from the caller's thread, items beyond the
-  idle workers wait in one queue in the parent, and one collector thread
-  reads every answer, hands that worker the next queued item and
-  resolves the finished one.  The process backend is first-class
-  (DESIGN.md "Concurrency architecture"):
+- ``"thread"`` — up to ``workers`` threads, each started with the first
+  item sent to its place, taking items oldest first from one shared
+  inbox.  A thread runs its item and posts the :class:`BatchItem` to
+  the loop with ``call_soon_threadsafe``.  Workers share the process-wide caches (a
+  pair computed by one worker is a hit for every other) and the metrics
+  registry.  Under a GIL build the speedup on pure-Python checks is
+  bounded; it is the right backend when checks hit caches, block on
+  I/O, or run on free-threaded builds.
+- ``"process"`` — ``workers`` processes that the executor starts when
+  it is built, each with one duplex pipe.  True parallelism on
+  multi-core machines; queries and results cross the process boundary
+  by pickling.  Each worker's pipe and process sentinel are registered
+  with ``loop.add_reader`` (so the loop must be a selector event loop,
+  the default on POSIX), and the parent starts no thread.  The process
+  backend is first-class (DESIGN.md "Concurrency architecture"):
 
   - **Warm start.** Every worker imports the tower dispatch path and
     seeds the regex→NFA and containment caches with tiny checks before
     it reads its first item, so the first real item never pays
     cold-compile latency.
   - **Crash isolation.** A worker that dies mid-item (segfault,
-    ``os._exit``, SIGKILL) costs only the item it held: the collector
+    ``os._exit``, SIGKILL) costs only the item it held: the loop
     respawns the worker (``batch.pool_rebuilds`` counts respawns) and
     retries that one item once on the new worker; if the retry dies
     too, the item resolves to an ``ERROR`` verdict with the crash under
-    ``details["error"]``.  No other item is touched: a crashing check
-    never aborts a batch or takes down ``repro serve``.  An argument or
-    result that fails to pickle or unpickle without killing the worker
-    is that item's ``ERROR``, with its own exception type.  Two workers
-    in a row that die idle before their first item stop the pool:
-    workers cannot start here, so every outstanding and later item is
-    a ``BrokenProcessPool`` ``ERROR`` instead of a respawn loop.
-  - **Telemetry repatriation.** After each check the worker drains its
+    ``details["error"]``.  An answer the worker wrote before it died is
+    read before its death is handled.  No other item is touched: a
+    crashing check never aborts a batch or takes down ``repro serve``.
+    An argument or result that fails to pickle or unpickle without
+    killing the worker is that item's ``ERROR``, with its own exception
+    type.  Two workers in a row that die idle before their first item
+    stop the pool: workers cannot start here, so every outstanding and
+    later item is a ``BrokenProcessPool`` ``ERROR`` instead of a
+    respawn loop.
+  - **Telemetry repatriation.** After each item the worker drains its
     metrics registry (cache counters included) and the item carries
     what moved (:attr:`BatchItem.telemetry`); the parent folds it in
     exactly once at completion, so ``repro top``, the ``metrics`` verb,
@@ -95,16 +106,16 @@ errors, wall time and worker utilization are fields of the
 from __future__ import annotations
 
 import collections
-import concurrent.futures
 import dataclasses
 import multiprocessing
 import os
 import pickle
-import selectors
+import queue
 import threading
 import time
 import traceback
-from typing import Any, Iterable, Iterator, Sequence
+from concurrent.futures.process import BrokenProcessPool
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from ..budget import Budget, BudgetExhausted, bounded_result, not_run_details
 from ..obs.metrics import REGISTRY, counter as _metric_counter, merge_snapshot_delta
@@ -112,12 +123,16 @@ from ..obs.trace import Tracer
 from ..report import ContainmentResult, Verdict
 from .engine import check_containment
 
+if TYPE_CHECKING:
+    import asyncio
+
 __all__ = [
     "BatchItem",
     "BatchResult",
     "ContainmentExecutor",
     "check_containment_many",
     "error_result",
+    "validate_pool_args",
     "DEFAULT_WORKERS",
     "BACKENDS",
 ]
@@ -330,13 +345,12 @@ def _run_one_item(
     trace: bool,
     start_deadline: float | None = None,
     request_id: str | None = None,
-    collect_telemetry: bool = False,
 ) -> BatchItem:
     """One worker-side check: isolate failures, label the worker.
 
-    Module-level (not a closure): a thread worker gets it from the
-    executor and a process worker calls it by name, in both cases with
-    every argument by keyword.  Each traced item
+    Module-level (not a closure): both kinds of worker look it up in
+    this module's globals on every call and pass every argument by
+    keyword.  Each traced item
     gets its *own* Tracer — the tracer contract is one tracer per
     check, which is what keeps concurrent span trees from interleaving.
 
@@ -348,12 +362,6 @@ def _run_one_item(
     hook of the serving layer — queue wait counts against a request's
     deadline even though the engine's own ``BudgetMeter`` clock only
     starts when the check does.
-
-    ``collect_telemetry`` (process backend) drains the worker's metrics
-    registry once after the check and ships what moved as
-    :attr:`BatchItem.telemetry`, so the parent can repatriate this
-    worker's accounting; the thread backend shares the parent registry
-    and skips it.
     """
     start = time.monotonic()
     if start_deadline is not None and start > start_deadline:
@@ -373,12 +381,11 @@ def _run_one_item(
     except Exception as exc:
         result = error_result(index, exc)
     wall_ms = (time.monotonic() - start) * 1000.0
-    telemetry = (REGISTRY.drain() or None) if collect_telemetry else None
-    return BatchItem(index, result, wall_ms, worker, request_id, telemetry)
+    return BatchItem(index, result, wall_ms, worker, request_id)
 
 
-def _validate_pool_args(workers: int, backend: str) -> None:
-    """Eager caller-error checks shared by the executor and the batch."""
+def validate_pool_args(workers: int, backend: str) -> None:
+    """Caller-error checks of a pool's settings, made before it is built."""
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; use one of {BACKENDS}")
     if workers < 1:
@@ -407,10 +414,12 @@ def _worker_main(conn: Any) -> None:
     """A process worker: warm up, then answer one item at a time.
 
     Each item is the pickled keyword arguments of :func:`_run_one_item`;
-    the answer is the pickled :class:`BatchItem`, or :func:`_failure`.
-    ``_run_one_item`` is looked up in this module's globals on every
-    call, so a wrapper installed over that name reaches the worker.  The
-    loop ends when the parent closes its end of the pipe.
+    the answer is the pickled :class:`BatchItem`, carrying the drain of
+    this process's metrics registry as its telemetry, or
+    :func:`_failure`.  ``_run_one_item`` is looked up in this module's
+    globals on every call, so a wrapper installed over that name
+    reaches the worker.  The loop ends when the parent closes its end
+    of the pipe.
     """
     _warm_start()
     while True:
@@ -419,10 +428,15 @@ def _worker_main(conn: Any) -> None:
         except EOFError:
             return
         try:
-            answer = pickle.dumps(_run_one_item(**pickle.loads(payload)), _PICKLE)
+            item = _run_one_item(**pickle.loads(payload))
+            item = dataclasses.replace(item, telemetry=REGISTRY.drain() or None)
+            answer = pickle.dumps(item, _PICKLE)
         except Exception as exc:
             answer = _failure(exc)
-        conn.send_bytes(answer)
+        try:
+            conn.send_bytes(answer)
+        except OSError:  # the parent stopped the pool under this item
+            return
 
 
 def _process_context() -> Any:
@@ -431,8 +445,8 @@ def _process_context() -> Any:
     A forked worker inherits every open file descriptor — including a
     live server's accepted connection sockets, so the peer never sees
     EOF while a worker holds the duplicate — and forking a
-    multi-threaded parent (the asyncio server, the collector thread) can
-    deadlock the child.  ``forkserver`` forks from a clean helper
+    multi-threaded parent can deadlock the child.
+    ``forkserver`` forks from a clean helper
     process instead (preloaded with this module so worker start-up does
     not pay the full import), falling back to ``spawn`` where the fork
     server is unavailable.
@@ -448,273 +462,109 @@ def _process_context() -> Any:
 
 
 class _Job:
-    """One item on the process backend: its future, its keyword
-    arguments, their pickle, and how many workers it was sent to."""
+    """One submitted item: its future, its keyword arguments, their
+    pickle (process backend), and how many workers it was sent to."""
 
     __slots__ = ("future", "kwargs", "payload", "attempts")
 
-    def __init__(self, kwargs: dict[str, Any], payload: bytes) -> None:
-        self.future: concurrent.futures.Future = concurrent.futures.Future()
+    def __init__(
+        self, future: asyncio.Future, kwargs: dict[str, Any], payload: bytes | None
+    ) -> None:
+        self.future = future
         self.kwargs = kwargs
         self.payload = payload
-        self.attempts = 1
+        self.attempts = 0
 
 
-class _Worker:
-    """One worker process, the parent's end of its pipe, its job, and
-    whether it has answered yet."""
+def _thread_main(
+    inbox: queue.SimpleQueue, loop: asyncio.AbstractEventLoop, answer: Callable
+) -> None:
+    """A worker thread: run each item it takes from the shared inbox and
+    post the :class:`BatchItem` (or the exception) to the loop, under
+    the worker it was sent to; it never touches a future."""
+    while (entry := inbox.get()) is not None:
+        worker, kwargs = entry
+        try:
+            result: Any = _run_one_item(**kwargs)
+        except Exception as exc:
+            result = exc
+        try:
+            loop.call_soon_threadsafe(answer, worker, result)
+        except RuntimeError:  # the loop closed while this item ran
+            return
 
-    __slots__ = ("process", "conn", "job", "answered")
 
-    def __init__(self, process: Any, conn: Any) -> None:
+class _ThreadWorker:
+    """One thread's place in the pool.  The threads take items from one
+    shared inbox, oldest first, so an item sent earlier never starts
+    after one sent later.  A thread starts with the first item sent to
+    its place, as in :class:`~concurrent.futures.ThreadPoolExecutor`: a
+    pool never busier than one item runs them all, in order, on one
+    thread."""
+
+    def __init__(self, inbox: queue.SimpleQueue, thread: threading.Thread) -> None:
+        self.job: _Job | None = None
+        self._inbox = inbox
+        self._thread = thread
+
+    def send(self, job: _Job) -> None:
+        self._inbox.put((self, job.kwargs))
+        if self._thread.ident is None:
+            self._thread.start()
+
+    def stop(self) -> None:
+        """Ask one thread to leave once the items before this are done."""
+        if self._thread.ident is not None:
+            self._inbox.put(None)
+
+    def join(self) -> None:
+        if self._thread.ident is not None:
+            self._thread.join()
+
+
+class _ProcessWorker:
+    """A worker process and the parent's end of its pipe, both watched
+    by the loop: the pipe for answers, the sentinel for the death."""
+
+    def __init__(
+        self,
+        process: Any,
+        conn: Any,
+        loop: asyncio.AbstractEventLoop,
+        on_readable: Callable[[Any], None],
+        on_sentinel: Callable[[Any], None],
+    ) -> None:
         self.process = process
+        self.pid = process.pid
         self.conn = conn
         self.job: _Job | None = None
         self.answered = False
+        self._loop = loop
+        self._loop.add_reader(conn.fileno(), on_readable, self)
+        self._loop.add_reader(process.sentinel, on_sentinel, self)
 
-
-def _reap(process: Any) -> None:
-    """Wait for a worker to exit, killing it if it will not."""
-    process.join(_WORKER_EXIT_S)
-    if process.exitcode is None:
-        process.kill()
-        process.join()
-
-
-class _ProcessPool:
-    """The process backend: ``workers`` processes, one pipe each, and one
-    collector thread (module docstring).
-
-    Locking: ``_lock`` guards the queue, the idle list, each worker's
-    ``job`` and every write to or close of a worker's pipe, so a pipe is
-    never closed under a writer.  Only the collector thread reads pipes,
-    touches the selector and replaces workers.  A job's future is marked
-    running when the job is first written to a worker, so ``cancel()``
-    succeeds for exactly the items still queued.
-    """
-
-    def __init__(self, workers: int, resolve_item: Any, resolve_error: Any) -> None:
-        self._context = _process_context()
-        self._resolve_item = resolve_item
-        self._resolve_error = resolve_error
-        self._lock = threading.Lock()
-        self._queue: collections.deque[_Job] = collections.deque()
-        self._closed = False
-        self._broken: BaseException | None = None
-        self._failed_starts = 0
-        self._selector = selectors.DefaultSelector()
-        self._wake_r, self._wake_w = os.pipe()
-        self._selector.register(self._wake_r, selectors.EVENT_READ, None)
-        self._workers = [self._spawn() for _ in range(workers)]
-        self._idle = list(self._workers)
-        self._collector = threading.Thread(
-            target=self._collect, name="batch-collector", daemon=True
-        )
-        self._collector.start()
-
-    def _spawn(self) -> _Worker:
-        conn, child = self._context.Pipe()
-        process = self._context.Process(
-            target=_worker_main, args=(child,), daemon=True
-        )
-        process.start()
-        child.close()
-        worker = _Worker(process, conn)
-        self._selector.register(conn, selectors.EVENT_READ, (worker, False))
-        self._selector.register(process.sentinel, selectors.EVENT_READ, (worker, True))
-        return worker
-
-    def submit(self, kwargs: dict[str, Any]) -> concurrent.futures.Future:
-        """Queue one :func:`_run_one_item` call; raises if *kwargs* does
-        not pickle or the pool is shut down."""
-        job = _Job(kwargs, pickle.dumps(kwargs, _PICKLE))
-        with self._lock:
-            if self._broken is not None:
-                from concurrent.futures.process import BrokenProcessPool
-
-                raise BrokenProcessPool(f"the process pool stopped: {self._broken}")
-            if self._closed:
-                raise RuntimeError("cannot submit to a process pool after shutdown")
-            if self._idle:
-                job.future.set_running_or_notify_cancel()
-                self._send(self._idle.pop(), job)
-            else:
-                self._queue.append(job)
-        return job.future
-
-    def _send(self, worker: _Worker, job: _Job) -> None:
-        """Write *job* to *worker* (caller holds the lock)."""
-        worker.job = job
+    def send(self, job: _Job) -> None:
         try:
-            worker.conn.send_bytes(job.payload)
+            self.conn.send_bytes(job.payload)
         except OSError:
-            pass  # the worker died: _replace retries the job it holds
+            pass  # the worker died: its death handler retries the job
 
-    def _feed(self, worker: _Worker) -> None:
-        """Give *worker* the next queued item, or mark it idle (caller
-        holds the lock)."""
-        while self._queue:
-            job = self._queue.popleft()
-            if job.future.set_running_or_notify_cancel():
-                self._send(worker, job)
-                return
-        self._idle.append(worker)
+    def stop(self) -> None:
+        """Stop watching and close the pipe: the worker leaves its loop."""
+        self._loop.remove_reader(self.conn.fileno())
+        self._loop.remove_reader(self.process.sentinel)
+        self.conn.close()
 
-    def _collect(self) -> None:
-        """The collector thread: answers and deaths until shut down."""
-        try:
-            while True:
-                with self._lock:
-                    if self._closed and not self._queue and not any(
-                        worker.job for worker in self._workers
-                    ):
-                        break
-                # Answers first: a worker that answered and then died
-                # has its answer read before its death is handled.
-                events = sorted(
-                    self._selector.select(),
-                    key=lambda event: bool(event[0].data and event[0].data[1]),
-                )
-                for key, _ in events:
-                    if key.data is None:
-                        os.read(self._wake_r, 64)
-                        continue
-                    worker, died = key.data
-                    if worker not in self._workers:
-                        continue  # already replaced in this round
-                    if died:
-                        self._replace(worker)
-                    else:
-                        self._on_answer(worker)
-        except BaseException as exc:
-            self._abandon(exc)
-            raise
-        finally:
-            self._stop()
-
-    def _on_answer(self, worker: _Worker) -> None:
-        try:
-            data = worker.conn.recv_bytes()
-        except (EOFError, OSError):
-            self._replace(worker)
-            return
-        worker.answered = True
-        self._failed_starts = 0
-        with self._lock:
-            job, worker.job = worker.job, None
-            self._feed(worker)
-        try:
-            answer = pickle.loads(data)
-            if isinstance(answer, BatchItem):
-                self._resolve_item(job.future, answer)
-                return
-            exc, text = answer
-            exc.__cause__ = _RemoteTraceback(text)
-        except Exception as error:  # the answer does not unpickle here
-            exc = error
-        self._resolve_error(job.future, job.kwargs, exc)
-
-    def _replace(self, dead: _Worker) -> None:
-        """Respawn a dead worker and retry the one item it held, once."""
-        self._selector.unregister(dead.conn)
-        self._selector.unregister(dead.process.sentinel)
-        _reap(dead.process)
-        with self._lock:
-            self._workers.remove(dead)
-            if dead in self._idle:
-                self._idle.remove(dead)
-            dead.conn.close()
-            job, dead.job = dead.job, None
-        from concurrent.futures.process import BrokenProcessPool
-
-        crash = BrokenProcessPool(
-            f"worker pid:{dead.process.pid} died (exit code {dead.process.exitcode})"
-        )
-        dead.process.close()
-        if job is None and not dead.answered:
-            # Two workers in a row that die before their first item mean
-            # workers cannot start here: respawning would only loop.
-            self._failed_starts += 1
-            if self._failed_starts >= _MAX_ATTEMPTS:
-                self._abandon(crash)
-                return
-        elif job is not None and job.attempts >= _MAX_ATTEMPTS:
-            self._resolve_error(job.future, job.kwargs, crash)
-            job = None
-        try:
-            worker = self._spawn()
-        except BaseException as exc:
-            if job is not None:
-                self._resolve_error(job.future, job.kwargs, exc)
-            raise
-        _BATCH_POOL_REBUILDS.inc()
-        with self._lock:
-            self._workers.append(worker)
-            if job is not None:
-                job.attempts += 1
-                self._send(worker, job)
-            else:
-                self._feed(worker)
-
-    def _abandon(self, exc: BaseException) -> None:
-        """Stop for good (workers cannot start, or the collector failed):
-        refuse new items and answer every outstanding one with *exc*."""
-        with self._lock:
-            self._closed = True
-            self._broken = exc
-            jobs = list(self._queue) + [w.job for w in self._workers if w.job]
-            self._queue.clear()
-            for worker in self._workers:
-                worker.job = None
-        for job in jobs:
-            self._resolve_error(job.future, job.kwargs, exc)
-
-    def _stop(self) -> None:
-        """Close every pipe, so each worker exits its loop; join them."""
-        with self._lock:
-            workers = list(self._workers)
-            for worker in workers:
-                worker.conn.close()
-        for worker in workers:
-            _reap(worker.process)
-            worker.process.close()
-        self._selector.close()
-        os.close(self._wake_r)
-        os.close(self._wake_w)
-
-    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
-        """Stop taking items; the collector finishes what was sent (and,
-        unless *cancel_futures*, what is queued), then stops the workers."""
-        with self._lock:
-            if not self._closed:
-                self._closed = True
-                os.write(self._wake_w, b"\0")
-            cancelled = list(self._queue) if cancel_futures else []
-            if cancel_futures:
-                self._queue.clear()
-        for job in cancelled:
-            job.future.cancel()
-        if wait and threading.current_thread() is not self._collector:
-            self._collector.join()
-
-
-class _ItemFuture(concurrent.futures.Future):
-    """The future a thread-backend :meth:`ContainmentExecutor.submit`
-    hands back: resolved through :meth:`ContainmentExecutor._resolve_item`
-    when the pool's own future completes.  ``cancel()`` delegates to that
-    inner future, so it succeeds only when the item never started
-    (the pool-deadline contract: "only unstarted items degrade").
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.inner: concurrent.futures.Future | None = None
-
-    def cancel(self) -> bool:  # noqa: D102 — contract in class docstring
-        inner = self.inner
-        if inner is not None and not inner.cancel():
-            return False
-        return super().cancel()
+    def join(self) -> int | None:
+        """Wait for the process, killing it if it will not exit; its
+        exit code."""
+        self.process.join(_WORKER_EXIT_S)
+        if self.process.exitcode is None:
+            self.process.kill()
+            self.process.join()
+        exitcode = self.process.exitcode
+        self.process.close()
+        return exitcode
 
 
 class ContainmentExecutor:
@@ -725,12 +575,13 @@ class ContainmentExecutor:
     batch, a ``ContainmentExecutor`` stays alive across many
     independent submissions — the serving layer (:mod:`repro.serve`)
     keeps one for the whole process and feeds it one wire request at a
-    time.  Every :meth:`submit` returns a
-    :class:`concurrent.futures.Future` resolving to a
-    :class:`BatchItem` with exactly the batch contract: failures are
-    isolated as ``ERROR`` verdicts (including submit-time failures,
-    e.g. an unpicklable query on the process backend), each traced item
-    owns its tracer, and budgets bound items cooperatively.
+    time.  It belongs to the event loop running when it is built, and
+    is used only from that loop.  Every :meth:`submit` returns an
+    :class:`asyncio.Future` resolving to a :class:`BatchItem` with
+    exactly the batch contract: failures are isolated as ``ERROR``
+    verdicts (including submit-time failures, e.g. an unpicklable query
+    on the process backend), each traced item owns its tracer, and
+    budgets bound items cooperatively.
 
     On the process backend the executor is additionally the
     crash-isolation and telemetry boundary (module docstring): its
@@ -741,22 +592,49 @@ class ContainmentExecutor:
     exactly once, in :meth:`_resolve_item`.
 
     Caller errors (bad backend or workers) still raise eagerly from the
-    constructor, never per item.
+    constructor, never per item.  ``async with`` shuts the pool down on
+    exit.
     """
 
     def __init__(
         self, *, workers: int = DEFAULT_WORKERS, backend: str = "thread"
     ) -> None:
-        _validate_pool_args(workers, backend)
+        # asyncio is imported where a pool runs, never at module import:
+        # every process worker imports this module, and asyncio (with
+        # ssl) would cost each one about 5 MB resident.
+        import asyncio
+
+        validate_pool_args(workers, backend)
         self.workers = workers
         self.backend = backend
-        self._pool: Any
-        if backend == "process":
-            self._pool = _ProcessPool(workers, self._resolve_item, self._resolve_error)
-        else:
-            self._pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="batch-worker"
+        self._loop = asyncio.get_running_loop()
+        self._context = _process_context() if backend == "process" else None
+        self._inbox: queue.SimpleQueue = queue.SimpleQueue()
+        self._queue: collections.deque[_Job] = collections.deque()
+        self._closed = False
+        self._broken: BaseException | None = None
+        self._failed_starts = 0
+        self._workers: list[Any] = [self._start_worker(n) for n in range(workers)]
+        self._idle = list(self._workers)
+
+    def _start_worker(self, n: int = 0) -> Any:
+        if self._context is None:
+            thread = threading.Thread(
+                target=_thread_main,
+                args=(self._inbox, self._loop, self._on_answer),
+                name=f"batch-worker-{n}",
+                daemon=True,
             )
+            return _ThreadWorker(self._inbox, thread)
+        conn, child = self._context.Pipe()
+        process = self._context.Process(
+            target=_worker_main, args=(child,), daemon=True
+        )
+        process.start()
+        child.close()
+        return _ProcessWorker(
+            process, conn, self._loop, self._on_readable, self._on_sentinel
+        )
 
     def submit(
         self,
@@ -768,7 +646,7 @@ class ContainmentExecutor:
         trace: bool = False,
         start_deadline: float | None = None,
         request_id: str | None = None,
-    ) -> "concurrent.futures.Future[BatchItem]":
+    ) -> "asyncio.Future[BatchItem]":
         """Submit one pair; the future resolves to its :class:`BatchItem`.
 
         ``start_deadline`` is the admission hook of
@@ -790,68 +668,168 @@ class ContainmentExecutor:
             "trace": trace,
             "start_deadline": start_deadline,
             "request_id": request_id,
-            "collect_telemetry": self.backend == "process",
         }
-        if self.backend == "process":
-            try:
-                return self._pool.submit(kwargs)
-            except Exception as exc:  # an unpicklable argument, or shut down
-                future: concurrent.futures.Future = concurrent.futures.Future()
-                self._resolve_error(future, kwargs, exc)
-                return future
-        outer = _ItemFuture()
+        future = self._loop.create_future()
         try:
-            inner = self._pool.submit(_run_one_item, **kwargs)
-        except RuntimeError as exc:  # shut down
-            self._resolve_error(outer, kwargs, exc)
-            return outer
-        outer.inner = inner
-        inner.add_done_callback(lambda f: self._on_done(f, kwargs, outer))
-        return outer
-
-    def _on_done(
-        self, inner: concurrent.futures.Future, kwargs: dict, outer: _ItemFuture
-    ) -> None:
-        """Thread-backend completion (runs on the finishing worker thread)."""
-        if inner.cancelled():
-            outer.cancel()
-            return
-        exc = inner.exception()
-        if exc is None:
-            self._resolve_item(outer, inner.result())
+            if self._broken is not None:
+                raise BrokenProcessPool(f"the process pool stopped: {self._broken}")
+            if self._closed:
+                raise RuntimeError("cannot submit to a worker pool after shutdown")
+            payload = None if self._context is None else pickle.dumps(kwargs, _PICKLE)
+        except Exception as exc:  # an unpicklable argument, or no pool
+            self._resolve_item(future, _error_item(kwargs, exc))
+            return future
+        job = _Job(future, kwargs, payload)
+        if self._idle:
+            self._send(self._idle.pop(), job)
         else:
-            self._resolve_error(outer, kwargs, exc)
+            self._queue.append(job)
+        return future
 
-    def _resolve_item(self, outer: concurrent.futures.Future, item: BatchItem) -> None:
+    def _send(self, worker: Any, job: _Job) -> None:
+        job.attempts += 1
+        worker.job = job
+        worker.send(job)
+
+    def _feed(self, worker: Any) -> None:
+        """Give *worker* the next queued item, or mark it idle."""
+        while self._queue:
+            job = self._queue.popleft()
+            if not job.future.done():  # its caller cancelled it while queued
+                self._send(worker, job)
+                return
+        self._idle.append(worker)
+
+    def _on_answer(self, worker: Any, answer: BatchItem | BaseException) -> None:
+        """A worker's answer, on the loop: the worker gets its next item
+        first, then the finished one is resolved."""
+        job, worker.job = worker.job, None
+        self._feed(worker)
+        if not isinstance(answer, BatchItem):
+            answer = _error_item(job.kwargs, answer)
+        self._resolve_item(job.future, answer)
+
+    def _on_readable(self, worker: _ProcessWorker) -> None:
+        """A process worker's pipe is readable: its answer, or its EOF."""
+        try:
+            data = worker.conn.recv_bytes()
+        except (EOFError, OSError):
+            self._replace(worker)
+            return
+        worker.answered = True
+        self._failed_starts = 0
+        try:
+            answer = pickle.loads(data)
+            if not isinstance(answer, BatchItem):
+                exc, text = answer
+                exc.__cause__ = _RemoteTraceback(text)
+                answer = exc
+        except Exception as error:  # the answer does not unpickle here
+            answer = error
+        self._on_answer(worker, answer)
+
+    def _on_sentinel(self, worker: _ProcessWorker) -> None:
+        """A worker process ended.  Its pipe and sentinel can be ready in
+        the same loop iteration, in either order: an answer it wrote
+        before dying is read first, so it is delivered, not retried."""
+        if worker.conn.poll():
+            self._on_readable(worker)  # replaces the worker at EOF
+        if not worker.conn.closed:
+            self._replace(worker)
+
+    def _replace(self, dead: _ProcessWorker) -> None:
+        """Respawn a dead process worker and retry the one item it held, once."""
+        dead.stop()
+        exitcode = dead.join()
+        crash = BrokenProcessPool(f"worker pid:{dead.pid} died (exit code {exitcode})")
+        self._workers.remove(dead)
+        if dead in self._idle:
+            self._idle.remove(dead)
+        job, dead.job = dead.job, None
+        if job is None and not dead.answered:
+            # Two workers in a row that die before their first item mean
+            # workers cannot start here: respawning would only loop.
+            self._failed_starts += 1
+            if self._failed_starts >= _MAX_ATTEMPTS:
+                self._abandon(crash)
+                return
+        elif job is not None and job.attempts >= _MAX_ATTEMPTS:
+            self._resolve_item(job.future, _error_item(job.kwargs, crash))
+            job = None
+        try:
+            worker = self._start_worker()
+        except Exception as exc:  # no worker starts here any more
+            if job is not None:
+                self._queue.appendleft(job)
+            self._abandon(exc)
+            return
+        _BATCH_POOL_REBUILDS.inc()
+        self._workers.append(worker)
+        if job is not None:
+            self._send(worker, job)
+        else:
+            self._feed(worker)
+
+    def _abandon(self, exc: BaseException) -> None:
+        """Stop for good (workers cannot start): kill the workers left,
+        answer every outstanding item with *exc*, refuse new ones."""
+        self._broken = exc
+        jobs = [*self._queue, *(w.job for w in self._workers if w.job is not None)]
+        self._queue.clear()
+        for worker in self._workers:
+            worker.process.kill()
+        self._stop_workers()
+        for job in jobs:
+            self._resolve_item(job.future, _error_item(job.kwargs, exc))
+
+    def _resolve_item(self, future: asyncio.Future, item: BatchItem) -> None:
+        """The one completion funnel, on the loop, for every item."""
         if item.telemetry is not None:
-            # The single merge point for repatriated worker telemetry:
-            # every completion path funnels through here exactly once.
+            # Repatriated worker telemetry is merged here, exactly once
+            # per item, whether or not its caller still waits for it.
             merge_snapshot_delta(item.telemetry)
-        if not outer.cancelled():
-            try:
-                outer.set_result(item)
-            except concurrent.futures.InvalidStateError:
-                pass
+        if not future.done():
+            future.set_result(item)
 
-    def _resolve_error(
-        self, outer: concurrent.futures.Future, kwargs: dict, exc: BaseException
-    ) -> None:
-        index, request_id = kwargs["index"], kwargs["request_id"]
-        item = BatchItem(index, error_result(index, exc), 0.0, None, request_id)
-        if not outer.cancelled():
-            try:
-                outer.set_result(item)
-            except concurrent.futures.InvalidStateError:
-                pass
+    def _stop_workers(self) -> None:
+        for worker in self._workers:
+            worker.stop()
+        for worker in self._workers:
+            worker.join()
+        self._workers.clear()
+        self._idle.clear()
 
-    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
-        self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
+    async def shutdown(self) -> None:
+        """Stop taking items, drop the ones never sent to a worker (their
+        futures are cancelled), wait for the ones that were, then stop
+        every worker.  Calling it again does nothing."""
+        import asyncio
 
-    def __enter__(self) -> "ContainmentExecutor":
+        self._closed = True
+        while self._queue:
+            self._queue.popleft().future.cancel()
+        sent = [w.job.future for w in self._workers if w.job is not None]
+        if sent:
+            await asyncio.wait(sent)
+        self._stop_workers()
+
+    async def __aenter__(self) -> "ContainmentExecutor":
         return self
 
-    def __exit__(self, *exc_info: Any) -> None:
-        self.shutdown(wait=True, cancel_futures=True)
+    async def __aexit__(self, *exc_info: Any) -> None:
+        await self.shutdown()
+
+
+def _error_item(kwargs: dict[str, Any], exc: BaseException) -> BatchItem:
+    index = kwargs["index"]
+    return BatchItem(index, error_result(index, exc), 0.0, None, kwargs["request_id"])
+
+
+def _starved(index: int, spent_ms: float, limit_ms: float | None) -> BatchItem:
+    """An item the pool deadline dropped before it reached a worker."""
+    starved = BudgetExhausted(resource="pool_deadline", spent=spent_ms, limit=limit_ms)
+    result = bounded_result("batch-pool-deadline", starved, details=not_run_details())
+    return BatchItem(index, result, 0.0, None)
 
 
 def check_containment_many(
@@ -865,6 +843,9 @@ def check_containment_many(
 ) -> BatchResult:
     """Check ``Q1 ⊆ Q2`` for every pair concurrently; see module docstring.
 
+    Runs its own event loop (:func:`asyncio.run`), so it is called from
+    synchronous code; a coroutine uses a :class:`ContainmentExecutor`.
+
     Args:
         pairs: an iterable of ``(q1, q2)`` query pairs, or of
             ``(q1, q2, budget)`` items carrying their own budget
@@ -877,59 +858,49 @@ def check_containment_many(
             every check — the cooperative bound on *individual* items.
         trace: record a span tree per item into its
             ``details["trace"]`` (one tracer per item, never shared).
-        pool_deadline_ms: wall-clock bound on the whole batch; items
-            not started when it expires come back ``INCONCLUSIVE``
-            (method ``"batch-pool-deadline"``).
+        pool_deadline_ms: wall-clock bound on the whole batch (>= 0);
+            items not sent to a worker when it expires come back
+            ``INCONCLUSIVE`` (method ``"batch-pool-deadline"``).
 
     Returns:
         A :class:`BatchResult` with one :class:`BatchItem` per input
         pair, in input order.
     """
-    _validate_pool_args(workers, backend)
-    if pool_deadline_ms is not None and pool_deadline_ms < 0:
-        raise ValueError("pool_deadline_ms must be >= 0")
+    import asyncio
+
+    validate_pool_args(workers, backend)
+    if pool_deadline_ms is not None and not pool_deadline_ms >= 0:
+        raise ValueError(f"pool_deadline_ms must be >= 0, not {pool_deadline_ms}")
     items = [pair if len(pair) == 3 else (*pair, budget) for pair in pairs]
     start = time.monotonic()
-    slots: list[BatchItem | None] = [None] * len(items)
-    if items:
-        with ContainmentExecutor(workers=workers, backend=backend) as executor:
-            futures: dict["concurrent.futures.Future[BatchItem]", int] = {
-                executor.submit(
-                    q1, q2, index=index, budget=item_budget, trace=trace
-                ): index
-                for index, (q1, q2, item_budget) in enumerate(items)
-            }
-            if pool_deadline_ms is not None:
-                remaining = pool_deadline_ms / 1000.0 - (time.monotonic() - start)
-                concurrent.futures.wait(futures, timeout=max(0.0, remaining))
-                for future, index in futures.items():
-                    if future.cancel():
-                        # Never started: degrade, with honest accounting.
-                        starved = BudgetExhausted(
-                            resource="pool_deadline",
-                            spent=round((time.monotonic() - start) * 1000.0, 3),
-                            limit=pool_deadline_ms,
-                        )
-                        result = bounded_result(
-                            "batch-pool-deadline", starved, details=not_run_details()
-                        )
-                        slots[index] = BatchItem(index, result, 0.0, None)
-            for future, index in futures.items():
-                if slots[index] is not None:
-                    continue  # degraded above
-                try:
-                    slots[index] = future.result()
-                except Exception as exc:
-                    # Worker-side infrastructure failure the in-worker
-                    # isolation could not catch (e.g. a result that fails
-                    # to pickle back, or a crashed worker process).
-                    slots[index] = BatchItem(index, error_result(index, exc), 0.0, None)
 
+    async def run() -> list[BatchItem]:
+        async with ContainmentExecutor(workers=workers, backend=backend) as executor:
+            futures = [
+                executor.submit(q1, q2, index=index, budget=item_budget, trace=trace)
+                for index, (q1, q2, item_budget) in enumerate(items)
+            ]
+            timeout = None
+            if pool_deadline_ms is not None:
+                elapsed = time.monotonic() - start
+                timeout = max(0.0, pool_deadline_ms / 1000.0 - elapsed)
+            await asyncio.wait(futures, timeout=timeout)
+            spent_ms = round((time.monotonic() - start) * 1000.0, 3)
+        # Leaving the pool cancelled every item never sent to a worker
+        # and waited for the rest: degrade the cancelled ones.
+        return [
+            _starved(index, spent_ms, pool_deadline_ms)
+            if future.cancelled()
+            else future.result()
+            for index, future in enumerate(futures)
+        ]
+
+    slots = asyncio.run(run()) if items else []
     # One exit path for loaded, degraded, and zero-item batches alike:
     # wall_ms is always the measured elapsed time (a zero-item batch is
     # an *instant* batch, not an unmeasured one).
     return BatchResult(
-        items=tuple(slot for slot in slots if slot is not None),
+        items=tuple(slots),
         wall_ms=(time.monotonic() - start) * 1000.0,
         workers=workers,
         backend=backend,

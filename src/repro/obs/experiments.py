@@ -19,6 +19,7 @@ workload at the sizes EXPERIMENTS.md reports.
 
 from __future__ import annotations
 
+import asyncio
 import functools
 import itertools
 import math
@@ -38,6 +39,7 @@ from ..automata.shepherdson import LazyShepherdsonComplement, two_nfa_to_dfa
 from ..budget import Budget
 from ..cache import cache_stats, clear_caches
 from ..core.batch import (
+    BatchItem,
     ContainmentExecutor,
     check_containment_many,
     sequential_baseline,
@@ -492,9 +494,13 @@ def _exp_process(suite: str) -> dict[str, Any]:
         for index, item in enumerate(crash_items)
         if index != 2
     ]
-    with ContainmentExecutor(workers=1, backend="process") as executor:
-        executor.submit(_PoisonPill(), _PoisonPill()).result()
-        after_crash = executor.submit(*pairs[0]).result()
+
+    async def check_after_crash() -> BatchItem:
+        async with ContainmentExecutor(workers=1, backend="process") as executor:
+            await executor.submit(_PoisonPill(), _PoisonPill())
+            return await executor.submit(*pairs[0])
+
+    after_crash = asyncio.run(check_after_crash())
     crash = {
         "poison_is_isolated_error": (
             crash_items[2].result.verdict.value == "error"

@@ -30,14 +30,16 @@ The serving contract (DESIGN.md "Serving architecture"):
   timer ends reading on every connection still open; each is closed
   after a final flush.
 
-Backend: ``--backend`` selects the pool substrate.  The default
+Backend: ``--backend`` selects the pool substrate.  Either way the
+pool is built on the server's event loop when serving starts: each
+admitted frame's ``_finish`` task submits it to the pool and awaits
+the future that the loop itself resolves when the answer comes back.
+The default
 ``thread`` backend shares the process-wide result/NFA caches, so a hot
 pair answered for one client is a cache hit for every other; the
 ``process`` backend trades per-request cache sharing for true
 multi-core parallelism and crash isolation — workers warm-start
-(caches pre-seeded at spin-up), each admitted frame is written from the
-event loop straight to an idle worker's pipe and resolved by the
-executor's one collector thread, a worker that dies is respawned
+(caches pre-seeded at spin-up), a worker that dies is respawned
 underneath the running server and the one frame it held is retried
 once (only a frame whose retry dies too becomes an isolated ``ERROR``
 response), nothing from this package crosses into a worker (a late
@@ -46,8 +48,8 @@ is shed here, exactly as on the thread backend), and each worker's
 metrics registry (cache counters included) is drained per item and
 folded into the server's, so the ``metrics`` verb and ``repro top``
 report true figures.  The health verb names the active
-backend; drain semantics are identical (shutdown waits on process
-workers).  See DESIGN.md for the tradeoff.
+backend; drain semantics are identical (shutdown waits for every frame
+a worker holds).  See DESIGN.md for the tradeoff.
 
 Telemetry (DESIGN.md "Operational telemetry"): every served frame —
 answered, shed, or malformed — carries a ``request_id`` (client-supplied
@@ -75,7 +77,12 @@ from typing import Any
 
 from ..budget import configured_budget
 from ..cache import cache_stats
-from ..core.batch import DEFAULT_WORKERS, BatchItem, ContainmentExecutor
+from ..core.batch import (
+    DEFAULT_WORKERS,
+    BatchItem,
+    ContainmentExecutor,
+    validate_pool_args,
+)
 from ..obs.env import environment_fingerprint
 from ..obs.metrics import counter as _metric_counter, gauge as _metric_gauge, \
     histogram as _metric_histogram, metrics_snapshot
@@ -258,7 +265,8 @@ class ContainmentServer:
         self.config = config
         # Each component checks the values it consumes, so a bad server
         # config raises ValueError here, at startup, never per request.
-        # The pool comes last: nothing is left running when a check fails.
+        # Telemetry comes last: it opens the access log.  The pool is
+        # built on the serving loop (serve_tcp / serve_pipe).
         if not config.drain_grace_ms >= 0:
             raise ValueError(
                 f"drain_grace_ms must be >= 0, not {config.drain_grace_ms}"
@@ -269,19 +277,14 @@ class ContainmentServer:
             escalate=config.auto_budget,
             max_expansions=config.max_expansions,
         )
+        validate_pool_args(config.workers, config.backend)
         self._telemetry = Telemetry(
             access_log=config.access_log,
             slow_ms=config.slow_ms,
             sample_rate=config.trace_sample_rate,
             flight_capacity=config.flight_recorder_size,
         )
-        try:
-            self._executor = ContainmentExecutor(
-                workers=config.workers, backend=config.backend
-            )
-        except ValueError:
-            self._telemetry.close()
-            raise
+        self._executor: ContainmentExecutor | None = None
         self._draining = asyncio.Event()
         # The drain grace timer; once it has run, every reader raises.
         self._grace_timer: asyncio.TimerHandle | None = None
@@ -461,27 +464,17 @@ class ContainmentServer:
                 deadline_ms=deadline_ms,
             )
         _QUEUE_DEPTH.set(self._admission.pending)
-        admitted_at = time.monotonic()
-        start_deadline = (
-            admitted_at + deadline_ms / 1000.0 if deadline_ms is not None else None
-        )
         # The queue depth that admitted the request, taken now: a
         # dequeue-deadline shed reports it, and _finish builds that
         # shed after the controller's numbers have moved on.
-        queue_depth = self._admission.pending
-        sampled = self._telemetry.sample()
-        future = self._executor.submit(
-            frame.left,
-            frame.right,
-            index=frame.index,
-            budget=budget,
-            trace=sampled,
-            start_deadline=start_deadline,
-            request_id=request_id,
-        )
         return asyncio.ensure_future(
             self._finish(
-                frame, future, admitted_at, queue_depth, deadline_ms, sampled=sampled
+                frame,
+                budget,
+                request_id,
+                admitted_at=time.monotonic(),
+                queue_depth=self._admission.pending,
+                sampled=self._telemetry.sample(),
             )
         )
 
@@ -503,25 +496,41 @@ class ContainmentServer:
     async def _finish(
         self,
         frame: protocol.ContainRequest,
-        future: Any,
+        budget: Any,
+        request_id: str,
+        *,
         admitted_at: float,
         queue_depth: int,
-        deadline_ms: float | None,
-        *,
-        sampled: bool = False,
+        sampled: bool,
     ) -> dict[str, Any]:
-        """Await one admitted request's worker future; account for it.
+        """Run one admitted request on the pool; account for its answer.
 
         Runs as its own task from the moment of dispatch (not when the
         in-order writer reaches it), so the admission slot is always
         released at completion — even if the peer disconnects and the
-        writer dies with responses still queued.  A worker that
-        dequeued the request past its start deadline returns the
+        writer dies with responses still queued.  The task submits in
+        its first step and is waiting before the pool can answer, so
+        requests are accounted in the order the pool answers them.  The
+        budget's deadline also bounds the wait for a worker: a worker
+        that dequeued the request past it returns the
         ``start-deadline`` verdict unrun, which becomes the ``deadline``
         shed here, reporting the *queue_depth* taken at dispatch.
         """
+        deadline_ms = budget.deadline_ms if budget is not None else None
         try:
-            item: BatchItem = await asyncio.wrap_future(future)
+            item: BatchItem = await self._executor.submit(
+                frame.left,
+                frame.right,
+                index=frame.index,
+                budget=budget,
+                trace=sampled,
+                start_deadline=(
+                    admitted_at + deadline_ms / 1000.0
+                    if deadline_ms is not None
+                    else None
+                ),
+                request_id=request_id,
+            )
         finally:
             self._admission.release()
             _QUEUE_DEPTH.set(self._admission.pending)
@@ -782,11 +791,18 @@ class ContainmentServer:
                 )
         for task in list(self._connections):
             task.cancel()
-        self._executor.shutdown(wait=True, cancel_futures=True)
+        await self._executor.shutdown()
+
+    def _start_pool(self) -> None:
+        """Bind the server to the running loop and build its pool there."""
+        self._loop = asyncio.get_running_loop()
+        self._executor = ContainmentExecutor(
+            workers=self.config.workers, backend=self.config.backend
+        )
 
     async def serve_tcp(self) -> None:
         """Listen on the configured address until drained."""
-        self._loop = asyncio.get_running_loop()
+        self._start_pool()
         self._install_signal_handlers()
         self._server = await asyncio.start_server(
             self._on_connection, self.config.host, self.config.port
@@ -832,7 +848,7 @@ class ContainmentServer:
 
     async def serve_pipe(self, stdin: Any = None, stdout: Any = None) -> None:
         """One-shot pipe mode: stdin frames in, stdout frames out."""
-        self._loop = asyncio.get_running_loop()
+        self._start_pool()
         self._install_signal_handlers()
         loop = self._loop
         stream = stdin if stdin is not None else sys.stdin
@@ -848,5 +864,5 @@ class ContainmentServer:
         try:
             await self._handle_stream(reader, writer)
         finally:
-            self._executor.shutdown(wait=True, cancel_futures=True)
+            await self._executor.shutdown()
             self._finalize_telemetry()

@@ -21,12 +21,12 @@ as in the concurrency CI job).
 
 from __future__ import annotations
 
+import asyncio
 import collections
-import concurrent.futures
 import os
 import random
+import selectors
 import signal
-import sys
 import threading
 import time
 
@@ -189,6 +189,15 @@ class TestFailureIsolation:
             check_containment_many([], backend="greenlet")
         with pytest.raises(ValueError, match="workers"):
             check_containment_many([], workers=0)
+
+    @pytest.mark.parametrize("deadline", [-1.0, float("nan")])
+    def test_bad_pool_deadline_raises(self, deadline):
+        # A NaN deadline never expires (every comparison is False), so it
+        # would bound nothing; it is caller error like a negative one.
+        with pytest.raises(ValueError, match="pool_deadline_ms"):
+            check_containment_many(
+                e1_workload()[:2], workers=1, pool_deadline_ms=deadline
+            )
 
 
 class TestPoolDeadline:
@@ -473,51 +482,67 @@ class TestContainmentExecutor:
         return RPQ(parse_regex(left)), RPQ(parse_regex(right))
 
     def test_submit_resolves_to_batch_item(self):
-        with ContainmentExecutor(workers=2) as executor:
-            q1, q2 = self.pair()
-            item = executor.submit(q1, q2, index=7).result(timeout=60)
-            assert item.index == 7
-            assert item.result.verdict is Verdict.HOLDS
-            assert item.wall_ms >= 0.0
-            assert item.worker and "batch-worker" in item.worker
+        async def run():
+            async with ContainmentExecutor(workers=2) as executor:
+                q1, q2 = self.pair()
+                item = await executor.submit(q1, q2, index=7)
+                assert item.index == 7
+                assert item.result.verdict is Verdict.HOLDS
+                assert item.wall_ms >= 0.0
+                assert item.worker and "batch-worker" in item.worker
+
+        asyncio.run(run())
 
     def test_matches_sequential_baseline_across_submissions(self):
         pairs = e1_workload()[:10]
         expected = [r.verdict for r in sequential_baseline(pairs)]
-        with ContainmentExecutor(workers=4) as executor:
-            futures = [
-                executor.submit(q1, q2, index=i)
-                for i, (q1, q2) in enumerate(pairs)
-            ]
-            verdicts = [f.result(timeout=120).result.verdict for f in futures]
+
+        async def run():
+            async with ContainmentExecutor(workers=4) as executor:
+                futures = [
+                    executor.submit(q1, q2, index=i)
+                    for i, (q1, q2) in enumerate(pairs)
+                ]
+                return [(await f).result.verdict for f in futures]
+
+        verdicts = asyncio.run(run())
         assert verdicts == expected
 
     def test_worker_exception_is_isolated(self):
-        with ContainmentExecutor(workers=1) as executor:
-            item = executor.submit(object(), object(), index=3).result(timeout=60)
-            assert item.result.verdict is Verdict.ERROR
-            assert item.result.details["error"]["index"] == 3
+        async def run():
+            async with ContainmentExecutor(workers=1) as executor:
+                item = await executor.submit(object(), object(), index=3)
+                assert item.result.verdict is Verdict.ERROR
+                assert item.result.details["error"]["index"] == 3
+
+        asyncio.run(run())
 
     def test_submit_after_shutdown_is_an_error_item_not_a_raise(self):
-        executor = ContainmentExecutor(workers=1)
-        executor.shutdown(wait=True)
-        q1, q2 = self.pair()
-        item = executor.submit(q1, q2, index=5).result(timeout=60)
-        assert item.result.verdict is Verdict.ERROR
-        assert item.index == 5
+        async def run():
+            executor = ContainmentExecutor(workers=1)
+            await executor.shutdown()
+            q1, q2 = self.pair()
+            item = await executor.submit(q1, q2, index=5)
+            assert item.result.verdict is Verdict.ERROR
+            assert item.index == 5
+
+        asyncio.run(run())
 
     def test_expired_start_deadline_sheds_instead_of_running(self):
         import time as _time
 
-        with ContainmentExecutor(workers=1) as executor:
-            q1, q2 = self.pair()
-            item = executor.submit(
-                q1, q2, start_deadline=_time.monotonic() - 1.0
-            ).result(timeout=60)
-            assert item.result.verdict is Verdict.INCONCLUSIVE
-            assert item.result.method == "start-deadline"
-            assert item.result.details["budget"]["exhausted"] == "start_deadline"
-            assert item.worker is None and item.wall_ms == 0.0
+        async def run():
+            async with ContainmentExecutor(workers=1) as executor:
+                q1, q2 = self.pair()
+                item = await executor.submit(
+                    q1, q2, start_deadline=_time.monotonic() - 1.0
+                )
+                assert item.result.verdict is Verdict.INCONCLUSIVE
+                assert item.result.method == "start-deadline"
+                assert item.result.details["budget"]["exhausted"] == "start_deadline"
+                assert item.worker is None and item.wall_ms == 0.0
+
+        asyncio.run(run())
 
     def test_constructor_validates_eagerly(self):
         with pytest.raises(ValueError):
@@ -531,15 +556,17 @@ class TestContainmentExecutor:
 
     def test_budget_deadline_bounds_submission(self):
         q1, q2 = self.pair("(a|b)*", "(a b|b a)*")
-        with ContainmentExecutor(workers=1) as executor:
-            item = executor.submit(
-                q1, q2, budget=Budget(deadline_ms=1e9)
-            ).result(timeout=120)
-            assert item.result.verdict in (
-                Verdict.HOLDS,
-                Verdict.REFUTED,
-                Verdict.INCONCLUSIVE,
-            )
+
+        async def run():
+            async with ContainmentExecutor(workers=1) as executor:
+                item = await executor.submit(q1, q2, budget=Budget(deadline_ms=1e9))
+                assert item.result.verdict in (
+                    Verdict.HOLDS,
+                    Verdict.REFUTED,
+                    Verdict.INCONCLUSIVE,
+                )
+
+        asyncio.run(run())
 
 
 def _trace_shape(trace: dict) -> dict:
@@ -556,6 +583,40 @@ def _trace_shape(trace: dict) -> dict:
     }
 
 
+def _count_resolutions(monkeypatch) -> collections.Counter:
+    """Count every pass through the executor's completion funnel, per
+    request id."""
+    resolutions: collections.Counter = collections.Counter()
+    resolve_item = ContainmentExecutor._resolve_item
+
+    def counted(self, future, item):
+        resolutions[item.request_id] += 1
+        resolve_item(self, future, item)
+
+    monkeypatch.setattr(ContainmentExecutor, "_resolve_item", counted)
+    return resolutions
+
+
+class _ReversedSelector(selectors.DefaultSelector):
+    """Reports the events of one ``select`` call in reverse order."""
+
+    def select(self, timeout=None):
+        return super().select(timeout)[::-1]
+
+
+class _AnswersThenExits:
+    """Unpickles, in the worker, into the query ``a a`` and a timer that
+    ends the worker 0.5 s later, after it has answered."""
+
+    def __reduce__(self):
+        return eval, (
+            "(__import__('threading').Timer(0.5, __import__('os')._exit, (0,))"
+            ".start(), __import__('repro.rpq.rpq', fromlist=['RPQ'])"
+            ".RPQ.parse('a a'))[1]",
+            {},
+        )
+
+
 class TestProcessBackend:
     """The process pool as a first-class substrate: start-deadline
     sheds, trace round-trips, crash isolation, telemetry repatriation."""
@@ -568,15 +629,18 @@ class TestProcessBackend:
         # as on the thread backend.
         import time as _time
 
-        with ContainmentExecutor(workers=1, backend="process") as executor:
-            q1, q2 = self.pair()
-            item = executor.submit(
-                q1, q2, start_deadline=_time.monotonic() - 1.0
-            ).result(timeout=60)
-            assert item.result.verdict is Verdict.INCONCLUSIVE
-            assert item.result.method == "start-deadline"
-            assert item.result.details["budget"]["exhausted"] == "start_deadline"
-            assert item.worker is None and item.wall_ms == 0.0
+        async def run():
+            async with ContainmentExecutor(workers=1, backend="process") as executor:
+                q1, q2 = self.pair()
+                item = await executor.submit(
+                    q1, q2, start_deadline=_time.monotonic() - 1.0
+                )
+                assert item.result.verdict is Verdict.INCONCLUSIVE
+                assert item.result.method == "start-deadline"
+                assert item.result.details["budget"]["exhausted"] == "start_deadline"
+                assert item.worker is None and item.wall_ms == 0.0
+
+        asyncio.run(run())
 
     def test_trace_structure_identical_across_backends(self):
         # Same pair, same cache state (cold both times — under fork a
@@ -621,14 +685,15 @@ class TestProcessBackend:
     def test_executor_accepts_submissions_after_a_crash(self):
         from repro.obs.experiments import _PoisonPill
 
-        with ContainmentExecutor(workers=1, backend="process") as executor:
-            crashed = executor.submit(
-                _PoisonPill(), _PoisonPill(), index=0
-            ).result(timeout=60)
-            assert crashed.result.verdict is Verdict.ERROR
-            q1, q2 = self.pair()
-            after = executor.submit(q1, q2, index=1).result(timeout=60)
-            assert after.result.verdict is Verdict.HOLDS
+        async def run():
+            async with ContainmentExecutor(workers=1, backend="process") as executor:
+                crashed = await executor.submit(_PoisonPill(), _PoisonPill(), index=0)
+                assert crashed.result.verdict is Verdict.ERROR
+                q1, q2 = self.pair()
+                after = await executor.submit(q1, q2, index=1)
+                assert after.result.verdict is Verdict.HOLDS
+
+        asyncio.run(run())
 
     def test_an_innocent_check_survives_a_crash_on_its_own_worker(self):
         # A slow innocent check runs beside a poison pill: only the
@@ -639,15 +704,20 @@ class TestProcessBackend:
 
         word = " ".join("ab"[i % 2] for i in range(6000))
         slow = (RPQ(parse_regex(word)), RPQ(parse_regex("a")))
-        with ContainmentExecutor(workers=2, backend="process") as executor:
-            warm = [executor.submit(*self.pair(), index=i) for i in range(2)]
-            pids = {_pid(future.result(timeout=60)) for future in warm}
-            assert len(pids) == 2
-            rebuilds = REGISTRY.counter("batch.pool_rebuilds").value
-            innocent = executor.submit(*slow, index=2)
-            poison = executor.submit(_PoisonPill(), _PoisonPill(), index=3)
-            crashed = poison.result(timeout=60)
-            item = innocent.result(timeout=120)
+
+        async def run():
+            async with ContainmentExecutor(workers=2, backend="process") as executor:
+                warm = [executor.submit(*self.pair(), index=i) for i in range(2)]
+                pids = {_pid(await future) for future in warm}
+                assert len(pids) == 2
+                rebuilds = REGISTRY.counter("batch.pool_rebuilds").value
+                innocent = executor.submit(*slow, index=2)
+                poison = executor.submit(_PoisonPill(), _PoisonPill(), index=3)
+                crashed = await poison
+                item = await innocent
+            return pids, rebuilds, crashed, item
+
+        pids, rebuilds, crashed, item = asyncio.run(run())
         assert crashed.result.verdict is Verdict.ERROR
         assert crashed.result.details["error"]["type"] == "BrokenProcessPool"
         assert item.result.verdict is Verdict.REFUTED
@@ -655,14 +725,17 @@ class TestProcessBackend:
         assert REGISTRY.counter("batch.pool_rebuilds").value == rebuilds + 2
 
     def test_a_worker_killed_while_idle_is_replaced(self):
-        with ContainmentExecutor(workers=1, backend="process") as executor:
-            pid = _pid(executor.submit(*self.pair(), index=0).result(timeout=60))
-            os.kill(pid, signal.SIGKILL)
-            deadline = time.monotonic() + 60
-            while REGISTRY.counter("batch.pool_rebuilds").value < 1:
-                assert time.monotonic() < deadline, "the dead worker was not replaced"
-                time.sleep(0.01)
-            after = executor.submit(*self.pair(), index=1).result(timeout=60)
+        async def run():
+            async with ContainmentExecutor(workers=1, backend="process") as executor:
+                pid = _pid(await executor.submit(*self.pair(), index=0))
+                os.kill(pid, signal.SIGKILL)
+                deadline = time.monotonic() + 60
+                while REGISTRY.counter("batch.pool_rebuilds").value < 1:
+                    assert time.monotonic() < deadline, "the dead worker was not replaced"
+                    await asyncio.sleep(0.01)
+                return pid, await executor.submit(*self.pair(), index=1)
+
+        pid, after = asyncio.run(run())
         assert after.result.verdict is Verdict.HOLDS
         assert _pid(after) != pid
         assert REGISTRY.counter("batch.pool_rebuilds").value == 1
@@ -670,13 +743,17 @@ class TestProcessBackend:
     def test_an_argument_that_fails_to_unpickle_is_its_own_error(self):
         # The worker survives: the item is an ERROR at its index, with the
         # unpickler's own exception type, and nothing is respawned.
-        with ContainmentExecutor(workers=1, backend="process") as executor:
-            pid = _pid(executor.submit(*self.pair(), index=0).result(timeout=60))
-            bad = executor.submit(
-                _UnpicklesToValueError(), RPQ(parse_regex("a")),
-                index=5, request_id="r5",
-            ).result(timeout=60)
-            after = executor.submit(*self.pair(), index=6).result(timeout=60)
+        async def run():
+            async with ContainmentExecutor(workers=1, backend="process") as executor:
+                pid = _pid(await executor.submit(*self.pair(), index=0))
+                bad = await executor.submit(
+                    _UnpicklesToValueError(), RPQ(parse_regex("a")),
+                    index=5, request_id="r5",
+                )
+                after = await executor.submit(*self.pair(), index=6)
+            return pid, bad, after
+
+        pid, bad, after = asyncio.run(run())
         error = bad.result.details["error"]
         assert bad.result.verdict is Verdict.ERROR
         assert (bad.index, bad.request_id) == (5, "r5")
@@ -705,84 +782,125 @@ class TestProcessBackend:
                 )
 
         monkeypatch.setattr(batch, "_process_context", PoisonedContext)
-        executor = ContainmentExecutor(workers=1, backend="process")
-        try:
-            executor._pool._collector.join(timeout=60)
-            assert not executor._pool._collector.is_alive()
-            item = executor.submit(*self.pair(), index=1).result(timeout=60)
-        finally:
-            executor.shutdown(wait=True)
+
+        async def run():
+            executor = ContainmentExecutor(workers=1, backend="process")
+            try:
+                deadline = time.monotonic() + 60
+                while executor._broken is None:
+                    assert time.monotonic() < deadline, "the pool never stopped"
+                    await asyncio.sleep(0.01)
+                return await executor.submit(*self.pair(), index=1)
+            finally:
+                await executor.shutdown()
+
+        item = asyncio.run(run())
         error = item.result.details["error"]
         assert (error["type"], error["index"]) == ("BrokenProcessPool", 1)
         assert "died" in error["message"]
         assert REGISTRY.counter("batch.pool_rebuilds").value == 1
 
-    def test_concurrent_submitters_get_each_answer_exactly_once(self):
-        # More workers than cores, four submitting threads and a short
-        # switch interval: every future resolves once, to its own index
-        # and the sequential verdict, and the pool ends idle.
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_coroutines_submitting_in_bursts_get_each_answer_exactly_once(
+        self, backend, monkeypatch
+    ):
+        # More workers than cores and eight coroutines submitting awaited
+        # bursts of three, so the pool keeps passing between all-busy and
+        # all-idle (a job left queued beside an idle worker would never
+        # finish): every future resolves once, through the one funnel, to
+        # its own index and the sequential verdict, and the pool ends idle.
         pairs = e1_workload()[:12]
         expected = [result.verdict for result in sequential_baseline(pairs)]
-        resolutions: collections.Counter = collections.Counter()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with ContainmentExecutor(workers=3, backend="process") as executor:
-                pool = executor._pool
-                resolve_item, resolve_error = pool._resolve_item, pool._resolve_error
+        resolutions = _count_resolutions(monkeypatch)
+        submitted: dict[int, asyncio.Future] = {}
 
-                def counted_item(future, item):
-                    resolutions[item.request_id] += 1
-                    resolve_item(future, item)
+        async def submitter(executor, offset, stop):
+            for burst in range(40):
+                if time.monotonic() > stop:
+                    return
+                futures = []
+                for index in range(burst * 24 + offset, burst * 24 + 24, 8):
+                    submitted[index] = executor.submit(
+                        *pairs[index % len(pairs)], index=index,
+                        request_id=f"r{index}",
+                    )
+                    futures.append(submitted[index])
+                await asyncio.wait(futures, timeout=30)
 
-                def counted_error(future, kwargs, exc):
-                    resolutions[kwargs["request_id"]] += 1
-                    resolve_error(future, kwargs, exc)
-
-                pool._resolve_item, pool._resolve_error = counted_item, counted_error
+        async def run():
+            async with ContainmentExecutor(workers=3, backend=backend) as executor:
                 stop = time.monotonic() + 5.0
-                submitted: dict[int, object] = {}
-                lock = threading.Lock()
-
-                def submitter(offset):
-                    # Bursts of three, each awaited, so the pool keeps
-                    # passing between all-busy and all-idle: a job left
-                    # queued beside an idle worker would never finish.
-                    for burst in range(40):
-                        if time.monotonic() > stop:
-                            return
-                        futures = []
-                        for index in range(burst * 12 + offset, burst * 12 + 12, 4):
-                            future = executor.submit(
-                                *pairs[index % len(pairs)], index=index,
-                                request_id=f"r{index}",
-                            )
-                            futures.append(future)
-                            with lock:
-                                submitted[index] = future
-                        concurrent.futures.wait(futures, timeout=30)
-
-                threads = [
-                    threading.Thread(target=submitter, args=(offset,))
-                    for offset in range(4)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                    assert not thread.is_alive()
+                submitters = [submitter(executor, offset, stop) for offset in range(8)]
+                await asyncio.wait_for(asyncio.gather(*submitters), 60)
                 for index, future in submitted.items():
-                    item = future.result(timeout=0)
+                    item = future.result()
                     assert (item.index, item.request_id) == (index, f"r{index}")
                     assert item.result.verdict is expected[index % len(pairs)]
-                with pool._lock:
-                    assert not pool._queue
-                    assert all(worker.job is None for worker in pool._workers)
-                    assert len(pool._idle) == 3
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(submitted) >= 4
+                assert not executor._queue
+                assert all(worker.job is None for worker in executor._workers)
+                assert len(executor._idle) == 3
+
+        asyncio.run(run())
+        assert len(submitted) >= 24
         assert resolutions == collections.Counter(f"r{index}" for index in submitted)
+
+    @pytest.mark.parametrize(
+        "selector", [selectors.DefaultSelector, _ReversedSelector],
+        ids=["in-order", "reversed"],
+    )
+    def test_an_answer_ready_with_its_workers_death_is_delivered_once(
+        self, selector, monkeypatch
+    ):
+        # The worker answers, then its query's timer ends it 0.5 s later;
+        # the loop is blocked for 2 s meanwhile, so the worker's pipe and
+        # its sentinel are ready in the same loop iteration, reported in
+        # either order.  The answer is delivered once, from that worker,
+        # and the item is not retried: the respawned worker runs only the
+        # next item.
+        resolutions = _count_resolutions(monkeypatch)
+
+        async def run():
+            async with ContainmentExecutor(workers=1, backend="process") as executor:
+                pid = _pid(await executor.submit(*self.pair(), request_id="warm"))
+                future = executor.submit(
+                    _AnswersThenExits(), RPQ(parse_regex("a+")), request_id="r1"
+                )
+                time.sleep(2.0)  # blocks the loop: the answer, then the death
+                item = await future
+                after = await executor.submit(*self.pair(), request_id="after")
+            return pid, item, after
+
+        loop = asyncio.SelectorEventLoop(selector())
+        try:
+            pid, item, after = loop.run_until_complete(run())
+        finally:
+            loop.close()
+        assert item.result.verdict is Verdict.HOLDS
+        assert _pid(item) == pid
+        assert after.result.verdict is Verdict.HOLDS and _pid(after) != pid
+        assert resolutions == collections.Counter(["warm", "r1", "after"])
+        assert REGISTRY.counter("batch.pool_rebuilds").value == 1
+
+    def test_the_process_backend_starts_no_thread_in_the_parent(self):
+        # Answers and deaths are read by the event loop itself: neither
+        # serving items nor respawning a crashed worker starts a thread.
+        from repro.obs.experiments import _PoisonPill
+
+        before = set(threading.enumerate())
+
+        async def run():
+            async with ContainmentExecutor(workers=2, backend="process") as executor:
+                futures = [executor.submit(*self.pair(), index=i) for i in range(6)]
+                crashed = await executor.submit(_PoisonPill(), _PoisonPill())
+                items = [await future for future in futures]
+                assert set(threading.enumerate()) == before
+            return crashed, items
+
+        crashed, items = asyncio.run(run())
+        assert crashed.result.verdict is Verdict.ERROR
+        assert all(item.result.verdict is Verdict.HOLDS for item in items)
+        assert REGISTRY.counter("batch.pool_rebuilds").value == 2
+        assert set(threading.enumerate()) == before
 
     def test_pool_deadline_degrades_only_unsent_items(self):
         # The first item is written to the idle worker at submit, so it
@@ -836,10 +954,14 @@ class TestProcessBackend:
         # Neither the warm-up checks nor an item from before the
         # parent's reset may leak into the parent's min/max.
         slow = self.pair("(a|b)* a" + " (a|b)" * 6, "(a|b)* a" + " (a|b)" * 7)
-        with ContainmentExecutor(workers=1, backend="process") as executor:
-            executor.submit(*slow).result(timeout=60)
-            reset_metrics()
-            executor.submit(*self.pair("a", "a|b")).result(timeout=60)
+
+        async def run():
+            async with ContainmentExecutor(workers=1, backend="process") as executor:
+                await executor.submit(*slow)
+                reset_metrics()
+                await executor.submit(*self.pair("a", "a|b"))
+
+        asyncio.run(run())
         check_ms = REGISTRY.histogram("engine.check_ms")
         assert check_ms.count == 1
         assert check_ms.min == check_ms.max

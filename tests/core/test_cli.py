@@ -150,6 +150,18 @@ class TestOperatorLimits:
     def test_bad_server_value_exits_2(self, flags, tmp_path, capsys):
         self.assert_exits_2(self.argv("serve", tmp_path) + flags, capsys)
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--workers", "0"],
+            ["--pool-deadline-ms", "-1"],
+            ["--pool-deadline-ms", "nan"],
+        ],
+        ids=["workers-0", "pool-deadline-negative", "pool-deadline-nan"],
+    )
+    def test_bad_batch_pool_value_exits_2(self, flags, tmp_path, capsys):
+        self.assert_exits_2(self.argv("batch", tmp_path) + flags, capsys)
+
 
 class TestCommands:
     def test_classify(self, capsys):

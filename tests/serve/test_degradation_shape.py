@@ -76,10 +76,13 @@ def test_error():
 
 
 def test_start_deadline():
-    with ContainmentExecutor(workers=1) as executor:
-        item = executor.submit(
-            RPQ.parse("a a"), RPQ.parse("a+"), start_deadline=time.monotonic() - 1.0
-        ).result(timeout=60)
+    async def run():
+        async with ContainmentExecutor(workers=1) as executor:
+            return await executor.submit(
+                RPQ.parse("a a"), RPQ.parse("a+"), start_deadline=time.monotonic() - 1.0
+            )
+
+    item = asyncio.run(run())
     assert item.result.method == "start-deadline"
     assert item.result.verdict is Verdict.INCONCLUSIVE
     assert_budget_block(item.result.details, "start_deadline")

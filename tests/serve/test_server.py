@@ -428,9 +428,9 @@ class TestLoadShedding:
                 # never imported the serving layer.  The probe is an
                 # argument whose unpickling in the worker raises with
                 # the worker's repro.serve* modules as its message.
-                probe = server._executor.submit(
+                probe = await server._executor.submit(
                     _ServeModulesProbe(), _ServeModulesProbe(), index=3
-                ).result(timeout=60)
+                )
                 error = probe.result.details["error"]
                 assert (error["type"], error["index"]) == ("LookupError", 3)
                 assert error["message"] == "[]"
